@@ -154,7 +154,7 @@ def _write_table(
 
 def _tolerance(args: argparse.Namespace) -> SeriesTolerance:
     eps = getattr(args, "eps", None)
-    return SeriesTolerance(rel_eps=eps) if eps else SeriesTolerance()
+    return SeriesTolerance(rel_eps=eps) if eps is not None else SeriesTolerance()
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -371,7 +371,9 @@ def _cmd_ymean(args: argparse.Namespace) -> int:
         for _, points in columns:
             row += [points[i].y_mean, points[i].d_energy, points[i].d_tau]
         rows.append(tuple(row))
-    manifest = _manifest(args, "ymean", {"b-set": ",".join(map(str, args.b))})
+    manifest = _manifest(
+        args, "ymean", {"b-set": ",".join(map(str, args.b)), "moments": "closed-form"}
+    )
     _write_table(
         Path(args.out), manifest, header, rows, fmt=args.format,
         unit_note="kt = kappa*t; y_mean = |d_energy * d_tau| in units of hbar "
@@ -441,6 +443,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     extra = {"which": str(args.which), "b-set": ",".join(map(str, b_values))}
     if kind == "ymean":
         extra["omega-over-lam"] = _fmt(omega / lam)
+        # <y(b)> uses exact moments: no truncation certificate applies.
+        extra["moments"] = "closed-form"
     manifest = _manifest(args, f"figures {args.which}", extra)
     data_path = out_dir / f"figure{args.which}.{'json' if args.format == 'json' else 'csv'}"
     _write_table(

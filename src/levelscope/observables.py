@@ -86,7 +86,7 @@ class YMeanPoint:
 
 def log_grid(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> np.ndarray:
     """Default log-spaced kappa*t grid matching the figure convention."""
-    if not (start > 0.0 and stop > start and points >= 2):
+    if not (start > 0.0 and math.isfinite(stop) and stop > start and points >= 2):
         raise ValueError(f"bad log grid ({start}, {stop}, {points})")
     return np.logspace(math.log10(start), math.log10(stop), points)
 
@@ -168,24 +168,53 @@ def survival(cfg: DiffusiveConfig, t: float) -> float:
 
 
 def _moments(cfg: DiffusiveConfig, t: float) -> tuple[float, float]:
-    dist = distribution(cfg, t)
-    _, m1, m2 = dist.moments()
+    """(<N>, <N^2>) of the evolved mixture in closed form.
+
+    The level populations have the generating function
+    G(s) = zeta (gamma + (zeta - gamma) s)^b / (1 - gamma s)^(b+1) with
+    gamma = u / (1 + u), zeta = 1 - gamma and u = 2 kappa t, whose first two
+    derivatives at s = 1 give <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u.
+    Exact, so no truncation certificate applies.
+    """
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    b = cfg.b
+    u = 2.0 * cfg.kappa * t
+    m1 = b + u
+    m2 = b * b + 4.0 * b * u + 2.0 * u * u + u
+    if not math.isfinite(m2):
+        raise ValueError(f"<N^2> overflows at kappa*t = {cfg.kappa * t:g}")
     return m1, m2
 
 
+def _energy(cfg: DiffusiveConfig, m1: float, m2: float, t: float) -> float:
+    h0 = cfg.omega * m1 + cfg.lam * m2
+    if not math.isfinite(h0):
+        raise ValueError(f"<H0> overflows at kappa*t = {cfg.kappa * t:g}")
+    return h0
+
+
 def mean_n(cfg: DiffusiveConfig, t: float) -> float:
-    """<N>(t) = sum_n n P_b(n, t), with the tail certified by distribution()."""
+    """<N>(t) = b + 2 kappa t, the closed-form mean level of the mixture.
+
+    Raises ValueError for a negative or non-finite t.
+    """
     return _moments(cfg, t)[0]
 
 
 def mean_h0(cfg: DiffusiveConfig, t: float) -> float:
-    """<H0>(t) = sum_n (omega n + lam n^2) P_b(n, t) (hbar = 1)."""
+    """<H0>(t) = omega <N> + lam <N^2> (hbar = 1), from the closed-form
+    moments <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u with u = 2 kappa t.
+
+    Raises ValueError for a negative or non-finite t, or when <H0> overflows.
+    """
     m1, m2 = _moments(cfg, t)
-    return cfg.omega * m1 + cfg.lam * m2
+    return _energy(cfg, m1, m2, t)
 
 
 def mean_tau(cfg: DiffusiveConfig, t: float) -> float:
-    """Period estimate 2 pi <N> / <H0> of the evolved mixture.
+    """Period estimate 2 pi <N> / <H0> of the evolved mixture, from the
+    closed-form moments (see mean_h0).
 
     Raises ZeroEnergy when <H0> = 0 (b = 0 at t = 0), rather than returning
     a NaN. Note the t -> 0 limit for b >= 1 is 2 pi / (omega + lam b), which
@@ -194,7 +223,7 @@ def mean_tau(cfg: DiffusiveConfig, t: float) -> float:
     reported by the CLI rather than reconciled.
     """
     m1, m2 = _moments(cfg, t)
-    h0 = cfg.omega * m1 + cfg.lam * m2
+    h0 = _energy(cfg, m1, m2, t)
     if h0 == 0.0:
         raise ZeroEnergy(f"<H0> = 0 for b={cfg.b}, t={t}; period estimate undefined")
     return 2.0 * math.pi * m1 / h0
@@ -217,6 +246,9 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     kappa t > 0, with kappa t <y(b)> -> pi/2 as kappa t grows. No
     preparation stays resolvable (<y(b)> >= 1/2) past kappa t = pi, and
     <y(b)> falls to half of any earlier value y_0 before kappa t = pi / y_0.
+
+    The moments come from that closed form, not from the certified weights;
+    a negative or non-finite t, or a moment that overflows, raises ValueError.
     """
     if cfg_b.b < 1:
         raise ValueError("mean_y_point needs b >= 1")
@@ -225,8 +257,8 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     )
     m1_b, m2_b = _moments(cfg_b, t)
     m1_m, m2_m = _moments(cfg_bm1, t)
-    h0_b = cfg_b.omega * m1_b + cfg_b.lam * m2_b
-    h0_m = cfg_b.omega * m1_m + cfg_b.lam * m2_m
+    h0_b = _energy(cfg_b, m1_b, m2_b, t)
+    h0_m = _energy(cfg_bm1, m1_m, m2_m, t)
     if h0_b == 0.0 or h0_m == 0.0:
         raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
     tau_b = 2.0 * math.pi * m1_b / h0_b
@@ -252,6 +284,8 @@ def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float] | np.ndarray)
     grid = np.asarray(kt_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("kt_grid must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("kt_grid must be finite")
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("kt_grid must be strictly increasing")
     return [mean_y_point(cfg_b, kt / cfg_b.kappa) for kt in grid.tolist()]

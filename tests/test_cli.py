@@ -157,6 +157,52 @@ def test_ymean_series(tmp_path):
     assert float(rows[0][2]) > 0.0 > float(rows[0][3])
 
 
+def ymean_closed(b, kt, omega, lam):
+    """(y_mean, d_energy, d_tau) from <N> = b + u, <N^2> = b^2 + 4bu + 2u^2 + u."""
+    u = 2.0 * kt
+
+    def energy(k):
+        return omega * (k + u) + lam * (k * k + 4.0 * k * u + 2.0 * u * u + u)
+
+    d_energy = (omega + lam * (2 * b - 1 + 4.0 * u)) / 2.0
+    d_tau = -math.pi * lam * (b * (b - 1) + 2.0 * u * (b + u - 1.0)) / (energy(b) * energy(b - 1))
+    return abs(d_energy * d_tau), d_energy, d_tau
+
+
+def test_ymean_reaches_late_times(tmp_path):
+    # At kappa*t = 1e5 a certified level cut would pass max_terms; the
+    # closed-form moments need no cut.
+    out = tmp_path / "y.csv"
+    code = main(
+        ["ymean", "--b", "2,40", "--omega", "0.1", "--lambda", "1", "--grid",
+         "log:1e-3:1e5:5", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    comments, header, rows = read_csv(out)
+    assert any("moments=closed-form" in c for c in comments)
+    assert len(rows) == 5
+    for row in rows:
+        kt = float(row[0])
+        for j, b in enumerate((2, 40)):
+            got = [float(v) for v in row[1 + 3 * j: 4 + 3 * j]]
+            for g, want in zip(got, ymean_closed(b, kt, 0.1, 1.0)):
+                assert g == pytest.approx(want, rel=1e-9)
+
+
+def test_ymean_moment_overflow_exits_2(tmp_path, capsys):
+    code = main(["ymean", "--grid", "log:1e-3:1e200:5", "--out", str(tmp_path / "y.csv")])
+    assert code == EXIT_USAGE
+    assert "overflows" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_nonpositive_eps_exits_2(tmp_path, capsys, eps):
+    code = main(["ymean", "--eps", eps, "--grid", "log:1e-3:1:3", "--out", str(tmp_path / "y.csv")])
+    assert code == EXIT_USAGE
+    assert "rel_eps must be positive" in capsys.readouterr().err
+
+
 def test_figures_families(tmp_path):
     for which, columns in ((1, ["kt", "b1", "b5"]), (2, ["kt", "b1", "b5"])):
         out_dir = tmp_path / f"f{which}"
@@ -183,6 +229,7 @@ def test_figures_ymean_defaults(tmp_path):
     comments, header, rows = read_csv(out_dir / "figure3.csv")
     assert header == ["kt", "b2", "b5", "b10", "b15"]
     assert any("omega-over-lam = 0.1" in c.replace("=", " = ") for c in comments)
+    assert any("moments=closed-form" in c for c in comments)
     # the angle brackets of the y-axis label must be XML-escaped
     ET.fromstring((out_dir / "figure3.svg").read_text())
 
@@ -197,6 +244,13 @@ def test_figures_4_uses_large_ratio(tmp_path):
 
 def test_bad_grid_exits_2(tmp_path, capsys):
     code = main(["fidelity", "--grid", "lin:0:1:5", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_USAGE
+    assert "grid" in capsys.readouterr().err
+
+
+def test_infinite_grid_stop_exits_2(tmp_path, capsys):
+    # 1e400 parses as inf: the grid is refused before any weight is summed.
+    code = main(["fidelity", "--grid", "log:1e-3:1e400:5", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE
     assert "grid" in capsys.readouterr().err
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelscope.observables import (
     MismatchedConfig,
@@ -171,6 +173,36 @@ def test_mean_tau_zero_energy_raises():
         mean_tau(cfg_for(0, omega=1.0, lam=1.0), 0.0)
 
 
+# The certified Fock sums stay the oracle for the closed-form moments.
+@pytest.mark.parametrize("b", [0, 1, 2, 5, 15, 40])
+@pytest.mark.parametrize("kt", [1e-3, 0.3, 2.0, 40.0])
+def test_closed_form_moments_match_certified_sums(b, kt):
+    omega, lam = 0.7, 1.3
+    cfg = cfg_for(b, omega, lam)
+    _, m1, m2 = distribution(cfg, kt).moments()
+    assert mean_n(cfg, kt) == pytest.approx(m1, rel=1e-9)
+    assert mean_h0(cfg, kt) == pytest.approx(omega * m1 + lam * m2, rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_moments_reject_bad_times(t):
+    cfg = cfg_for(3, omega=0.1, lam=1.0)
+    for fn in (mean_n, mean_h0, mean_tau, mean_y_point):
+        with pytest.raises(ValueError, match="t must be finite and non-negative"):
+            fn(cfg, t)
+
+
+def test_moments_reject_overflow():
+    # u^2 overflows at kappa*t = 1e200: an error, never an inf or a NaN.
+    cfg = cfg_for(3, omega=0.1, lam=1.0)
+    for fn in (mean_n, mean_h0, mean_tau, mean_y_point):
+        with pytest.raises(ValueError, match="overflows"):
+            fn(cfg, 1e200)
+    # finite moments, but lam <N^2> overflows
+    with pytest.raises(ValueError, match="<H0> overflows"):
+        mean_h0(cfg_for(3, omega=0.1, lam=1e300), 1e5)
+
+
 # ---------------------------------------------------------------------------
 # <y(b)>
 
@@ -220,6 +252,32 @@ def test_mean_y_series_shape_and_grid_checks():
         mean_y_series(cfg_for(2, omega=0.1, lam=1.0), [])
     with pytest.raises(ValueError):
         mean_y_point(cfg_for(0, omega=0.1, lam=1.0), 0.1)
+    for bad in ([0.1, math.nan], [math.nan], [0.1, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            mean_y_series(cfg_for(2, omega=0.1, lam=1.0), bad)
+
+
+def test_mean_y_series_reaches_late_times():
+    # A certified level cut passes max_terms near kappa*t = 1e5; the
+    # closed-form moments need no cut.
+    series = mean_y_series(cfg_for(40, omega=0.1, lam=1.0), log_grid(1e-3, 1e5, 9))
+    assert series[-1].kt == pytest.approx(1e5)
+    assert all(0.0 < p.y_mean < math.pi / (2.0 * p.kt) for p in series)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    b=st.integers(min_value=1, max_value=60),
+    log_kt=st.floats(min_value=-6.0, max_value=6.0),
+    ratio=st.floats(min_value=0.0, max_value=100.0),
+    kappa=st.sampled_from([0.1, 1.0, 10.0]),
+)
+def test_mean_y_bound_and_mean_level_property(b, log_kt, ratio, kappa):
+    kt = 10.0 ** log_kt
+    cfg = DiffusiveConfig(b=b, kappa=kappa, omega=ratio, lam=1.0)
+    t = kt / kappa
+    assert mean_n(cfg, t) == pytest.approx(b + 2.0 * kt, rel=1e-14)
+    assert kt * mean_y_point(cfg, t).y_mean < math.pi / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +304,5 @@ def test_log_grid_defaults():
         log_grid(0.0, 1.0, 10)
     with pytest.raises(ValueError):
         log_grid(1.0, 1.0, 10)
+    with pytest.raises(ValueError):
+        log_grid(1e-3, math.inf, 10)
