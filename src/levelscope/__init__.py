@@ -8,7 +8,6 @@ diffusive bath and tracks how the environment erodes that resolvability.
 
 __version__ = "0.1.0"
 
-from ._backend import BACKEND, available_backends
 from .numerics import (
     DEFAULT_TOLERANCE,
     KernelValue,
@@ -62,8 +61,6 @@ from .spectra import (
 
 __all__ = [
     "__version__",
-    "BACKEND",
-    "available_backends",
     # numerics
     "DEFAULT_TOLERANCE",
     "KernelValue",

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .numerics import kernel, log_factorial, sum_adaptive
-from .open_system import DiffusiveConfig, distribution, fock_weight
+from .open_system import DiffusiveConfig, check_time, distribution, fock_weight
 
 __all__ = [
     "MismatchedConfig",
@@ -176,8 +176,7 @@ def _moments(cfg: DiffusiveConfig, t: float) -> tuple[float, float]:
     derivatives at s = 1 give <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u.
     Exact, so no truncation certificate applies.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    check_time(t)
     b = cfg.b
     u = 2.0 * cfg.kappa * t
     m1 = b + u

@@ -10,13 +10,13 @@ need them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._backend import fock_weight_block
+from ._backend import fock_weight_block, log_factorials
 from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, kernel, log_factorial
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution"]
@@ -37,14 +37,24 @@ class DiffusiveConfig:
     tol: SeriesTolerance = field(default=DEFAULT_TOLERANCE)
 
     def __post_init__(self) -> None:
-        if self.b < 0:
-            raise ValueError(f"b must be a non-negative integer, got {self.b}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.omega < 0.0:
-            raise ValueError(f"omega must be non-negative, got {self.omega}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        integral = type(self.b) is int or (
+            isinstance(self.b, numbers.Integral) and not isinstance(self.b, bool)
+        )
+        if not integral or self.b < 0:
+            raise ValueError(f"b must be a non-negative integer, got {self.b!r}")
+        # Chained comparisons with inf also reject NaN.
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be finite and non-negative, got {self.omega}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+
+
+def check_time(t: float) -> None:
+    """Raise ValueError unless t is a finite, non-negative time."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +105,7 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    check_time(t)
     g, z = _gamma_zeta(cfg, t)
     if g == 0.0:
         return 1.0 if n == cfg.b else 0.0
@@ -144,17 +153,14 @@ def _weights_cached(
     n_hat = min(max(n_hat, b + 8), max_terms)
 
     weights = np.empty(0)
-    lf = np.empty(0)
     n_have = 0
     while True:
         if n_hat > max_terms:
             raise NonConvergent(
                 f"level cut for b={b}, kappa*t={kt} exceeded max_terms={max_terms}"
             )
-        if lf.shape[0] < n_hat + 1:
-            lf = gammaln(np.arange(1.0, n_hat + 2.0))
         block = np.empty(n_hat - n_have)
-        fock_weight_block(b, lg, lz, lf, n_have, n_hat, block)
+        fock_weight_block(b, lg, lz, log_factorials(n_hat), n_have, n_hat, block)
         weights = np.concatenate([weights, block])
         n_have = n_hat
 
@@ -192,8 +198,7 @@ def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
     below cfg.tol.rel_eps (for the trace and for the first two moments, so
     downstream energy averages inherit the certificate).
     """
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    check_time(t)
     g, _ = _gamma_zeta(cfg, t)
     if g == 0.0:
         weights = np.zeros(cfg.b + 1)

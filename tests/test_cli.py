@@ -255,6 +255,30 @@ def test_infinite_grid_stop_exits_2(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evolve", "--b", "2", "--kappa", "inf"], "kappa must be finite"),
+        (["fidelity", "--omega", "nan"], "omega must be finite"),
+        (["fidelity", "--lambda", "inf"], "lam must be finite"),
+        # kt / kappa overflows, so survival is asked for at t = inf
+        (["figures", "2", "--kappa", "1e-320"], "t must be finite"),
+    ],
+    ids=["kappa-inf", "omega-nan", "lambda-inf", "time-inf"],
+)
+def test_non_finite_bath_parameters_exit_2(tmp_path, capsys, argv, message):
+    code = main(argv + ["--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_non_integer_b_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--b", "2.5", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_missing_preset_exits_2(tmp_path, capsys):
     code = main(["scan", "--preset", "unobtainium", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,18 +33,19 @@ def pair_for(b: int, **kw) -> tuple[DiffusiveConfig, DiffusiveConfig]:
     return cfg_for(b, **kw), cfg_for(b - 1, **kw)
 
 
-# Independent moment oracles, from the closed generating function
-# G(z) = zeta (gamma + (zeta - gamma) z)^b / (1 - gamma z)^(b+1)
-# of the level weights: with g = 2 kt,
-#   <N>   = b + g
-#   <N^2> = b^2 + 4 b g + 2 g^2 + g
-def moment1(b: int, kt: float) -> float:
-    return b + 2.0 * kt
+def generating_moments(b: int, kt: float) -> tuple[float, float]:
+    """(<N>, <N^2>) from 50-digit derivatives at s = 1 of the level
+    generating function G(s) = zeta (gamma + (zeta - gamma) s)^b / (1 - gamma s)^(b+1),
+    gamma = 2 kt / (1 + 2 kt), zeta = 1 - gamma: <N> = G'(1), <N^2> = G''(1) + G'(1)."""
+    with mp.workdps(50):
+        u = 2 * mp.mpf(kt)
+        gamma, zeta = u / (1 + u), 1 / (1 + u)
 
+        def gen(s):
+            return zeta * (gamma + (zeta - gamma) * s) ** b / (1 - gamma * s) ** (b + 1)
 
-def moment2(b: int, kt: float) -> float:
-    g = 2.0 * kt
-    return b * b + 4.0 * b * g + 2.0 * g * g + g
+        d1, d2 = mp.diff(gen, 1, 1), mp.diff(gen, 1, 2)
+        return float(d1), float(d2 + d1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +124,7 @@ def test_survival_decays_faster_for_higher_levels():
 @pytest.mark.parametrize("b", [0, 1, 2, 5, 10, 15])
 @pytest.mark.parametrize("kt", [1e-3, 0.1, 1.0, 10.0, 100.0])
 def test_mean_level_matches_generating_function(b, kt):
-    assert mean_n(cfg_for(b), kt) == pytest.approx(moment1(b, kt), rel=1e-8)
+    assert mean_n(cfg_for(b), kt) == pytest.approx(generating_moments(b, kt)[0], rel=1e-8)
 
 
 def test_mean_level_examples():
@@ -134,7 +136,8 @@ def test_mean_level_examples():
 @pytest.mark.parametrize("kt", [0.01, 1.0, 30.0])
 def test_mean_energy_matches_generating_function(b, kt):
     omega, lam = 0.7, 1.3
-    expected = omega * moment1(b, kt) + lam * moment2(b, kt)
+    m1, m2 = generating_moments(b, kt)
+    expected = omega * m1 + lam * m2
     assert mean_h0(cfg_for(b, omega, lam), kt) == pytest.approx(expected, rel=1e-8)
 
 
@@ -144,7 +147,7 @@ def test_mean_energy_examples():
     # omega = 0 leaves the pure nonlinear term: lam * <N^2>
     cfg0 = cfg_for(0, omega=0.0, lam=2.0)
     kt = 0.4
-    assert mean_h0(cfg0, kt) == pytest.approx(2.0 * moment2(0, kt), rel=1e-8)
+    assert mean_h0(cfg0, kt) == pytest.approx(2.0 * generating_moments(0, kt)[1], rel=1e-8)
     # lam = 0 reduces to omega * <N> exactly
     cfg_lin = cfg_for(5, omega=0.9, lam=0.0)
     assert mean_h0(cfg_lin, 0.7) == pytest.approx(0.9 * mean_n(cfg_lin, 0.7), rel=1e-12)

@@ -6,7 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from levelscope._backend import fock_weight_block, log_factorials
 from levelscope.numerics import NonConvergent, SeriesTolerance
+from levelscope.observables import fidelity_overlap, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
 
 mp.mp.dps = 50
@@ -79,6 +81,19 @@ def test_weight_rejects_bad_arguments():
         fock_weight(cfg_for(1), -1, 0.5)
     with pytest.raises(ValueError):
         fock_weight(cfg_for(1), 0, -0.5)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_weight_path_rejects_non_finite_time(t):
+    cfg = cfg_for(2)
+    for call in (
+        lambda: fock_weight(cfg, 2, t),
+        lambda: survival(cfg, t),
+        lambda: distribution(cfg, t),
+        lambda: fidelity_overlap(cfg, cfg_for(1), t),
+    ):
+        with pytest.raises(ValueError, match="t must be finite"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +182,89 @@ def test_config_validation():
         distribution(cfg_for(0), -1.0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"b": 2.5},
+        {"b": 2.0},
+        {"b": True},
+        {"kappa": math.inf},
+        {"kappa": math.nan},
+        {"omega": math.nan},
+        {"omega": math.inf},
+        {"lam": math.inf},
+        {"lam": math.nan},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_config_rejects_non_integer_b_and_non_finite_rates(kw):
+    args = {"b": 2, "kappa": 1.0, **kw}
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        DiffusiveConfig(**args)
+
+
+def test_config_accepts_numpy_integer_b():
+    assert distribution(DiffusiveConfig(b=np.int64(3), kappa=1.0), 0.5).n_cut >= 3
+
+
 def test_weights_are_read_only():
     dist = distribution(cfg_for(2), 1.0)
     with pytest.raises(ValueError):
         dist.weights[0] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# the block kernel behind every distribution
+
+
+def _oracle_levels(weights: np.ndarray, count: int = 40) -> list[int]:
+    """Up to `count` levels spread over those with weight >= 1e-12 of the peak,
+    always including the first and last of them."""
+    big = np.flatnonzero(weights >= 1e-12 * weights.max())
+    picks = np.linspace(0, big.shape[0] - 1, min(count, big.shape[0])).round().astype(int)
+    return sorted(set(big[picks].tolist()))
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 5, 15, 40])
+@pytest.mark.parametrize("kt", [1e-3, 0.01, 0.3, 0.49, 0.51, 2.0, 40.0, 100.0])
+def test_distribution_weights_match_high_precision_oracle(b, kt):
+    # kt = 0.49 and 0.51 sit on either side of zeta = gamma, where the
+    # kernel switches the end of the p-sum it scales from.
+    weights = distribution(cfg_for(b), kt).weights
+    for n in _oracle_levels(weights):
+        want = weight_oracle(b, n, kt)
+        assert abs(weights[n] - want) <= 1e-10 * want, (n, weights[n], want)
+
+
+@pytest.mark.parametrize("b, kt", [(600, 0.5), (800, 0.45)])
+def test_distribution_weights_for_large_b(b, kt):
+    # Here the scale term of many levels underflows a double (T_0 at
+    # kt = 0.5, T_b at kt = 0.45), so the kernel sums them in log space.
+    weights = distribution(cfg_for(b), kt).weights
+    assert np.all(np.isfinite(weights))
+    assert abs(weights.sum() - 1.0) <= 1e-8
+    for n in _oracle_levels(weights, count=8):
+        want = weight_oracle(b, n, kt)
+        assert abs(weights[n] - want) <= 1e-10 * want, (n, weights[n], want)
+
+
+@pytest.mark.parametrize("b", [0, 3, 15])
+@pytest.mark.parametrize("kt", [0.05, 0.5, 2.0])
+@pytest.mark.parametrize("split", [1, 7, 16, 90])
+def test_weight_block_split_matches_single_call(b, kt, split):
+    n_stop = 120
+    lg, lz = math.log(2 * kt / (1 + 2 * kt)), math.log(1 / (1 + 2 * kt))
+    lf = log_factorials(n_stop)
+    whole, parts = np.empty(n_stop), np.empty(n_stop)
+    fock_weight_block(b, lg, lz, lf, 0, n_stop, whole)
+    fock_weight_block(b, lg, lz, lf, 0, split, parts[:split])
+    fock_weight_block(b, lg, lz, lf, split, n_stop, parts[split:])
+    np.testing.assert_array_equal(parts, whole)
+    assert np.all(np.isfinite(whole)) and np.all(whole >= 0.0)
+
+
+def test_log_factorials_match_exact_values():
+    lf = log_factorials(300)
+    assert lf[0] == 0.0 and lf[1] == 0.0
+    for k in (2, 10, 57, 170, 300):
+        assert lf[k] == pytest.approx(math.log(math.factorial(k)), rel=1e-14)
