@@ -8,22 +8,12 @@ diffusive bath and tracks how the environment erodes that resolvability.
 
 __version__ = "0.1.0"
 
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    KernelValue,
-    NonConvergent,
-    SeriesSum,
-    SeriesTolerance,
-    kernel,
-    log_factorial,
-    sum_adaptive,
-)
+from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
 from .observables import (
     MismatchedConfig,
     TimeSeries,
     YMeanPoint,
     ZeroEnergy,
-    fidelity_closed_form,
     fidelity_overlap,
     log_grid,
     mean_h0,
@@ -63,13 +53,9 @@ __all__ = [
     "__version__",
     # numerics
     "DEFAULT_TOLERANCE",
-    "KernelValue",
     "NonConvergent",
-    "SeriesSum",
     "SeriesTolerance",
-    "kernel",
     "log_factorial",
-    "sum_adaptive",
     # spectra
     "Box",
     "CriterionPoint",
@@ -105,7 +91,6 @@ __all__ = [
     "TimeSeries",
     "YMeanPoint",
     "ZeroEnergy",
-    "fidelity_closed_form",
     "fidelity_overlap",
     "log_grid",
     "mean_h0",

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -296,81 +296,96 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _series_command(
+# Curve values at one (cfg, t): a tuple of data columns whose first entry is
+# the plotted curve.
+def _fidelity(cfg: DiffusiveConfig, t: float) -> tuple[float]:
+    return (observables.fidelity_overlap(cfg, replace(cfg, b=cfg.b - 1), t),)
+
+
+def _survival(cfg: DiffusiveConfig, t: float) -> tuple[float]:
+    return (observables.survival(cfg, t),)
+
+
+def _ymean(cfg: DiffusiveConfig, t: float) -> tuple[float, float, float]:
+    point = observables.mean_y_point(cfg, t)
+    # signed ingredients ride along so the sign of d_tau stays visible
+    return point.y_mean, point.d_energy, point.d_tau
+
+
+def _curves(
     args: argparse.Namespace,
-    command: str,
-    value: Callable[[DiffusiveConfig, float], float],
-    label: str,
-    b_values: tuple[int, ...],
-    unit_note: str,
-    hline: float | None,
-) -> int:
+    b_values: Sequence[int],
+    value: Callable[[DiffusiveConfig, float], tuple[float, ...]],
+    omega: float,
+    lam: float,
+) -> tuple[np.ndarray, list[list[tuple[float, ...]]]]:
+    """The kappa*t grid and, per initial index b, value along it.
+
+    Each plotted curve passes the TimeSeries check (strictly increasing grid,
+    finite values) before anything is written.
+    """
     grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
     tol = _tolerance(args)
     curves = []
     for b in b_values:
-        cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=tol)
-        vals = np.array([value(cfg, kt / cfg.kappa) for kt in grid.tolist()])
-        # TimeSeries validates the grid ordering and value finiteness.
-        series = observables.TimeSeries(f"b={b}", grid, vals)
-        curves.append((series.label, series.values.tolist()))
-    rows = [
-        tuple([grid[i]] + [vals[i] for _, vals in curves])
-        for i in range(grid.shape[0])
+        cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam, tol=tol)
+        points = [value(cfg, kt / cfg.kappa) for kt in grid.tolist()]
+        observables.TimeSeries(f"b={b}", grid, np.array([p[0] for p in points]))
+        curves.append(points)
+    return grid, curves
+
+
+def _rows(grid: np.ndarray, curves: list[list[tuple[float, ...]]], width: int) -> list[tuple]:
+    """One row per grid point: kt, then the first `width` columns of each curve."""
+    return [
+        (kt, *(v for points in curves for v in points[i][:width]))
+        for i, kt in enumerate(grid.tolist())
     ]
-    header = ["kt"] + [f"{label}_b{b}" for b in b_values]
-    manifest = _manifest(args, command, {"b-set": ",".join(map(str, b_values))})
-    out = Path(args.out)
-    _write_table(out, manifest, header, rows, fmt=args.format, unit_note=unit_note)
-    if args.svg:
-        svg = line_plot(
-            [(lab, grid.tolist(), vals) for lab, vals in curves],
-            title=f"{label} over kappa*t",
-            x_label="kappa t",
-            y_label=label,
-            hline=hline,
-        )
-        _write_text(Path(args.svg), svg)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return EXIT_OK
+
+
+def _plot(
+    path: Path,
+    grid: np.ndarray,
+    b_values: Sequence[int],
+    curves: list[list[tuple[float, ...]]],
+    title: str,
+    y_label: str,
+    hline: float | None,
+) -> None:
+    svg = line_plot(
+        [(f"b={b}", grid.tolist(), [p[0] for p in points]) for b, points in zip(b_values, curves)],
+        title=title,
+        x_label="kappa t",
+        y_label=y_label,
+        hline=hline,
+    )
+    _write_text(path, svg)
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    def value(cfg: DiffusiveConfig, t: float) -> float:
-        lower = DiffusiveConfig(
-            b=cfg.b - 1, kappa=cfg.kappa, omega=cfg.omega, lam=cfg.lam, tol=cfg.tol
-        )
-        return observables.fidelity_overlap(cfg, lower, t)
-
     if any(b < 1 for b in args.b):
         raise SystemExit2("fidelity needs b >= 1 (compares |b> with |b-1>)")
-    return _series_command(
-        args, "fidelity", value, "F", args.b,
-        "kt = kappa*t; F(b,t) = Tr[rho(t,b) rho(t,b-1)]", None,
+    grid, curves = _curves(args, args.b, _fidelity, args.omega, args.lam)
+    rows = _rows(grid, curves, 1)
+    manifest = _manifest(args, "fidelity", {"b-set": ",".join(map(str, args.b))})
+    _write_table(
+        Path(args.out), manifest, ["kt"] + [f"F_b{b}" for b in args.b], rows, fmt=args.format,
+        unit_note="kt = kappa*t; F(b,t) = Tr[rho(t,b) rho(t,b-1)]",
     )
+    if args.svg:
+        _plot(Path(args.svg), grid, args.b, curves, "F over kappa*t", "F", None)
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    return EXIT_OK
 
 
 def _cmd_ymean(args: argparse.Namespace) -> int:
     if any(b < 1 for b in args.b):
         raise SystemExit2("ymean needs b >= 1")
-    grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
-    tol = _tolerance(args)
-    columns: list[tuple[int, list]] = []
-    for b in args.b:
-        cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=tol)
-        points = observables.mean_y_series(cfg, grid)
-        observables.TimeSeries(f"b={b}", grid, np.array([p.y_mean for p in points]))
-        columns.append((b, points))
+    grid, curves = _curves(args, args.b, _ymean, args.omega, args.lam)
+    rows = _rows(grid, curves, 3)
     header = ["kt"]
-    for b, _ in columns:
-        # signed ingredients ride along so the sign of d_tau stays visible
+    for b in args.b:
         header += [f"y_mean_b{b}", f"d_energy_b{b}", f"d_tau_b{b}"]
-    rows = []
-    for i in range(grid.shape[0]):
-        row: list[object] = [grid[i]]
-        for _, points in columns:
-            row += [points[i].y_mean, points[i].d_energy, points[i].d_tau]
-        rows.append(tuple(row))
     manifest = _manifest(
         args, "ymean", {"b-set": ",".join(map(str, args.b)), "moments": "closed-form"}
     )
@@ -380,86 +395,40 @@ def _cmd_ymean(args: argparse.Namespace) -> int:
         "(threshold 1/2); d_energy, d_tau keep their signs",
     )
     if args.svg:
-        svg = line_plot(
-            [(f"b={b}", grid.tolist(), [p.y_mean for p in points]) for b, points in columns],
-            title="<y(b)> over kappa*t",
-            x_label="kappa t",
-            y_label="<y(b)> / hbar",
-            hline=0.5,
-        )
-        _write_text(Path(args.svg), svg)
+        _plot(Path(args.svg), grid, args.b, curves, "<y(b)> over kappa*t", "<y(b)> / hbar", 0.5)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 
+# which -> (value, y label, hline, default b set, omega, lam)
 _FIGURES = {
-    1: ("fidelity", (1, 5, 10, 15), None, None),
-    2: ("survival", (1, 5, 10, 15), None, None),
-    3: ("ymean", (2, 5, 10, 15), 0.10, 1.0),
-    4: ("ymean", (2, 5, 10, 15), 10.0, 1.0),
+    1: (_fidelity, "F(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
+    2: (_survival, "P_b(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
+    3: (_ymean, "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 0.10, 1.0),
+    4: (_ymean, "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 10.0, 1.0),
 }
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    kind, default_b, omega, lam = _FIGURES[args.which]
+    value, y_label, hline, default_b, omega, lam = _FIGURES[args.which]
     b_values = args.b if args.b is not None else default_b
-    grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
-    tol = _tolerance(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if kind == "fidelity":
-        def value(cfg: DiffusiveConfig, t: float) -> float:
-            lower = DiffusiveConfig(
-                b=cfg.b - 1, kappa=cfg.kappa, omega=cfg.omega, lam=cfg.lam, tol=cfg.tol
-            )
-            return observables.fidelity_overlap(cfg, lower, t)
-
-        y_label, hline = "F(b,t)", None
-        omega, lam = 0.0, 0.0
-    elif kind == "survival":
-        def value(cfg: DiffusiveConfig, t: float) -> float:
-            return observables.survival(cfg, t)
-
-        y_label, hline = "P_b(b,t)", None
-        omega, lam = 0.0, 0.0
-    else:
-        def value(cfg: DiffusiveConfig, t: float) -> float:
-            return observables.mean_y_point(cfg, t).y_mean
-
-        y_label, hline = "<y(b)> / hbar", 0.5
-
-    curves = []
-    for b in b_values:
-        cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam, tol=tol)
-        vals = np.array([value(cfg, kt / cfg.kappa) for kt in grid.tolist()])
-        series = observables.TimeSeries(f"b={b}", grid, vals)
-        curves.append((series.label, series.values.tolist()))
-    rows = [
-        tuple([grid[i]] + [vals[i] for _, vals in curves])
-        for i in range(grid.shape[0])
-    ]
-    header = ["kt"] + [f"b{b}" for b in b_values]
+    grid, curves = _curves(args, b_values, value, omega, lam)
     extra = {"which": str(args.which), "b-set": ",".join(map(str, b_values))}
-    if kind == "ymean":
+    if value is _ymean:
         extra["omega-over-lam"] = _fmt(omega / lam)
         # <y(b)> uses exact moments: no truncation certificate applies.
         extra["moments"] = "closed-form"
     manifest = _manifest(args, f"figures {args.which}", extra)
     data_path = out_dir / f"figure{args.which}.{'json' if args.format == 'json' else 'csv'}"
     _write_table(
-        data_path, manifest, header, rows, fmt=args.format,
+        data_path, manifest, ["kt"] + [f"b{b}" for b in b_values], _rows(grid, curves, 1),
+        fmt=args.format,
         unit_note=f"kt = kappa*t; column per initial index b; values: {y_label}",
     )
     svg_path = out_dir / f"figure{args.which}.svg"
-    svg = line_plot(
-        [(lab, grid.tolist(), vals) for lab, vals in curves],
-        title=f"figure {args.which}: {y_label}",
-        x_label="kappa t",
-        y_label=y_label,
-        hline=hline,
-    )
-    _write_text(svg_path, svg)
+    _plot(svg_path, grid, b_values, curves, f"figure {args.which}: {y_label}", y_label, hline)
     print(f"wrote {data_path} and {svg_path}")
     return EXIT_OK
 

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: log-factorials, certified series summation,
-and the complex relaxation kernels of the diffusive bath.
+"""Shared numerical primitives: log-factorials and the truncation policy of
+the certified Fock-weight series.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads.
@@ -7,22 +7,14 @@ any number of threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
-
-Scalar = Union[float, complex]
 
 __all__ = [
     "NonConvergent",
     "SeriesTolerance",
-    "SeriesSum",
-    "KernelValue",
     "DEFAULT_TOLERANCE",
     "log_factorial",
-    "kernel",
-    "sum_adaptive",
 ]
 
 
@@ -60,29 +52,6 @@ class SeriesTolerance:
 DEFAULT_TOLERANCE = SeriesTolerance()
 
 
-@dataclass(frozen=True)
-class SeriesSum:
-    """Partial sum with its certificate."""
-
-    value: Scalar
-    terms_used: int
-    tail_bound: float
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel pair (gamma, zeta) and the rate delta they are built from.
-
-    For n = 0 (and generally whenever delta vanishes) gamma and zeta are
-    real, with gamma in [0, 1) and zeta in (0, 1]; at t = 0 they are exactly
-    0 and 1.
-    """
-
-    gamma: complex
-    zeta: complex
-    delta: complex
-
-
 # ln(k!) for k = 0..20, evaluated from the exact integer factorials.
 _LOG_FACT_TABLE = tuple(math.log(math.factorial(k)) if k > 1 else 0.0 for k in range(21))
 
@@ -98,89 +67,3 @@ def log_factorial(k: int) -> float:
     if k < len(_LOG_FACT_TABLE):
         return _LOG_FACT_TABLE[k]
     return math.lgamma(k + 1.0)
-
-
-def _quotient(delta: complex, c: complex, kappa: float, t: float) -> tuple[complex, complex]:
-    """Generic-delta kernel quotient, rescaled so large Re(delta)*t cannot overflow.
-
-    Uses sinh(s) = exp(s) (1 - exp(-2s)) / 2 and its cosh analogue; only
-    decaying exponentials appear because the principal square root keeps
-    Re(delta) >= 0.
-    """
-    s = delta * t
-    e2 = cmath.exp(-2.0 * s)
-    den = delta * (1.0 + e2) + c * (1.0 - e2)
-    gamma = 2.0 * kappa * (1.0 - e2) / den
-    zeta = 2.0 * delta * cmath.exp(-s) / den
-    return gamma, zeta
-
-
-# Below this value of |delta * t| the direct quotient loses digits to
-# cancellation; the first-order expansion is then accurate to O(|delta*t|^2).
-_SMALL_PHASE = 1e-6
-
-
-def kernel(n: int, t: float, kappa: float, lam: float) -> KernelValue:
-    """Relaxation kernels gamma(n, t) and zeta(n, t) for diffusion rate kappa.
-
-    gamma = 2 kappa sinh(delta t) / [delta cosh(delta t) + (i lam n + 2 kappa) sinh(delta t)]
-    zeta  = delta                 / [same denominator]
-    delta = sqrt((i lam n + 2 kappa)^2 - 4 kappa^2)   (principal branch)
-
-    delta vanishes identically for n = 0 (and for lam = 0), where the
-    quotient is 0/0; there the exact limits
-
-        gamma = 2 kappa t / (1 + 2 kappa t),   zeta = 1 / (1 + 2 kappa t)
-
-    are used. The same expansion, with 2 kappa replaced by the full complex
-    coefficient, covers small nonzero |delta t|.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be non-negative, got {kappa}")
-    c = complex(2.0 * kappa, lam * n)
-    delta = cmath.sqrt(c * c - 4.0 * kappa * kappa)
-    if abs(delta * t) < _SMALL_PHASE:
-        den = 1.0 + c * t
-        gamma = 2.0 * kappa * t / den
-        zeta = 1.0 / den
-    else:
-        gamma, zeta = _quotient(delta, c, kappa, t)
-    return KernelValue(gamma=gamma, zeta=zeta, delta=delta)
-
-
-def sum_adaptive(terms: Iterable[Scalar], tol: SeriesTolerance = DEFAULT_TOLERANCE) -> SeriesSum:
-    """Sum an eventually-geometric series with a certified tail bound.
-
-    The caller guarantees that successive term magnitudes eventually decay
-    with ratio below tol.tail_ratio_guard. Once the observed ratio r does,
-    the remaining tail is bounded by |term| * r / (1 - r); summation stops
-    when that bound drops below rel_eps times the partial sum.
-
-    A stream that simply runs out of terms is returned with tail_bound 0
-    (a finite sum is its own limit). Hitting max_terms first raises
-    NonConvergent.
-    """
-    total: Scalar = 0.0
-    prev_mag: float | None = None
-    count = 0
-    for term in terms:
-        if count >= tol.max_terms:
-            raise NonConvergent(
-                f"series did not satisfy its stopping rule within {tol.max_terms} terms"
-            )
-        total = total + term
-        count += 1
-        mag = abs(term)
-        if prev_mag is not None:
-            if prev_mag > 0.0:
-                ratio = mag / prev_mag
-            else:
-                ratio = 0.0 if mag == 0.0 else math.inf
-            if ratio < tol.tail_ratio_guard:
-                tail = mag * ratio / (1.0 - ratio)
-                if tail <= tol.rel_eps * abs(total):
-                    return SeriesSum(value=total, terms_used=count, tail_bound=tail)
-        prev_mag = mag
-    return SeriesSum(value=total, terms_used=count, tail_bound=0.0)

@@ -14,7 +14,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import kernel, log_factorial, sum_adaptive
 from .open_system import DiffusiveConfig, check_time, distribution, fock_weight
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "TimeSeries",
     "YMeanPoint",
     "fidelity_overlap",
-    "fidelity_closed_form",
     "survival",
     "mean_n",
     "mean_h0",
@@ -106,7 +104,7 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
 
     Both states are diagonal in the Fock basis, so the trace is the plain
     overlap sum_n P_b(n, t) P_{b-1}(n, t). This is the ground-truth form;
-    fidelity_closed_form exists to audit the expanded triple sum against it.
+    the test suite audits the paper's expanded triple sum against it.
     The discarded tail is bounded by the smaller of the two distribution
     tails, since every weight is at most 1.
     """
@@ -119,55 +117,12 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     return float(da.weights[:m] @ db.weights[:m])
 
 
-def fidelity_closed_form(cfg_b: DiffusiveConfig, t: float) -> float:
-    """Expanded triple-sum form of F(b, t), summed adaptively over l.
-
-    Implements the explicit (l, p, p') expansion with weight
-
-        b! (b-1)! ((p+l)!)^2
-        ------------------------------------------------------------
-        (p'!)^2 (p!)^2 l! (b-p)! (p+l-p')! (b-p'-1)!
-
-    and kernel powers gamma^(2b+2l-2p'-1) zeta^(2(p+p')+2), all in log
-    space. Kept as an audit target for fidelity_overlap.
-    """
-    b = cfg_b.b
-    if b < 1:
-        raise ValueError("fidelity needs b >= 1")
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    kv = kernel(0, t, cfg_b.kappa, cfg_b.lam)
-    g, z = kv.gamma.real, kv.zeta.real
-    if g == 0.0:
-        return 0.0
-    lg, lz = math.log(g), math.log(z)
-    lf = log_factorial
-
-    def l_terms() -> Iterator[float]:
-        l = 0
-        while True:
-            acc = 0.0
-            for p in range(0, b + 1):
-                for pp in range(0, min(b - 1, p + l) + 1):
-                    acc += math.exp(
-                        lf(b) + lf(b - 1) + 2.0 * lf(p + l)
-                        - 2.0 * lf(pp) - 2.0 * lf(p) - lf(l) - lf(b - p)
-                        - lf(p + l - pp) - lf(b - pp - 1)
-                        + (2 * b + 2 * l - 2 * pp - 1) * lg
-                        + (2 * (p + pp) + 2) * lz
-                    )
-            yield acc
-            l += 1
-
-    return float(sum_adaptive(l_terms(), cfg_b.tol).value)
-
-
 def survival(cfg: DiffusiveConfig, t: float) -> float:
     """Probability P_b(b, t) of still finding the prepared index b."""
     return fock_weight(cfg, cfg.b, t)
 
 
-def _moments(cfg: DiffusiveConfig, t: float) -> tuple[float, float]:
+def _moments(b: int, kappa: float, t: float) -> tuple[float, float]:
     """(<N>, <N^2>) of the evolved mixture in closed form.
 
     The level populations have the generating function
@@ -177,19 +132,18 @@ def _moments(cfg: DiffusiveConfig, t: float) -> tuple[float, float]:
     Exact, so no truncation certificate applies.
     """
     check_time(t)
-    b = cfg.b
-    u = 2.0 * cfg.kappa * t
+    u = 2.0 * kappa * t
     m1 = b + u
     m2 = b * b + 4.0 * b * u + 2.0 * u * u + u
     if not math.isfinite(m2):
-        raise ValueError(f"<N^2> overflows at kappa*t = {cfg.kappa * t:g}")
+        raise ValueError(f"<N^2> overflows at kappa*t = {kappa * t:g}")
     return m1, m2
 
 
-def _energy(cfg: DiffusiveConfig, m1: float, m2: float, t: float) -> float:
-    h0 = cfg.omega * m1 + cfg.lam * m2
+def _energy(omega: float, lam: float, m1: float, m2: float, kt: float) -> float:
+    h0 = omega * m1 + lam * m2
     if not math.isfinite(h0):
-        raise ValueError(f"<H0> overflows at kappa*t = {cfg.kappa * t:g}")
+        raise ValueError(f"<H0> overflows at kappa*t = {kt:g}")
     return h0
 
 
@@ -198,7 +152,7 @@ def mean_n(cfg: DiffusiveConfig, t: float) -> float:
 
     Raises ValueError for a negative or non-finite t.
     """
-    return _moments(cfg, t)[0]
+    return _moments(cfg.b, cfg.kappa, t)[0]
 
 
 def mean_h0(cfg: DiffusiveConfig, t: float) -> float:
@@ -207,8 +161,8 @@ def mean_h0(cfg: DiffusiveConfig, t: float) -> float:
 
     Raises ValueError for a negative or non-finite t, or when <H0> overflows.
     """
-    m1, m2 = _moments(cfg, t)
-    return _energy(cfg, m1, m2, t)
+    m1, m2 = _moments(cfg.b, cfg.kappa, t)
+    return _energy(cfg.omega, cfg.lam, m1, m2, cfg.kappa * t)
 
 
 def mean_tau(cfg: DiffusiveConfig, t: float) -> float:
@@ -221,8 +175,8 @@ def mean_tau(cfg: DiffusiveConfig, t: float) -> float:
     the moment ratio is an approximation and both values are intentionally
     reported by the CLI rather than reconciled.
     """
-    m1, m2 = _moments(cfg, t)
-    h0 = _energy(cfg, m1, m2, t)
+    m1, m2 = _moments(cfg.b, cfg.kappa, t)
+    h0 = _energy(cfg.omega, cfg.lam, m1, m2, cfg.kappa * t)
     if h0 == 0.0:
         raise ZeroEnergy(f"<H0> = 0 for b={cfg.b}, t={t}; period estimate undefined")
     return 2.0 * math.pi * m1 / h0
@@ -249,15 +203,14 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     The moments come from that closed form, not from the certified weights;
     a negative or non-finite t, or a moment that overflows, raises ValueError.
     """
-    if cfg_b.b < 1:
+    b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
+    if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
-    cfg_bm1 = DiffusiveConfig(
-        b=cfg_b.b - 1, kappa=cfg_b.kappa, omega=cfg_b.omega, lam=cfg_b.lam, tol=cfg_b.tol
-    )
-    m1_b, m2_b = _moments(cfg_b, t)
-    m1_m, m2_m = _moments(cfg_bm1, t)
-    h0_b = _energy(cfg_b, m1_b, m2_b, t)
-    h0_m = _energy(cfg_bm1, m1_m, m2_m, t)
+    kt = kappa * t
+    m1_b, m2_b = _moments(b, kappa, t)
+    m1_m, m2_m = _moments(b - 1, kappa, t)
+    h0_b = _energy(omega, lam, m1_b, m2_b, kt)
+    h0_m = _energy(omega, lam, m1_m, m2_m, kt)
     if h0_b == 0.0 or h0_m == 0.0:
         raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
     tau_b = 2.0 * math.pi * m1_b / h0_b
@@ -265,7 +218,7 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     d_energy = (h0_b - h0_m) / 2.0
     d_tau = (tau_b - tau_m) / 2.0
     return YMeanPoint(
-        kt=cfg_b.kappa * t,
+        kt=kt,
         mean_n_b=m1_b,
         mean_n_bm1=m1_m,
         mean_h0_b=h0_b,

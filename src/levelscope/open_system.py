@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._backend import fock_weight_block, log_factorials
-from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, kernel, log_factorial
+from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution"]
 
@@ -91,9 +91,14 @@ class FockDistribution:
         )
 
 
-def _gamma_zeta(cfg: DiffusiveConfig, t: float) -> tuple[float, float]:
-    kv = kernel(0, t, cfg.kappa, cfg.lam)
-    return kv.gamma.real, kv.zeta.real
+def _kernels(kt: float) -> tuple[float, float]:
+    """Relaxation kernels (gamma, zeta) = (2kt / (1 + 2kt), 1 / (1 + 2kt)) at
+    kt = kappa*t, so zeta = 1 - gamma; exactly (0, 1) at t = 0.
+
+    These are the paper's kernels at delta = 0, the only case a diagonal
+    Fock mixture needs.
+    """
+    return 2.0 * kt / (1.0 + 2.0 * kt), 1.0 / (1.0 + 2.0 * kt)
 
 
 def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
@@ -106,7 +111,7 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     check_time(t)
-    g, z = _gamma_zeta(cfg, t)
+    g, z = _kernels(cfg.kappa * t)
     if g == 0.0:
         return 1.0 if n == cfg.b else 0.0
     b = cfg.b
@@ -143,8 +148,7 @@ def _weights_cached(
     Returns (weights, n_cut, trace_tail_bound); the array is cached read-only
     because series over a time grid revisit the same (b, kt) pairs.
     """
-    g = 2.0 * kt / (1.0 + 2.0 * kt)
-    z = 1.0 / (1.0 + 2.0 * kt)
+    g, z = _kernels(kt)
     lg, lz = math.log(g), math.log(z)
 
     # Leading-order guess for the cut: the far tail decays like g^n, so aim
@@ -199,13 +203,12 @@ def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
     downstream energy averages inherit the certificate).
     """
     check_time(t)
-    g, _ = _gamma_zeta(cfg, t)
-    if g == 0.0:
+    kt = cfg.kappa * t
+    if kt == 0.0:
         weights = np.zeros(cfg.b + 1)
         weights[cfg.b] = 1.0
         weights.setflags(write=False)
         return FockDistribution(t=t, weights=weights, n_cut=cfg.b, tail_bound=0.0)
-    kt = cfg.kappa * t
     weights, n_cut, tail = _weights_cached(
         cfg.b, kt, cfg.tol.rel_eps, cfg.tol.max_terms, cfg.tol.tail_ratio_guard
     )

@@ -57,8 +57,9 @@ class NotNormalized(ValueError):
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    # A chained comparison with inf also rejects NaN.
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ class Quartic:
 
     def __post_init__(self) -> None:
         _require_positive("omega", self.omega)
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
 
 
 ModelParams = Union[Harmonic, Box, Hydrogenoid, Morse, Quartic]

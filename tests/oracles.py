@@ -1,0 +1,131 @@
+"""Reference implementations the tests compare levelscope against.
+
+None of this runs in production: the 50-digit direct weight sum, and the
+paper's expanded triple sum for F(b, t) with the certified series summation
+it needs (the A07 audit of `observables.fidelity_overlap`).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import mpmath as mp
+
+from levelscope.numerics import (
+    DEFAULT_TOLERANCE,
+    NonConvergent,
+    SeriesTolerance,
+    log_factorial,
+)
+from levelscope.open_system import DiffusiveConfig, check_time
+
+
+def weight_oracle(b: int, n: int, kt) -> float:
+    """Direct high-precision evaluation of the level weight.
+
+    Sums the (p, l) expansion of the evolved state over the pairs with
+    p + l = n, with exact rational factorial weights and the n = 0 kernels
+    gamma = 2 kt / (1 + 2 kt), zeta = 1 / (1 + 2 kt), at 50 digits.
+    """
+    with mp.workdps(50):
+        kt = mp.mpf(kt)
+        gamma = 2 * kt / (1 + 2 * kt)
+        zeta = 1 / (1 + 2 * kt)
+        total = mp.mpf(0)
+        for p in range(0, min(b, n) + 1):
+            l = n - p
+            coeff = (
+                mp.factorial(b)
+                * mp.factorial(p + l)
+                / (mp.factorial(p) ** 2 * mp.factorial(l) * mp.factorial(b - p))
+            )
+            total += coeff * gamma ** (b + l - p) * zeta ** (2 * p + 1)
+        return float(total)
+
+
+@dataclass(frozen=True)
+class SeriesSum:
+    """Partial sum with its certificate."""
+
+    value: float
+    terms_used: int
+    tail_bound: float
+
+
+def sum_adaptive(terms: Iterable[float], tol: SeriesTolerance = DEFAULT_TOLERANCE) -> SeriesSum:
+    """Sum an eventually-geometric series with a certified tail bound.
+
+    The caller guarantees that successive term magnitudes eventually decay
+    with ratio below tol.tail_ratio_guard. Once the observed ratio r does,
+    the remaining tail is bounded by |term| * r / (1 - r); summation stops
+    when that bound drops below rel_eps times the partial sum.
+
+    A stream that simply runs out of terms is returned with tail_bound 0
+    (a finite sum is its own limit). Hitting max_terms first raises
+    NonConvergent.
+    """
+    total = 0.0
+    prev_mag: float | None = None
+    count = 0
+    for term in terms:
+        if count >= tol.max_terms:
+            raise NonConvergent(
+                f"series did not satisfy its stopping rule within {tol.max_terms} terms"
+            )
+        total = total + term
+        count += 1
+        mag = abs(term)
+        if prev_mag is not None:
+            if prev_mag > 0.0:
+                ratio = mag / prev_mag
+            else:
+                ratio = 0.0 if mag == 0.0 else math.inf
+            if ratio < tol.tail_ratio_guard:
+                tail = mag * ratio / (1.0 - ratio)
+                if tail <= tol.rel_eps * abs(total):
+                    return SeriesSum(value=total, terms_used=count, tail_bound=tail)
+        prev_mag = mag
+    return SeriesSum(value=total, terms_used=count, tail_bound=0.0)
+
+
+def fidelity_closed_form(cfg_b: DiffusiveConfig, t: float) -> float:
+    """Expanded triple-sum form of F(b, t), summed adaptively over l.
+
+    Implements the explicit (l, p, p') expansion with weight
+
+        b! (b-1)! ((p+l)!)^2
+        ------------------------------------------------------------
+        (p'!)^2 (p!)^2 l! (b-p)! (p+l-p')! (b-p'-1)!
+
+    and kernel powers gamma^(2b+2l-2p'-1) zeta^(2(p+p')+2), all in log
+    space, with gamma = 2 kt / (1 + 2 kt) and zeta = 1 / (1 + 2 kt).
+    """
+    b = cfg_b.b
+    if b < 1:
+        raise ValueError("fidelity needs b >= 1")
+    check_time(t)
+    kt = cfg_b.kappa * t
+    if kt == 0.0:
+        return 0.0
+    lg, lz = math.log(2.0 * kt / (1.0 + 2.0 * kt)), math.log(1.0 / (1.0 + 2.0 * kt))
+    lf = log_factorial
+
+    def l_terms() -> Iterator[float]:
+        l = 0
+        while True:
+            acc = 0.0
+            for p in range(0, b + 1):
+                for pp in range(0, min(b - 1, p + l) + 1):
+                    acc += math.exp(
+                        lf(b) + lf(b - 1) + 2.0 * lf(p + l)
+                        - 2.0 * lf(pp) - 2.0 * lf(p) - lf(l) - lf(b - p)
+                        - lf(p + l - pp) - lf(b - pp - 1)
+                        + (2 * b + 2 * l - 2 * pp - 1) * lg
+                        + (2 * (p + pp) + 2) * lz
+                    )
+            yield acc
+            l += 1
+
+    return float(sum_adaptive(l_terms(), cfg_b.tol).value)

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from levelscope import presets
-from levelscope.observables import (
-    fidelity_closed_form,
-    fidelity_overlap,
-    log_grid,
-    mean_y_point,
-    survival,
-)
+from levelscope.observables import fidelity_overlap, log_grid, mean_y_point, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
 from levelscope.open_system import _weights_cached
 from levelscope.spectra import (
@@ -34,6 +28,7 @@ from levelscope.spectra import (
     quartic_limits,
     threshold_scan,
 )
+from oracles import fidelity_closed_form, weight_oracle
 
 mp.mp.dps = 50
 
@@ -45,22 +40,6 @@ def report(tag: str, ok: bool, detail: str) -> bool:
 
 def hydrogenoid_closed_y(n: int) -> float:
     return math.pi * (2 * n - 1) * (3 * n * n - 3 * n + 1) / (4.0 * n * n * (n - 1) ** 2)
-
-
-def weight_oracle(b: int, n: int, kt) -> float:
-    kt = mp.mpf(kt)
-    gamma = 2 * kt / (1 + 2 * kt)
-    zeta = 1 / (1 + 2 * kt)
-    total = mp.mpf(0)
-    for p in range(0, min(b, n) + 1):
-        l = n - p
-        coeff = (
-            mp.factorial(b)
-            * mp.factorial(p + l)
-            / (mp.factorial(p) ** 2 * mp.factorial(l) * mp.factorial(b - p))
-        )
-        total += coeff * gamma ** (b + l - p) * zeta ** (2 * p + 1)
-    return float(total)
 
 
 def morse_scale(model: Morse):

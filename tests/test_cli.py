@@ -48,6 +48,21 @@ def test_criterion_quartic_flags(capsys):
     assert f"{expected:.6g}"[:6] in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "box", "--width", "inf"], "width must be finite"),
+        (["--model", "quartic", "--lambda", "nan"], "lam must be finite"),
+    ],
+    ids=["box-width-inf", "quartic-lambda-nan"],
+)
+def test_criterion_non_finite_model_exits_2(capsys, argv, message):
+    assert main(["criterion", *argv, "--n", "4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_criterion_out_of_spectrum_exits_2(capsys):
     assert main(["criterion", "--model", "box", "--n", "1"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -220,6 +235,26 @@ def test_figures_families(tmp_path):
             # survival ordering at mid-times: higher b decays faster
             mid = rows[len(rows) // 2]
             assert float(mid[1]) >= float(mid[2])
+
+
+def test_figures_match_the_curve_commands(tmp_path):
+    # figures 1 and 3 carry the same numbers as fidelity and ymean.
+    grid = ["--grid", "log:1e-3:1e2:9"]
+    assert main(["figures", "1", "--b", "1,5", *grid, "--out", str(tmp_path / "f1")]) == EXIT_OK
+    assert main(["fidelity", "--b", "1,5", *grid, "--out", str(tmp_path / "fid.csv")]) == EXIT_OK
+    _, _, figure_rows = read_csv(tmp_path / "f1" / "figure1.csv")
+    _, _, fidelity_rows = read_csv(tmp_path / "fid.csv")
+    assert figure_rows == fidelity_rows
+
+    assert main(["figures", "3", *grid, "--out", str(tmp_path / "f3")]) == EXIT_OK
+    code = main(
+        ["ymean", "--omega", "0.1", "--lambda", "1", *grid, "--out", str(tmp_path / "y.csv")]
+    )
+    assert code == EXIT_OK
+    _, figure_header, figure_rows = read_csv(tmp_path / "f3" / "figure3.csv")
+    _, header, ymean_rows = read_csv(tmp_path / "y.csv")
+    columns = [0] + [header.index(f"y_mean_{name}") for name in figure_header[1:]]
+    assert [[row[j] for j in columns] for row in ymean_rows] == figure_rows
 
 
 def test_figures_ymean_defaults(tmp_path):

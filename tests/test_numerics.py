@@ -1,20 +1,14 @@
-"""Tests for the shared numerical primitives."""
+"""Tests for the shared numerical primitives, the relaxation kernels, and
+the certified series summation of the test oracles."""
 
 import math
 
 import mpmath as mp
 import pytest
 
-from levelscope.numerics import (
-    DEFAULT_TOLERANCE,
-    KernelValue,
-    NonConvergent,
-    SeriesTolerance,
-    kernel,
-    log_factorial,
-    sum_adaptive,
-)
-from levelscope.numerics import _quotient
+from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
+from levelscope.open_system import _kernels
+from oracles import sum_adaptive
 
 mp.mp.dps = 50
 
@@ -57,90 +51,28 @@ def test_log_factorial_consecutive_difference_is_log_k():
 # kernel
 
 
-def _kernel_oracle(n, t, kappa, lam):
-    """High-precision direct evaluation of the kernel quotients."""
-    c = mp.mpc(2 * kappa, lam * n)
-    delta = mp.sqrt(c * c - 4 * kappa * kappa)
-    s = delta * t
-    den = delta * mp.cosh(s) + c * mp.sinh(s)
-    gamma = 2 * kappa * mp.sinh(s) / den
-    zeta = delta / den
-    return complex(gamma), complex(zeta)
-
-
 def test_kernel_at_t_zero():
-    kv = kernel(0, 0.0, 1.0, 1.0)
-    assert kv.gamma == 0.0
-    assert kv.zeta == 1.0
+    assert _kernels(0.0) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("kt", [0.01, 0.1, 1.0, 10.0, 100.0])
 def test_kernel_n0_closed_forms(kt):
+    # The weights pass kt = kappa*t; the paper writes the kernel with
+    # (2 kappa) t. Doubling is exact, so both forms round alike.
     kappa = 0.7
-    kv = kernel(0, kt / kappa, kappa, 2.0)
-    assert kv.delta == 0.0
-    assert kv.gamma.imag == 0.0 and kv.zeta.imag == 0.0
-    assert kv.gamma.real == pytest.approx(2 * kt / (1 + 2 * kt), rel=1e-14)
-    assert kv.zeta.real == pytest.approx(1 / (1 + 2 * kt), rel=1e-14)
-
-
-@pytest.mark.parametrize("kt", [0.01, 0.1, 1.0, 10.0])
-def test_kernel_limit_branch_agrees_with_surrogate_quotient(kt):
-    # The quotient branch evaluated at a tiny surrogate delta must agree
-    # with the limiting form used at delta = 0.
-    kappa = 1.0
     t = kt / kappa
-    c = complex(2.0 * kappa, 0.0)
-    g_quot, z_quot = _quotient(complex(1e-6 * kappa, 0.0), c, kappa, t)
-    kv = kernel(0, t, kappa, 0.0)
-    assert abs(g_quot - kv.gamma) <= 1e-8 * abs(kv.gamma)
-    assert abs(z_quot - kv.zeta) <= 1e-8 * abs(kv.zeta)
+    gamma, zeta = _kernels(kappa * t)
+    assert gamma == 2.0 * kappa * t / (1.0 + 2.0 * kappa * t)
+    assert zeta == 1.0 / (1.0 + 2.0 * kappa * t)
+    assert gamma == pytest.approx(2 * kt / (1 + 2 * kt), rel=1e-14)
+    assert zeta == pytest.approx(1 / (1 + 2 * kt), rel=1e-14)
 
 
 @pytest.mark.parametrize("kt", [1e-3, 0.05, 0.5, 5.0, 50.0])
 def test_kernel_n0_normalization_seed(kt):
     # zeta / (1 - gamma) = 1 for the n = 0 kernels.
-    kv = kernel(0, kt, 1.0, 1.3)
-    ratio = kv.zeta.real / (1.0 - kv.gamma.real)
-    assert ratio == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "n,t,kappa,lam",
-    [
-        (3, 0.7, 0.5, 1.0),
-        (1, 0.2, 1.0, 0.5),
-        (7, 2.5, 0.3, 2.0),
-        (2, 10.0, 1.5, 1.0),
-    ],
-)
-def test_kernel_general_matches_high_precision_oracle(n, t, kappa, lam):
-    g0, z0 = _kernel_oracle(n, t, kappa, lam)
-    kv = kernel(n, t, kappa, lam)
-    assert abs(kv.gamma - g0) <= 1e-10 * abs(g0)
-    assert abs(kv.zeta - z0) <= 1e-10 * max(abs(z0), 1e-300)
-
-
-def test_kernel_principal_branch_keeps_re_delta_nonnegative():
-    for n in (1, 2, 5, 20):
-        for lam in (0.3, 1.0, 4.0):
-            kv = kernel(n, 1.0, 0.8, lam)
-            assert kv.delta.real >= 0.0
-
-
-def test_kernel_no_overflow_at_large_phase():
-    # Re(delta) t ~ 1e4; naive cosh/sinh would overflow.
-    kv = kernel(50, 1e3, 1.0, 1.0)
-    assert math.isfinite(kv.gamma.real) and math.isfinite(kv.gamma.imag)
-    assert math.isfinite(kv.zeta.real) and math.isfinite(kv.zeta.imag)
-    assert abs(kv.zeta) <= 1.0  # decays with exp(-Re(delta) t)
-
-
-def test_kernel_rejects_negative_arguments():
-    with pytest.raises(ValueError):
-        kernel(0, -1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        kernel(0, 1.0, -0.5, 0.0)
+    gamma, zeta = _kernels(kt)
+    assert zeta / (1.0 - gamma) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +88,7 @@ def test_sum_adaptive_geometric():
 def test_sum_adaptive_weight_series_sums_to_one():
     # sum_l gamma^l zeta = 1 for the n = 0 kernels at any time.
     for kt in (0.05, 1.0, 20.0):
-        kv = kernel(0, kt, 1.0, 0.0)
-        g, z = kv.gamma.real, kv.zeta.real
+        g, z = 2 * kt / (1 + 2 * kt), 1 / (1 + 2 * kt)
         result = sum_adaptive((g**l * z for l in range(10**6)), DEFAULT_TOLERANCE)
         assert result.value == pytest.approx(1.0, rel=1e-9)
 
@@ -199,8 +130,3 @@ def test_series_tolerance_validation():
         SeriesTolerance(max_terms=0)
     with pytest.raises(ValueError):
         SeriesTolerance(tail_ratio_guard=1.0)
-
-
-def test_kernel_value_is_plain_record():
-    kv = KernelValue(gamma=0.1 + 0j, zeta=0.9 + 0j, delta=0j)
-    assert kv.gamma == 0.1 + 0j

@@ -12,7 +12,6 @@ from levelscope.observables import (
     MismatchedConfig,
     TimeSeries,
     ZeroEnergy,
-    fidelity_closed_form,
     fidelity_overlap,
     log_grid,
     mean_h0,
@@ -23,6 +22,7 @@ from levelscope.observables import (
     survival,
 )
 from levelscope.open_system import DiffusiveConfig, distribution
+from oracles import fidelity_closed_form
 
 
 def cfg_for(b: int, omega: float = 0.0, lam: float = 0.0) -> DiffusiveConfig:

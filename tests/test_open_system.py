@@ -2,38 +2,16 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelscope._backend import fock_weight_block, log_factorials
 from levelscope.numerics import NonConvergent, SeriesTolerance
 from levelscope.observables import fidelity_overlap, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
-
-mp.mp.dps = 50
-
-
-def weight_oracle(b: int, n: int, kt) -> float:
-    """Direct high-precision evaluation of the level weight.
-
-    Sums the (p, l) expansion of the evolved state over the pairs with
-    p + l = n, with exact rational factorial weights and the n = 0 kernels
-    gamma = 2 kt / (1 + 2 kt), zeta = 1 / (1 + 2 kt).
-    """
-    kt = mp.mpf(kt)
-    gamma = 2 * kt / (1 + 2 * kt)
-    zeta = 1 / (1 + 2 * kt)
-    total = mp.mpf(0)
-    for p in range(0, min(b, n) + 1):
-        l = n - p
-        coeff = (
-            mp.factorial(b)
-            * mp.factorial(p + l)
-            / (mp.factorial(p) ** 2 * mp.factorial(l) * mp.factorial(b - p))
-        )
-        total += coeff * gamma ** (b + l - p) * zeta ** (2 * p + 1)
-    return float(total)
+from oracles import weight_oracle
 
 
 def cfg_for(b: int, **kw) -> DiffusiveConfig:
@@ -205,6 +183,20 @@ def test_config_rejects_non_integer_b_and_non_finite_rates(kw):
 
 def test_config_accepts_numpy_integer_b():
     assert distribution(DiffusiveConfig(b=np.int64(3), kappa=1.0), 0.5).n_cut >= 3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(b=st.integers(min_value=0, max_value=40), log_kt=st.floats(min_value=-3.0, max_value=3.0))
+def test_trace_fidelity_and_survival_property(b, log_kt):
+    kt = 10.0 ** log_kt
+    cfg = cfg_for(b)
+    dist = distribution(cfg, kt)
+    assert abs(dist.trace() + dist.tail_bound - 1.0) <= cfg.tol.rel_eps
+    assert survival(cfg, kt) <= 1.0
+    if b >= 1:
+        lower = cfg_for(b - 1)
+        assert 0.0 <= fidelity_overlap(cfg, lower, kt) <= 1.0
+        assert fidelity_overlap(cfg, lower, 0.0) == 0.0
 
 
 def test_weights_are_read_only():

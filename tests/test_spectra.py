@@ -1,6 +1,7 @@
 """Tests for the closed-system model catalog and the y(n) criterion."""
 
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -337,6 +338,26 @@ def test_model_validation():
         Quartic(omega=0.0, lam=1.0)
     with pytest.raises(ValueError):
         Hydrogenoid(charge_number=0)
+
+
+VALID_MODELS = (
+    Harmonic(mass=1.0, omega=1.0),
+    BOX,
+    HYD,
+    Morse(depth=1.0, alpha=1.0, anharmonicity=10.0, mass=1.0, r0=1.0, omega=0.4),
+    Quartic(omega=1.0, lam=1.0),
+)
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [(m, f.name) for m in VALID_MODELS for f in fields(m) if f.type == "float"],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_models_reject_non_finite_parameters(model, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(model, **{name: bad})
 
 
 # ---------------------------------------------------------------------------
