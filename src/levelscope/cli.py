@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -271,6 +272,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    # A chained comparison with inf also rejects NaN.
+    if not 0.0 <= args.weight_floor < math.inf:
+        raise SystemExit2(
+            f"--weight-floor must be finite and non-negative, got {args.weight_floor}"
+        )
     cfg = DiffusiveConfig(
         b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=_tolerance(args)
     )
@@ -312,6 +318,13 @@ def _ymean(cfg: DiffusiveConfig, t: float) -> tuple[float, float, float]:
     return point.y_mean, point.d_energy, point.d_tau
 
 
+# Curve values that compare b with b-1, with the message for a b below 1.
+_NEEDS_B1 = {
+    _fidelity: "fidelity needs b >= 1 (compares |b> with |b-1>)",
+    _ymean: "ymean needs b >= 1",
+}
+
+
 def _curves(
     args: argparse.Namespace,
     b_values: Sequence[int],
@@ -321,9 +334,12 @@ def _curves(
 ) -> tuple[np.ndarray, list[list[tuple[float, ...]]]]:
     """The kappa*t grid and, per initial index b, value along it.
 
-    Each plotted curve passes the TimeSeries check (strictly increasing grid,
+    A b below 1 for a value that compares b with b-1 exits 2 first. Each
+    plotted curve passes the TimeSeries check (strictly increasing grid,
     finite values) before anything is written.
     """
+    if value in _NEEDS_B1 and any(b < 1 for b in b_values):
+        raise SystemExit2(_NEEDS_B1[value])
     grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
     tol = _tolerance(args)
     curves = []
@@ -363,8 +379,6 @@ def _plot(
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    if any(b < 1 for b in args.b):
-        raise SystemExit2("fidelity needs b >= 1 (compares |b> with |b-1>)")
     grid, curves = _curves(args, args.b, _fidelity, args.omega, args.lam)
     rows = _rows(grid, curves, 1)
     manifest = _manifest(args, "fidelity", {"b-set": ",".join(map(str, args.b))})
@@ -379,8 +393,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_ymean(args: argparse.Namespace) -> int:
-    if any(b < 1 for b in args.b):
-        raise SystemExit2("ymean needs b >= 1")
     grid, curves = _curves(args, args.b, _ymean, args.omega, args.lam)
     rows = _rows(grid, curves, 3)
     header = ["kt"]
@@ -412,9 +424,9 @@ _FIGURES = {
 def _cmd_figures(args: argparse.Namespace) -> int:
     value, y_label, hline, default_b, omega, lam = _FIGURES[args.which]
     b_values = args.b if args.b is not None else default_b
+    grid, curves = _curves(args, b_values, value, omega, lam)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid, curves = _curves(args, b_values, value, omega, lam)
     extra = {"which": str(args.which), "b-set": ",".join(map(str, b_values))}
     if value is _ymean:
         extra["omega-over-lam"] = _fmt(omega / lam)

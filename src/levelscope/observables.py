@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .open_system import DiffusiveConfig, check_time, distribution, fock_weight
+from .open_system import DiffusiveConfig, check_time, fock_weight, neighbour_weights
 
 __all__ = [
     "MismatchedConfig",
@@ -90,10 +90,12 @@ def log_grid(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> np.nd
 
 
 def _require_same_bath(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig) -> None:
-    if (cfg_b.kappa, cfg_b.omega, cfg_b.lam) != (cfg_bm1.kappa, cfg_bm1.omega, cfg_bm1.lam):
+    if (cfg_b.kappa, cfg_b.omega, cfg_b.lam, cfg_b.tol) != (
+        cfg_bm1.kappa, cfg_bm1.omega, cfg_bm1.lam, cfg_bm1.tol
+    ):
         raise MismatchedConfig(
-            "fidelity compares preparations under the same bath and oscillator: "
-            f"(kappa, omega, lam) differ: {cfg_b} vs {cfg_bm1}"
+            "fidelity compares preparations under the same bath and oscillator, "
+            f"certified alike: (kappa, omega, lam, tol) differ: {cfg_b} vs {cfg_bm1}"
         )
     if cfg_bm1.b != cfg_b.b - 1:
         raise MismatchedConfig(f"expected neighboring indices, got b={cfg_b.b} and {cfg_bm1.b}")
@@ -105,16 +107,16 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     Both states are diagonal in the Fock basis, so the trace is the plain
     overlap sum_n P_b(n, t) P_{b-1}(n, t). This is the ground-truth form;
     the test suite audits the paper's expanded triple sum against it.
-    The discarded tail is bounded by the smaller of the two distribution
-    tails, since every weight is at most 1.
+    Both weight arrays are the top two rows of one b-ladder cache entry, so
+    a sweep up in b costs one ladder step per point. The sum runs to the
+    smaller of the two certified cuts, and the discarded tail is bounded by
+    the smaller of the two distribution tails, since every weight is at
+    most 1. The two configurations must share kappa, omega, lam and tol.
     """
     _require_same_bath(cfg_b, cfg_bm1)
-    if cfg_bm1.b < 0:
-        raise ValueError("fidelity needs b >= 1")
-    da = distribution(cfg_b, t)
-    db = distribution(cfg_bm1, t)
-    m = min(da.weights.shape[0], db.weights.shape[0])
-    return float(da.weights[:m] @ db.weights[:m])
+    lower, upper = neighbour_weights(cfg_b, t)
+    m = min(upper.shape[0], lower.shape[0])
+    return float(upper[:m] @ lower[:m])
 
 
 def survival(cfg: DiffusiveConfig, t: float) -> float:

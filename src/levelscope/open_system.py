@@ -1,23 +1,23 @@
 """Diffusive relaxation of an initial Fock state of the quartic oscillator.
 
 The evolved state stays diagonal in the Fock basis; this module computes its
-weights P_b(n, t) with a certified truncation in n. The level populations
-depend only on the initial index b and on the dimensionless time kappa*t;
-omega and lam ride along in the configuration because energy observables
-need them.
+weights P_b(n, t) one level at a time (fock_weight) or as whole rows of the
+b-ladder recurrence with a certified truncation in n (distribution). The
+level populations depend only on the initial index b and on the dimensionless
+time kappa*t; omega and lam ride along in the configuration because energy
+observables need them.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import fock_weight_block, log_factorials
-from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
+from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, is_integer, log_factorial
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution"]
 
@@ -37,10 +37,7 @@ class DiffusiveConfig:
     tol: SeriesTolerance = field(default=DEFAULT_TOLERANCE)
 
     def __post_init__(self) -> None:
-        integral = type(self.b) is int or (
-            isinstance(self.b, numbers.Integral) and not isinstance(self.b, bool)
-        )
-        if not integral or self.b < 0:
+        if not is_integer(self.b) or self.b < 0:
             raise ValueError(f"b must be a non-negative integer, got {self.b!r}")
         # Chained comparisons with inf also reject NaN.
         if not 0.0 < self.kappa < math.inf:
@@ -61,9 +58,10 @@ def check_time(t: float) -> None:
 class FockDistribution:
     """Diagonal weights of the evolved state at one time.
 
-    weights[n] holds P_b(n, t) for n = 0 .. n_cut; tail_bound is a certified
-    upper bound on the probability beyond n_cut. The weights plus the tail
-    account for the full unit trace to within the configured tolerance.
+    weights[n] holds P_b(n, t) for n = 0 .. n_cut, as a read-only array;
+    tail_bound is a certified upper bound on the probability beyond n_cut.
+    The weights plus the tail account for the full unit trace to within the
+    configured tolerance.
     """
 
     t: float
@@ -105,8 +103,12 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
     """Population P_b(n, t) of level n, as a finite log-space sum over p.
 
     Collecting the double-index expansion of the evolved state at the
-    physical level n = p + l leaves, per level, the finite sum implemented
-    in the weight kernel; no truncation is involved for a single level.
+    physical level n = p + l leaves, per level, the finite sum
+
+        P_b(n) = sum_{p=0}^{min(b, n)} C(b, p) C(n, p) gamma^(b+n-2p) zeta^(2p+1)
+
+    of positive terms; no truncation is involved for a single level. survival
+    reads this scalar sum; whole distributions come from the b-ladder.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -138,78 +140,259 @@ def _tail_bounds(w: float, r: float, L: int) -> tuple[float, float, float]:
     return w * q, w * (L * q + q2), w * (L * L * q + 2.0 * L * q2 + q3)
 
 
-@lru_cache(maxsize=4096)
-def _weights_cached(
-    b: int, kt: float, rel_eps: float, max_terms: int, guard: float
-) -> tuple[np.ndarray, int, float]:
-    """Weight array for (b, kappa*t), grown until trace and first two moments
-    carry certified tails below rel_eps.
+# The b-ladder. The generating function G_b(s) = z (g + (z-g)s)^b / (1-gs)^(b+1)
+# of the populations (g, z = gamma, zeta) obeys G_b = G_{b-1} (g + (z-g)s)/(1-gs),
+# and since g^2 - g + z = z^2 that factor is g + z^2 sum_{k>=1} g^(k-1) s^k, all
+# of whose coefficients are positive. Hence, summing positive terms only,
+#
+#     P_0(n) = z g^n,
+#     P_b(n) = g P_{b-1}(n) + z^2 S(n),   S(0) = 0,  S(n+1) = g S(n) + P_{b-1}(n),
+#
+# the degree recurrence of the Meixner-type sum z g^(b+n) 2F1(-b, -n; 1; (z/g)^2)
+# (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials, 2010,
+# sec. 9.10). P_b(n) needs only P_{b-1}(m <= n), so a row computed on more
+# levels has a bitwise identical prefix.
+#
+# The filter S runs in blocks of K levels laid out from n = 0, each the scaled
+# cumsum g^j sum_{i<=j} g^-i x(o+i) plus the carry g^(j+1) S(o). K depends on
+# g alone: g^-K stays below e^_BLOCK_SPAN, so no scaled sum overflows, and K
+# stays at most _BLOCK_MAX, which bounds the rounding a block's cumsum adds.
+_BLOCK_SPAN = 600.0
+_BLOCK_MAX = 128
+# Distinct (kappa*t, tolerance) keys whose two top ladder rows are kept.
+_LADDER_CACHE_SIZE = 1024
 
-    Returns (weights, n_cut, trace_tail_bound); the array is cached read-only
-    because series over a time grid revisit the same (b, kt) pairs.
+
+class _Filter(NamedTuple):
+    """Block size K and the powers g^j (j = 0..K) and g^-j (j = 0..K-1)."""
+
+    size: int
+    up: np.ndarray
+    down: np.ndarray
+
+
+class _Ladder(NamedTuple):
+    """The top two rows of the ladder at one kappa*t and tolerance.
+
+    rows = (P_{b-1}, P_b) on the same N levels (P_{b-1} is None at b = 0),
+    read-only; certs holds (n_cut, tail_bound) for each. An entry is never
+    changed, only replaced whole, so concurrent readers see a consistent pair.
     """
-    g, z = _kernels(kt)
-    lg, lz = math.log(g), math.log(z)
 
-    # Leading-order guess for the cut: the far tail decays like g^n, so aim
-    # for g^n ~ rel_eps and pad for the polynomial prefactor in n.
-    n_hat = b + 32 + int(math.ceil(-math.log(rel_eps) / -lg)) if g < 1.0 else max_terms
-    n_hat = min(max(n_hat, b + 8), max_terms)
+    b: int
+    rows: tuple[np.ndarray | None, np.ndarray]
+    certs: tuple[tuple[int, float] | None, tuple[int, float]]
+    filt: _Filter
 
-    weights = np.empty(0)
-    n_have = 0
+
+class _RangeTooShort(Exception):
+    """A certification round needs more levels than the ladder rows span."""
+
+    def __init__(self, levels: int) -> None:
+        super().__init__(levels)
+        self.levels = levels
+
+
+_ladders: dict[tuple[float, float, int, float], _Ladder] = {}
+_ladders_lock = threading.Lock()
+
+
+def _filter(g: float) -> _Filter:
+    span = -math.log(g)
+    size = _BLOCK_MAX if span * _BLOCK_MAX <= _BLOCK_SPAN else max(1, int(_BLOCK_SPAN / span))
+    up = np.array([math.pow(g, j) for j in range(size + 1)])
+    down = np.array([math.pow(g, -j) for j in range(size)])
+    return _Filter(size, up, down)
+
+
+def _first_row(levels: int, g: float, z: float, filt: _Filter) -> np.ndarray:
+    """P_0(n) = z g^n for n < levels, a multiple of the block size."""
+    k = filt.size
+    starts = [z * math.pow(g, k * i) for i in range(levels // k)]
+    row = np.multiply.outer(starts, filt.up[:k]).reshape(-1)
+    row.setflags(write=False)
+    return row
+
+
+def _next_row(prev: np.ndarray, g: float, zz: float, filt: _Filter) -> np.ndarray:
+    """P_b from P_{b-1} = prev, one ladder step on the same levels."""
+    k, up, down = filt
+    blocks = prev.reshape(-1, k) * down
+    np.add.accumulate(blocks, axis=1, out=blocks)
+    blocks *= up[:k]
+    # Block o now holds g^j C(j), C(j) = sum_{i<=j} g^-i x(o+i), and adding
+    # the carry g^(j+1) S(o) gives S(o+j+1); S(o) runs from S(0) = 0.
+    if blocks.shape[0] > 1:
+        gk, starts, carry = float(up[k]), [], 0.0
+        for end in blocks[:-1, -1].tolist():
+            carry = gk * carry + end
+            starts.append(carry)
+        blocks[1:] += np.multiply.outer(starts, up[1:])
+    s_next = blocks.reshape(-1)
+    s_next *= zz
+    row = prev * g
+    row[1:] += s_next[:-1]
+    row.setflags(write=False)
+    return row
+
+
+def _first_cut(b: int, g: float, tol: SeriesTolerance) -> int:
+    """Leading-order guess for the cut: the far tail decays like g^n, so aim
+    for g^n ~ rel_eps and pad for the polynomial prefactor in n."""
+    if g < 1.0:
+        n_hat = b + 32 + int(math.ceil(-math.log(tol.rel_eps) / -math.log(g)))
+    else:
+        n_hat = tol.max_terms
+    return min(max(n_hat, b + 8), tol.max_terms)
+
+
+def _certify(
+    row: np.ndarray, b: int, kt: float, g: float, tol: SeriesTolerance
+) -> tuple[int, float]:
+    """(n_cut, trace tail bound) of ladder row P_b: the prefix is grown until
+    the trace and the first two moments carry certified tails below rel_eps.
+
+    Raises _RangeTooShort when a round needs more levels than the row has.
+    """
+    n_hat = _first_cut(b, g, tol)
     while True:
-        if n_hat > max_terms:
+        if n_hat > tol.max_terms:
             raise NonConvergent(
-                f"level cut for b={b}, kappa*t={kt} exceeded max_terms={max_terms}"
+                f"level cut for b={b}, kappa*t={kt} exceeded max_terms={tol.max_terms}"
             )
-        block = np.empty(n_hat - n_have)
-        fock_weight_block(b, lg, lz, log_factorials(n_hat), n_have, n_hat, block)
-        weights = np.concatenate([weights, block])
-        n_have = n_hat
-
+        if n_hat > row.shape[0]:
+            raise _RangeTooShort(n_hat)
         # Certify with the worst of the last few observed ratios; past the
         # bulk these decrease toward g, so the bound is conservative there.
-        if n_have >= max(b + 4, 8):
-            tail = weights[-4:]
-            if np.all(tail[:-1] > 0.0):
-                ratios = tail[1:] / tail[:-1]
-                r = float(ratios.max())
-                if r < guard:
-                    L = n_have - 1
-                    t0, t1, t2 = _tail_bounds(float(tail[-1]), r, L)
-                    n_arr = np.arange(n_have, dtype=float)
+        if n_hat >= max(b + 4, 8):
+            w0, w1, w2, w3 = row[n_hat - 4 : n_hat].tolist()
+            if w0 > 0.0 and w1 > 0.0 and w2 > 0.0:
+                r = max(w1 / w0, w2 / w1, w3 / w2)
+                if r < tol.tail_ratio_guard:
+                    L = n_hat - 1
+                    t0, t1, t2 = _tail_bounds(w3, r, L)
+                    weights = row[:n_hat]
+                    n_arr = np.arange(n_hat, dtype=float)
                     m1 = float(n_arr @ weights)
                     m2 = float((n_arr * n_arr) @ weights)
                     if (
-                        t0 <= rel_eps
-                        and t1 <= rel_eps * max(m1, 1.0)
-                        and t2 <= rel_eps * max(m2, 1.0)
+                        t0 <= tol.rel_eps
+                        and t1 <= tol.rel_eps * max(m1, 1.0)
+                        and t2 <= tol.rel_eps * max(m2, 1.0)
                     ):
-                        weights.setflags(write=False)
-                        return weights, L, t0
-            elif np.all(tail == 0.0):
+                        return L, t0
+            elif w0 == w1 == w2 == w3 == 0.0:
                 # Underflowed to exact zero: nothing measurable remains.
-                weights.setflags(write=False)
-                return weights, n_have - 1, 0.0
-        n_hat = min(max(2 * n_hat, n_hat + 64), max_terms + 1)
+                return n_hat - 1, 0.0
+        n_hat = min(max(2 * n_hat, n_hat + 64), tol.max_terms + 1)
+
+
+def _climb(
+    start: _Ladder | None, b: int, kt: float, levels: int, filt: _Filter, tol: SeriesTolerance
+) -> _Ladder:
+    """Ladder rows b-1 and b, stepped up from start (from P_0 on `levels`
+    levels when start is None) and certified."""
+    g, z = _kernels(kt)
+    if start is None:
+        top, lower, upper = 0, None, _first_row(levels, g, z, filt)
+        cert_lower = cert_upper = None
+    else:
+        top, (lower, upper), (cert_lower, cert_upper) = start.b, start.rows, start.certs
+    zz = z * z
+    while top < b:
+        lower, cert_lower = upper, cert_upper
+        upper, cert_upper = _next_row(upper, g, zz, filt), None
+        top += 1
+    if cert_upper is None:
+        cert_upper = _certify(upper, b, kt, g, tol)
+    if b >= 1 and cert_lower is None:
+        cert_lower = _certify(lower, b - 1, kt, g, tol)
+    return _Ladder(b, (lower, upper), (cert_lower, cert_upper), filt)
+
+
+def _ladder(b: int, kt: float, tol: SeriesTolerance, lower_ok: bool = False) -> _Ladder:
+    """The cached ladder entry at kappa*t = kt > 0 whose top row is P_b (or,
+    with lower_ok, P_{b+1}, so that P_b is its lower row).
+
+    An entry below b is stepped up, one O(N) step per b; anything else
+    restarts from P_0. When certification needs more levels than the rows
+    span, the ladder is recomputed on at least max(needed, 2N) levels.
+    Threads that race on one key each return the entry they computed, and
+    the last one stored stays.
+    """
+    key = (kt, tol.rel_eps, tol.max_terms, tol.tail_ratio_guard)
+    entry = _ladders.get(key)
+    if entry is not None and (entry.b == b or (lower_ok and entry.b == b + 1)):
+        return entry
+    if entry is not None and entry.b < b:
+        start, filt, levels = entry, entry.filt, entry.rows[1].shape[0]
+    else:
+        g = _kernels(kt)[0]
+        start, filt = None, _filter(g) if entry is None else entry.filt
+        # A restart keeps the cached range, which already served this kappa*t.
+        levels = max(_first_cut(b, g, tol), 0 if entry is None else entry.rows[1].shape[0])
+    while True:
+        levels = -(-levels // filt.size) * filt.size
+        try:
+            entry = _climb(start, b, kt, levels, filt, tol)
+            break
+        except _RangeTooShort as short:
+            start = None
+            levels = max(short.levels, 2 * levels)
+    with _ladders_lock:
+        _ladders.pop(key, None)
+        _ladders[key] = entry
+        if len(_ladders) > _LADDER_CACHE_SIZE:
+            del _ladders[next(iter(_ladders))]
+    return entry
+
+
+def _clear_ladders() -> None:
+    """Drop every cached ladder entry."""
+    with _ladders_lock:
+        _ladders.clear()
+
+
+def _row_distribution(entry: _Ladder, b: int, t: float) -> FockDistribution:
+    i = b - entry.b + 1
+    n_cut, tail = entry.certs[i]
+    return FockDistribution(t=t, weights=entry.rows[i][: n_cut + 1], n_cut=n_cut, tail_bound=tail)
+
+
+def _delta(b: int, t: float) -> FockDistribution:
+    weights = np.zeros(b + 1)
+    weights[b] = 1.0
+    weights.setflags(write=False)
+    return FockDistribution(t=t, weights=weights, n_cut=b, tail_bound=0.0)
 
 
 def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
     """All level populations at time t, truncated with a certified tail.
 
-    The cut n_cut is grown adaptively until the geometric tail bound drops
-    below cfg.tol.rel_eps (for the trace and for the first two moments, so
-    downstream energy averages inherit the certificate).
+    The weights are a row of the b-ladder P_b = g P_{b-1} + z^2 S, with one
+    cache entry per kappa*t holding its top two rows: ascending b pays one
+    O(n_cut) step per new b, and a lower b restarts the ladder from P_0. The
+    cut n_cut is grown adaptively until the geometric tail bound drops below
+    cfg.tol.rel_eps (for the trace and for the first two moments, so
+    downstream energy averages inherit the certificate). The returned
+    weights are a read-only view, bitwise independent of the cache history.
     """
     check_time(t)
     kt = cfg.kappa * t
     if kt == 0.0:
-        weights = np.zeros(cfg.b + 1)
-        weights[cfg.b] = 1.0
-        weights.setflags(write=False)
-        return FockDistribution(t=t, weights=weights, n_cut=cfg.b, tail_bound=0.0)
-    weights, n_cut, tail = _weights_cached(
-        cfg.b, kt, cfg.tol.rel_eps, cfg.tol.max_terms, cfg.tol.tail_ratio_guard
-    )
-    return FockDistribution(t=t, weights=weights, n_cut=n_cut, tail_bound=tail)
+        return _delta(cfg.b, t)
+    return _row_distribution(_ladder(cfg.b, kt, cfg.tol, lower_ok=True), cfg.b, t)
+
+
+def neighbour_weights(cfg: DiffusiveConfig, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The certified weights of b-1 and b (cfg.b >= 1) at time t, both from
+    one ladder entry; each equals distribution(...).weights for its index."""
+    if cfg.b < 1:
+        raise ValueError("neighbour weights need b >= 1")
+    check_time(t)
+    kt = cfg.kappa * t
+    if kt == 0.0:
+        return _delta(cfg.b - 1, t).weights, _delta(cfg.b, t).weights
+    entry = _ladder(cfg.b, kt, cfg.tol)
+    (lower, upper), ((cut_lower, _), (cut_upper, _)) = entry.rows, entry.certs
+    return lower[: cut_lower + 1], upper[: cut_upper + 1]

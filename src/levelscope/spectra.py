@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+from .numerics import is_integer
+
 __all__ = [
     "IndexOutOfSpectrum",
     "DegeneratePeriod",
@@ -96,8 +98,10 @@ class Hydrogenoid:
 
     def __post_init__(self) -> None:
         _require_positive("reduced_mass", self.reduced_mass)
-        if self.charge_number < 1:
-            raise ValueError(f"charge_number must be at least 1, got {self.charge_number}")
+        if not is_integer(self.charge_number) or self.charge_number < 1:
+            raise ValueError(
+                f"charge_number must be an integer >= 1, got {self.charge_number!r}"
+            )
         _require_positive("charge", self.charge)
 
 

@@ -218,6 +218,48 @@ def test_nonpositive_eps_exits_2(tmp_path, capsys, eps):
     assert "rel_eps must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["1e-300", "1e-13", "inf"])
+def test_eps_outside_the_certifiable_range_exits_2(tmp_path, capsys, eps):
+    out = tmp_path / "e.csv"
+    code = main(
+        ["evolve", "--b", "2", "--eps", eps, "--grid", "log:1e-3:1:3", "--out", str(out)]
+    )
+    assert code == EXIT_USAGE
+    assert "rel_eps must lie in [1e-12, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eps_at_the_floor_is_certified(tmp_path):
+    out = tmp_path / "e.csv"
+    code = main(
+        ["evolve", "--b", "2", "--eps", "1e-12", "--grid", "log:1e-3:10:4", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    _, _, rows = read_csv(out)
+    assert rows and all(float(row[5]) <= 1e-12 for row in rows)
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+def test_evolve_weight_floor_outside_its_domain_exits_2(tmp_path, capsys, floor):
+    out = tmp_path / "e.csv"
+    code = main(["evolve", "--b", "2", "--weight-floor", floor, "--grid", "log:1e-3:1:3",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "--weight-floor must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "which, message", [("1", "fidelity needs b >= 1"), ("3", "ymean needs b >= 1")]
+)
+def test_figures_b_0_names_the_curve_that_needs_b_1(tmp_path, capsys, which, message):
+    out_dir = tmp_path / "f"
+    code = main(["figures", which, "--b", "0,5", "--grid", "log:1e-3:1:3", "--out", str(out_dir)])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_figures_families(tmp_path):
     for which, columns in ((1, ["kt", "b1", "b5"]), (2, ["kt", "b1", "b5"])):
         out_dir = tmp_path / f"f{which}"

@@ -6,7 +6,13 @@ import math
 import mpmath as mp
 import pytest
 
-from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
+from levelscope.numerics import (
+    DEFAULT_TOLERANCE,
+    MIN_REL_EPS,
+    NonConvergent,
+    SeriesTolerance,
+    log_factorial,
+)
 from levelscope.open_system import _kernels
 from oracles import sum_adaptive
 
@@ -130,3 +136,13 @@ def test_series_tolerance_validation():
         SeriesTolerance(max_terms=0)
     with pytest.raises(ValueError):
         SeriesTolerance(tail_ratio_guard=1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-300, 1.0, math.inf])
+def test_series_tolerance_rejects_eps_outside_the_certifiable_range(eps):
+    with pytest.raises(ValueError, match="rel_eps must lie in"):
+        SeriesTolerance(rel_eps=eps)
+
+
+def test_series_tolerance_floor_is_legal():
+    assert SeriesTolerance(rel_eps=MIN_REL_EPS).rel_eps == 1e-12

@@ -21,6 +21,7 @@ from levelscope.observables import (
     mean_y_series,
     survival,
 )
+from levelscope.numerics import SeriesTolerance
 from levelscope.open_system import DiffusiveConfig, distribution
 from oracles import fidelity_closed_form
 
@@ -89,6 +90,10 @@ def test_fidelity_requires_matching_bath():
     not_neighbor = DiffusiveConfig(b=0, kappa=1.0, omega=1.0, lam=1.0)
     with pytest.raises(MismatchedConfig):
         fidelity_overlap(upper, not_neighbor, 0.1)
+    # Both rows come from one ladder entry, certified under one tolerance.
+    looser = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))
+    with pytest.raises(MismatchedConfig, match="tol"):
+        fidelity_overlap(upper, looser, 0.1)
 
 
 def test_fidelity_closed_form_stays_in_bounds():

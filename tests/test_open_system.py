@@ -1,14 +1,16 @@
 """Tests for the diffusive Fock-state evolution."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelscope._backend import fock_weight_block, log_factorials
-from levelscope.numerics import NonConvergent, SeriesTolerance
+from levelscope import open_system
+from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance
 from levelscope.observables import fidelity_overlap, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
 from oracles import weight_oracle
@@ -206,7 +208,7 @@ def test_weights_are_read_only():
 
 
 # ---------------------------------------------------------------------------
-# the block kernel behind every distribution
+# the b-ladder behind every distribution
 
 
 def _oracle_levels(weights: np.ndarray, count: int = 40) -> list[int]:
@@ -221,7 +223,7 @@ def _oracle_levels(weights: np.ndarray, count: int = 40) -> list[int]:
 @pytest.mark.parametrize("kt", [1e-3, 0.01, 0.3, 0.49, 0.51, 2.0, 40.0, 100.0])
 def test_distribution_weights_match_high_precision_oracle(b, kt):
     # kt = 0.49 and 0.51 sit on either side of zeta = gamma, where the
-    # kernel switches the end of the p-sum it scales from.
+    # single-level p-sum switches the end it scales from.
     weights = distribution(cfg_for(b), kt).weights
     for n in _oracle_levels(weights):
         want = weight_oracle(b, n, kt)
@@ -230,8 +232,7 @@ def test_distribution_weights_match_high_precision_oracle(b, kt):
 
 @pytest.mark.parametrize("b, kt", [(600, 0.5), (800, 0.45)])
 def test_distribution_weights_for_large_b(b, kt):
-    # Here the scale term of many levels underflows a double (T_0 at
-    # kt = 0.5, T_b at kt = 0.45), so the kernel sums them in log space.
+    # 600 and 800 ladder steps: the rounding each step adds must not pile up.
     weights = distribution(cfg_for(b), kt).weights
     assert np.all(np.isfinite(weights))
     assert abs(weights.sum() - 1.0) <= 1e-8
@@ -240,23 +241,112 @@ def test_distribution_weights_for_large_b(b, kt):
         assert abs(weights[n] - want) <= 1e-10 * want, (n, weights[n], want)
 
 
+# The grid of test_cut_matches_the_geometric_certifier: kappa*t = 1e-3 .. 1e2,
+# two points per decade, and the n_cut the block-kernel version of
+# levelscope certified there (its weights came from a different algorithm).
+CUT_KTS = np.logspace(-3, 2, 11).tolist()
+CUTS = {
+    0: [35, 36, 37, 40, 44, 56, 88, 377, 1007, 2999, 9297],
+    1: [36, 37, 38, 41, 45, 57, 89, 379, 1009, 3001, 9299],
+    5: [40, 41, 42, 45, 49, 61, 93, 387, 1017, 3009, 9307],
+    15: [50, 51, 52, 55, 59, 71, 207, 407, 1037, 3029, 9327],
+    40: [75, 76, 77, 80, 84, 193, 257, 457, 1087, 3079, 9377],
+}
+
+
+def _ladder_row(b: int, kt: float, levels: int) -> np.ndarray:
+    g, z = open_system._kernels(kt)
+    filt = open_system._filter(g)
+    row = open_system._first_row(-(-levels // filt.size) * filt.size, g, z, filt)
+    for _ in range(b):
+        row = open_system._next_row(row, g, z * z, filt)
+    return row
+
+
 @pytest.mark.parametrize("b", [0, 3, 15])
 @pytest.mark.parametrize("kt", [0.05, 0.5, 2.0])
 @pytest.mark.parametrize("split", [1, 7, 16, 90])
 def test_weight_block_split_matches_single_call(b, kt, split):
-    n_stop = 120
-    lg, lz = math.log(2 * kt / (1 + 2 * kt)), math.log(1 / (1 + 2 * kt))
-    lf = log_factorials(n_stop)
-    whole, parts = np.empty(n_stop), np.empty(n_stop)
-    fock_weight_block(b, lg, lz, lf, 0, n_stop, whole)
-    fock_weight_block(b, lg, lz, lf, 0, split, parts[:split])
-    fock_weight_block(b, lg, lz, lf, split, n_stop, parts[split:])
-    np.testing.assert_array_equal(parts, whole)
-    assert np.all(np.isfinite(whole)) and np.all(whole >= 0.0)
+    # A ladder row on `split` filter blocks is bitwise the prefix of the same
+    # row on four times as many levels: P_b(n) reads only levels m <= n, and
+    # the blocks sit at fixed offsets from n = 0.
+    size = open_system._filter(open_system._kernels(kt)[0]).size
+    short = _ladder_row(b, kt, split * size)
+    long = _ladder_row(b, kt, 4 * split * size)
+    assert short.shape[0] == split * size and long.shape[0] == 4 * split * size
+    np.testing.assert_array_equal(long[: short.shape[0]], short)
+    assert np.all(np.isfinite(long)) and np.all(long >= 0.0)
 
 
-def test_log_factorials_match_exact_values():
-    lf = log_factorials(300)
-    assert lf[0] == 0.0 and lf[1] == 0.0
-    for k in (2, 10, 57, 170, 300):
-        assert lf[k] == pytest.approx(math.log(math.factorial(k)), rel=1e-14)
+def _ladder_levels(kt: float) -> int:
+    key = (kt, DEFAULT_TOLERANCE.rel_eps, DEFAULT_TOLERANCE.max_terms,
+           DEFAULT_TOLERANCE.tail_ratio_guard)
+    return open_system._ladders[key].rows[1].shape[0]
+
+
+@pytest.mark.parametrize("b, kt", [(5, 0.01), (15, 0.3), (40, 100.0)])
+def test_distribution_does_not_depend_on_cache_history(b, kt):
+    def states():
+        # b - 1 is the lower row of b's cache entry.
+        dists = distribution(cfg_for(b), kt), distribution(cfg_for(b - 1), kt)
+        return [(d.weights.tobytes(), d.n_cut, d.tail_bound) for d in dists]
+
+    def after(warm_up):
+        open_system._clear_ladders()
+        for other in warm_up:
+            distribution(cfg_for(other), kt)
+        return states()
+
+    cold = after([])
+    assert after(range(b)) == cold  # one step up per b
+    assert after([b // 3]) == cold  # several steps up at once
+    assert after(range(b + 12, b, -1)) == cold  # restarts from P_0
+    # b = 120 outgrows the range that b = 0 started on, and b then restarts
+    # on the grown range.
+    open_system._clear_ladders()
+    distribution(cfg_for(0), kt)
+    first = _ladder_levels(kt)
+    distribution(cfg_for(120), kt)
+    assert _ladder_levels(kt) > first
+    assert states() == cold
+    assert _ladder_levels(kt) > first
+
+
+def test_cut_matches_the_geometric_certifier():
+    open_system._clear_ladders()
+    for b, cuts in CUTS.items():
+        assert [distribution(cfg_for(b), kt).n_cut for kt in CUT_KTS] == cuts, b
+
+
+def test_concurrent_sweeps_match_serial_ones():
+    kts = np.logspace(-3, 2, 9).tolist()
+    orders = (list(range(0, 21)), list(range(20, -1, -1)))
+
+    def sweep(order):
+        return [
+            (b, kt, distribution(cfg_for(b), kt).weights.tobytes())
+            for _ in range(3) for b in order for kt in kts
+        ]
+
+    open_system._clear_ladders()
+    serial = [sweep(order) for order in orders]
+    open_system._clear_ladders()
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        results[i] = sweep(orders[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial

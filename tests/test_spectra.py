@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from levelscope import presets
@@ -358,6 +359,16 @@ VALID_MODELS = (
 def test_models_reject_non_finite_parameters(model, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         replace(model, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, True])
+def test_hydrogenoid_rejects_non_integer_charge_number(bad):
+    with pytest.raises(ValueError, match="charge_number must be an integer"):
+        Hydrogenoid(charge_number=bad)
+
+
+def test_hydrogenoid_accepts_numpy_integer_charge_number():
+    assert Hydrogenoid(charge_number=np.int64(2)).charge_number == 2
 
 
 # ---------------------------------------------------------------------------
