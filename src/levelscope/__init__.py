@@ -8,22 +8,16 @@ diffusive bath and tracks how the environment erodes that resolvability.
 
 __version__ = "0.1.0"
 
-from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
-from .observables import (
+import importlib
+
+from .numerics import (
+    DEFAULT_TOLERANCE,
     MismatchedConfig,
-    TimeSeries,
-    YMeanPoint,
+    NonConvergent,
+    SeriesTolerance,
     ZeroEnergy,
-    fidelity_overlap,
-    log_grid,
-    mean_h0,
-    mean_n,
-    mean_tau,
-    mean_y_point,
-    mean_y_series,
-    survival,
+    log_factorial,
 )
-from .open_system import DiffusiveConfig, FockDistribution, distribution, fock_weight
 from .presets import builtin_preset_names, load_model
 from .spectra import (
     Box,
@@ -48,6 +42,31 @@ from .spectra import (
     superposition_delta_e,
     threshold_scan,
 )
+
+# The open-system names need numpy; their submodules load on first use
+# (PEP 562), so the closed-system half imports in pure Python.
+_LAZY = {
+    **dict.fromkeys(("DiffusiveConfig", "FockDistribution", "distribution", "fock_weight"),
+                    "open_system"),
+    **dict.fromkeys(("TimeSeries", "YMeanPoint", "fidelity_overlap", "log_grid", "mean_h0",
+                     "mean_n", "mean_tau", "mean_y_point", "mean_y_series", "survival"),
+                    "observables"),
+}
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

@@ -28,14 +28,17 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+from . import __version__, presets, spectra
+from .numerics import MismatchedConfig, NonConvergent, SeriesTolerance, ZeroEnergy
 
-from . import __version__, observables, presets, spectra
-from .numerics import NonConvergent, SeriesTolerance
-from .open_system import DiffusiveConfig, distribution
-from .svgplot import line_plot
+# numpy and the open-system modules load inside the commands that use them,
+# so that `criterion` and `scan` start without them.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .open_system import DiffusiveConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,6 +115,24 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _csv_rows(rows: Sequence[Sequence[object]]) -> list[str]:
+    """The rows as CSV lines, formatted as _fmt formats each value.
+
+    Every column keeps the type of its first entry, so one %-format string,
+    built from the first row, formats each whole row.
+    """
+    if not rows:
+        return []
+    line = ",".join(_FLOAT_FMT if isinstance(v, float) else "%s" for v in rows[0])
+    flags = [isinstance(v, bool) for v in rows[0]]
+    if any(flags):
+        rows = [
+            tuple(("true" if v else "false") if flag else v for flag, v in zip(flags, row))
+            for row in rows
+        ]
+    return [line % tuple(row) for row in rows]
+
+
 class WriteFailure(OSError):
     """Output file could not be written (maps to exit code 4)."""
 
@@ -146,8 +167,7 @@ def _write_table(
     if unit_note:
         lines.append(f"# units: {unit_note}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += _csv_rows(rows)
     for comment in footer_comments:
         lines.append(f"# {comment}")
     _write_text(path, "\n".join(lines) + "\n")
@@ -159,6 +179,8 @@ def _tolerance(args: argparse.Namespace) -> SeriesTolerance:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    from . import observables
+
     try:
         kind, start, stop, points = spec.split(":")
         if kind != "log":
@@ -277,6 +299,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise SystemExit2(
             f"--weight-floor must be finite and non-negative, got {args.weight_floor}"
         )
+    from . import observables
+    from .open_system import DiffusiveConfig, distribution
+
     cfg = DiffusiveConfig(
         b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=_tolerance(args)
     )
@@ -305,14 +330,20 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 # Curve values at one (cfg, t): a tuple of data columns whose first entry is
 # the plotted curve.
 def _fidelity(cfg: DiffusiveConfig, t: float) -> tuple[float]:
+    from . import observables
+
     return (observables.fidelity_overlap(cfg, replace(cfg, b=cfg.b - 1), t),)
 
 
 def _survival(cfg: DiffusiveConfig, t: float) -> tuple[float]:
+    from . import observables
+
     return (observables.survival(cfg, t),)
 
 
 def _ymean(cfg: DiffusiveConfig, t: float) -> tuple[float, float, float]:
+    from . import observables
+
     point = observables.mean_y_point(cfg, t)
     # signed ingredients ride along so the sign of d_tau stays visible
     return point.y_mean, point.d_energy, point.d_tau
@@ -340,6 +371,11 @@ def _curves(
     """
     if value in _NEEDS_B1 and any(b < 1 for b in b_values):
         raise SystemExit2(_NEEDS_B1[value])
+    import numpy as np
+
+    from . import observables
+    from .open_system import DiffusiveConfig
+
     grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
     tol = _tolerance(args)
     curves = []
@@ -368,6 +404,8 @@ def _plot(
     y_label: str,
     hline: float | None,
 ) -> None:
+    from .svgplot import line_plot
+
     svg = line_plot(
         [(f"b={b}", grid.tolist(), [p[0] for p in points]) for b, points in zip(b_values, curves)],
         title=title,
@@ -482,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(crit)
     crit.add_argument("--n", type=int, required=True)
     crit.add_argument("--format", choices=("table", "json"), default="table")
-    crit.add_argument("--eps", type=float, default=None)
     crit.set_defaults(func=_cmd_criterion)
 
     scan = commands.add_parser("scan", help="criterion table over a range of n")
@@ -492,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="defaults to the model's level ceiling, when it has one")
     scan.add_argument("--out", required=True)
     scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    scan.add_argument("--eps", type=float, default=None)
     scan.set_defaults(func=_cmd_scan)
 
     evolve = commands.add_parser("evolve", help="Fock populations over time")
@@ -542,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (spectra.IndexOutOfSpectrum, spectra.DegeneratePeriod, spectra.NotNormalized,
-            observables.MismatchedConfig, observables.ZeroEnergy,
+            MismatchedConfig, ZeroEnergy,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,6 @@
 """Shared numerical primitives: log-factorials, the integer check of index
-parameters, and the truncation policy of the certified Fock-weight series.
+parameters, the truncation policy of the certified Fock-weight series, and
+the domain errors of the open-system observables.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads.
@@ -13,9 +14,11 @@ from dataclasses import dataclass
 
 __all__ = [
     "MIN_REL_EPS",
+    "MismatchedConfig",
     "NonConvergent",
     "SeriesTolerance",
     "DEFAULT_TOLERANCE",
+    "ZeroEnergy",
     "is_integer",
     "log_factorial",
 ]
@@ -27,6 +30,17 @@ class NonConvergent(ArithmeticError):
     Raised instead of returning a partial sum, so a bad parameter regime
     surfaces as an error rather than as silently wrong numbers.
     """
+
+
+# The observables raise these two; they live here, away from numpy, so that
+# the command line can name them without importing the open-system stack.
+class MismatchedConfig(ValueError):
+    """Two configurations that must share kappa, omega, lam do not."""
+
+
+class ZeroEnergy(ArithmeticError):
+    """<H0> vanishes (b = 0 at t = 0, or omega = lam = 0), so the
+    period estimate 2 pi <N> / <H0> is undefined."""
 
 
 # Smallest rel_eps a certificate may claim. Against 50-digit mpmath at the

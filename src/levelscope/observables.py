@@ -14,6 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .numerics import MismatchedConfig, ZeroEnergy
 from .open_system import DiffusiveConfig, check_time, fock_weight, neighbour_weights
 
 __all__ = [
@@ -30,15 +31,6 @@ __all__ = [
     "mean_y_series",
     "log_grid",
 ]
-
-
-class MismatchedConfig(ValueError):
-    """Two configurations that must share kappa, omega, lam do not."""
-
-
-class ZeroEnergy(ArithmeticError):
-    """<H0> vanishes (b = 0 at t = 0, or omega = lam = 0), so the
-    period estimate 2 pi <N> / <H0> is undefined."""
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,19 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 __all__ = ["line_plot"]
 
 _PALETTE = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2", "#937860", "#dd8452")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils.escape
+    does without extra entities; importing that module would pull in urllib,
+    http and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -87,7 +93,7 @@ def line_plot(
     out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
     out.append(
         f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
     )
     # frame
     out.append(
@@ -123,12 +129,12 @@ def line_plot(
     # axis labels
     out.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
     )
     out.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>'
     )
     if hline is not None:
         y = py(hline)
@@ -150,7 +156,7 @@ def line_plot(
         )
         out.append(
             f'<text x="{lx + 28:.1f}" y="{ly:.1f}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

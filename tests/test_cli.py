@@ -4,9 +4,10 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from levelscope.cli import EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, main
+from levelscope.cli import EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, _csv_rows, _fmt, main
 
 
 def read_csv(path):
@@ -68,6 +69,33 @@ def test_criterion_out_of_spectrum_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Closed forms sum no series, so the closed-system commands take no --eps
+# rather than parse one and ignore it.
+def test_criterion_has_no_eps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "--model", "box", "--n", "4", "--eps", "nan"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --eps" in captured.err
+    assert captured.out == ""
+
+
+def test_scan_has_no_eps(tmp_path, capsys):
+    out = tmp_path / "box.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--model", "box", "--n-max", "6", "--eps", "1e-8", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_manifest_keeps_the_default_tolerances(tmp_path):
+    out = tmp_path / "box.csv"
+    assert main(["scan", "--model", "box", "--n-max", "6", "--out", str(out)]) == EXIT_OK
+    comments, _, _ = read_csv(out)
+    assert "# tolerances: rel_eps=1e-10 max_terms=1000000 tail_ratio_guard=0.9999" in comments
+
+
 def test_scan_box_footer(tmp_path, capsys):
     out = tmp_path / "box.csv"
     code = main(["scan", "--model", "box", "--n-min", "2", "--n-max", "20", "--out", str(out)])
@@ -122,6 +150,17 @@ def test_scan_json_mirror(tmp_path):
     assert payload["manifest"]["command"] == "scan"
     assert len(payload["rows"]) == 5
     assert any("first_unresolvable" in f for f in payload["footer"])
+
+
+def test_csv_rows_format_each_value_as_fmt():
+    rows = [
+        (1, 0.1, True, "x", np.float64(1 / 3), 2.5e-300, -0.0),
+        (40, 1e22, False, "y", np.float64(math.pi), math.inf, 123456789012345.0),
+        (2**60, float("nan"), True, "", np.float64(0.0), 1.0, 7.0),
+    ]
+    assert _csv_rows(rows) == [",".join(_fmt(v) for v in row) for row in rows]
+    assert _csv_rows([(0.5,)]) == ["0.5"]
+    assert _csv_rows([]) == []
 
 
 def test_evolve_trace_column(tmp_path):

@@ -1,13 +1,43 @@
 """Tests of the package surface: the exported names and what the CLI imports."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.sax.saxutils import escape
+
+import pytest
 
 import levelscope
+from levelscope import numerics, observables
+from levelscope.cli import EXIT_USAGE, main
+from levelscope.svgplot import _escape, line_plot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Modules the closed-system half must not load: numpy, and xml.sax with the
+# urllib/http/ssl stack that xml.sax.saxutils pulls in.
+HEAVY = ("numpy", "xml.sax", "urllib.request")
+
+
+def _fresh(code: str, cwd: Path | None = None) -> str:
+    """stdout of `code` run in a new interpreter that imports levelscope from src."""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    return result.stdout.strip()
+
+
+def _loaded_after(statement: str, cwd: Path | None = None) -> dict:
+    code = f"import json, sys\n{statement}\nprint(json.dumps({{m: m in sys.modules for m in {HEAVY!r}}}))"
+    return json.loads(_fresh(code, cwd).splitlines()[-1])
 
 
 def test_every_exported_name_resolves():
@@ -18,12 +48,88 @@ def test_every_exported_name_resolves():
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, levelscope.cli; print('scipy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        timeout=60,
+    assert _fresh(code) == "False"
+
+
+def test_import_loads_no_numpy():
+    assert _loaded_after("import levelscope, levelscope.cli") == dict.fromkeys(HEAVY, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criterion", "--model", "box", "--n", "4"],
+        ["scan", "--preset", "h2_morse", "--n-min", "1", "--out", "h2.csv"],
+    ],
+)
+def test_closed_system_commands_load_no_numpy(tmp_path, argv):
+    statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(statement, cwd=tmp_path) == dict.fromkeys(HEAVY, False)
+
+
+def test_open_system_command_loads_numpy(tmp_path):
+    # The check above would pass vacuously if the probe could not see numpy.
+    argv = ["figures", "2", "--grid", "log:1e-3:1:3", "--out", "figs"]
+    statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(statement, cwd=tmp_path)["numpy"] is True
+
+
+def test_exported_names_are_the_submodule_objects():
+    # In a fresh process, so that dir() and every open-system name go through
+    # the module hooks rather than values an earlier test cached.
+    code = (
+        "import importlib, levelscope\n"
+        "print(sorted(set(levelscope.__all__) - set(dir(levelscope))))\n"
+        "print([n for n in levelscope.__all__ if n != '__version__' and not any(\n"
+        "    getattr(importlib.import_module(f'levelscope.{m}'), n, None) is getattr(levelscope, n)\n"
+        "    for m in ('numerics', 'spectra', 'presets', 'open_system', 'observables'))])"
     )
-    assert result.stdout.strip() == "False"
+    assert _fresh(code).splitlines() == ["[]", "[]"]
+
+
+def test_lazy_names_are_bound_once():
+    for name in ("DiffusiveConfig", "fidelity_overlap", "log_grid", "TimeSeries"):
+        value = getattr(levelscope, name)
+        assert vars(levelscope)[name] is value
+    assert levelscope.fidelity_overlap is observables.fidelity_overlap
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from levelscope import *", namespace)
+    assert set(levelscope.__all__) <= set(namespace)
+    assert namespace["survival"] is observables.survival
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        levelscope.no_such_name  # noqa: B018
+    assert getattr(levelscope, "BACKEND", None) is None
+
+
+def test_moved_errors_are_one_class():
+    assert observables.ZeroEnergy is numerics.ZeroEnergy is levelscope.ZeroEnergy
+    assert observables.MismatchedConfig is numerics.MismatchedConfig
+
+
+def test_zero_energy_in_an_open_system_command_exits_2(tmp_path, capsys):
+    # omega = lam = 0 makes <H0> vanish, so <y(b)> has no period estimate.
+    argv = ["ymean", "--b", "2", "--omega", "0", "--lambda", "0",
+            "--grid", "log:1e-3:1:3", "--out", str(tmp_path / "y.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert "<H0> = 0" in capsys.readouterr().err
+
+
+LABELS = ["b=1", "a & b", "<y(b)> / hbar", "x < 1 > 0", "\"quoted\" 'single'", "&amp; &lt;", ""]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_escape_matches_saxutils(label):
+    assert _escape(label) == escape(label)
+
+
+def test_svg_labels_are_escaped():
+    svg = line_plot([("a & <b>", [1.0, 10.0], [0.0, 1.0])],
+                    title="<y(b)> & F", x_label="kappa t", y_label="<y(b)> / hbar")
+    assert "&lt;y(b)&gt; &amp; F" in svg
+    assert "a &amp; &lt;b&gt;" in svg
