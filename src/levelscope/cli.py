@@ -197,6 +197,8 @@ def _parse_b_list(spec: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {spec!r}") from None
     if not values or any(v < 0 for v in values):
         raise argparse.ArgumentTypeError(f"b list must be non-negative integers, got {spec!r}")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"b list repeats an index, got {spec!r}")
     return values
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, is_integer, log_factorial
+from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, is_integer, log_factorials
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution"]
 
@@ -54,6 +54,12 @@ def check_time(t: float) -> None:
         raise ValueError(f"t must be finite and non-negative, got {t}")
 
 
+def check_level(n: int) -> None:
+    """Raise ValueError unless n is a non-negative integer level index."""
+    if not is_integer(n) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class FockDistribution:
     """Diagonal weights of the evolved state at one time.
@@ -73,8 +79,7 @@ class FockDistribution:
         return float(self.weights.sum())
 
     def weight(self, n: int) -> float:
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
+        check_level(n)
         if n > self.n_cut:
             return 0.0
         return float(self.weights[n])
@@ -107,18 +112,18 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
 
         P_b(n) = sum_{p=0}^{min(b, n)} C(b, p) C(n, p) gamma^(b+n-2p) zeta^(2p+1)
 
-    of positive terms; no truncation is involved for a single level. survival
-    reads this scalar sum; whole distributions come from the b-ladder.
+    of positive terms; no truncation is involved for a single level. The
+    ln k! come from the shared numerics.log_factorials table. survival reads
+    this scalar sum; whole distributions come from the b-ladder.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    check_level(n)
     check_time(t)
     g, z = _kernels(cfg.kappa * t)
     if g == 0.0:
         return 1.0 if n == cfg.b else 0.0
     b = cfg.b
     lg, lz = math.log(g), math.log(z)
-    lf = [log_factorial(k) for k in range(max(n, b) + 1)]
+    lf = log_factorials(max(n, b) + 1)
     acc = 0.0
     for p in range(0, min(b, n) + 1):
         acc += math.exp(
@@ -246,14 +251,37 @@ def _first_cut(b: int, g: float, tol: SeriesTolerance) -> int:
     return min(max(n_hat, b + 8), tol.max_terms)
 
 
+# The level indices n and n^2 as read-only floats, on as many levels as the
+# longest row certified so far; replaced whole when a longer row needs them
+# (a racing thread may store a shorter pair, which is regrown on demand).
+_level_powers: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
+
+
+def _powers(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    global _level_powers
+    powers = _level_powers
+    if powers[0].shape[0] < levels:
+        n = np.arange(levels, dtype=float)
+        powers = n, n * n
+        for array in powers:
+            array.setflags(write=False)
+        _level_powers = powers
+    return powers
+
+
 def _certify(
     row: np.ndarray, b: int, kt: float, g: float, tol: SeriesTolerance
 ) -> tuple[int, float]:
     """(n_cut, trace tail bound) of ladder row P_b: the prefix is grown until
-    the trace and the first two moments carry certified tails below rel_eps.
+    the trace carries a tail bound t0 <= rel_eps and each of the first two
+    moments m a tail bound t <= rel_eps * max(m, 1).
+
+    That last test reads t <= rel_eps or t <= rel_eps * m, so a moment is
+    summed only in a round whose t0 passes and whose t exceeds rel_eps.
 
     Raises _RangeTooShort when a round needs more levels than the row has.
     """
+    eps = tol.rel_eps
     n_hat = _first_cut(b, g, tol)
     while True:
         if n_hat > tol.max_terms:
@@ -271,16 +299,13 @@ def _certify(
                 if r < tol.tail_ratio_guard:
                     L = n_hat - 1
                     t0, t1, t2 = _tail_bounds(w3, r, L)
-                    weights = row[:n_hat]
-                    n_arr = np.arange(n_hat, dtype=float)
-                    m1 = float(n_arr @ weights)
-                    m2 = float((n_arr * n_arr) @ weights)
-                    if (
-                        t0 <= tol.rel_eps
-                        and t1 <= tol.rel_eps * max(m1, 1.0)
-                        and t2 <= tol.rel_eps * max(m2, 1.0)
-                    ):
-                        return L, t0
+                    if t0 <= eps:
+                        n, nn = _powers(row.shape[0])
+                        weights = row[:n_hat]
+                        if (t1 <= eps or t1 <= eps * float(n[:n_hat] @ weights)) and (
+                            t2 <= eps or t2 <= eps * float(nn[:n_hat] @ weights)
+                        ):
+                            return L, t0
             elif w0 == w1 == w2 == w3 == 0.0:
                 # Underflowed to exact zero: nothing measurable remains.
                 return n_hat - 1, 0.0

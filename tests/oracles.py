@@ -1,8 +1,10 @@
 """Reference implementations the tests compare levelscope against.
 
-None of this runs in production: the 50-digit direct weight sum, and the
+None of this runs in production: the 50-digit direct weight sum, the
 paper's expanded triple sum for F(b, t) with the certified series summation
-it needs (the A07 audit of `observables.fidelity_overlap`).
+it needs (the A07 audit of `observables.fidelity_overlap`), and the plain
+forms of two hot paths, the level weight with a per-call ln k! list and
+the ladder-row certifier that sums both moments every round.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import mpmath as mp
+import numpy as np
 
+from levelscope import open_system
 from levelscope.numerics import (
     DEFAULT_TOLERANCE,
     NonConvergent,
@@ -129,3 +133,57 @@ def fidelity_closed_form(cfg_b: DiffusiveConfig, t: float) -> float:
             l += 1
 
     return float(sum_adaptive(l_terms(), cfg_b.tol).value)
+
+
+def fock_weight_reference(cfg: DiffusiveConfig, n: int, t: float) -> float:
+    """open_system.fock_weight with its ln k! rebuilt as a list on each call,
+    the same p-sum in the same order."""
+    check_time(t)
+    g, z = open_system._kernels(cfg.kappa * t)
+    if g == 0.0:
+        return 1.0 if n == cfg.b else 0.0
+    b = cfg.b
+    lg, lz = math.log(g), math.log(z)
+    lf = [log_factorial(k) for k in range(max(n, b) + 1)]
+    acc = 0.0
+    for p in range(0, min(b, n) + 1):
+        acc += math.exp(
+            lf[b] + lf[n] - 2.0 * lf[p] - lf[n - p] - lf[b - p]
+            + (b + n - 2 * p) * lg + (2 * p + 1) * lz
+        )
+    return acc
+
+
+def certify_reference(
+    row: np.ndarray, b: int, kt: float, g: float, tol: SeriesTolerance
+) -> tuple[int, float]:
+    """open_system._certify as every round once ran it: both moments summed
+    over a fresh level range, then all three tail bounds tested together."""
+    n_hat = open_system._first_cut(b, g, tol)
+    while True:
+        if n_hat > tol.max_terms:
+            raise NonConvergent(
+                f"level cut for b={b}, kappa*t={kt} exceeded max_terms={tol.max_terms}"
+            )
+        if n_hat > row.shape[0]:
+            raise open_system._RangeTooShort(n_hat)
+        if n_hat >= max(b + 4, 8):
+            w0, w1, w2, w3 = row[n_hat - 4 : n_hat].tolist()
+            if w0 > 0.0 and w1 > 0.0 and w2 > 0.0:
+                r = max(w1 / w0, w2 / w1, w3 / w2)
+                if r < tol.tail_ratio_guard:
+                    L = n_hat - 1
+                    t0, t1, t2 = open_system._tail_bounds(w3, r, L)
+                    weights = row[:n_hat]
+                    n_arr = np.arange(n_hat, dtype=float)
+                    m1 = float(n_arr @ weights)
+                    m2 = float((n_arr * n_arr) @ weights)
+                    if (
+                        t0 <= tol.rel_eps
+                        and t1 <= tol.rel_eps * max(m1, 1.0)
+                        and t2 <= tol.rel_eps * max(m2, 1.0)
+                    ):
+                        return L, t0
+            elif w0 == w1 == w2 == w3 == 0.0:
+                return n_hat - 1, 0.0
+        n_hat = min(max(2 * n_hat, n_hat + 64), tol.max_terms + 1)

@@ -395,6 +395,19 @@ def test_non_integer_b_exits_2(tmp_path, capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fidelity", "--b", "1,1"], ["ymean", "--b", "2,5,2"], ["figures", "1", "--b", "5,5"]],
+    ids=["fidelity", "ymean", "figures"],
+)
+def test_repeated_b_index_exits_2(tmp_path, capsys, argv):
+    # A repeated index would write two columns of the same name.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_USAGE
+    assert "repeats an index" in capsys.readouterr().err
+
+
 def test_missing_preset_exits_2(tmp_path, capsys):
     code = main(["scan", "--preset", "unobtainium", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE

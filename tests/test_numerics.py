@@ -2,16 +2,20 @@
 the certified series summation of the test oracles."""
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import pytest
 
+from levelscope import numerics
 from levelscope.numerics import (
     DEFAULT_TOLERANCE,
     MIN_REL_EPS,
     NonConvergent,
     SeriesTolerance,
     log_factorial,
+    log_factorials,
 )
 from levelscope.open_system import _kernels
 from oracles import sum_adaptive
@@ -51,6 +55,51 @@ def test_log_factorial_consecutive_difference_is_log_k():
         lf_k = log_factorial(k)
         err = abs(lf_k - log_factorial(k - 1) - math.log(k))
         assert err <= 1e-12 * max(1.0, lf_k), f"failed at k={k}"
+
+
+def test_log_factorial_table_matches_log_factorial_bitwise():
+    table = log_factorials(5001)
+    assert len(table) >= 5001
+    assert [x.hex() for x in table[:5001]] == [log_factorial(k).hex() for k in range(5001)]
+
+
+def test_log_factorial_does_not_grow_the_table(monkeypatch):
+    monkeypatch.setattr(numerics, "_log_factorials", numerics._LOG_FACT_TABLE)
+    log_factorial(4000)
+    assert numerics._log_factorials is numerics._LOG_FACT_TABLE
+    assert len(log_factorials(30)) == 30  # grown to the size asked for, no more
+
+
+def test_log_factorial_table_grown_by_two_threads(monkeypatch):
+    # Both threads grow the table from its 21-entry seed at once, in
+    # different steps; every table either one is handed is complete and
+    # holds the serial values.
+    monkeypatch.setattr(numerics, "_log_factorials", numerics._LOG_FACT_TABLE)
+    want = tuple(log_factorial(k) for k in range(3000))
+    sizes = (list(range(22, 3000, 3)), list(range(3000, 21, -7)))
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        results[i] = [(size, log_factorials(size)) for size in sizes[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seen in results:
+        assert len(seen) > 0
+        for size, table in seen:
+            assert len(table) >= size
+            assert table == want[: len(table)], size
 
 
 # ---------------------------------------------------------------------------

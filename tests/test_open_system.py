@@ -13,7 +13,7 @@ from levelscope import open_system
 from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance
 from levelscope.observables import fidelity_overlap, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
-from oracles import weight_oracle
+from oracles import certify_reference, fock_weight_reference, weight_oracle
 
 
 def cfg_for(b: int, **kw) -> DiffusiveConfig:
@@ -61,6 +61,33 @@ def test_weight_rejects_bad_arguments():
         fock_weight(cfg_for(1), -1, 0.5)
     with pytest.raises(ValueError):
         fock_weight(cfg_for(1), 0, -0.5)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 2.5, math.nan, "2", None])
+def test_weight_rejects_non_integer_level(n):
+    # True would read as level 1; the floats and the rest are no level.
+    dist = distribution(cfg_for(2), 0.5)
+    for call in (lambda: fock_weight(cfg_for(2), n, 0.5), lambda: dist.weight(n)):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            call()
+
+
+def test_weight_accepts_numpy_integer_level():
+    cfg = cfg_for(2)
+    dist = distribution(cfg, 0.5)
+    assert fock_weight(cfg, np.int64(3), 0.5) == fock_weight(cfg, 3, 0.5)
+    assert dist.weight(np.int32(3)) == dist.weight(3)
+
+
+# The p-sum reads ln k! from the shared table; a per-call list gives the
+# same bits.
+@pytest.mark.parametrize("kt", [1e-6, 1e-3, 0.05, 0.5, 1.0, 7.5, 100.0, 1e3])
+def test_weight_matches_per_call_log_factorial_reference(kt):
+    levels = range(0, 201, 8)
+    for b in levels:
+        cfg = cfg_for(b)
+        for n in levels:
+            assert fock_weight(cfg, n, kt) == fock_weight_reference(cfg, n, kt), (b, n)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -316,6 +343,41 @@ def test_cut_matches_the_geometric_certifier():
     open_system._clear_ladders()
     for b, cuts in CUTS.items():
         assert [distribution(cfg_for(b), kt).n_cut for kt in CUT_KTS] == cuts, b
+
+
+def _certificate(certify, row, b, kt, g, tol):
+    try:
+        return certify(row, b, kt, g, tol)
+    except NonConvergent as exc:
+        return "NonConvergent", str(exc)
+    except open_system._RangeTooShort as exc:
+        return "range too short", exc.levels
+
+
+def test_lazy_certifier_matches_the_eager_reference():
+    # Every ladder row b = 0..60 from kappa*t = 1e-6 to 1e3, under each
+    # tolerance: the same (n_cut, tail_bound), the same NonConvergent, or
+    # the same range request. max_terms = 2000 makes the large kappa*t rows
+    # hit the term cap.
+    tols = [
+        SeriesTolerance(rel_eps=eps, tail_ratio_guard=guard, max_terms=cap)
+        for eps in (1e-12, 1e-10, 1e-6)
+        for guard in (0.5, 0.9999)
+        for cap in (1_000_000, 2_000)
+    ]
+    kinds = set()
+    for kt in np.logspace(-6, 3, 19).tolist():
+        g, z = open_system._kernels(kt)
+        filt = open_system._filter(g)
+        row = _ladder_row(0, kt, 4 * open_system._first_cut(60, g, tols[0]))
+        for b in range(61):
+            if b:
+                row = open_system._next_row(row, g, z * z, filt)
+            for tol in tols:
+                got = _certificate(open_system._certify, row, b, kt, g, tol)
+                assert got == _certificate(certify_reference, row, b, kt, g, tol), (b, kt, tol)
+                kinds.add(got[0] if isinstance(got[0], str) else "certified")
+    assert kinds == {"certified", "NonConvergent", "range too short"}
 
 
 def test_concurrent_sweeps_match_serial_ones():
