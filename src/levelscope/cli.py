@@ -163,11 +163,23 @@ def _write_table(
         }
         _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
+    _write_csv(path, manifest, header, _csv_rows(rows), footer_comments, unit_note)
+
+
+def _write_csv(
+    path: Path,
+    manifest: RunManifest,
+    header: Sequence[str],
+    body: Sequence[str],
+    footer_comments: Sequence[str] = (),
+    unit_note: str | None = None,
+) -> None:
+    """Write a CSV table whose data rows are already formatted lines."""
     lines = [f"# {line}" for line in manifest.lines()]
     if unit_note:
         lines.append(f"# units: {unit_note}")
     lines.append(",".join(header))
-    lines += _csv_rows(rows)
+    lines += body
     for comment in footer_comments:
         lines.append(f"# {comment}")
     _write_text(path, "\n".join(lines) + "\n")
@@ -308,23 +320,30 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=_tolerance(args)
     )
     grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
-    rows = []
+    # One block per grid point: the columns shared by its rows, and the kept
+    # levels with their weights.
+    blocks = []
     for kt in grid.tolist():
         dist = distribution(cfg, kt / cfg.kappa)
-        trace = dist.trace()
-        for n, w in enumerate(dist.weights.tolist()):
-            if w >= args.weight_floor:
-                rows.append((kt, n, w, trace, dist.n_cut, dist.tail_bound))
+        kept = (dist.weights >= args.weight_floor).nonzero()[0]
+        pairs = zip(kept.tolist(), dist.weights[kept].tolist())
+        blocks.append(((kt, dist.trace(), dist.n_cut, dist.tail_bound), pairs))
     manifest = _manifest(args, "evolve", {"weight-floor": _fmt(args.weight_floor)})
-    _write_table(
-        Path(args.out),
-        manifest,
-        ("kt", "n", "weight", "trace", "n_cut", "tail_bound"),
-        rows,
-        footer_comments=(f"rows with weight < {_fmt(args.weight_floor)} omitted",),
-        fmt=args.format,
-        unit_note="kt = kappa*t (dimensionless); weights are probabilities",
-    )
+    header = ("kt", "n", "weight", "trace", "n_cut", "tail_bound")
+    footer = (f"rows with weight < {_fmt(args.weight_floor)} omitted",)
+    unit_note = "kt = kappa*t (dimensionless); weights are probabilities"
+    if args.format == "json":
+        rows = [(kt, n, w, trace, n_cut, tail) for (kt, trace, n_cut, tail), pairs in blocks
+                for n, w in pairs]
+        _write_table(Path(args.out), manifest, header, rows, footer, "json", unit_note)
+    else:
+        # The shared columns are formatted once per block, as _csv_rows would
+        # format them; the result is a %-format string for that block's rows.
+        rows = []
+        for (kt, trace, n_cut, tail), pairs in blocks:
+            shared = f"{_FLOAT_FMT % trace},{n_cut},{_FLOAT_FMT % tail}"
+            rows += map(f"{_FLOAT_FMT % kt},%s,{_FLOAT_FMT},{shared}".__mod__, pairs)
+        _write_csv(Path(args.out), manifest, header, rows, footer, unit_note)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -177,6 +177,20 @@ def test_evolve_trace_column(tmp_path):
         assert abs(value - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("floor", ["0", "1e-16", "1e-3", "2"])
+def test_evolve_csv_rows_are_the_json_rows_formatted_row_by_row(tmp_path, floor):
+    # evolve formats the columns shared by one grid point's rows once; the
+    # lines must equal the generic per-row formatting of the same rows.
+    argv = ["evolve", "--b", "3", "--grid", "log:1e-6:1e3:9", "--weight-floor", floor]
+    assert main([*argv, "--out", str(tmp_path / "e.csv")]) == EXIT_OK
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "e.json")]) == EXIT_OK
+    rows = [tuple(row) for row in json.loads((tmp_path / "e.json").read_text())["rows"]]
+    lines = (tmp_path / "e.csv").read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")][1:]
+    assert body == _csv_rows(rows)
+    assert (len(rows) > 0) == (floor != "2")
+
+
 def test_fidelity_series_with_svg(tmp_path):
     out = tmp_path / "fid.csv"
     svg = tmp_path / "fid.svg"
