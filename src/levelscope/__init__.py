@@ -43,13 +43,14 @@ from .spectra import (
     threshold_scan,
 )
 
-# The open-system names need numpy; their submodules load on first use
-# (PEP 562), so the closed-system half imports in pure Python.
+# The open-system names load their submodule on first use (PEP 562), so the
+# closed-system half imports in pure Python; only open_system and
+# observables need numpy.
 _LAZY = {
-    **dict.fromkeys(("DiffusiveConfig", "FockDistribution", "distribution", "fock_weight"),
-                    "open_system"),
-    **dict.fromkeys(("TimeSeries", "YMeanPoint", "fidelity_overlap", "log_grid", "mean_h0",
-                     "mean_n", "mean_tau", "mean_y_point", "mean_y_series", "survival"),
+    **dict.fromkeys(("DiffusiveConfig", "YMeanPoint", "fock_weight", "mean_h0", "mean_n",
+                     "mean_tau", "mean_y_point", "survival"), "diffusive"),
+    **dict.fromkeys(("FockDistribution", "distribution"), "open_system"),
+    **dict.fromkeys(("TimeSeries", "fidelity_overlap", "log_grid", "mean_y_series"),
                     "observables"),
 }
 

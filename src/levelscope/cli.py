@@ -33,12 +33,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from . import __version__, presets, spectra
 from .numerics import MismatchedConfig, NonConvergent, SeriesTolerance, ZeroEnergy
 
-# numpy and the open-system modules load inside the commands that use them,
-# so that `criterion` and `scan` start without them.
+# The open-system modules load inside the commands that use them, so that
+# `criterion` and `scan` start without them, and numpy loads only where the
+# b-ladder runs (`evolve`, `fidelity`, `figures 1`).
 if TYPE_CHECKING:
-    import numpy as np
-
-    from .open_system import DiffusiveConfig
+    from .diffusive import DiffusiveConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,7 +173,8 @@ def _write_csv(
     footer_comments: Sequence[str] = (),
     unit_note: str | None = None,
 ) -> None:
-    """Write a CSV table whose data rows are already formatted lines."""
+    """Write a CSV table whose data rows are already formatted: each entry of
+    body is one line or several joined by newlines."""
     lines = [f"# {line}" for line in manifest.lines()]
     if unit_note:
         lines.append(f"# units: {unit_note}")
@@ -190,14 +190,18 @@ def _tolerance(args: argparse.Namespace) -> SeriesTolerance:
     return SeriesTolerance(rel_eps=eps) if eps is not None else SeriesTolerance()
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    from . import observables
+def _kt_grid(args: argparse.Namespace) -> list[float]:
+    """The --grid kappa*t values, or the default figure grid."""
+    from .diffusive import log_points
 
+    spec = args.grid
+    if not spec:
+        return log_points()
     try:
         kind, start, stop, points = spec.split(":")
         if kind != "log":
             raise ValueError
-        return observables.log_grid(float(start), float(stop), int(points))
+        return log_points(float(start), float(stop), int(points))
     except ValueError:
         raise SystemExit2(f"grid must look like log:START:STOP:POINTS, got {spec!r}") from None
 
@@ -313,61 +317,80 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise SystemExit2(
             f"--weight-floor must be finite and non-negative, got {args.weight_floor}"
         )
-    from . import observables
     from .open_system import DiffusiveConfig, distribution
 
     cfg = DiffusiveConfig(
         b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=_tolerance(args)
     )
-    grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
-    # One block per grid point: the columns shared by its rows, and the kept
-    # levels with their weights.
+    # One block per grid point: the columns shared by its rows, the kept
+    # levels and their weights.
     blocks = []
-    for kt in grid.tolist():
+    for kt in _kt_grid(args):
         dist = distribution(cfg, kt / cfg.kappa)
         kept = (dist.weights >= args.weight_floor).nonzero()[0]
-        pairs = zip(kept.tolist(), dist.weights[kept].tolist())
-        blocks.append(((kt, dist.trace(), dist.n_cut, dist.tail_bound), pairs))
+        shared = (kt, dist.trace(), dist.n_cut, dist.tail_bound)
+        blocks.append((shared, kept.tolist(), dist.weights[kept].tolist()))
+    count = sum(len(levels) for _, levels, _ in blocks)
     manifest = _manifest(args, "evolve", {"weight-floor": _fmt(args.weight_floor)})
     header = ("kt", "n", "weight", "trace", "n_cut", "tail_bound")
     footer = (f"rows with weight < {_fmt(args.weight_floor)} omitted",)
     unit_note = "kt = kappa*t (dimensionless); weights are probabilities"
     if args.format == "json":
-        rows = [(kt, n, w, trace, n_cut, tail) for (kt, trace, n_cut, tail), pairs in blocks
-                for n, w in pairs]
+        rows = [(kt, n, w, trace, n_cut, tail)
+                for (kt, trace, n_cut, tail), levels, weights in blocks
+                for n, w in zip(levels, weights)]
         _write_table(Path(args.out), manifest, header, rows, footer, "json", unit_note)
     else:
-        # The shared columns are formatted once per block, as _csv_rows would
-        # format them; the result is a %-format string for that block's rows.
-        rows = []
-        for (kt, trace, n_cut, tail), pairs in blocks:
-            shared = f"{_FLOAT_FMT % trace},{n_cut},{_FLOAT_FMT % tail}"
-            rows += map(f"{_FLOAT_FMT % kt},%s,{_FLOAT_FMT},{shared}".__mod__, pairs)
-        _write_csv(Path(args.out), manifest, header, rows, footer, unit_note)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+        # One % formats a block: the shared columns are formatted once, as
+        # _csv_rows would format them, into its rows' format string, which is
+        # repeated per kept level and applied to the levels and weights
+        # interleaved.
+        body = []
+        for (kt, trace, n_cut, tail), levels, weights in blocks:
+            if levels:
+                line = (f"{_FLOAT_FMT % kt},%s,{_FLOAT_FMT},"
+                        f"{_FLOAT_FMT % trace},{n_cut},{_FLOAT_FMT % tail}")
+                values = [None] * (2 * len(levels))
+                values[::2], values[1::2] = levels, weights
+                body.append("\n".join([line] * len(levels)) % tuple(values))
+        _write_csv(Path(args.out), manifest, header, body, footer, unit_note)
+    print(f"wrote {args.out} ({count} rows)")
     return EXIT_OK
 
 
-# Curve values at one (cfg, t): a tuple of data columns whose first entry is
-# the plotted curve.
-def _fidelity(cfg: DiffusiveConfig, t: float) -> tuple[float]:
-    from . import observables
-
-    return (observables.fidelity_overlap(cfg, replace(cfg, b=cfg.b - 1), t),)
+# Curve values at one (cfg, t): each maker imports what its curve needs, once
+# per command, and returns the function of (cfg, t) that gives a tuple of data
+# columns whose first entry is the plotted curve.
+_Value = Callable[["DiffusiveConfig", float], tuple[float, ...]]
 
 
-def _survival(cfg: DiffusiveConfig, t: float) -> tuple[float]:
-    from . import observables
+def _fidelity() -> _Value:
+    from .observables import fidelity_overlap
 
-    return (observables.survival(cfg, t),)
+    def value(cfg: DiffusiveConfig, t: float) -> tuple[float]:
+        return (fidelity_overlap(cfg, replace(cfg, b=cfg.b - 1), t),)
+
+    return value
 
 
-def _ymean(cfg: DiffusiveConfig, t: float) -> tuple[float, float, float]:
-    from . import observables
+def _survival() -> _Value:
+    from .diffusive import survival
 
-    point = observables.mean_y_point(cfg, t)
-    # signed ingredients ride along so the sign of d_tau stays visible
-    return point.y_mean, point.d_energy, point.d_tau
+    def value(cfg: DiffusiveConfig, t: float) -> tuple[float]:
+        return (survival(cfg, t),)
+
+    return value
+
+
+def _ymean() -> _Value:
+    from .diffusive import mean_y_point
+
+    def value(cfg: DiffusiveConfig, t: float) -> tuple[float, float, float]:
+        point = mean_y_point(cfg, t)
+        # signed ingredients ride along so the sign of d_tau stays visible
+        return point.y_mean, point.d_energy, point.d_tau
+
+    return value
 
 
 # Curve values that compare b with b-1, with the message for a b below 1.
@@ -380,45 +403,43 @@ _NEEDS_B1 = {
 def _curves(
     args: argparse.Namespace,
     b_values: Sequence[int],
-    value: Callable[[DiffusiveConfig, float], tuple[float, ...]],
+    curve: Callable[[], _Value],
     omega: float,
     lam: float,
-) -> tuple[np.ndarray, list[list[tuple[float, ...]]]]:
-    """The kappa*t grid and, per initial index b, value along it.
+) -> tuple[list[float], list[list[tuple[float, ...]]]]:
+    """The kappa*t grid and, per initial index b, the curve's values along it.
 
-    A b below 1 for a value that compares b with b-1 exits 2 first. Each
-    plotted curve passes the TimeSeries check (strictly increasing grid,
+    A b below 1 for a curve that compares b with b-1 exits 2 first. Each
+    plotted curve passes diffusive.check_curve (strictly increasing grid,
     finite values) before anything is written.
     """
-    if value in _NEEDS_B1 and any(b < 1 for b in b_values):
-        raise SystemExit2(_NEEDS_B1[value])
-    import numpy as np
+    if curve in _NEEDS_B1 and any(b < 1 for b in b_values):
+        raise SystemExit2(_NEEDS_B1[curve])
+    from .diffusive import DiffusiveConfig, check_curve
 
-    from . import observables
-    from .open_system import DiffusiveConfig
-
-    grid = _parse_grid(args.grid) if args.grid else observables.log_grid()
+    value = curve()
+    grid = _kt_grid(args)
     tol = _tolerance(args)
     curves = []
     for b in b_values:
         cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam, tol=tol)
-        points = [value(cfg, kt / cfg.kappa) for kt in grid.tolist()]
-        observables.TimeSeries(f"b={b}", grid, np.array([p[0] for p in points]))
+        points = [value(cfg, kt / cfg.kappa) for kt in grid]
+        check_curve(grid, [p[0] for p in points])
         curves.append(points)
     return grid, curves
 
 
-def _rows(grid: np.ndarray, curves: list[list[tuple[float, ...]]], width: int) -> list[tuple]:
+def _rows(grid: list[float], curves: list[list[tuple[float, ...]]], width: int) -> list[tuple]:
     """One row per grid point: kt, then the first `width` columns of each curve."""
     return [
         (kt, *(v for points in curves for v in points[i][:width]))
-        for i, kt in enumerate(grid.tolist())
+        for i, kt in enumerate(grid)
     ]
 
 
 def _plot(
     path: Path,
-    grid: np.ndarray,
+    grid: list[float],
     b_values: Sequence[int],
     curves: list[list[tuple[float, ...]]],
     title: str,
@@ -428,7 +449,7 @@ def _plot(
     from .svgplot import line_plot
 
     svg = line_plot(
-        [(f"b={b}", grid.tolist(), [p[0] for p in points]) for b, points in zip(b_values, curves)],
+        [(f"b={b}", grid, [p[0] for p in points]) for b, points in zip(b_values, curves)],
         title=title,
         x_label="kappa t",
         y_label=y_label,

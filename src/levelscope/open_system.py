@@ -1,63 +1,27 @@
 """Diffusive relaxation of an initial Fock state of the quartic oscillator.
 
 The evolved state stays diagonal in the Fock basis; this module computes its
-weights P_b(n, t) one level at a time (fock_weight) or as whole rows of the
-b-ladder recurrence with a certified truncation in n (distribution). The
-level populations depend only on the initial index b and on the dimensionless
-time kappa*t; omega and lam ride along in the configuration because energy
-observables need them.
+weights P_b(n, t) as whole rows of the b-ladder recurrence with a certified
+truncation in n (distribution). The level populations depend only on the
+initial index b and on the dimensionless time kappa*t; omega and lam ride
+along in the configuration because energy observables need them. The
+configuration, the kernels and the single-level weight fock_weight live in
+the numpy-free diffusive module and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, is_integer, log_factorials
+from .diffusive import DiffusiveConfig, _kernels, check_level, check_time, fock_weight
+from .numerics import NonConvergent, SeriesTolerance
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution"]
-
-
-@dataclass(frozen=True)
-class DiffusiveConfig:
-    """Open-system run parameters.
-
-    b: initial Fock index; kappa: diffusion rate; omega, lam: oscillator
-    frequency and nonlinear strength (hbar = 1 units); tol: truncation policy.
-    """
-
-    b: int
-    kappa: float
-    omega: float = 0.0
-    lam: float = 0.0
-    tol: SeriesTolerance = field(default=DEFAULT_TOLERANCE)
-
-    def __post_init__(self) -> None:
-        if not is_integer(self.b) or self.b < 0:
-            raise ValueError(f"b must be a non-negative integer, got {self.b!r}")
-        # Chained comparisons with inf also reject NaN.
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
-        if not 0.0 <= self.omega < math.inf:
-            raise ValueError(f"omega must be finite and non-negative, got {self.omega}")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-
-
-def check_time(t: float) -> None:
-    """Raise ValueError unless t is a finite, non-negative time."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
-
-
-def check_level(n: int) -> None:
-    """Raise ValueError unless n is a non-negative integer level index."""
-    if not is_integer(n) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -92,45 +56,6 @@ class FockDistribution:
             float(n @ self.weights),
             float((n * n) @ self.weights),
         )
-
-
-def _kernels(kt: float) -> tuple[float, float]:
-    """Relaxation kernels (gamma, zeta) = (2kt / (1 + 2kt), 1 / (1 + 2kt)) at
-    kt = kappa*t, so zeta = 1 - gamma; exactly (0, 1) at t = 0.
-
-    These are the paper's kernels at delta = 0, the only case a diagonal
-    Fock mixture needs.
-    """
-    return 2.0 * kt / (1.0 + 2.0 * kt), 1.0 / (1.0 + 2.0 * kt)
-
-
-def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
-    """Population P_b(n, t) of level n, as a finite log-space sum over p.
-
-    Collecting the double-index expansion of the evolved state at the
-    physical level n = p + l leaves, per level, the finite sum
-
-        P_b(n) = sum_{p=0}^{min(b, n)} C(b, p) C(n, p) gamma^(b+n-2p) zeta^(2p+1)
-
-    of positive terms; no truncation is involved for a single level. The
-    ln k! come from the shared numerics.log_factorials table. survival reads
-    this scalar sum; whole distributions come from the b-ladder.
-    """
-    check_level(n)
-    check_time(t)
-    g, z = _kernels(cfg.kappa * t)
-    if g == 0.0:
-        return 1.0 if n == cfg.b else 0.0
-    b = cfg.b
-    lg, lz = math.log(g), math.log(z)
-    lf = log_factorials(max(n, b) + 1)
-    acc = 0.0
-    for p in range(0, min(b, n) + 1):
-        acc += math.exp(
-            lf[b] + lf[n] - 2.0 * lf[p] - lf[n - p] - lf[b - p]
-            + (b + n - 2 * p) * lg + (2 * p + 1) * lz
-        )
-    return acc
 
 
 # Geometric tail bounds for the zeroth, first and second moments past index
@@ -251,6 +176,60 @@ def _first_cut(b: int, g: float, tol: SeriesTolerance) -> int:
     return min(max(n_hat, b + 8), tol.max_terms)
 
 
+def _next_cut(n_hat: int, tol: SeriesTolerance) -> int:
+    """The level cut of the certification round after the one at n_hat."""
+    return min(max(2 * n_hat, n_hat + 64), tol.max_terms + 1)
+
+
+def _first_range(b: int, kt: float, tol: SeriesTolerance) -> int:
+    """Levels for ladder rows at kappa*t = kt: the cut of the first round at
+    which _certify is expected to pass for row b, or max_terms.
+
+    The round's test is run on single-level weights (the same populations
+    by the scalar p-sum, four per round) against the closed-form moments,
+    so a ladder is seldom climbed twice for want of levels. This sizes the
+    rows only: certification still starts at _first_cut, and a row's prefix
+    does not depend on its length, so every n_cut, tail bound and weight is
+    the same whatever this returns.
+    """
+    eps = tol.rel_eps
+    g, z = _kernels(kt)
+    lg, lz = math.log(g), math.log(z)
+    # P_b(n) is fock_weight's p-sum, sum_p exp(c(n) + a(p) - ln (n-p)!), here
+    # with ln k! from lgamma rather than the shared table, which a cut of
+    # many levels would grow for good.
+    lf = [math.lgamma(k + 1.0) for k in range(b + 1)]
+    a = [2 * p * (lz - lg) - 2.0 * lf[p] - lf[b - p] for p in range(b + 1)]
+
+    def weights(top: int) -> list[float]:
+        """P_b(n) for the four levels n = top - 4 .. top - 1, all >= b."""
+        lo = top - 4 - b
+        ln = [math.lgamma(m + 1.0) for m in range(lo, top)]
+        out = []
+        for n in range(top - 4, top):
+            c = lf[b] + ln[n - lo] + (b + n) * lg + lz
+            out.append(sum(math.exp(c + a[p] - ln[n - p - lo]) for p in range(b + 1)))
+        return out
+
+    # The closed-form moments <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u.
+    u = 2.0 * kt
+    m1, m2 = b + u, b * b + 4.0 * b * u + 2.0 * u * u + u
+    n_hat = _first_cut(b, g, tol)
+    while n_hat <= tol.max_terms:
+        if n_hat >= max(b + 4, 8):
+            w0, w1, w2, w3 = weights(n_hat)
+            if w0 > 0.0 and w1 > 0.0 and w2 > 0.0:
+                r = max(w1 / w0, w2 / w1, w3 / w2)
+                if r < tol.tail_ratio_guard:
+                    t0, t1, t2 = _tail_bounds(w3, r, n_hat - 1)
+                    if t0 <= eps and t1 <= eps * max(m1, 1.0) and t2 <= eps * max(m2, 1.0):
+                        return n_hat
+            elif w0 == w1 == w2 == w3 == 0.0:
+                return n_hat
+        n_hat = _next_cut(n_hat, tol)
+    return tol.max_terms
+
+
 # The level indices n and n^2 as read-only floats, on as many levels as the
 # longest row certified so far; replaced whole when a longer row needs them
 # (a racing thread may store a shorter pair, which is regrown on demand).
@@ -309,7 +288,7 @@ def _certify(
             elif w0 == w1 == w2 == w3 == 0.0:
                 # Underflowed to exact zero: nothing measurable remains.
                 return n_hat - 1, 0.0
-        n_hat = min(max(2 * n_hat, n_hat + 64), tol.max_terms + 1)
+        n_hat = _next_cut(n_hat, tol)
 
 
 def _climb(
@@ -339,9 +318,11 @@ def _ladder(b: int, kt: float, tol: SeriesTolerance, lower_ok: bool = False) -> 
     """The cached ladder entry at kappa*t = kt > 0 whose top row is P_b (or,
     with lower_ok, P_{b+1}, so that P_b is its lower row).
 
-    An entry below b is stepped up, one O(N) step per b; anything else
-    restarts from P_0. When certification needs more levels than the rows
-    span, the ladder is recomputed on at least max(needed, 2N) levels.
+    A fresh key starts on the levels row b needs (_first_range). An entry
+    below b is stepped up, one O(N) step per b; anything else restarts from
+    P_0. When certification needs more levels than the rows span, the
+    ladder is recomputed on the levels row 2b would need, and at least the
+    needed ones, leaving room for the rows a sweep up in b asks for next.
     Threads that race on one key each return the entry they computed, and
     the last one stored stays.
     """
@@ -351,11 +332,13 @@ def _ladder(b: int, kt: float, tol: SeriesTolerance, lower_ok: bool = False) -> 
         return entry
     if entry is not None and entry.b < b:
         start, filt, levels = entry, entry.filt, entry.rows[1].shape[0]
-    else:
+    elif entry is None:
         g = _kernels(kt)[0]
-        start, filt = None, _filter(g) if entry is None else entry.filt
-        # A restart keeps the cached range, which already served this kappa*t.
-        levels = max(_first_cut(b, g, tol), 0 if entry is None else entry.rows[1].shape[0])
+        start, filt, levels = None, _filter(g), _first_range(b, kt, tol)
+    else:
+        # A restart keeps the cached range, which already certified a row
+        # above b at this kappa*t, so it spans row b's first cut.
+        start, filt, levels = None, entry.filt, entry.rows[1].shape[0]
     while True:
         levels = -(-levels // filt.size) * filt.size
         try:
@@ -363,7 +346,7 @@ def _ladder(b: int, kt: float, tol: SeriesTolerance, lower_ok: bool = False) -> 
             break
         except _RangeTooShort as short:
             start = None
-            levels = max(short.levels, 2 * levels)
+            levels = max(short.levels, _first_range(2 * b, kt, tol))
     with _ladders_lock:
         _ladders.pop(key, None)
         _ladders[key] = entry

@@ -21,8 +21,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = {
     "figures1": ["figures", "1"],
     "figures2": ["figures", "2"],
+    "figures3": ["figures", "3"],
     "fidelity": ["fidelity", "--b", "1,5,10,15"],
     "evolve": ["evolve", "--b", "15"],
+    "ymean": ["ymean", "--b", "2,5,10,15"],
 }
 
 

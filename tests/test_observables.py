@@ -1,5 +1,6 @@
 """Tests for fidelity, survival, moments and the environment-averaged criterion."""
 
+import json
 import math
 
 import mpmath as mp
@@ -21,6 +22,8 @@ from levelscope.observables import (
     mean_y_series,
     survival,
 )
+from levelscope.cli import main
+from levelscope.diffusive import check_curve, log_points
 from levelscope.numerics import SeriesTolerance
 from levelscope.open_system import DiffusiveConfig, distribution
 from oracles import fidelity_closed_form
@@ -314,3 +317,65 @@ def test_log_grid_defaults():
         log_grid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         log_grid(1e-3, math.inf, 10)
+
+
+def _linspace_exponents(start: float, stop: float, points: int) -> list[float]:
+    return np.linspace(math.log10(start), math.log10(stop), points).tolist()
+
+
+def _jittered_grids(count: int) -> list[tuple[float, float, int]]:
+    # Command-line style grids: both ends jittered by up to 2%, written
+    # with six significant digits.
+    rng = np.random.default_rng(20261018)
+    return [
+        (float(f"{1e-3 * rng.uniform(0.98, 1.02):.6g}"),
+         float(f"{1e2 * rng.uniform(0.98, 1.02):.6g}"), 200)
+        for _ in range(count)
+    ]
+
+
+GRIDS = [(1e-3, 1e2, 200), (1e-3, 1e5, 9), (0.5, 7.0, 3)] + _jittered_grids(8)
+
+
+@pytest.mark.parametrize("start, stop, points", GRIDS)
+def test_log_points_are_libm_powers_of_the_linspace_exponents(start, stop, points):
+    # The exponents are np.linspace's bit for bit and each value is Python's
+    # 10.0 ** y, whatever numpy's own power does on this CPU.
+    grid = log_points(start, stop, points)
+    assert grid == [10.0**y for y in _linspace_exponents(start, stop, points)]
+    assert log_grid(start, stop, points).tolist() == grid
+
+
+@pytest.mark.parametrize("start, stop, points", GRIDS[:1] + GRIDS[3:])
+def test_log_points_are_within_half_an_ulp_of_mpmath(start, stop, points):
+    worst = 0.0
+    with mp.workdps(40):
+        for y, x in zip(_linspace_exponents(start, stop, points), log_points(start, stop, points)):
+            exact = mp.power(10, mp.mpf(y))
+            worst = max(worst, float(abs(mp.mpf(x) - exact)) / math.ulp(x))
+    assert worst <= 0.51
+
+
+def test_command_line_grid_is_the_library_grid(tmp_path):
+    out = tmp_path / "figs"
+    argv = ["figures", "2", "--grid", "log:0.00102:98.7:200", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads((out / "figure2.json").read_text())["rows"]
+    assert [row[0] for row in rows] == log_grid(0.00102, 98.7, 200).tolist()
+
+
+def test_check_curve_is_the_time_series_check():
+    check_curve([0.1, 0.2], [1.0, 2.0])
+    check_curve([], [])
+    for kt, values, match in (
+        ([0.2, 0.1], [1.0, 2.0], "strictly increasing"),
+        ([0.1, 0.1], [1.0, 2.0], "strictly increasing"),
+        ([0.1, math.nan], [1.0, 2.0], "strictly increasing"),
+        ([0.1, 0.2], [1.0, math.inf], "finite"),
+        ([0.1], [1.0, 2.0], "matching shapes"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            check_curve(kt, values)
+        if len(kt) == len(values):
+            with pytest.raises(ValueError, match=match):
+                TimeSeries("bad", np.array(kt), np.array(values))

@@ -339,6 +339,59 @@ def test_distribution_does_not_depend_on_cache_history(b, kt):
     assert _ladder_levels(kt) > first
 
 
+def test_first_range_is_the_round_that_certifies():
+    # The range a fresh ladder starts on is the first certification round
+    # that passes for rows b and b - 1, so the rows are neither climbed
+    # twice nor longer than a round needs.
+    cases, misses = 0, []
+    for kt in np.logspace(-6, 3, 19).tolist():
+        g, z = open_system._kernels(kt)
+        filt = open_system._filter(g)
+        row = _ladder_row(0, kt, 4 * open_system._first_cut(60, g, DEFAULT_TOLERANCE))
+        needed = []
+        for b in range(41):
+            if b:
+                row = open_system._next_row(row, g, z * z, filt)
+            needed.append(open_system._certify(row, b, kt, g, DEFAULT_TOLERANCE)[0] + 1)
+            if b % 4 == 0:
+                cases += 1
+                want = max(needed[-2:])
+                got = open_system._first_range(b, kt, DEFAULT_TOLERANCE)
+                if got != want:
+                    misses.append((b, kt, got, want))
+    assert len(misses) <= cases // 50, misses
+
+
+def test_evolve_grid_climbs_each_ladder_once(monkeypatch):
+    climb, starts = open_system._climb, []
+
+    def counted(start, *args):
+        starts.append(start)
+        return climb(start, *args)
+
+    monkeypatch.setattr(open_system, "_climb", counted)
+    open_system._clear_ladders()
+    grid = np.logspace(-3, 2, 200).tolist()
+    for kt in grid:
+        distribution(cfg_for(15), kt)
+    restarts = sum(start is None for start in starts) - len(grid)
+    assert 0 <= restarts <= 10
+
+
+@pytest.mark.parametrize("b, kt", [(0, 1e-4), (3, 0.05), (15, 0.3), (15, 40.0), (40, 100.0)])
+def test_first_range_sizes_rows_only(monkeypatch, b, kt):
+    def state():
+        open_system._clear_ladders()
+        dists = distribution(cfg_for(b), kt), distribution(cfg_for(max(b - 1, 0)), kt)
+        return [(d.weights.tobytes(), d.n_cut, d.tail_bound) for d in dists]
+
+    sized, first_range = state(), open_system._first_range
+    for levels in (lambda b, kt, tol: open_system._first_cut(b, open_system._kernels(kt)[0], tol),
+                   lambda b, kt, tol: 8 * first_range(b, kt, tol)):
+        monkeypatch.setattr(open_system, "_first_range", levels)
+        assert state() == sized
+
+
 def test_cut_matches_the_geometric_certifier():
     open_system._clear_ladders()
     for b, cuts in CUTS.items():

@@ -55,6 +55,14 @@ def test_import_loads_no_numpy():
     assert _loaded_after("import levelscope, levelscope.cli") == dict.fromkeys(HEAVY, False)
 
 
+def test_import_loads_only_the_closed_system_modules():
+    # The open-system modules, diffusive included, load inside the commands.
+    code = ("import sys, levelscope, levelscope.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('levelscope.')))")
+    assert _fresh(code) == str(["levelscope.cli", "levelscope.numerics", "levelscope.presets",
+                                "levelscope.spectra"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -67,9 +75,39 @@ def test_closed_system_commands_load_no_numpy(tmp_path, argv):
     assert _loaded_after(statement, cwd=tmp_path) == dict.fromkeys(HEAVY, False)
 
 
+GRID = ["--grid", "log:1e-3:1:3"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figures", "2", *GRID, "--out", "figs"],
+        ["figures", "3", *GRID, "--out", "figs"],
+        ["figures", "4", *GRID, "--out", "figs"],
+        ["ymean", *GRID, "--out", "y.out", "--svg", "y.svg"],
+    ],
+    ids=["figures2", "figures3", "figures4", "ymean"],
+)
+def test_scalar_open_system_commands_load_no_numpy(tmp_path, argv, fmt):
+    # Survival and <y(b)> are scalar arithmetic: no b-ladder, no arrays.
+    statement = f"from levelscope.cli import main\nassert main({[*argv, '--format', fmt]!r}) == 0"
+    assert _loaded_after(statement, cwd=tmp_path) == dict.fromkeys(HEAVY, False)
+
+
 def test_open_system_command_loads_numpy(tmp_path):
-    # The check above would pass vacuously if the probe could not see numpy.
-    argv = ["figures", "2", "--grid", "log:1e-3:1:3", "--out", "figs"]
+    # The checks above would pass vacuously if the probe could not see numpy.
+    argv = ["figures", "1", *GRID, "--out", "figs"]
+    statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(statement, cwd=tmp_path)["numpy"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fidelity", *GRID, "--out", "f.csv"], ["evolve", "--b", "3", *GRID, "--out", "e.csv"]],
+    ids=["fidelity", "evolve"],
+)
+def test_ladder_commands_load_numpy(tmp_path, argv):
     statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
     assert _loaded_after(statement, cwd=tmp_path)["numpy"] is True
 
@@ -82,7 +120,7 @@ def test_exported_names_are_the_submodule_objects():
         "print(sorted(set(levelscope.__all__) - set(dir(levelscope))))\n"
         "print([n for n in levelscope.__all__ if n != '__version__' and not any(\n"
         "    getattr(importlib.import_module(f'levelscope.{m}'), n, None) is getattr(levelscope, n)\n"
-        "    for m in ('numerics', 'spectra', 'presets', 'open_system', 'observables'))])"
+        "    for m in ('numerics', 'spectra', 'presets', 'diffusive', 'open_system', 'observables'))])"
     )
     assert _fresh(code).splitlines() == ["[]", "[]"]
 
