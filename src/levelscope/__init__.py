@@ -47,11 +47,10 @@ from .spectra import (
 # closed-system half imports in pure Python; only open_system and
 # observables need numpy.
 _LAZY = {
-    **dict.fromkeys(("DiffusiveConfig", "YMeanPoint", "fock_weight", "mean_h0", "mean_n",
-                     "mean_tau", "mean_y_point", "survival"), "diffusive"),
+    **dict.fromkeys(("DiffusiveConfig", "YMeanPoint", "fidelity_overlap", "fock_weight",
+                     "mean_h0", "mean_n", "mean_tau", "mean_y_point", "survival"), "diffusive"),
     **dict.fromkeys(("FockDistribution", "distribution"), "open_system"),
-    **dict.fromkeys(("TimeSeries", "fidelity_overlap", "log_grid", "mean_y_series"),
-                    "observables"),
+    **dict.fromkeys(("TimeSeries", "log_grid", "mean_y_series"), "observables"),
 }
 
 

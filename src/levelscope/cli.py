@@ -35,7 +35,7 @@ from .numerics import MismatchedConfig, NonConvergent, SeriesTolerance, ZeroEner
 
 # The open-system modules load inside the commands that use them, so that
 # `criterion` and `scan` start without them, and numpy loads only where the
-# b-ladder runs (`evolve`, `fidelity`, `figures 1`).
+# b-ladder runs (`evolve`).
 if TYPE_CHECKING:
     from .diffusive import DiffusiveConfig
 
@@ -365,7 +365,7 @@ _Value = Callable[["DiffusiveConfig", float], tuple[float, ...]]
 
 
 def _fidelity() -> _Value:
-    from .observables import fidelity_overlap
+    from .diffusive import fidelity_overlap
 
     def value(cfg: DiffusiveConfig, t: float) -> tuple[float]:
         return (fidelity_overlap(cfg, replace(cfg, b=cfg.b - 1), t),)
@@ -419,10 +419,9 @@ def _curves(
 
     value = curve()
     grid = _kt_grid(args)
-    tol = _tolerance(args)
     curves = []
     for b in b_values:
-        cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam, tol=tol)
+        cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam)
         points = [value(cfg, kt / cfg.kappa) for kt in grid]
         check_curve(grid, [p[0] for p in points])
         curves.append(points)
@@ -547,7 +546,6 @@ def _add_open_flags(sub: argparse.ArgumentParser, omega_lam: bool = True) -> Non
         sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--grid", default=None, metavar="log:START:STOP:POINTS",
                      help="kappa*t grid (default log:1e-3:1e2:200)")
-    sub.add_argument("--eps", type=float, default=None, help="relative series tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,6 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     evolve = commands.add_parser("evolve", help="Fock populations over time")
     evolve.add_argument("--b", type=int, required=True)
     _add_open_flags(evolve)
+    # The ladder is the one truncated series: other commands take no --eps.
+    evolve.add_argument("--eps", type=float, default=None, help="relative series tolerance")
     evolve.add_argument("--weight-floor", type=float, default=1e-16,
                         help="omit rows with weight below this")
     evolve.add_argument("--out", required=True)

@@ -1,21 +1,29 @@
 """The scalar half of the diffusive open system, in pure Python.
 
 The run configuration, the relaxation kernels, single-level Fock weights
-and the survival P_b(b, t) they give, the closed-form moments <N>, <H0>,
-<tau> and the criterion <y(b)> built on them, and the log-spaced kappa*t
-grid with the check every plotted curve passes. None of it needs an array,
-so the commands that read only these (`figures 2-4`, `ymean`) start
-without numpy; open_system (the b-ladder) and observables (fidelity, array
-series) import numpy and re-export these names.
+and the survival P_b(b, t) they give, the neighbour fidelity F(b, t) as a
+terminating sum, the closed-form moments <N>, <H0>, <tau> and the criterion
+<y(b)> built on them, and the log-spaced kappa*t grid with the check every
+plotted curve passes. None of it needs an array, so every command but
+`evolve` starts without numpy; open_system (the b-ladder) and observables
+(array series) import numpy and re-export these names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
-from .numerics import DEFAULT_TOLERANCE, SeriesTolerance, ZeroEnergy, is_integer, log_factorials
+from .numerics import (
+    DEFAULT_TOLERANCE,
+    MismatchedConfig,
+    SeriesTolerance,
+    ZeroEnergy,
+    is_integer,
+    log_factorials,
+)
 
 __all__ = [
     "DiffusiveConfig",
@@ -23,6 +31,7 @@ __all__ = [
     "check_curve",
     "check_level",
     "check_time",
+    "fidelity_overlap",
     "fock_weight",
     "log_points",
     "mean_h0",
@@ -113,6 +122,82 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
 def survival(cfg: DiffusiveConfig, t: float) -> float:
     """Probability P_b(b, t) of still finding the prepared index b."""
     return fock_weight(cfg, cfg.b, t)
+
+
+def _require_same_bath(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig) -> None:
+    if (cfg_b.kappa, cfg_b.omega, cfg_b.lam, cfg_b.tol) != (
+        cfg_bm1.kappa, cfg_bm1.omega, cfg_bm1.lam, cfg_bm1.tol
+    ):
+        raise MismatchedConfig(
+            "fidelity compares preparations under the same bath and oscillator: "
+            f"(kappa, omega, lam, tol) differ: {cfg_b} vs {cfg_bm1}"
+        )
+    if cfg_bm1.b != cfg_b.b - 1:
+        raise MismatchedConfig(f"expected neighboring indices, got b={cfg_b.b} and {cfg_bm1.b}")
+
+
+# The nested sums of fidelity_overlap are rescaled by e^-_SPAN whenever they
+# pass e^_SPAN; the scale then goes into the exponent of the prefactor, where
+# adding a whole multiple of _SPAN rounds nothing.
+_SPAN = 400.0
+_BIG = math.exp(_SPAN)
+_SHRINK = math.exp(-_SPAN)
+
+
+@lru_cache(maxsize=64)
+def _fidelity_ratios(b: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Successive coefficient ratios of sum_i c_i w^i, c_i = C(b,i) C(b-1,i),
+    innermost first: c_{i+1}/c_i for i = b-2 .. 0, and the same for the
+    reversed coefficients d_j = c_{b-1-j}."""
+    up = tuple((b - i) * (b - 1 - i) / ((i + 1) * (i + 1)) for i in range(b - 2, -1, -1))
+    down = tuple((b - 1 - j) * (b - 1 - j) / ((j + 1) * (j + 2)) for j in range(b - 2, -1, -1))
+    return up, down
+
+
+def _nested(ratios: tuple[float, ...], w: float, log_scale: float) -> tuple[float, float]:
+    """Horner's rule in ratio form, 1 + r_0 w (1 + r_1 w (1 + ...)) with
+    every term positive, as (sum * e^(-k _SPAN), log_scale + k _SPAN) after
+    k rescalings."""
+    acc = one = 1.0
+    for r in ratios:
+        acc = one + r * w * acc
+        if acc > _BIG:
+            acc *= _SHRINK
+            one *= _SHRINK
+            log_scale += _SPAN
+    return acc, log_scale
+
+
+def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float) -> float:
+    """F(b, t) = Tr[rho(t, b) rho(t, b-1)], summed in closed form.
+
+    Both states are diagonal in the Fock basis, so F is the overlap
+    sum_n P_b(n, t) P_{b-1}(n, t). With x = 4 kappa t that sum terminates:
+
+        F = sum_{i=0}^{b-1} C(b,i) C(b-1,i) x^(2b-1-2i) / (1+x)^(2b),
+
+    a sum of positive terms: the constant term of G_b(s) G_{b-1}(1/s) is its
+    one residue inside |s| = 1, at s = gamma, which expands in positive
+    terms (b = 1 gives x / (1+x)^2). It is evaluated as
+    exp(-2b log1p(1/x)) / x times a polynomial in x^-2 for x >= 1, and as
+    b x exp(-2b log1p(x)) times one in x^2 below, so no power exceeds 1 and
+    nothing cancels. The exponent's rounding dominates the error: about
+    2^-53 times 2b log1p(min(x, 1/x)), relative. The test suite checks F
+    against the 50-digit direct overlap sum and audits the paper's expanded
+    triple sum against it. The two configurations must share kappa, omega,
+    lam and tol.
+    """
+    _require_same_bath(cfg_b, cfg_bm1)
+    check_time(t)
+    b, x = cfg_b.b, 4.0 * (cfg_b.kappa * t)
+    if x == 0.0:
+        return 0.0
+    up, down = _fidelity_ratios(b)
+    if x >= 1.0:
+        total, a = _nested(up, 1.0 / (x * x), -2.0 * b * math.log1p(1.0 / x))
+        return math.exp(a) * total / x
+    total, a = _nested(down, x * x, -2.0 * b * math.log1p(x))
+    return math.exp(a) * total * (b * x)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ neighbor fidelity, survival probability, level and energy averages, and the
 environment-averaged resolvability criterion <y(b)>.
 
 All series run over the dimensionless time kappa*t; <y(b)> is reported in
-units of hbar so the measurability threshold sits at 1/2. Fidelity and the
-array forms live here; survival, the closed-form moments and <y(b)> at one
+units of hbar so the measurability threshold sits at 1/2. The array forms
+live here; fidelity, survival, the closed-form moments and <y(b)> at one
 point are scalar arithmetic in the numpy-free diffusive module, re-exported
 here.
 """
@@ -20,6 +20,7 @@ from .diffusive import (
     DiffusiveConfig,
     YMeanPoint,
     check_curve,
+    fidelity_overlap,
     log_points,
     mean_h0,
     mean_n,
@@ -28,7 +29,6 @@ from .diffusive import (
     survival,
 )
 from .numerics import MismatchedConfig, ZeroEnergy
-from .open_system import neighbour_weights
 
 __all__ = [
     "MismatchedConfig",
@@ -67,36 +67,6 @@ def log_grid(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> np.nd
     """Default log-spaced kappa*t grid matching the figure convention: the
     values of diffusive.log_points as an array."""
     return np.array(log_points(start, stop, points))
-
-
-def _require_same_bath(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig) -> None:
-    if (cfg_b.kappa, cfg_b.omega, cfg_b.lam, cfg_b.tol) != (
-        cfg_bm1.kappa, cfg_bm1.omega, cfg_bm1.lam, cfg_bm1.tol
-    ):
-        raise MismatchedConfig(
-            "fidelity compares preparations under the same bath and oscillator, "
-            f"certified alike: (kappa, omega, lam, tol) differ: {cfg_b} vs {cfg_bm1}"
-        )
-    if cfg_bm1.b != cfg_b.b - 1:
-        raise MismatchedConfig(f"expected neighboring indices, got b={cfg_b.b} and {cfg_bm1.b}")
-
-
-def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float) -> float:
-    """F(b, t) = Tr[rho(t, b) rho(t, b-1)] via the diagonal overlap.
-
-    Both states are diagonal in the Fock basis, so the trace is the plain
-    overlap sum_n P_b(n, t) P_{b-1}(n, t). This is the ground-truth form;
-    the test suite audits the paper's expanded triple sum against it.
-    Both weight arrays are the top two rows of one b-ladder cache entry, so
-    a sweep up in b costs one ladder step per point. The sum runs to the
-    smaller of the two certified cuts, and the discarded tail is bounded by
-    the smaller of the two distribution tails, since every weight is at
-    most 1. The two configurations must share kappa, omega, lam and tol.
-    """
-    _require_same_bath(cfg_b, cfg_bm1)
-    lower, upper = neighbour_weights(cfg_b, t)
-    m = min(upper.shape[0], lower.shape[0])
-    return float(upper[:m] @ lower[:m])
 
 
 def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float] | np.ndarray) -> list[YMeanPoint]:

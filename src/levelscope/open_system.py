@@ -2,7 +2,8 @@
 
 The evolved state stays diagonal in the Fock basis; this module computes its
 weights P_b(n, t) as whole rows of the b-ladder recurrence with a certified
-truncation in n (distribution). The level populations depend only on the
+truncation in n (distribution), the one open-system computation that needs
+arrays; only `evolve` runs it. The level populations depend only on the
 initial index b and on the dimensionless time kappa*t; omega and lam ride
 along in the configuration because energy observables need them. The
 configuration, the kernels and the single-level weight fock_weight live in
@@ -12,7 +13,6 @@ the numpy-free diffusive module and are re-exported here.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,8 +89,6 @@ def _tail_bounds(w: float, r: float, L: int) -> tuple[float, float, float]:
 # stays at most _BLOCK_MAX, which bounds the rounding a block's cumsum adds.
 _BLOCK_SPAN = 600.0
 _BLOCK_MAX = 128
-# Distinct (kappa*t, tolerance) keys whose two top ladder rows are kept.
-_LADDER_CACHE_SIZE = 1024
 
 
 class _Filter(NamedTuple):
@@ -101,30 +99,12 @@ class _Filter(NamedTuple):
     down: np.ndarray
 
 
-class _Ladder(NamedTuple):
-    """The top two rows of the ladder at one kappa*t and tolerance.
-
-    rows = (P_{b-1}, P_b) on the same N levels (P_{b-1} is None at b = 0),
-    read-only; certs holds (n_cut, tail_bound) for each. An entry is never
-    changed, only replaced whole, so concurrent readers see a consistent pair.
-    """
-
-    b: int
-    rows: tuple[np.ndarray | None, np.ndarray]
-    certs: tuple[tuple[int, float] | None, tuple[int, float]]
-    filt: _Filter
-
-
 class _RangeTooShort(Exception):
-    """A certification round needs more levels than the ladder rows span."""
+    """A certification round needs more levels than the ladder row spans."""
 
     def __init__(self, levels: int) -> None:
         super().__init__(levels)
         self.levels = levels
-
-
-_ladders: dict[tuple[float, float, int, float], _Ladder] = {}
-_ladders_lock = threading.Lock()
 
 
 def _filter(g: float) -> _Filter:
@@ -182,12 +162,12 @@ def _next_cut(n_hat: int, tol: SeriesTolerance) -> int:
 
 
 def _first_range(b: int, kt: float, tol: SeriesTolerance) -> int:
-    """Levels for ladder rows at kappa*t = kt: the cut of the first round at
-    which _certify is expected to pass for row b, or max_terms.
+    """Levels for ladder row b at kappa*t = kt: the cut of the first round
+    at which _certify is expected to pass for it, or max_terms.
 
     The round's test is run on single-level weights (the same populations
     by the scalar p-sum, four per round) against the closed-form moments,
-    so a ladder is seldom climbed twice for want of levels. This sizes the
+    so a row is seldom climbed twice for want of levels. This sizes the
     rows only: certification still starts at _first_cut, and a row's prefix
     does not depend on its length, so every n_cut, tail bound and weight is
     the same whatever this returns.
@@ -291,80 +271,23 @@ def _certify(
         n_hat = _next_cut(n_hat, tol)
 
 
-def _climb(
-    start: _Ladder | None, b: int, kt: float, levels: int, filt: _Filter, tol: SeriesTolerance
-) -> _Ladder:
-    """Ladder rows b-1 and b, stepped up from start (from P_0 on `levels`
-    levels when start is None) and certified."""
-    g, z = _kernels(kt)
-    if start is None:
-        top, lower, upper = 0, None, _first_row(levels, g, z, filt)
-        cert_lower = cert_upper = None
-    else:
-        top, (lower, upper), (cert_lower, cert_upper) = start.b, start.rows, start.certs
-    zz = z * z
-    while top < b:
-        lower, cert_lower = upper, cert_upper
-        upper, cert_upper = _next_row(upper, g, zz, filt), None
-        top += 1
-    if cert_upper is None:
-        cert_upper = _certify(upper, b, kt, g, tol)
-    if b >= 1 and cert_lower is None:
-        cert_lower = _certify(lower, b - 1, kt, g, tol)
-    return _Ladder(b, (lower, upper), (cert_lower, cert_upper), filt)
+def _row(b: int, kt: float, tol: SeriesTolerance) -> tuple[np.ndarray, int, float]:
+    """Ladder row P_b at kappa*t = kt > 0 with its (n_cut, tail bound).
 
-
-def _ladder(b: int, kt: float, tol: SeriesTolerance, lower_ok: bool = False) -> _Ladder:
-    """The cached ladder entry at kappa*t = kt > 0 whose top row is P_b (or,
-    with lower_ok, P_{b+1}, so that P_b is its lower row).
-
-    A fresh key starts on the levels row b needs (_first_range). An entry
-    below b is stepped up, one O(N) step per b; anything else restarts from
-    P_0. When certification needs more levels than the rows span, the
-    ladder is recomputed on the levels row 2b would need, and at least the
-    needed ones, leaving room for the rows a sweep up in b asks for next.
-    Threads that race on one key each return the entry they computed, and
-    the last one stored stays.
+    The row starts on the levels its first passing certification round
+    needs (_first_range); should that prove short, it is climbed again from
+    P_0 on the levels the failing round asked for.
     """
-    key = (kt, tol.rel_eps, tol.max_terms, tol.tail_ratio_guard)
-    entry = _ladders.get(key)
-    if entry is not None and (entry.b == b or (lower_ok and entry.b == b + 1)):
-        return entry
-    if entry is not None and entry.b < b:
-        start, filt, levels = entry, entry.filt, entry.rows[1].shape[0]
-    elif entry is None:
-        g = _kernels(kt)[0]
-        start, filt, levels = None, _filter(g), _first_range(b, kt, tol)
-    else:
-        # A restart keeps the cached range, which already certified a row
-        # above b at this kappa*t, so it spans row b's first cut.
-        start, filt, levels = None, entry.filt, entry.rows[1].shape[0]
+    g, z = _kernels(kt)
+    filt, zz, levels = _filter(g), z * z, _first_range(b, kt, tol)
     while True:
-        levels = -(-levels // filt.size) * filt.size
+        row = _first_row(-(-levels // filt.size) * filt.size, g, z, filt)
+        for _ in range(b):
+            row = _next_row(row, g, zz, filt)
         try:
-            entry = _climb(start, b, kt, levels, filt, tol)
-            break
+            return (row, *_certify(row, b, kt, g, tol))
         except _RangeTooShort as short:
-            start = None
-            levels = max(short.levels, _first_range(2 * b, kt, tol))
-    with _ladders_lock:
-        _ladders.pop(key, None)
-        _ladders[key] = entry
-        if len(_ladders) > _LADDER_CACHE_SIZE:
-            del _ladders[next(iter(_ladders))]
-    return entry
-
-
-def _clear_ladders() -> None:
-    """Drop every cached ladder entry."""
-    with _ladders_lock:
-        _ladders.clear()
-
-
-def _row_distribution(entry: _Ladder, b: int, t: float) -> FockDistribution:
-    i = b - entry.b + 1
-    n_cut, tail = entry.certs[i]
-    return FockDistribution(t=t, weights=entry.rows[i][: n_cut + 1], n_cut=n_cut, tail_bound=tail)
+            levels = short.levels
 
 
 def _delta(b: int, t: float) -> FockDistribution:
@@ -377,30 +300,16 @@ def _delta(b: int, t: float) -> FockDistribution:
 def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
     """All level populations at time t, truncated with a certified tail.
 
-    The weights are a row of the b-ladder P_b = g P_{b-1} + z^2 S, with one
-    cache entry per kappa*t holding its top two rows: ascending b pays one
-    O(n_cut) step per new b, and a lower b restarts the ladder from P_0. The
-    cut n_cut is grown adaptively until the geometric tail bound drops below
-    cfg.tol.rel_eps (for the trace and for the first two moments, so
-    downstream energy averages inherit the certificate). The returned
-    weights are a read-only view, bitwise independent of the cache history.
+    The weights are row b of the b-ladder P_b = g P_{b-1} + z^2 S, climbed
+    from P_0 in b O(n_cut) steps. The cut n_cut is grown adaptively until
+    the geometric tail bound drops below cfg.tol.rel_eps (for the trace and
+    for the first two moments, so downstream energy averages inherit the
+    certificate). The returned weights are a read-only view; nothing is
+    cached, so they do not depend on earlier calls.
     """
     check_time(t)
     kt = cfg.kappa * t
     if kt == 0.0:
         return _delta(cfg.b, t)
-    return _row_distribution(_ladder(cfg.b, kt, cfg.tol, lower_ok=True), cfg.b, t)
-
-
-def neighbour_weights(cfg: DiffusiveConfig, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The certified weights of b-1 and b (cfg.b >= 1) at time t, both from
-    one ladder entry; each equals distribution(...).weights for its index."""
-    if cfg.b < 1:
-        raise ValueError("neighbour weights need b >= 1")
-    check_time(t)
-    kt = cfg.kappa * t
-    if kt == 0.0:
-        return _delta(cfg.b - 1, t).weights, _delta(cfg.b, t).weights
-    entry = _ladder(cfg.b, kt, cfg.tol)
-    (lower, upper), ((cut_lower, _), (cut_upper, _)) = entry.rows, entry.certs
-    return lower[: cut_lower + 1], upper[: cut_upper + 1]
+    row, n_cut, tail = _row(cfg.b, kt, cfg.tol)
+    return FockDistribution(t=t, weights=row[: n_cut + 1], n_cut=n_cut, tail_bound=tail)

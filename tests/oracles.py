@@ -1,10 +1,12 @@
 """Reference implementations the tests compare levelscope against.
 
-None of this runs in production: the 50-digit direct weight sum, the
+None of this runs in production: the 50-digit direct weight sum, two
+50-digit forms of F(b, t) (the direct overlap sum over levels and the
+terminating sum over i that `fidelity_overlap` evaluates in floats), the
 paper's expanded triple sum for F(b, t) with the certified series summation
-it needs (the A07 audit of `observables.fidelity_overlap`), and the plain
-forms of two hot paths, the level weight with a per-call ln k! list and
-the ladder-row certifier that sums both moments every round.
+it needs (the A07 audit of `fidelity_overlap`), and the plain forms of two
+hot paths, the level weight with a per-call ln k! list and the ladder-row
+certifier that sums both moments every round.
 """
 
 from __future__ import annotations
@@ -47,6 +49,52 @@ def weight_oracle(b: int, n: int, kt) -> float:
             )
             total += coeff * gamma ** (b + l - p) * zeta ** (2 * p + 1)
         return float(total)
+
+
+def fidelity_direct(b: int, kt: float) -> float:
+    """F(b, kt) = sum_n P_b(n) P_{b-1}(n) at 50 digits, straight from the
+    level weights.
+
+    P_b(n) = z g^(b+n) sum_p C(b,p) C(n,p) (z/g)^(2p) with C(n, p) kept
+    exact by Pascal's rule from one n to the next. The sum stops past the
+    peak once a term falls below 1e-55 of the total. The number of levels
+    grows like kappa*t, so this suits kappa*t up to about 10.
+    """
+    with mp.workdps(60):
+        kt = mp.mpf(kt)
+        g = 2 * kt / (1 + 2 * kt)
+        z = 1 / (1 + 2 * kt)
+        rho = (z / g) ** 2
+        upper = [math.comb(b, p) * rho**p for p in range(b + 1)]
+        lower = [math.comb(b - 1, p) * rho**p for p in range(b)]
+        binom = [1] + [0] * b  # C(n, p) for p = 0..b, at n = 0
+        scale, gn = z * z * g ** (2 * b - 1), mp.mpf(1)
+        total, prev, n = mp.mpf(0), mp.mpf(0), 0
+        while True:
+            term = scale * gn * gn * mp.fsum(c * k for c, k in zip(upper, binom)) * mp.fsum(
+                c * k for c, k in zip(lower, binom)
+            )
+            total += term
+            if n > b and term < prev and term < mp.mpf(10) ** -55 * total:
+                return float(total)
+            prev, n, gn = term, n + 1, gn * g
+            for p in range(min(n, b), 0, -1):
+                binom[p] += binom[p - 1]
+
+
+def fidelity_terminating(b: int, kt: float) -> float:
+    """F(b, kt) = sum_{i<b} C(b,i) C(b-1,i) x^(2b-1-2i) / (1+x)^(2b) with
+    x = 4 kappa*t, at 50 digits with exact integer coefficients; fast at any
+    kappa*t and b."""
+    with mp.workdps(60):
+        x = 4 * mp.mpf(kt)
+        y = 1 / (x * x)
+        total, power, c_up, c_low = mp.mpf(0), mp.mpf(1), 1, 1
+        for i in range(b):
+            total += c_up * c_low * power
+            power *= y
+            c_up, c_low = c_up * (b - i) // (i + 1), c_low * (b - 1 - i) // (i + 1)
+        return float(total * x ** (2 * b - 1) / (1 + x) ** (2 * b))
 
 
 @dataclass(frozen=True)

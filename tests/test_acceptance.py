@@ -16,7 +16,6 @@ import pytest
 from levelscope import presets
 from levelscope.observables import fidelity_overlap, log_grid, mean_y_point, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
-from levelscope.open_system import _clear_ladders
 from levelscope.spectra import (
     RESOLVABLE_THRESHOLD,
     Box,
@@ -222,7 +221,6 @@ def test_a04_morse_preset_all_levels_unresolvable():
 
 
 def test_a05_trace_normalization():
-    _clear_ladders()
     started = time.perf_counter()
     worst = 0.0
     grid = log_grid(1e-3, 1e2, 25)
@@ -303,7 +301,6 @@ def test_a08_survival_ordering():
 
 
 def test_a09_discreteness_lifetime_window():
-    _clear_ladders()
     started = time.perf_counter()
     grid = log_grid()  # the full 200-point figure grid
     kts = grid.tolist()

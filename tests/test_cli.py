@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from levelscope.cli import EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, _csv_rows, _fmt, main
+from oracles import fidelity_terminating
 
 
 def read_csv(path):
@@ -266,9 +267,42 @@ def test_ymean_moment_overflow_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
 def test_nonpositive_eps_exits_2(tmp_path, capsys, eps):
-    code = main(["ymean", "--eps", eps, "--grid", "log:1e-3:1:3", "--out", str(tmp_path / "y.csv")])
+    out = tmp_path / "e.csv"
+    code = main(["evolve", "--b", "2", "--eps", eps, "--grid", "log:1e-3:1:3", "--out", str(out)])
     assert code == EXIT_USAGE
     assert "rel_eps must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Fidelity, survival and <y(b)> are closed forms or finite sums: only evolve
+# truncates a series, so only evolve takes --eps.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity", "--out", "f.csv"],
+        ["ymean", "--out", "y.csv"],
+        ["figures", "1", "--out", "figs"],
+        ["figures", "2", "--out", "figs"],
+        ["figures", "3", "--out", "figs"],
+        ["figures", "4", "--out", "figs"],
+    ],
+    ids=["fidelity", "ymean", "figures1", "figures2", "figures3", "figures4"],
+)
+def test_only_evolve_takes_eps(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:-1], str(tmp_path / argv[-1]), "--eps", "1e-8", "--grid", "log:1e-3:1:3"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --eps" in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["fidelity", "--out", "f.csv"], ["figures", "2", "--out", "."]])
+def test_open_system_manifest_keeps_the_default_tolerances(tmp_path, argv):
+    assert main([*argv[:-1], str(tmp_path / argv[-1]), "--grid", "log:1e-3:1:3"]) == EXIT_OK
+    data = next(tmp_path.glob("*.csv"))
+    comments, _, _ = read_csv(data)
+    assert "# tolerances: rel_eps=1e-10 max_terms=1000000 tail_ratio_guard=0.9999" in comments
 
 
 @pytest.mark.parametrize("eps", ["1e-300", "1e-13", "inf"])
@@ -350,6 +384,23 @@ def test_figures_match_the_curve_commands(tmp_path):
     _, header, ymean_rows = read_csv(tmp_path / "y.csv")
     columns = [0] + [header.index(f"y_mean_{name}") for name in figure_header[1:]]
     assert [[row[j] for j in columns] for row in ymean_rows] == figure_rows
+
+
+def test_fidelity_reaches_late_times(tmp_path):
+    # At kappa*t = 1e5 the distributions span millions of levels; F, a
+    # terminating sum, does not need them.
+    grid = ["--grid", "log:1e-3:1e5:5", "--format", "json"]
+    assert main(["fidelity", *grid, "--out", str(tmp_path / "f.json")]) == EXIT_OK
+    assert main(["figures", "1", *grid, "--out", str(tmp_path / "figs")]) == EXIT_OK
+    for path in (tmp_path / "f.json", tmp_path / "figs" / "figure1.json"):
+        table = json.loads(path.read_text())
+        b_values = [int(name.rpartition("b")[2]) for name in table["columns"][1:]]
+        assert b_values == [1, 5, 10, 15]
+        assert [row[0] for row in table["rows"]] == [1e-3, 1e-1, 10.0, 1e3, 1e5]
+        for kt, *values in table["rows"]:
+            for b, value in zip(b_values, values):
+                want = fidelity_terminating(b, kt)
+                assert abs(value - want) <= 3e-14 * want, (path.name, b, kt)
 
 
 def test_figures_ymean_defaults(tmp_path):

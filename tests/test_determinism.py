@@ -2,7 +2,8 @@
 
 Every data file must be a function of the command line alone: two fresh
 processes write the same bytes, and so does an in-process run made after a
-warm-up that filled the weight cache in a different b order.
+warm-up that filled the shared tables (ln k!, the certifier's level arrays,
+the fidelity coefficient ratios) in a different b order.
 """
 
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from levelscope import cli
-from levelscope.observables import log_grid
+from levelscope.observables import fidelity_overlap, log_grid, survival
 from levelscope.open_system import DiffusiveConfig, distribution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,12 +55,13 @@ def test_output_bytes_do_not_depend_on_process_or_cache_history(tmp_path, monkey
     fresh = _files(dirs[0])
     assert fresh and _files(dirs[1]) == fresh
 
-    # The CLI sweeps b upwards from a cold cache; warm it downwards over the
-    # same grid, so that the cached rows start from b = 2.
+    # The CLI sweeps b upwards from cold tables; warm them downwards first.
     for b in (16, 11, 6, 2):
-        cfg = DiffusiveConfig(b=b, kappa=1.0)
-        for kt in log_grid().tolist():
+        cfg, lower = DiffusiveConfig(b=b, kappa=1.0), DiffusiveConfig(b=b - 1, kappa=1.0)
+        for kt in log_grid(1e-3, 1e2, 9).tolist():
             distribution(cfg, kt)
+            fidelity_overlap(cfg, lower, kt)
+            survival(cfg, kt)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     assert cli.main(_argv(name, fmt, dirs[2])) == cli.EXIT_OK
     assert _files(dirs[2]) == fresh

@@ -26,7 +26,7 @@ from levelscope.cli import main
 from levelscope.diffusive import check_curve, log_points
 from levelscope.numerics import SeriesTolerance
 from levelscope.open_system import DiffusiveConfig, distribution
-from oracles import fidelity_closed_form
+from oracles import fidelity_closed_form, fidelity_direct, fidelity_terminating
 
 
 def cfg_for(b: int, omega: float = 0.0, lam: float = 0.0) -> DiffusiveConfig:
@@ -93,7 +93,7 @@ def test_fidelity_requires_matching_bath():
     not_neighbor = DiffusiveConfig(b=0, kappa=1.0, omega=1.0, lam=1.0)
     with pytest.raises(MismatchedConfig):
         fidelity_overlap(upper, not_neighbor, 0.1)
-    # Both rows come from one ladder entry, certified under one tolerance.
+    # The configurations must agree in everything but b, tolerance included.
     looser = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))
     with pytest.raises(MismatchedConfig, match="tol"):
         fidelity_overlap(upper, looser, 0.1)
@@ -102,6 +102,41 @@ def test_fidelity_requires_matching_bath():
 def test_fidelity_closed_form_stays_in_bounds():
     value = fidelity_closed_form(cfg_for(3), 1.0)
     assert 0.0 <= value <= 1.0
+
+
+# kappa*t = 1/4 puts x = 4 kappa*t at 1, where fidelity_overlap changes branch.
+EDGE = [math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.25, 1.0)]
+
+
+def _rel_err(b: int, kt: float, want: float) -> float:
+    got = fidelity_overlap(*pair_for(b), kt)
+    assert math.isfinite(got)
+    return abs(got - want) / want
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 15, 40, 100])
+def test_fidelity_matches_the_direct_overlap_sum(b):
+    # The direct sum needs about 100 kappa*t levels more than b; b = 100
+    # stops at kappa*t = 2 to keep it quick.
+    kts = [1e-3, 0.03, *EDGE, 0.3, 2.0] + ([10.0] if b < 100 else [])
+    worst = max(_rel_err(b, kt, fidelity_direct(b, kt)) for kt in kts)
+    assert worst <= 3e-14
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 15, 40, 100])
+def test_fidelity_matches_the_terminating_sum(b):
+    kts = log_points(1e-3, 1e5, 33) + EDGE + [1e-300, 1e300]
+    worst = max(_rel_err(b, kt, fidelity_terminating(b, kt)) for kt in kts)
+    assert worst <= 3e-14
+
+
+@pytest.mark.parametrize("b", [1000, 5000])
+def test_fidelity_at_large_b(b):
+    # The coefficients C(b,i) C(b-1,i) and the sum they make pass 1e308
+    # here; the rounding of the exponent 2b log1p(1) sets the error.
+    assert fidelity_overlap(*pair_for(b), 0.0) == 0.0
+    for kt in [1e-3, 0.1, *EDGE, 0.3, 10.0, 1e3, 1e5]:
+        assert _rel_err(b, kt, fidelity_terminating(b, kt)) <= 1e-12, kt
 
 
 # ---------------------------------------------------------------------------

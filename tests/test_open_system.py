@@ -305,57 +305,36 @@ def test_weight_block_split_matches_single_call(b, kt, split):
     assert np.all(np.isfinite(long)) and np.all(long >= 0.0)
 
 
-def _ladder_levels(kt: float) -> int:
-    key = (kt, DEFAULT_TOLERANCE.rel_eps, DEFAULT_TOLERANCE.max_terms,
-           DEFAULT_TOLERANCE.tail_ratio_guard)
-    return open_system._ladders[key].rows[1].shape[0]
-
-
 @pytest.mark.parametrize("b, kt", [(5, 0.01), (15, 0.3), (40, 100.0)])
 def test_distribution_does_not_depend_on_cache_history(b, kt):
-    def states():
-        # b - 1 is the lower row of b's cache entry.
+    # No ladder row is kept between calls; the level arrays the certifier
+    # shares grow with the longest row, and must not change a later one.
+    def state():
         dists = distribution(cfg_for(b), kt), distribution(cfg_for(b - 1), kt)
         return [(d.weights.tobytes(), d.n_cut, d.tail_bound) for d in dists]
 
-    def after(warm_up):
-        open_system._clear_ladders()
-        for other in warm_up:
+    cold = state()
+    for order in (range(b), [b // 3], range(b + 12, b, -1), [0, 120]):
+        for other in order:
             distribution(cfg_for(other), kt)
-        return states()
-
-    cold = after([])
-    assert after(range(b)) == cold  # one step up per b
-    assert after([b // 3]) == cold  # several steps up at once
-    assert after(range(b + 12, b, -1)) == cold  # restarts from P_0
-    # b = 120 outgrows the range that b = 0 started on, and b then restarts
-    # on the grown range.
-    open_system._clear_ladders()
-    distribution(cfg_for(0), kt)
-    first = _ladder_levels(kt)
-    distribution(cfg_for(120), kt)
-    assert _ladder_levels(kt) > first
-    assert states() == cold
-    assert _ladder_levels(kt) > first
+        assert state() == cold
 
 
 def test_first_range_is_the_round_that_certifies():
-    # The range a fresh ladder starts on is the first certification round
-    # that passes for rows b and b - 1, so the rows are neither climbed
-    # twice nor longer than a round needs.
+    # The range a ladder row starts on is the first certification round
+    # that passes for it, so the row is neither climbed twice nor longer
+    # than a round needs.
     cases, misses = 0, []
     for kt in np.logspace(-6, 3, 19).tolist():
         g, z = open_system._kernels(kt)
         filt = open_system._filter(g)
         row = _ladder_row(0, kt, 4 * open_system._first_cut(60, g, DEFAULT_TOLERANCE))
-        needed = []
         for b in range(41):
             if b:
                 row = open_system._next_row(row, g, z * z, filt)
-            needed.append(open_system._certify(row, b, kt, g, DEFAULT_TOLERANCE)[0] + 1)
             if b % 4 == 0:
                 cases += 1
-                want = max(needed[-2:])
+                want = open_system._certify(row, b, kt, g, DEFAULT_TOLERANCE)[0] + 1
                 got = open_system._first_range(b, kt, DEFAULT_TOLERANCE)
                 if got != want:
                     misses.append((b, kt, got, want))
@@ -363,25 +342,23 @@ def test_first_range_is_the_round_that_certifies():
 
 
 def test_evolve_grid_climbs_each_ladder_once(monkeypatch):
-    climb, starts = open_system._climb, []
+    first_row, climbs = open_system._first_row, []
 
-    def counted(start, *args):
-        starts.append(start)
-        return climb(start, *args)
+    def counted(*args):
+        climbs.append(args)
+        return first_row(*args)
 
-    monkeypatch.setattr(open_system, "_climb", counted)
-    open_system._clear_ladders()
+    monkeypatch.setattr(open_system, "_first_row", counted)
     grid = np.logspace(-3, 2, 200).tolist()
     for kt in grid:
         distribution(cfg_for(15), kt)
-    restarts = sum(start is None for start in starts) - len(grid)
+    restarts = len(climbs) - len(grid)
     assert 0 <= restarts <= 10
 
 
 @pytest.mark.parametrize("b, kt", [(0, 1e-4), (3, 0.05), (15, 0.3), (15, 40.0), (40, 100.0)])
 def test_first_range_sizes_rows_only(monkeypatch, b, kt):
     def state():
-        open_system._clear_ladders()
         dists = distribution(cfg_for(b), kt), distribution(cfg_for(max(b - 1, 0)), kt)
         return [(d.weights.tobytes(), d.n_cut, d.tail_bound) for d in dists]
 
@@ -393,7 +370,6 @@ def test_first_range_sizes_rows_only(monkeypatch, b, kt):
 
 
 def test_cut_matches_the_geometric_certifier():
-    open_system._clear_ladders()
     for b, cuts in CUTS.items():
         assert [distribution(cfg_for(b), kt).n_cut for kt in CUT_KTS] == cuts, b
 
@@ -443,9 +419,7 @@ def test_concurrent_sweeps_match_serial_ones():
             for _ in range(3) for b in order for kt in kts
         ]
 
-    open_system._clear_ladders()
     serial = [sweep(order) for order in orders]
-    open_system._clear_ladders()
     results = [None, None]
     start = threading.Barrier(2, timeout=60)
 

@@ -10,7 +10,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 import levelscope
-from levelscope import numerics, observables
+from levelscope import diffusive, numerics, observables
 from levelscope.cli import EXIT_USAGE, main
 from levelscope.svgplot import _escape, line_plot
 
@@ -82,30 +82,31 @@ GRID = ["--grid", "log:1e-3:1:3"]
 @pytest.mark.parametrize(
     "argv",
     [
+        ["figures", "1", *GRID, "--out", "figs"],
         ["figures", "2", *GRID, "--out", "figs"],
         ["figures", "3", *GRID, "--out", "figs"],
         ["figures", "4", *GRID, "--out", "figs"],
+        ["fidelity", *GRID, "--out", "f.out", "--svg", "f.svg"],
         ["ymean", *GRID, "--out", "y.out", "--svg", "y.svg"],
     ],
-    ids=["figures2", "figures3", "figures4", "ymean"],
+    ids=["figures1", "figures2", "figures3", "figures4", "fidelity", "ymean"],
 )
 def test_scalar_open_system_commands_load_no_numpy(tmp_path, argv, fmt):
-    # Survival and <y(b)> are scalar arithmetic: no b-ladder, no arrays.
+    # Fidelity, survival and <y(b)> are scalar arithmetic: no b-ladder, no
+    # arrays.
     statement = f"from levelscope.cli import main\nassert main({[*argv, '--format', fmt]!r}) == 0"
     assert _loaded_after(statement, cwd=tmp_path) == dict.fromkeys(HEAVY, False)
 
 
 def test_open_system_command_loads_numpy(tmp_path):
     # The checks above would pass vacuously if the probe could not see numpy.
-    argv = ["figures", "1", *GRID, "--out", "figs"]
+    argv = ["evolve", "--b", "3", *GRID, "--out", "e.json", "--format", "json"]
     statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
     assert _loaded_after(statement, cwd=tmp_path)["numpy"] is True
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["fidelity", *GRID, "--out", "f.csv"], ["evolve", "--b", "3", *GRID, "--out", "e.csv"]],
-    ids=["fidelity", "evolve"],
+    "argv", [["evolve", "--b", "3", *GRID, "--out", "e.csv"]], ids=["evolve"]
 )
 def test_ladder_commands_load_numpy(tmp_path, argv):
     statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
@@ -129,7 +130,7 @@ def test_lazy_names_are_bound_once():
     for name in ("DiffusiveConfig", "fidelity_overlap", "log_grid", "TimeSeries"):
         value = getattr(levelscope, name)
         assert vars(levelscope)[name] is value
-    assert levelscope.fidelity_overlap is observables.fidelity_overlap
+    assert levelscope.fidelity_overlap is observables.fidelity_overlap is diffusive.fidelity_overlap
 
 
 def test_star_import_binds_every_name():
