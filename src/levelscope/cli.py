@@ -64,8 +64,7 @@ class RunManifest:
             f"levelscope {self.command} v{self.tool_version}",
             f"generated: {self.timestamp}",
             f"parameters: {params}",
-            f"tolerances: rel_eps={tol.rel_eps:g} max_terms={tol.max_terms} "
-            f"tail_ratio_guard={tol.tail_ratio_guard:g}",
+            f"tolerances: rel_eps={tol.rel_eps:g} max_terms={tol.max_terms}",
         ]
 
     def as_dict(self) -> dict:
@@ -76,7 +75,6 @@ class RunManifest:
             "tolerances": {
                 "rel_eps": self.tolerances.rel_eps,
                 "max_terms": self.tolerances.max_terms,
-                "tail_ratio_guard": self.tolerances.tail_ratio_guard,
             },
             "timestamp": self.timestamp,
         }

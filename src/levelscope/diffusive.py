@@ -125,12 +125,10 @@ def survival(cfg: DiffusiveConfig, t: float) -> float:
 
 
 def _require_same_bath(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig) -> None:
-    if (cfg_b.kappa, cfg_b.omega, cfg_b.lam, cfg_b.tol) != (
-        cfg_bm1.kappa, cfg_bm1.omega, cfg_bm1.lam, cfg_bm1.tol
-    ):
+    if (cfg_b.kappa, cfg_b.omega, cfg_b.lam) != (cfg_bm1.kappa, cfg_bm1.omega, cfg_bm1.lam):
         raise MismatchedConfig(
             "fidelity compares preparations under the same bath and oscillator: "
-            f"(kappa, omega, lam, tol) differ: {cfg_b} vs {cfg_bm1}"
+            f"(kappa, omega, lam) differ: {cfg_b} vs {cfg_bm1}"
         )
     if cfg_bm1.b != cfg_b.b - 1:
         raise MismatchedConfig(f"expected neighboring indices, got b={cfg_b.b} and {cfg_bm1.b}")

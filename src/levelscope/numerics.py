@@ -44,9 +44,9 @@ class ZeroEnergy(ArithmeticError):
     period estimate 2 pi <N> / <H0> is undefined."""
 
 
-# Smallest rel_eps a certificate may claim. Against 50-digit mpmath at the
-# exact double kappa*t, the certified weights of the 134,673 rows of
-# `evolve --b 15` (kappa*t up to 100) carry at most 2.7e-13 relative error,
+# Smallest rel_eps a tail bound may claim. Against 50-digit mpmath at the
+# exact double kappa*t, the weights of the 133,175 rows of `evolve --b 15`
+# (kappa*t up to 100) carry at most 2.7e-13 relative error,
 # nearly all of it the rounding of the kernel gamma = 2kt/(1+2kt) raised to
 # powers n of several thousand; the b-ladder itself adds under 2e-15. A tail
 # certified below that error would certify nothing, so the floor sits about
@@ -56,18 +56,16 @@ MIN_REL_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SeriesTolerance:
-    """Stopping policy for adaptive summation.
+    """Truncation policy of the level populations.
 
-    rel_eps: relative tolerance on the certified tail versus the partial sum,
-        in [MIN_REL_EPS, 1).
-    max_terms: hard cap on the number of terms consumed.
-    tail_ratio_guard: a geometric tail bound is only trusted once the observed
-        term ratio falls below this value (must be in (0, 1)).
+    rel_eps: bound on the proven tail beyond the cut, relative to the full
+        sum (the trace, and each of the first two moments), in
+        [MIN_REL_EPS, 1).
+    max_terms: hard cap on the number of levels kept.
     """
 
     rel_eps: float = 1e-10
     max_terms: int = 1_000_000
-    tail_ratio_guard: float = 0.9999
 
     def __post_init__(self) -> None:
         if not self.rel_eps > 0.0:
@@ -79,8 +77,6 @@ class SeriesTolerance:
             )
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        if not 0.0 < self.tail_ratio_guard < 1.0:
-            raise ValueError("tail_ratio_guard must lie strictly in (0, 1)")
 
 
 DEFAULT_TOLERANCE = SeriesTolerance()

@@ -1,13 +1,15 @@
 """Diffusive relaxation of an initial Fock state of the quartic oscillator.
 
 The evolved state stays diagonal in the Fock basis; this module computes its
-weights P_b(n, t) as whole rows of the b-ladder recurrence with a certified
-truncation in n (distribution), the one open-system computation that needs
-arrays; only `evolve` runs it. The level populations depend only on the
-initial index b and on the dimensionless time kappa*t; omega and lam ride
-along in the configuration because energy observables need them. The
-configuration, the kernels and the single-level weight fock_weight live in
-the numpy-free diffusive module and are re-exported here.
+weights P_b(n, t) as whole rows of the b-ladder recurrence (distribution),
+the one open-system computation that needs arrays; only `evolve` runs it.
+The truncation in n is a saddle-point bound on the generating function,
+computed before any weight, so each row is climbed once on the levels it
+keeps. The level populations depend only on the initial index b and on the
+dimensionless time kappa*t; omega and lam ride along in the configuration
+because energy observables need them. The configuration, the kernels and
+the single-level weight fock_weight live in the numpy-free diffusive module
+and are re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class FockDistribution:
     """Diagonal weights of the evolved state at one time.
 
     weights[n] holds P_b(n, t) for n = 0 .. n_cut, as a read-only array;
-    tail_bound is a certified upper bound on the probability beyond n_cut.
+    tail_bound is a proven upper bound on the probability beyond n_cut.
     The weights plus the tail account for the full unit trace to within the
     configured tolerance.
     """
@@ -56,18 +58,6 @@ class FockDistribution:
             float(n @ self.weights),
             float((n * n) @ self.weights),
         )
-
-
-# Geometric tail bounds for the zeroth, first and second moments past index
-# L, given the last weight w and a ratio r valid for every later step:
-#   sum_{j>=1} w r^j            = w r/(1-r)
-#   sum_{j>=1} (L+j) w r^j      = w (L r/(1-r) + r/(1-r)^2)
-#   sum_{j>=1} (L+j)^2 w r^j    = w (L^2 r/(1-r) + 2 L r/(1-r)^2 + r(1+r)/(1-r)^3)
-def _tail_bounds(w: float, r: float, L: int) -> tuple[float, float, float]:
-    q = r / (1.0 - r)
-    q2 = q / (1.0 - r)
-    q3 = (1.0 + r) * q2 / (1.0 - r)
-    return w * q, w * (L * q + q2), w * (L * L * q + 2.0 * L * q2 + q3)
 
 
 # The b-ladder. The generating function G_b(s) = z (g + (z-g)s)^b / (1-gs)^(b+1)
@@ -97,14 +87,6 @@ class _Filter(NamedTuple):
     size: int
     up: np.ndarray
     down: np.ndarray
-
-
-class _RangeTooShort(Exception):
-    """A certification round needs more levels than the ladder row spans."""
-
-    def __init__(self, levels: int) -> None:
-        super().__init__(levels)
-        self.levels = levels
 
 
 def _filter(g: float) -> _Filter:
@@ -146,148 +128,110 @@ def _next_row(prev: np.ndarray, g: float, zz: float, filt: _Filter) -> np.ndarra
     return row
 
 
-def _first_cut(b: int, g: float, tol: SeriesTolerance) -> int:
-    """Leading-order guess for the cut: the far tail decays like g^n, so aim
-    for g^n ~ rel_eps and pad for the polynomial prefactor in n."""
-    if g < 1.0:
-        n_hat = b + 32 + int(math.ceil(-math.log(tol.rel_eps) / -math.log(g)))
+# The cut. G_b has positive coefficients P_b(n), so for every s in (1, 1/g)
+# each tail is at most its full sum weighted by s^(n - L - 1) or s^(n - L)
+# (Chernoff, Ann. Math. Statist. 23, 1952; Flajolet & Sedgewick, Analytic
+# Combinatorics, 2009, ch. VIII):
+#
+#     sum_{n>L} P(n)     <= G(s) / s^(L+1),
+#     sum_{n>L} n P(n)   <= G'(s) / s^L,
+#     sum_{n>L} n^2 P(n) <= (G'(s) + s G''(s)) / s^L.
+#
+# With A = z - g, phi = ln G = ln z + b ln(g + A s) - (b+1) ln(1 - g s),
+# q = g / (1 - g s) and r = z^2 / ((g + A s)(1 - g s)), the derivative of
+# ln((g + A s) / (1 - g s)), both positive on (1, 1/g):
+#
+#     G' = G phi',  phi' = b r + q,
+#     G'' = G (phi'' + phi'^2),  phi'' + phi'^2 = b (b-1) r^2 + 4 b r q + 2 q^2,
+#
+# sums of positive terms; the bounds are evaluated in logs. s is the saddle
+# of the trace bound, s phi'(s) = M = L + 1: the root in (1, 1/g) of
+#
+#     A g (1+M) s^2 + (b A + (b+1) g^2 - M (A - g^2)) s - M g = 0,
+#
+# which exists once M exceeds the mean b + 2kt. Any s in (1, 1/g) proves
+# the bounds, so the root is taken in the form that does not cancel, and is
+# capped at 1e300, below 1/g whenever the cap applies (g < 1e-300).
+def _bounds(b: int, g: float, z: float, L: int) -> tuple[float, float, float] | None:
+    """The trace, first- and second-moment tail bounds past level L at the
+    trace bound's saddle point, or None when there is none."""
+    a, m = z - g, L + 1
+    quad, lin, const = a * g * (1 + m), b * a + (b + 1) * g * g - m * (a - g * g), m * g
+    root = math.sqrt(max(lin * lin + 4.0 * quad * const, 0.0))
+    if lin > 0.0:
+        s = 2.0 * const / (lin + root)
+    elif quad > 0.0:
+        s = min((root - lin) / (2.0 * quad), 1e300)
     else:
-        n_hat = tol.max_terms
-    return min(max(n_hat, b + 8), tol.max_terms)
+        return None
+    w, v = 1.0 - g * s, g + a * s
+    if not (s > 1.0 and w > 0.0 and v > 0.0):
+        return None
+    q, r = g / w, z * z / (v * w)
+    d1 = b * r + q
+    # s (phi'' + phi'^2), with s taken into one factor of each product: r
+    # falls like 1/s, and r^2 underflows for kappa*t below about 1e-154.
+    sr, sq = s * r, s * q
+    d2 = b * (b - 1) * sr * r + 4.0 * b * sr * q + 2.0 * sq * q
+    ln_s = math.log(s)
+    head = math.log(z) + b * math.log(v) - (b + 1) * math.log(w) - L * ln_s
+    return (
+        math.exp(head - ln_s),
+        math.exp(head + math.log(d1)),
+        math.exp(head + math.log(d1 + d2)),
+    )
 
 
-def _next_cut(n_hat: int, tol: SeriesTolerance) -> int:
-    """The level cut of the certification round after the one at n_hat."""
-    return min(max(2 * n_hat, n_hat + 64), tol.max_terms + 1)
+def _cut(b: int, kt: float, tol: SeriesTolerance) -> tuple[int, float]:
+    """(n_cut, trace tail bound) of row P_b at kappa*t = kt, before any weight.
 
-
-def _first_range(b: int, kt: float, tol: SeriesTolerance) -> int:
-    """Levels for ladder row b at kappa*t = kt: the cut of the first round
-    at which _certify is expected to pass for it, or max_terms.
-
-    The round's test is run on single-level weights (the same populations
-    by the scalar p-sum, four per round) against the closed-form moments,
-    so a row is seldom climbed twice for want of levels. This sizes the
-    rows only: certification still starts at _first_cut, and a row's prefix
-    does not depend on its length, so every n_cut, tail bound and weight is
-    the same whatever this returns.
+    n_cut is the smallest L >= b found at which the trace bound is at most
+    rel_eps and each moment bound at most rel_eps * max(m, 1), with m the
+    closed-form moment b + u or b^2 + 4bu + 2u^2 + u (u = 2kt): by doubling,
+    then by bisection that keeps the passing end, so every cut returned is
+    proven. The row then spans n_cut + 1 <= max_terms levels.
     """
-    eps = tol.rel_eps
     g, z = _kernels(kt)
-    lg, lz = math.log(g), math.log(z)
-    # P_b(n) is fock_weight's p-sum, sum_p exp(c(n) + a(p) - ln (n-p)!), here
-    # with ln k! from lgamma rather than the shared table, which a cut of
-    # many levels would grow for good.
-    lf = [math.lgamma(k + 1.0) for k in range(b + 1)]
-    a = [2 * p * (lz - lg) - 2.0 * lf[p] - lf[b - p] for p in range(b + 1)]
+    u, eps = 2.0 * kt, tol.rel_eps
+    targets = (
+        eps,
+        eps * max(b + u, 1.0),
+        eps * max(b * b + 4.0 * b * u + 2.0 * u * u + u, 1.0),
+    )
 
-    def weights(top: int) -> list[float]:
-        """P_b(n) for the four levels n = top - 4 .. top - 1, all >= b."""
-        lo = top - 4 - b
-        ln = [math.lgamma(m + 1.0) for m in range(lo, top)]
-        out = []
-        for n in range(top - 4, top):
-            c = lf[b] + ln[n - lo] + (b + n) * lg + lz
-            out.append(sum(math.exp(c + a[p] - ln[n - p - lo]) for p in range(b + 1)))
-        return out
+    def tail(L: int) -> float | None:
+        bounds = _bounds(b, g, z, L)
+        if bounds is None or any(x > t for x, t in zip(bounds, targets)):
+            return None
+        return bounds[0]
 
-    # The closed-form moments <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u.
-    u = 2.0 * kt
-    m1, m2 = b + u, b * b + 4.0 * b * u + 2.0 * u * u + u
-    n_hat = _first_cut(b, g, tol)
-    while n_hat <= tol.max_terms:
-        if n_hat >= max(b + 4, 8):
-            w0, w1, w2, w3 = weights(n_hat)
-            if w0 > 0.0 and w1 > 0.0 and w2 > 0.0:
-                r = max(w1 / w0, w2 / w1, w3 / w2)
-                if r < tol.tail_ratio_guard:
-                    t0, t1, t2 = _tail_bounds(w3, r, n_hat - 1)
-                    if t0 <= eps and t1 <= eps * max(m1, 1.0) and t2 <= eps * max(m2, 1.0):
-                        return n_hat
-            elif w0 == w1 == w2 == w3 == 0.0:
-                return n_hat
-        n_hat = _next_cut(n_hat, tol)
-    return tol.max_terms
-
-
-# The level indices n and n^2 as read-only floats, on as many levels as the
-# longest row certified so far; replaced whole when a longer row needs them
-# (a racing thread may store a shorter pair, which is regrown on demand).
-_level_powers: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
-
-
-def _powers(levels: int) -> tuple[np.ndarray, np.ndarray]:
-    global _level_powers
-    powers = _level_powers
-    if powers[0].shape[0] < levels:
-        n = np.arange(levels, dtype=float)
-        powers = n, n * n
-        for array in powers:
-            array.setflags(write=False)
-        _level_powers = powers
-    return powers
-
-
-def _certify(
-    row: np.ndarray, b: int, kt: float, g: float, tol: SeriesTolerance
-) -> tuple[int, float]:
-    """(n_cut, trace tail bound) of ladder row P_b: the prefix is grown until
-    the trace carries a tail bound t0 <= rel_eps and each of the first two
-    moments m a tail bound t <= rel_eps * max(m, 1).
-
-    That last test reads t <= rel_eps or t <= rel_eps * m, so a moment is
-    summed only in a round whose t0 passes and whose t exceeds rel_eps.
-
-    Raises _RangeTooShort when a round needs more levels than the row has.
-    """
-    eps = tol.rel_eps
-    n_hat = _first_cut(b, g, tol)
-    while True:
-        if n_hat > tol.max_terms:
+    cap = tol.max_terms - 1
+    lo, hi = b - 1, b  # lo is below every cut
+    while hi > cap or (bound := tail(hi)) is None:
+        if hi >= cap:
             raise NonConvergent(
                 f"level cut for b={b}, kappa*t={kt} exceeded max_terms={tol.max_terms}"
             )
-        if n_hat > row.shape[0]:
-            raise _RangeTooShort(n_hat)
-        # Certify with the worst of the last few observed ratios; past the
-        # bulk these decrease toward g, so the bound is conservative there.
-        if n_hat >= max(b + 4, 8):
-            w0, w1, w2, w3 = row[n_hat - 4 : n_hat].tolist()
-            if w0 > 0.0 and w1 > 0.0 and w2 > 0.0:
-                r = max(w1 / w0, w2 / w1, w3 / w2)
-                if r < tol.tail_ratio_guard:
-                    L = n_hat - 1
-                    t0, t1, t2 = _tail_bounds(w3, r, L)
-                    if t0 <= eps:
-                        n, nn = _powers(row.shape[0])
-                        weights = row[:n_hat]
-                        if (t1 <= eps or t1 <= eps * float(n[:n_hat] @ weights)) and (
-                            t2 <= eps or t2 <= eps * float(nn[:n_hat] @ weights)
-                        ):
-                            return L, t0
-            elif w0 == w1 == w2 == w3 == 0.0:
-                # Underflowed to exact zero: nothing measurable remains.
-                return n_hat - 1, 0.0
-        n_hat = _next_cut(n_hat, tol)
+        lo, hi = hi, min(hi + 2 * (hi - lo), cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (found := tail(mid)) is None:
+            lo = mid
+        else:
+            hi, bound = mid, found
+    return hi, bound
 
 
 def _row(b: int, kt: float, tol: SeriesTolerance) -> tuple[np.ndarray, int, float]:
-    """Ladder row P_b at kappa*t = kt > 0 with its (n_cut, tail bound).
-
-    The row starts on the levels its first passing certification round
-    needs (_first_range); should that prove short, it is climbed again from
-    P_0 on the levels the failing round asked for.
-    """
+    """Ladder row P_b at kappa*t = kt > 0 with its (n_cut, tail bound), climbed
+    once on the n_cut + 1 levels the cut needs, rounded up to whole blocks."""
+    n_cut, tail = _cut(b, kt, tol)
     g, z = _kernels(kt)
-    filt, zz, levels = _filter(g), z * z, _first_range(b, kt, tol)
-    while True:
-        row = _first_row(-(-levels // filt.size) * filt.size, g, z, filt)
-        for _ in range(b):
-            row = _next_row(row, g, zz, filt)
-        try:
-            return (row, *_certify(row, b, kt, g, tol))
-        except _RangeTooShort as short:
-            levels = short.levels
+    filt, zz = _filter(g), z * z
+    row = _first_row(-(-(n_cut + 1) // filt.size) * filt.size, g, z, filt)
+    for _ in range(b):
+        row = _next_row(row, g, zz, filt)
+    return row, n_cut, tail
 
 
 def _delta(b: int, t: float) -> FockDistribution:
@@ -298,14 +242,17 @@ def _delta(b: int, t: float) -> FockDistribution:
 
 
 def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
-    """All level populations at time t, truncated with a certified tail.
+    """All level populations at time t, truncated with a proven tail.
 
-    The weights are row b of the b-ladder P_b = g P_{b-1} + z^2 S, climbed
-    from P_0 in b O(n_cut) steps. The cut n_cut is grown adaptively until
-    the geometric tail bound drops below cfg.tol.rel_eps (for the trace and
-    for the first two moments, so downstream energy averages inherit the
-    certificate). The returned weights are a read-only view; nothing is
-    cached, so they do not depend on earlier calls.
+    The cut n_cut comes first, from saddle-point bounds on the generating
+    function: the trace beyond it is at most tail_bound <= cfg.tol.rel_eps,
+    and each of the first two moments beyond it at most rel_eps times the
+    moment (or rel_eps, below 1), so downstream energy averages inherit the
+    bound. Raises NonConvergent, before any weight is computed, when no cut
+    within cfg.tol.max_terms levels passes. The weights are row b of the
+    b-ladder P_b = g P_{b-1} + z^2 S, climbed from P_0 in b O(n_cut) steps.
+    They are a read-only view; nothing is shared between calls, so they do
+    not depend on earlier ones.
     """
     check_time(t)
     kt = cfg.kappa * t

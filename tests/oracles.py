@@ -4,9 +4,9 @@ None of this runs in production: the 50-digit direct weight sum, two
 50-digit forms of F(b, t) (the direct overlap sum over levels and the
 terminating sum over i that `fidelity_overlap` evaluates in floats), the
 paper's expanded triple sum for F(b, t) with the certified series summation
-it needs (the A07 audit of `fidelity_overlap`), and the plain forms of two
-hot paths, the level weight with a per-call ln k! list and the ladder-row
-certifier that sums both moments every round.
+it needs (the A07 audit of `fidelity_overlap`), the 50-digit tails of the
+trace and the first two moments beyond a level cut in closed form, and the
+plain form of one hot path, the level weight with a per-call ln k! list.
 """
 
 from __future__ import annotations
@@ -16,15 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import mpmath as mp
-import numpy as np
 
 from levelscope import open_system
-from levelscope.numerics import (
-    DEFAULT_TOLERANCE,
-    NonConvergent,
-    SeriesTolerance,
-    log_factorial,
-)
+from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
 from levelscope.open_system import DiffusiveConfig, check_time
 
 
@@ -106,11 +100,13 @@ class SeriesSum:
     tail_bound: float
 
 
-def sum_adaptive(terms: Iterable[float], tol: SeriesTolerance = DEFAULT_TOLERANCE) -> SeriesSum:
+def sum_adaptive(
+    terms: Iterable[float], tol: SeriesTolerance = DEFAULT_TOLERANCE, ratio_guard: float = 0.9999
+) -> SeriesSum:
     """Sum an eventually-geometric series with a certified tail bound.
 
     The caller guarantees that successive term magnitudes eventually decay
-    with ratio below tol.tail_ratio_guard. Once the observed ratio r does,
+    with ratio below ratio_guard. Once the observed ratio r does,
     the remaining tail is bounded by |term| * r / (1 - r); summation stops
     when that bound drops below rel_eps times the partial sum.
 
@@ -134,7 +130,7 @@ def sum_adaptive(terms: Iterable[float], tol: SeriesTolerance = DEFAULT_TOLERANC
                 ratio = mag / prev_mag
             else:
                 ratio = 0.0 if mag == 0.0 else math.inf
-            if ratio < tol.tail_ratio_guard:
+            if ratio < ratio_guard:
                 tail = mag * ratio / (1.0 - ratio)
                 if tail <= tol.rel_eps * abs(total):
                     return SeriesSum(value=total, terms_used=count, tail_bound=tail)
@@ -202,36 +198,41 @@ def fock_weight_reference(cfg: DiffusiveConfig, n: int, t: float) -> float:
     return acc
 
 
-def certify_reference(
-    row: np.ndarray, b: int, kt: float, g: float, tol: SeriesTolerance
-) -> tuple[int, float]:
-    """open_system._certify as every round once ran it: both moments summed
-    over a fresh level range, then all three tail bounds tested together."""
-    n_hat = open_system._first_cut(b, g, tol)
-    while True:
-        if n_hat > tol.max_terms:
-            raise NonConvergent(
-                f"level cut for b={b}, kappa*t={kt} exceeded max_terms={tol.max_terms}"
+def tail_moments(b: int, kt: float, L: int) -> tuple[float, float, float]:
+    """sum_{n>L} n^k P_b(n) for k = 0, 1, 2 at 50 digits, in closed form (L >= b).
+
+    G_b(s) = sum_p w_p s^p (z / (1 - g s))^(p+1) with w_p = C(b,p) z^p g^(b-p),
+    so the level is N = p + Y: p successes in b trials of chance z, then Y
+    failures (chance g each) before success p + 1. Y > L - p means at most p
+    successes in the first L + 1 trials, chance Q(p) with
+    Q(J) = sum_{j<=J} C(L+1, j) z^j g^(L+1-j); the size-biased forms
+    y P_r(y) = r rho P_{r+1}(y-1) and y (y-1) P_r(y) = r (r+1) rho^2 P_{r+2}(y-2)
+    of the negative binomial (r = p + 1 successes, rho = g/z = 2 kappa*t) give
+    the moments through Q(p + 1) and Q(p + 2):
+
+        sum_p w_p Q(p),
+        sum_p w_p (p Q(p) + (p+1) rho Q(p+1)),
+        sum_p w_p (p^2 Q(p) + (2p+1)(p+1) rho Q(p+1) + (p+1)(p+2) rho^2 Q(p+2)),
+
+    each a finite sum of positive terms.
+    """
+    with mp.workdps(50):
+        kt = mp.mpf(kt)
+        g, z, rho = 2 * kt / (1 + 2 * kt), 1 / (1 + 2 * kt), 2 * kt
+        m = L + 1
+        q, term, acc = [], g**m, mp.mpf(0)
+        for j in range(b + 3):
+            acc += term
+            q.append(acc)
+            term = term * (m - j) / (j + 1) * z / g
+        t0 = t1 = t2 = mp.mpf(0)
+        for p in range(b + 1):
+            w = math.comb(b, p) * z**p * g ** (b - p)
+            t0 += w * q[p]
+            t1 += w * (p * q[p] + (p + 1) * rho * q[p + 1])
+            t2 += w * (
+                p * p * q[p]
+                + (2 * p + 1) * (p + 1) * rho * q[p + 1]
+                + (p + 1) * (p + 2) * rho**2 * q[p + 2]
             )
-        if n_hat > row.shape[0]:
-            raise open_system._RangeTooShort(n_hat)
-        if n_hat >= max(b + 4, 8):
-            w0, w1, w2, w3 = row[n_hat - 4 : n_hat].tolist()
-            if w0 > 0.0 and w1 > 0.0 and w2 > 0.0:
-                r = max(w1 / w0, w2 / w1, w3 / w2)
-                if r < tol.tail_ratio_guard:
-                    L = n_hat - 1
-                    t0, t1, t2 = open_system._tail_bounds(w3, r, L)
-                    weights = row[:n_hat]
-                    n_arr = np.arange(n_hat, dtype=float)
-                    m1 = float(n_arr @ weights)
-                    m2 = float((n_arr * n_arr) @ weights)
-                    if (
-                        t0 <= tol.rel_eps
-                        and t1 <= tol.rel_eps * max(m1, 1.0)
-                        and t2 <= tol.rel_eps * max(m2, 1.0)
-                    ):
-                        return L, t0
-            elif w0 == w1 == w2 == w3 == 0.0:
-                return n_hat - 1, 0.0
-        n_hat = min(max(2 * n_hat, n_hat + 64), tol.max_terms + 1)
+        return float(t0), float(t1), float(t2)

@@ -94,7 +94,7 @@ def test_scan_manifest_keeps_the_default_tolerances(tmp_path):
     out = tmp_path / "box.csv"
     assert main(["scan", "--model", "box", "--n-max", "6", "--out", str(out)]) == EXIT_OK
     comments, _, _ = read_csv(out)
-    assert "# tolerances: rel_eps=1e-10 max_terms=1000000 tail_ratio_guard=0.9999" in comments
+    assert "# tolerances: rel_eps=1e-10 max_terms=1000000" in comments
 
 
 def test_scan_box_footer(tmp_path, capsys):
@@ -302,7 +302,7 @@ def test_open_system_manifest_keeps_the_default_tolerances(tmp_path, argv):
     assert main([*argv[:-1], str(tmp_path / argv[-1]), "--grid", "log:1e-3:1:3"]) == EXIT_OK
     data = next(tmp_path.glob("*.csv"))
     comments, _, _ = read_csv(data)
-    assert "# tolerances: rel_eps=1e-10 max_terms=1000000 tail_ratio_guard=0.9999" in comments
+    assert "# tolerances: rel_eps=1e-10 max_terms=1000000" in comments
 
 
 @pytest.mark.parametrize("eps", ["1e-300", "1e-13", "inf"])
@@ -488,6 +488,21 @@ def test_unwritable_output_exits_4(tmp_path):
     target = tmp_path / "missing_dir" / "out.csv"
     code = main(["scan", "--model", "box", "--n-max", "5", "--out", str(target)])
     assert code == EXIT_IO
+
+
+def test_evolve_reaches_kappa_t_1e4(tmp_path, capsys):
+    # The proven cut at kappa*t = 1e4 keeps under 7e5 levels, within
+    # max_terms; its tail bound meets rel_eps.
+    out = tmp_path / "e.csv"
+    code = main(["evolve", "--b", "2", "--grid", "log:1e3:1e4:2", "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    with out.open() as lines:
+        shared = {tuple(line.split(",")[3:]) for line in lines if line[0].isdigit()}
+    assert len(shared) == 2
+    for trace, n_cut, tail in shared:
+        assert abs(float(trace) - 1.0) <= 1e-10 and float(tail) <= 1e-10
+        assert int(n_cut) < 1_000_000
 
 
 def test_nonconvergent_exits_3(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 Every data file must be a function of the command line alone: two fresh
 processes write the same bytes, and so does an in-process run made after a
-warm-up that filled the shared tables (ln k!, the certifier's level arrays,
-the fidelity coefficient ratios) in a different b order.
+warm-up that filled the shared tables (ln k!, the fidelity coefficient
+ratios) in a different b order.
 """
 
 import os

@@ -93,10 +93,14 @@ def test_fidelity_requires_matching_bath():
     not_neighbor = DiffusiveConfig(b=0, kappa=1.0, omega=1.0, lam=1.0)
     with pytest.raises(MismatchedConfig):
         fidelity_overlap(upper, not_neighbor, 0.1)
-    # The configurations must agree in everything but b, tolerance included.
+    for field in ("omega", "lam"):
+        other = DiffusiveConfig(**{"b": 1, "kappa": 1.0, "omega": 1.0, "lam": 1.0, field: 2.0})
+        with pytest.raises(MismatchedConfig):
+            fidelity_overlap(upper, other, 0.1)
+    # F reads no tolerance, so configurations that differ only in tol agree.
     looser = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))
-    with pytest.raises(MismatchedConfig, match="tol"):
-        fidelity_overlap(upper, looser, 0.1)
+    same = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0)
+    assert fidelity_overlap(upper, looser, 0.1).hex() == fidelity_overlap(upper, same, 0.1).hex()
 
 
 def test_fidelity_closed_form_stays_in_bounds():

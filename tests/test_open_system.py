@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelscope import open_system
-from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance
+from levelscope.numerics import NonConvergent, SeriesTolerance
 from levelscope.observables import fidelity_overlap, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
-from oracles import certify_reference, fock_weight_reference, weight_oracle
+from oracles import fock_weight_reference, tail_moments, weight_oracle
 
 
 def cfg_for(b: int, **kw) -> DiffusiveConfig:
@@ -268,19 +268,6 @@ def test_distribution_weights_for_large_b(b, kt):
         assert abs(weights[n] - want) <= 1e-10 * want, (n, weights[n], want)
 
 
-# The grid of test_cut_matches_the_geometric_certifier: kappa*t = 1e-3 .. 1e2,
-# two points per decade, and the n_cut the block-kernel version of
-# levelscope certified there (its weights came from a different algorithm).
-CUT_KTS = np.logspace(-3, 2, 11).tolist()
-CUTS = {
-    0: [35, 36, 37, 40, 44, 56, 88, 377, 1007, 2999, 9297],
-    1: [36, 37, 38, 41, 45, 57, 89, 379, 1009, 3001, 9299],
-    5: [40, 41, 42, 45, 49, 61, 93, 387, 1017, 3009, 9307],
-    15: [50, 51, 52, 55, 59, 71, 207, 407, 1037, 3029, 9327],
-    40: [75, 76, 77, 80, 84, 193, 257, 457, 1087, 3079, 9377],
-}
-
-
 def _ladder_row(b: int, kt: float, levels: int) -> np.ndarray:
     g, z = open_system._kernels(kt)
     filt = open_system._filter(g)
@@ -307,8 +294,8 @@ def test_weight_block_split_matches_single_call(b, kt, split):
 
 @pytest.mark.parametrize("b, kt", [(5, 0.01), (15, 0.3), (40, 100.0)])
 def test_distribution_does_not_depend_on_cache_history(b, kt):
-    # No ladder row is kept between calls; the level arrays the certifier
-    # shares grow with the longest row, and must not change a later one.
+    # Nothing is kept between calls, so earlier calls in four orders, b = 120
+    # among them, must not change a later one.
     def state():
         dists = distribution(cfg_for(b), kt), distribution(cfg_for(b - 1), kt)
         return [(d.weights.tobytes(), d.n_cut, d.tail_bound) for d in dists]
@@ -320,93 +307,101 @@ def test_distribution_does_not_depend_on_cache_history(b, kt):
         assert state() == cold
 
 
-def test_first_range_is_the_round_that_certifies():
-    # The range a ladder row starts on is the first certification round
-    # that passes for it, so the row is neither climbed twice nor longer
-    # than a round needs.
-    cases, misses = 0, []
-    for kt in np.logspace(-6, 3, 19).tolist():
-        g, z = open_system._kernels(kt)
-        filt = open_system._filter(g)
-        row = _ladder_row(0, kt, 4 * open_system._first_cut(60, g, DEFAULT_TOLERANCE))
-        for b in range(41):
-            if b:
-                row = open_system._next_row(row, g, z * z, filt)
-            if b % 4 == 0:
-                cases += 1
-                want = open_system._certify(row, b, kt, g, DEFAULT_TOLERANCE)[0] + 1
-                got = open_system._first_range(b, kt, DEFAULT_TOLERANCE)
-                if got != want:
-                    misses.append((b, kt, got, want))
-    assert len(misses) <= cases // 50, misses
+@pytest.mark.parametrize("b", [0, 3, 15, 100])
+@pytest.mark.parametrize("kt", [1e-6, 0.05, 0.49, 0.5, 0.51, 7.5, 100.0])
+def test_weights_are_the_prefix_of_a_longer_row(b, kt):
+    # The cut sets how many levels a row is climbed on, never a weight: each
+    # kept weight is bitwise that of the same row on four times the levels.
+    dist = distribution(cfg_for(b), kt)
+    assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, cfg_for(b).tol)
+    longer = _ladder_row(b, kt, 4 * (dist.n_cut + 1))
+    assert dist.weights.tobytes() == longer[: dist.n_cut + 1].tobytes()
 
 
 def test_evolve_grid_climbs_each_ladder_once(monkeypatch):
+    # One climb per grid point, on the n_cut + 1 levels of its cut rounded
+    # up to whole filter blocks.
     first_row, climbs = open_system._first_row, []
 
-    def counted(*args):
-        climbs.append(args)
-        return first_row(*args)
+    def counted(levels, g, z, filt):
+        climbs.append((levels, filt.size))
+        return first_row(levels, g, z, filt)
 
     monkeypatch.setattr(open_system, "_first_row", counted)
     grid = np.logspace(-3, 2, 200).tolist()
-    for kt in grid:
-        distribution(cfg_for(15), kt)
-    restarts = len(climbs) - len(grid)
-    assert 0 <= restarts <= 10
+    cuts = [distribution(cfg_for(15), kt).n_cut for kt in grid]
+    assert len(climbs) == len(grid)
+    for n_cut, (levels, size) in zip(cuts, climbs):
+        assert levels % size == 0 and levels - size < n_cut + 1 <= levels
 
 
-@pytest.mark.parametrize("b, kt", [(0, 1e-4), (3, 0.05), (15, 0.3), (15, 40.0), (40, 100.0)])
-def test_first_range_sizes_rows_only(monkeypatch, b, kt):
-    def state():
-        dists = distribution(cfg_for(b), kt), distribution(cfg_for(max(b - 1, 0)), kt)
-        return [(d.weights.tobytes(), d.n_cut, d.tail_bound) for d in dists]
-
-    sized, first_range = state(), open_system._first_range
-    for levels in (lambda b, kt, tol: open_system._first_cut(b, open_system._kernels(kt)[0], tol),
-                   lambda b, kt, tol: 8 * first_range(b, kt, tol)):
-        monkeypatch.setattr(open_system, "_first_range", levels)
-        assert state() == sized
+def test_distribution_fails_fast_past_max_terms(monkeypatch):
+    # At kappa*t = 1e5 the proven cut passes max_terms: NonConvergent comes
+    # from the cut, before any ladder row is started.
+    climbs = []
+    monkeypatch.setattr(open_system, "_first_row", lambda *args: climbs.append(args))
+    for b in (0, 15):
+        with pytest.raises(NonConvergent, match="exceeded max_terms=1000000"):
+            distribution(cfg_for(b), 1e5)
+    assert climbs == []
 
 
-def test_cut_matches_the_geometric_certifier():
+# kappa*t = 1e-3 .. 1e2, two points per decade, and the proven n_cut there at
+# the default tolerance.
+CUT_KTS = np.logspace(-3, 2, 11).tolist()
+CUTS = {
+    0: [4, 5, 7, 11, 18, 36, 85, 236, 710, 2209, 6949],
+    1: [6, 7, 9, 12, 20, 38, 89, 244, 724, 2230, 6976],
+    5: [10, 11, 13, 18, 26, 47, 103, 268, 764, 2290, 7060],
+    15: [20, 22, 25, 30, 41, 67, 132, 311, 831, 2394, 7214],
+    40: [46, 49, 53, 60, 75, 109, 187, 389, 947, 2575, 7493],
+}
+
+
+def test_cut_is_the_proven_saddle_point_cut():
     for b, cuts in CUTS.items():
         assert [distribution(cfg_for(b), kt).n_cut for kt in CUT_KTS] == cuts, b
 
 
-def _certificate(certify, row, b, kt, g, tol):
-    try:
-        return certify(row, b, kt, g, tol)
-    except NonConvergent as exc:
-        return "NonConvergent", str(exc)
-    except open_system._RangeTooShort as exc:
-        return "range too short", exc.levels
+# kappa*t = 1e-6 .. 1e3, two points per decade, plus both sides of
+# kappa*t = 1/4 and of 1/2, where A = zeta - gamma changes sign.
+PROOF_KTS = sorted([*np.logspace(-6, 3, 19).tolist(), 0.24, 0.25, 0.26, 0.49, 0.51])
 
 
-def test_lazy_certifier_matches_the_eager_reference():
-    # Every ladder row b = 0..60 from kappa*t = 1e-6 to 1e3, under each
-    # tolerance: the same (n_cut, tail_bound), the same NonConvergent, or
-    # the same range request. max_terms = 2000 makes the large kappa*t rows
-    # hit the term cap.
-    tols = [
-        SeriesTolerance(rel_eps=eps, tail_ratio_guard=guard, max_terms=cap)
-        for eps in (1e-12, 1e-10, 1e-6)
-        for guard in (0.5, 0.9999)
-        for cap in (1_000_000, 2_000)
-    ]
-    kinds = set()
-    for kt in np.logspace(-6, 3, 19).tolist():
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-6])
+@pytest.mark.parametrize("b", [0, 1, 2, 5, 15, 40, 100])
+def test_cut_bounds_the_exact_tails(b, eps):
+    # The tails of sum P, sum n P and sum n^2 P beyond n_cut, exact at 50
+    # digits, are at most the saddle-point bounds; the trace bound is the
+    # reported tail_bound and at most rel_eps, each moment bound at most
+    # rel_eps * max(m, 1), and one level less fails a bound.
+    tol = SeriesTolerance(rel_eps=eps)
+    for kt in PROOF_KTS:
         g, z = open_system._kernels(kt)
-        filt = open_system._filter(g)
-        row = _ladder_row(0, kt, 4 * open_system._first_cut(60, g, tols[0]))
-        for b in range(61):
-            if b:
-                row = open_system._next_row(row, g, z * z, filt)
-            for tol in tols:
-                got = _certificate(open_system._certify, row, b, kt, g, tol)
-                assert got == _certificate(certify_reference, row, b, kt, g, tol), (b, kt, tol)
-                kinds.add(got[0] if isinstance(got[0], str) else "certified")
-    assert kinds == {"certified", "NonConvergent", "range too short"}
+        n_cut, tail = open_system._cut(b, kt, tol)
+        bounds = open_system._bounds(b, g, z, n_cut)
+        exact = tail_moments(b, kt, n_cut)
+        assert all(e <= bound for e, bound in zip(exact, bounds)), (kt, exact, bounds)
+        u = 2.0 * kt
+        m1, m2 = b + u, b * b + 4.0 * b * u + 2.0 * u * u + u
+        targets = (eps, eps * max(m1, 1.0), eps * max(m2, 1.0))
+        assert tail == bounds[0] and all(bound <= t for bound, t in zip(bounds, targets))
+        assert n_cut >= b
+        if n_cut > b:
+            shorter = open_system._bounds(b, g, z, n_cut - 1)
+            assert shorter is None or any(bound > t for bound, t in zip(shorter, targets)), kt
+
+
+@pytest.mark.parametrize("kt", [5e-324, 1e-320, 1e-300])
+@pytest.mark.parametrize("b", [0, 15, 100])
+def test_cut_at_vanishing_kappa_t(b, kt):
+    # gamma is subnormal or nearly so: the saddle point passes 1e300 and is
+    # capped there, and level b alone is kept.
+    dist = distribution(cfg_for(b), kt)
+    assert dist.n_cut == b and 0.0 < dist.tail_bound <= 1e-290
+    assert dist.weight(b) == 1.0 and dist.trace() == 1.0
+    bounds = open_system._bounds(b, *open_system._kernels(kt), b)
+    assert all(e <= bound for e, bound in zip(tail_moments(b, kt, b), bounds))
 
 
 def test_concurrent_sweeps_match_serial_ones():
