@@ -18,35 +18,17 @@ from .numerics import (
     ZeroEnergy,
     log_factorial,
 )
-from .presets import builtin_preset_names, load_model
-from .spectra import (
-    Box,
-    CriterionPoint,
-    DegeneratePeriod,
-    Harmonic,
-    Hydrogenoid,
-    IndexOutOfSpectrum,
-    ModelParams,
-    Morse,
-    NotNormalized,
-    Quartic,
-    ScanResult,
-    SuperpositionSpec,
-    criterion_point,
-    energy,
-    harmonic_dpdq,
-    max_index,
-    min_index,
-    period,
-    quartic_limits,
-    superposition_delta_e,
-    threshold_scan,
-)
 
-# The open-system names load their submodule on first use (PEP 562), so the
-# closed-system half imports in pure Python; only open_system and
-# observables need numpy.
+# Every other name loads its submodule on first use (PEP 562), so that
+# `import levelscope` loads only numerics: the closed-system half (spectra,
+# presets) is pure Python, and only open_system and observables need numpy.
 _LAZY = {
+    **dict.fromkeys(("Box", "CriterionPoint", "DegeneratePeriod", "Harmonic", "Hydrogenoid",
+                     "IndexOutOfSpectrum", "ModelParams", "Morse", "NotNormalized", "Quartic",
+                     "ScanResult", "SuperpositionSpec", "criterion_point", "energy",
+                     "harmonic_dpdq", "max_index", "min_index", "period", "quartic_limits",
+                     "superposition_delta_e", "threshold_scan"), "spectra"),
+    **dict.fromkeys(("builtin_preset_names", "load_model"), "presets"),
     **dict.fromkeys(("DiffusiveConfig", "YMeanPoint", "fidelity_overlap", "fock_weight",
                      "mean_h0", "mean_n", "mean_tau", "mean_y_point", "survival"), "diffusive"),
     **dict.fromkeys(("FockDistribution", "distribution"), "open_system"),

@@ -21,23 +21,24 @@ Exit codes: 0 success, 2 bad arguments or out-of-domain request,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from . import __version__, presets, spectra
-from .numerics import MismatchedConfig, NonConvergent, SeriesTolerance, ZeroEnergy
+from . import __version__
+from .numerics import NonConvergent, SeriesTolerance, ZeroEnergy
 
-# The open-system modules load inside the commands that use them, so that
-# `criterion` and `scan` start without them, and numpy loads only where the
-# b-ladder runs (`evolve`).
+# Each half loads inside the commands that use it: the closed-system modules
+# (spectra, presets) in `criterion` and `scan`, the open-system ones in the
+# rest, so numpy loads only where the b-ladder runs (`evolve`). json loads
+# only where --format json is written.
 if TYPE_CHECKING:
     from .diffusive import DiffusiveConfig
+    from .spectra import ModelParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,6 +131,23 @@ def _csv_rows(rows: Sequence[Sequence[object]]) -> list[str]:
     return [line % tuple(row) for row in rows]
 
 
+def _csv_blocks(blocks: Iterable[tuple[tuple, list[int], list[float]]]) -> Iterator[str]:
+    """The rows of each (shared columns, levels, weights) block as CSV lines
+    joined by newlines, formatted as _csv_rows would format them.
+
+    One % formats a block: the shared columns are formatted once into its
+    rows' format string, which is repeated per level and applied to the
+    levels and weights interleaved. A block with no levels yields nothing.
+    """
+    for (kt, trace, n_cut, tail), levels, weights in blocks:
+        if levels:
+            line = (f"{_FLOAT_FMT % kt},%s,{_FLOAT_FMT},"
+                    f"{_FLOAT_FMT % trace},{n_cut},{_FLOAT_FMT % tail}")
+            values = [None] * (2 * len(levels))
+            values[::2], values[1::2] = levels, weights
+            yield "\n".join([line] * len(levels)) % tuple(values)
+
+
 class WriteFailure(OSError):
     """Output file could not be written (maps to exit code 4)."""
 
@@ -151,6 +169,8 @@ def _write_table(
     unit_note: str | None = None,
 ) -> None:
     if fmt == "json":
+        import json
+
         payload = {
             "manifest": manifest.as_dict(),
             "units": unit_note,
@@ -160,27 +180,34 @@ def _write_table(
         }
         _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
-    _write_csv(path, manifest, header, _csv_rows(rows), footer_comments, unit_note)
+    # One entry, so the rows go out in one write.
+    body = ["\n".join(_csv_rows(rows))] if rows else []
+    _write_csv(path, manifest, header, body, footer_comments, unit_note)
 
 
 def _write_csv(
     path: Path,
     manifest: RunManifest,
     header: Sequence[str],
-    body: Sequence[str],
+    body: Iterable[str],
     footer_comments: Sequence[str] = (),
     unit_note: str | None = None,
 ) -> None:
     """Write a CSV table whose data rows are already formatted: each entry of
-    body is one line or several joined by newlines."""
-    lines = [f"# {line}" for line in manifest.lines()]
+    body is one line or several joined by newlines. Entries are written as
+    body yields them, so a generator streams the table."""
+    head = [f"# {line}" for line in manifest.lines()]
     if unit_note:
-        lines.append(f"# units: {unit_note}")
-    lines.append(",".join(header))
-    lines += body
-    for comment in footer_comments:
-        lines.append(f"# {comment}")
-    _write_text(path, "\n".join(lines) + "\n")
+        head.append(f"# units: {unit_note}")
+    head.append(",".join(header))
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write("\n".join(head) + "\n")
+            for entry in body:
+                out.write(entry + "\n")
+            out.writelines(f"# {comment}\n" for comment in footer_comments)
+    except OSError as exc:
+        raise WriteFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _tolerance(args: argparse.Namespace) -> SeriesTolerance:
@@ -216,7 +243,9 @@ def _parse_b_list(spec: str) -> tuple[int, ...]:
     return values
 
 
-def _model_from_args(args: argparse.Namespace) -> spectra.ModelParams:
+def _model_from_args(args: argparse.Namespace) -> ModelParams:
+    from . import presets, spectra
+
     if args.preset:
         return presets.load_model(args.preset)
     if not args.model:
@@ -246,6 +275,8 @@ class SystemExit2(Exception):
 
 
 def _cmd_criterion(args: argparse.Namespace) -> int:
+    from . import spectra
+
     model = _model_from_args(args)
     try:
         point = spectra.criterion_point(model, args.n)
@@ -256,6 +287,8 @@ def _cmd_criterion(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     verdict = "resolvable" if point.resolvable else "unresolvable"
     if args.format == "json":
+        import json
+
         record = {
             "n": point.n,
             "energy": point.energy,
@@ -279,6 +312,8 @@ def _cmd_criterion(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from . import spectra
+
     model = _model_from_args(args)
     n_max = args.n_max
     top = spectra.max_index(model)
@@ -315,44 +350,38 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise SystemExit2(
             f"--weight-floor must be finite and non-negative, got {args.weight_floor}"
         )
-    from .open_system import DiffusiveConfig, distribution
+    from .open_system import DiffusiveConfig, distributions
 
     cfg = DiffusiveConfig(
         b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=_tolerance(args)
     )
-    # One block per grid point: the columns shared by its rows, the kept
-    # levels and their weights.
-    blocks = []
-    for kt in _kt_grid(args):
-        dist = distribution(cfg, kt / cfg.kappa)
-        kept = (dist.weights >= args.weight_floor).nonzero()[0]
-        shared = (kt, dist.trace(), dist.n_cut, dist.tail_bound)
-        blocks.append((shared, kept.tolist(), dist.weights[kept].tolist()))
-    count = sum(len(levels) for _, levels, _ in blocks)
+    grid = _kt_grid(args)
+    # Every distribution exists before the file is opened, so a
+    # non-convergent cut (exit 3) leaves no partial file.
+    dists = distributions(cfg, [kt / cfg.kappa for kt in grid])
+    counts = []
+
+    def blocks():
+        # One block per grid point, built when it is written: the columns
+        # shared by its rows, the kept levels and their weights.
+        for kt, dist in zip(grid, dists):
+            levels = (dist.weights >= args.weight_floor).nonzero()[0]
+            counts.append(len(levels))
+            shared = (kt, dist.trace(), dist.n_cut, dist.tail_bound)
+            yield shared, levels.tolist(), dist.weights[levels].tolist()
+
     manifest = _manifest(args, "evolve", {"weight-floor": _fmt(args.weight_floor)})
     header = ("kt", "n", "weight", "trace", "n_cut", "tail_bound")
     footer = (f"rows with weight < {_fmt(args.weight_floor)} omitted",)
     unit_note = "kt = kappa*t (dimensionless); weights are probabilities"
     if args.format == "json":
         rows = [(kt, n, w, trace, n_cut, tail)
-                for (kt, trace, n_cut, tail), levels, weights in blocks
+                for (kt, trace, n_cut, tail), levels, weights in blocks()
                 for n, w in zip(levels, weights)]
         _write_table(Path(args.out), manifest, header, rows, footer, "json", unit_note)
     else:
-        # One % formats a block: the shared columns are formatted once, as
-        # _csv_rows would format them, into its rows' format string, which is
-        # repeated per kept level and applied to the levels and weights
-        # interleaved.
-        body = []
-        for (kt, trace, n_cut, tail), levels, weights in blocks:
-            if levels:
-                line = (f"{_FLOAT_FMT % kt},%s,{_FLOAT_FMT},"
-                        f"{_FLOAT_FMT % trace},{n_cut},{_FLOAT_FMT % tail}")
-                values = [None] * (2 * len(levels))
-                values[::2], values[1::2] = levels, weights
-                body.append("\n".join([line] * len(levels)) % tuple(values))
-        _write_csv(Path(args.out), manifest, header, body, footer, unit_note)
-    print(f"wrote {args.out} ({count} rows)")
+        _write_csv(Path(args.out), manifest, header, _csv_blocks(blocks()), footer, unit_note)
+    print(f"wrote {args.out} ({sum(counts)} rows)")
     return EXIT_OK
 
 
@@ -617,9 +646,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (spectra.IndexOutOfSpectrum, spectra.DegeneratePeriod, spectra.NotNormalized,
-            MismatchedConfig, ZeroEnergy,
-            FileNotFoundError, ValueError) as exc:
+    except (ZeroEnergy, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergent as exc:

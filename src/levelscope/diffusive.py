@@ -182,8 +182,8 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     nothing cancels. The exponent's rounding dominates the error: about
     2^-53 times 2b log1p(min(x, 1/x)), relative. The test suite checks F
     against the 50-digit direct overlap sum and audits the paper's expanded
-    triple sum against it. The two configurations must share kappa, omega,
-    lam and tol.
+    triple sum against it. The two configurations must share kappa, omega
+    and lam.
     """
     _require_same_bath(cfg_b, cfg_bm1)
     check_time(t)

@@ -1,11 +1,14 @@
 """Diffusive relaxation of an initial Fock state of the quartic oscillator.
 
 The evolved state stays diagonal in the Fock basis; this module computes its
-weights P_b(n, t) as whole rows of the b-ladder recurrence (distribution),
-the one open-system computation that needs arrays; only `evolve` runs it.
-The truncation in n is a saddle-point bound on the generating function,
-computed before any weight, so each row is climbed once on the levels it
-keeps. The level populations depend only on the initial index b and on the
+weights P_b(n, t) as whole rows of the b-ladder recurrence (distributions,
+and distribution for one time), the one open-system computation that needs
+arrays; only `evolve` runs it. The truncation in n is a saddle-point bound
+on the generating function, computed for every time before any weight, so
+each row is climbed once, on the levels it keeps rounded up to whole filter
+blocks; rows of one block size climb together, padded to at most 1.5 times
+their length, and each keeps the weights it would have climbed alone. The
+level populations depend only on the initial index b and on the
 dimensionless time kappa*t; omega and lam ride along in the configuration
 because energy observables need them. The configuration, the kernels and
 the single-level weight fock_weight live in the numpy-free diffusive module
@@ -16,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
 from .diffusive import DiffusiveConfig, _kernels, check_level, check_time, fock_weight
 from .numerics import NonConvergent, SeriesTolerance
 
-__all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution"]
+__all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
 
 
 @dataclass(frozen=True)
@@ -81,51 +84,55 @@ _BLOCK_SPAN = 600.0
 _BLOCK_MAX = 128
 
 
-class _Filter(NamedTuple):
-    """Block size K and the powers g^j (j = 0..K) and g^-j (j = 0..K-1)."""
-
-    size: int
-    up: np.ndarray
-    down: np.ndarray
-
-
-def _filter(g: float) -> _Filter:
+def _block_size(g: float) -> int:
     span = -math.log(g)
-    size = _BLOCK_MAX if span * _BLOCK_MAX <= _BLOCK_SPAN else max(1, int(_BLOCK_SPAN / span))
-    up = np.array([math.pow(g, j) for j in range(size + 1)])
-    down = np.array([math.pow(g, -j) for j in range(size)])
-    return _Filter(size, up, down)
+    return _BLOCK_MAX if span * _BLOCK_MAX <= _BLOCK_SPAN else max(1, int(_BLOCK_SPAN / span))
 
 
-def _first_row(levels: int, g: float, z: float, filt: _Filter) -> np.ndarray:
-    """P_0(n) = z g^n for n < levels, a multiple of the block size."""
-    k = filt.size
-    starts = [z * math.pow(g, k * i) for i in range(levels // k)]
-    row = np.multiply.outer(starts, filt.up[:k]).reshape(-1)
-    row.setflags(write=False)
-    return row
+def _climb(b: int, k: int, blocks: int, gs: list[float], zs: list[float]) -> np.ndarray:
+    """Rows P_b on blocks * k levels, one per kernel pair (g, z) of block size
+    k, climbed together from P_0(n) = z g^n as one read-only array.
+
+    Every row gets its own powers g^j (j = 0..k) and g^-j (j = 0..k-1) and
+    the same operations, in the same order, as when climbed alone, so it is
+    bitwise the row climbed alone on the same levels.
+    """
+    up = np.array([[math.pow(g, j) for j in range(k + 1)] for g in gs])
+    down = np.array([[math.pow(g, -j) for j in range(k)] for g in gs])
+    starts = np.array([[z * math.pow(g, k * i) for i in range(blocks)] for g, z in zip(gs, zs)])
+    rows = (starts[:, :, None] * up[:, None, :k]).reshape(len(gs), -1)
+    g = np.array(gs)[:, None]
+    zz = np.array([z * z for z in zs])[:, None]
+    scratch = np.empty((len(gs), blocks, k))
+    for _ in range(b):
+        _step(rows, scratch, g, zz, up, down)
+    rows.setflags(write=False)
+    return rows
 
 
-def _next_row(prev: np.ndarray, g: float, zz: float, filt: _Filter) -> np.ndarray:
-    """P_b from P_{b-1} = prev, one ladder step on the same levels."""
-    k, up, down = filt
-    blocks = prev.reshape(-1, k) * down
-    np.add.accumulate(blocks, axis=1, out=blocks)
-    blocks *= up[:k]
+def _step(rows: np.ndarray, scratch: np.ndarray, g: np.ndarray, zz: np.ndarray,
+          up: np.ndarray, down: np.ndarray) -> None:
+    """One ladder step of every row in place, P_{b-1} to P_b on the same
+    levels; scratch holds the filter blocks, shaped (rows, blocks, k)."""
+    k = down.shape[1]
+    blocks = np.multiply(rows.reshape(scratch.shape), down[:, None, :], out=scratch)
+    np.add.accumulate(blocks, axis=2, out=blocks)
+    blocks *= up[:, None, :k]
     # Block o now holds g^j C(j), C(j) = sum_{i<=j} g^-i x(o+i), and adding
     # the carry g^(j+1) S(o) gives S(o+j+1); S(o) runs from S(0) = 0.
-    if blocks.shape[0] > 1:
-        gk, starts, carry = float(up[k]), [], 0.0
-        for end in blocks[:-1, -1].tolist():
-            carry = gk * carry + end
-            starts.append(carry)
-        blocks[1:] += np.multiply.outer(starts, up[1:])
-    s_next = blocks.reshape(-1)
+    if blocks.shape[1] > 1:
+        starts = []
+        for gk, ends in zip(up[:, k].tolist(), blocks[:, :-1, -1].tolist()):
+            carry, row = 0.0, []
+            for end in ends:
+                carry = gk * carry + end
+                row.append(carry)
+            starts.append(row)
+        blocks[:, 1:] += np.array(starts)[:, :, None] * up[:, None, 1:]
+    s_next = blocks.reshape(rows.shape)
     s_next *= zz
-    row = prev * g
-    row[1:] += s_next[:-1]
-    row.setflags(write=False)
-    return row
+    rows *= g
+    rows[:, 1:] += s_next[:, :-1]
 
 
 # The cut. G_b has positive coefficients P_b(n), so for every s in (1, 1/g)
@@ -222,18 +229,6 @@ def _cut(b: int, kt: float, tol: SeriesTolerance) -> tuple[int, float]:
     return hi, bound
 
 
-def _row(b: int, kt: float, tol: SeriesTolerance) -> tuple[np.ndarray, int, float]:
-    """Ladder row P_b at kappa*t = kt > 0 with its (n_cut, tail bound), climbed
-    once on the n_cut + 1 levels the cut needs, rounded up to whole blocks."""
-    n_cut, tail = _cut(b, kt, tol)
-    g, z = _kernels(kt)
-    filt, zz = _filter(g), z * z
-    row = _first_row(-(-(n_cut + 1) // filt.size) * filt.size, g, z, filt)
-    for _ in range(b):
-        row = _next_row(row, g, zz, filt)
-    return row, n_cut, tail
-
-
 def _delta(b: int, t: float) -> FockDistribution:
     weights = np.zeros(b + 1)
     weights[b] = 1.0
@@ -241,22 +236,53 @@ def _delta(b: int, t: float) -> FockDistribution:
     return FockDistribution(t=t, weights=weights, n_cut=b, tail_bound=0.0)
 
 
-def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
-    """All level populations at time t, truncated with a proven tail.
+def distributions(cfg: DiffusiveConfig, ts: Sequence[float]) -> list[FockDistribution]:
+    """All level populations at each time in ts, truncated with a proven tail.
 
     The cut n_cut comes first, from saddle-point bounds on the generating
     function: the trace beyond it is at most tail_bound <= cfg.tol.rel_eps,
     and each of the first two moments beyond it at most rel_eps times the
     moment (or rel_eps, below 1), so downstream energy averages inherit the
     bound. Raises NonConvergent, before any weight is computed, when no cut
-    within cfg.tol.max_terms levels passes. The weights are row b of the
-    b-ladder P_b = g P_{b-1} + z^2 S, climbed from P_0 in b O(n_cut) steps.
-    They are a read-only view; nothing is shared between calls, so they do
-    not depend on earlier ones.
+    within cfg.tol.max_terms levels passes at some time. The weights are row
+    b of the b-ladder P_b = g P_{b-1} + z^2 S, climbed from P_0 in b
+    O(n_cut) steps. They are read-only views; nothing is shared between
+    calls, so they do not depend on earlier ones.
     """
-    check_time(t)
-    kt = cfg.kappa * t
-    if kt == 0.0:
-        return _delta(cfg.b, t)
-    row, n_cut, tail = _row(cfg.b, kt, cfg.tol)
-    return FockDistribution(t=t, weights=row[: n_cut + 1], n_cut=n_cut, tail_bound=tail)
+    for t in ts:
+        check_time(t)
+    kts = [cfg.kappa * t for t in ts]
+    cuts = [None if kt == 0.0 else _cut(cfg.b, kt, cfg.tol) for kt in kts]
+    groups: dict[int, list[tuple[int, int, float, float]]] = {}
+    for i, (kt, cut) in enumerate(zip(kts, cuts)):
+        if cut is not None:
+            g, z = _kernels(kt)
+            k = _block_size(g)
+            groups.setdefault(k, []).append((-(-(cut[0] + 1) // k), i, g, z))
+    # Rows of one block size climb together: sorted by length, in chunks whose
+    # longest row is at most 1.5 times the shortest, each chunk as one array
+    # on the levels of its longest row. Short rows then share each step's
+    # array operations, padding adds at most half of a row's work, and by the
+    # prefix property every kept weight is that of its row climbed alone.
+    rows: dict[int, np.ndarray] = {}
+    for k, points in groups.items():
+        points.sort()
+        start = 0
+        while start < len(points):
+            end, shortest = start + 1, points[start][0]
+            while end < len(points) and 2 * points[end][0] <= 3 * shortest:
+                end += 1
+            chunk = points[start:end]
+            climbed = _climb(cfg.b, k, chunk[-1][0], [p[2] for p in chunk], [p[3] for p in chunk])
+            rows.update(zip([p[1] for p in chunk], climbed))
+            start = end
+    return [
+        _delta(cfg.b, t) if cut is None
+        else FockDistribution(t=t, weights=rows[i][: cut[0] + 1], n_cut=cut[0], tail_bound=cut[1])
+        for i, (t, cut) in enumerate(zip(ts, cuts))
+    ]
+
+
+def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
+    """All level populations at time t: distributions(cfg, [t])[0]."""
+    return distributions(cfg, [t])[0]

@@ -6,16 +6,18 @@ terminating sum over i that `fidelity_overlap` evaluates in floats), the
 paper's expanded triple sum for F(b, t) with the certified series summation
 it needs (the A07 audit of `fidelity_overlap`), the 50-digit tails of the
 trace and the first two moments beyond a level cut in closed form, and the
-plain form of one hot path, the level weight with a per-call ln k! list.
+plain forms of two hot paths: the level weight with a per-call ln k! list,
+and the b-ladder climbed one row at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import mpmath as mp
+import numpy as np
 
 from levelscope import open_system
 from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
@@ -236,3 +238,67 @@ def tail_moments(b: int, kt: float, L: int) -> tuple[float, float, float]:
                 + (p + 1) * (p + 2) * rho**2 * q[p + 2]
             )
         return float(t0), float(t1), float(t2)
+
+
+# The b-ladder as open_system climbed it before rows of one block size were
+# batched: one row per call, the code kept verbatim.
+_BLOCK_SPAN = 600.0
+_BLOCK_MAX = 128
+
+
+class _Filter(NamedTuple):
+    """Block size K and the powers g^j (j = 0..K) and g^-j (j = 0..K-1)."""
+
+    size: int
+    up: np.ndarray
+    down: np.ndarray
+
+
+def _filter(g: float) -> _Filter:
+    span = -math.log(g)
+    size = _BLOCK_MAX if span * _BLOCK_MAX <= _BLOCK_SPAN else max(1, int(_BLOCK_SPAN / span))
+    up = np.array([math.pow(g, j) for j in range(size + 1)])
+    down = np.array([math.pow(g, -j) for j in range(size)])
+    return _Filter(size, up, down)
+
+
+def _first_row(levels: int, g: float, z: float, filt: _Filter) -> np.ndarray:
+    """P_0(n) = z g^n for n < levels, a multiple of the block size."""
+    k = filt.size
+    starts = [z * math.pow(g, k * i) for i in range(levels // k)]
+    row = np.multiply.outer(starts, filt.up[:k]).reshape(-1)
+    row.setflags(write=False)
+    return row
+
+
+def _next_row(prev: np.ndarray, g: float, zz: float, filt: _Filter) -> np.ndarray:
+    """P_b from P_{b-1} = prev, one ladder step on the same levels."""
+    k, up, down = filt
+    blocks = prev.reshape(-1, k) * down
+    np.add.accumulate(blocks, axis=1, out=blocks)
+    blocks *= up[:k]
+    # Block o now holds g^j C(j), C(j) = sum_{i<=j} g^-i x(o+i), and adding
+    # the carry g^(j+1) S(o) gives S(o+j+1); S(o) runs from S(0) = 0.
+    if blocks.shape[0] > 1:
+        gk, starts, carry = float(up[k]), [], 0.0
+        for end in blocks[:-1, -1].tolist():
+            carry = gk * carry + end
+            starts.append(carry)
+        blocks[1:] += np.multiply.outer(starts, up[1:])
+    s_next = blocks.reshape(-1)
+    s_next *= zz
+    row = prev * g
+    row[1:] += s_next[:-1]
+    row.setflags(write=False)
+    return row
+
+
+def ladder_row_reference(b: int, kt: float, levels: int) -> np.ndarray:
+    """Row P_b at kappa*t = kt climbed alone, _first_row then b _next_row
+    steps, on `levels` levels rounded up to whole filter blocks."""
+    g, z = open_system._kernels(kt)
+    filt = _filter(g)
+    row = _first_row(-(-levels // filt.size) * filt.size, g, z, filt)
+    for _ in range(b):
+        row = _next_row(row, g, z * z, filt)
+    return row

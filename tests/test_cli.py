@@ -488,6 +488,10 @@ def test_unwritable_output_exits_4(tmp_path):
     target = tmp_path / "missing_dir" / "out.csv"
     code = main(["scan", "--model", "box", "--n-max", "5", "--out", str(target)])
     assert code == EXIT_IO
+    # evolve streams its CSV through its own open file.
+    code = main(["evolve", "--b", "2", "--grid", "log:1e-3:1:3", "--out", str(target)])
+    assert code == EXIT_IO
+    assert not target.parent.exists()
 
 
 def test_evolve_reaches_kappa_t_1e4(tmp_path, capsys):
@@ -506,12 +510,13 @@ def test_evolve_reaches_kappa_t_1e4(tmp_path, capsys):
 
 
 def test_nonconvergent_exits_3(tmp_path, capsys):
-    # kappa*t = 1e6 needs a level cut far beyond any sane cap.
-    code = main(
-        ["evolve", "--b", "0", "--grid", "log:1e6:1e7:2", "--out", str(tmp_path / "x.csv")]
-    )
+    # kappa*t = 1e6 needs a level cut far beyond any sane cap. Every cut
+    # comes before the file is opened, so no partial file is left.
+    out = tmp_path / "x.csv"
+    code = main(["evolve", "--b", "0", "--grid", "log:1e6:1e7:2", "--out", str(out)])
     assert code == EXIT_NONCONVERGENT
     assert "non-convergent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -13,7 +13,7 @@ from levelscope import open_system
 from levelscope.numerics import NonConvergent, SeriesTolerance
 from levelscope.observables import fidelity_overlap, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
-from oracles import fock_weight_reference, tail_moments, weight_oracle
+from oracles import fock_weight_reference, ladder_row_reference, tail_moments, weight_oracle
 
 
 def cfg_for(b: int, **kw) -> DiffusiveConfig:
@@ -268,28 +268,27 @@ def test_distribution_weights_for_large_b(b, kt):
         assert abs(weights[n] - want) <= 1e-10 * want, (n, weights[n], want)
 
 
-def _ladder_row(b: int, kt: float, levels: int) -> np.ndarray:
-    g, z = open_system._kernels(kt)
-    filt = open_system._filter(g)
-    row = open_system._first_row(-(-levels // filt.size) * filt.size, g, z, filt)
-    for _ in range(b):
-        row = open_system._next_row(row, g, z * z, filt)
-    return row
-
-
 @pytest.mark.parametrize("b", [0, 3, 15])
 @pytest.mark.parametrize("kt", [0.05, 0.5, 2.0])
 @pytest.mark.parametrize("split", [1, 7, 16, 90])
 def test_weight_block_split_matches_single_call(b, kt, split):
     # A ladder row on `split` filter blocks is bitwise the prefix of the same
     # row on four times as many levels: P_b(n) reads only levels m <= n, and
-    # the blocks sit at fixed offsets from n = 0.
-    size = open_system._filter(open_system._kernels(kt)[0]).size
-    short = _ladder_row(b, kt, split * size)
-    long = _ladder_row(b, kt, 4 * split * size)
+    # the blocks sit at fixed offsets from n = 0. Climbed in one chunk with a
+    # second row of its block size, each row is the row climbed alone.
+    g, z = open_system._kernels(kt)
+    size = open_system._block_size(g)
+    short = open_system._climb(b, size, split, [g], [z])[0]
+    long = open_system._climb(b, size, 4 * split, [g], [z])[0]
     assert short.shape[0] == split * size and long.shape[0] == 4 * split * size
     np.testing.assert_array_equal(long[: short.shape[0]], short)
     assert np.all(np.isfinite(long)) and np.all(long >= 0.0)
+    g2, z2 = open_system._kernels(kt * 1.01)
+    assert open_system._block_size(g2) == size
+    pair = open_system._climb(b, size, 4 * split, [g2, g], [z2, z])
+    alone = ladder_row_reference(b, kt, long.shape[0])
+    assert pair[1].tobytes() == long.tobytes() == alone.tobytes()
+    assert pair[0].tobytes() == open_system._climb(b, size, 4 * split, [g2], [z2])[0].tobytes()
 
 
 @pytest.mark.parametrize("b, kt", [(5, 0.01), (15, 0.3), (40, 100.0)])
@@ -314,36 +313,71 @@ def test_weights_are_the_prefix_of_a_longer_row(b, kt):
     # kept weight is bitwise that of the same row on four times the levels.
     dist = distribution(cfg_for(b), kt)
     assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, cfg_for(b).tol)
-    longer = _ladder_row(b, kt, 4 * (dist.n_cut + 1))
+    longer = ladder_row_reference(b, kt, 4 * (dist.n_cut + 1))
     assert dist.weights.tobytes() == longer[: dist.n_cut + 1].tobytes()
 
 
 def test_evolve_grid_climbs_each_ladder_once(monkeypatch):
-    # One climb per grid point, on the n_cut + 1 levels of its cut rounded
-    # up to whole filter blocks.
-    first_row, climbs = open_system._first_row, []
+    # Each grid point climbs once, in one chunk of rows of its own block
+    # size, on levels from the n_cut + 1 of its cut, rounded up to whole
+    # filter blocks, to 1.5 times those blocks; the chunks share climbs.
+    climb, chunks = open_system._climb, []
 
-    def counted(levels, g, z, filt):
-        climbs.append((levels, filt.size))
-        return first_row(levels, g, z, filt)
+    def counted(b, size, blocks, gs, zs):
+        chunks.append((size, blocks, gs))
+        return climb(b, size, blocks, gs, zs)
 
-    monkeypatch.setattr(open_system, "_first_row", counted)
+    monkeypatch.setattr(open_system, "_climb", counted)
     grid = np.logspace(-3, 2, 200).tolist()
-    cuts = [distribution(cfg_for(15), kt).n_cut for kt in grid]
-    assert len(climbs) == len(grid)
-    for n_cut, (levels, size) in zip(cuts, climbs):
-        assert levels % size == 0 and levels - size < n_cut + 1 <= levels
+    dists = open_system.distributions(cfg_for(15), grid)
+    climbed = {g: (size, blocks) for size, blocks, gs in chunks for g in gs}
+    assert sum(len(gs) for _, _, gs in chunks) == len(climbed) == len(grid)
+    assert len(chunks) < len(grid) // 4
+    for kt, dist in zip(grid, dists):
+        g = open_system._kernels(kt)[0]
+        size, blocks = climbed[g]
+        own = -(-(dist.n_cut + 1) // size)
+        assert size == open_system._block_size(g)
+        assert own <= blocks and 2 * blocks <= 3 * own
 
 
 def test_distribution_fails_fast_past_max_terms(monkeypatch):
     # At kappa*t = 1e5 the proven cut passes max_terms: NonConvergent comes
-    # from the cut, before any ladder row is started.
+    # from the cut, before any ladder row is started, also when it is the
+    # last point of a grid whose other cuts pass.
     climbs = []
-    monkeypatch.setattr(open_system, "_first_row", lambda *args: climbs.append(args))
+    monkeypatch.setattr(open_system, "_climb", lambda *args: climbs.append(args))
     for b in (0, 15):
         with pytest.raises(NonConvergent, match="exceeded max_terms=1000000"):
             distribution(cfg_for(b), 1e5)
+        with pytest.raises(NonConvergent, match="exceeded max_terms=1000000"):
+            open_system.distributions(cfg_for(b), [1e-3, 0.5, 100.0, 1e5])
     assert climbs == []
+
+
+# kappa*t = 0 (the delta), both sides of the largest block size (kappa*t
+# near 0.0046), and up to 1e4, where a row holds about 7e5 levels.
+REFERENCE_KTS = [0.0, 1e-6, 1e-4, 1e-3, 3e-3, 0.0045, 0.0047, 0.01, 0.05, 0.49, 0.5, 0.51,
+                 1.0, 7.5, 30.0, 100.0, 1e3, 1e4]
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 15, 40])
+@pytest.mark.parametrize(
+    "grid", [REFERENCE_KTS, np.logspace(-3, 2, 200).tolist()], ids=["reference", "evolve"]
+)
+def test_distributions_match_the_reference_climb(b, grid):
+    # The batched climb keeps every kept weight of the row climbed alone, byte
+    # for byte, with the cut of _cut, in grid order.
+    dists = open_system.distributions(cfg_for(b), grid)
+    assert [d.t for d in dists] == grid
+    for kt, dist in zip(grid, dists):
+        if kt == 0.0:
+            assert dist.weights.tolist() == [0.0] * b + [1.0]
+            continue
+        assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, cfg_for(b).tol)
+        want = ladder_row_reference(b, kt, dist.n_cut + 1)[: dist.n_cut + 1]
+        assert dist.weights.tobytes() == want.tobytes(), kt
+        assert not dist.weights.flags.writeable
 
 
 # kappa*t = 1e-3 .. 1e2, two points per decade, and the proven n_cut there at

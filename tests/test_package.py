@@ -35,9 +35,10 @@ def _fresh(code: str, cwd: Path | None = None) -> str:
     return result.stdout.strip()
 
 
-def _loaded_after(statement: str, cwd: Path | None = None) -> dict:
-    code = f"import json, sys\n{statement}\nprint(json.dumps({{m: m in sys.modules for m in {HEAVY!r}}}))"
-    return json.loads(_fresh(code, cwd).splitlines()[-1])
+def _loaded_after(statement: str, cwd: Path | None = None,
+                  modules: tuple[str, ...] = HEAVY) -> dict:
+    probe = f"print(json.dumps({{m: m in sys.modules for m in {modules!r}}}))"
+    return json.loads(_fresh(f"import json, sys\n{statement}\n{probe}", cwd).splitlines()[-1])
 
 
 def test_every_exported_name_resolves():
@@ -56,11 +57,11 @@ def test_import_loads_no_numpy():
 
 
 def test_import_loads_only_the_closed_system_modules():
-    # The open-system modules, diffusive included, load inside the commands.
+    # Both halves load inside the commands that use them: spectra and
+    # presets in criterion and scan, the open-system modules in the rest.
     code = ("import sys, levelscope, levelscope.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('levelscope.')))")
-    assert _fresh(code) == str(["levelscope.cli", "levelscope.numerics", "levelscope.presets",
-                                "levelscope.spectra"])
+    assert _fresh(code) == str(["levelscope.cli", "levelscope.numerics"])
 
 
 @pytest.mark.parametrize(
@@ -96,6 +97,35 @@ def test_scalar_open_system_commands_load_no_numpy(tmp_path, argv, fmt):
     # arrays.
     statement = f"from levelscope.cli import main\nassert main({[*argv, '--format', fmt]!r}) == 0"
     assert _loaded_after(statement, cwd=tmp_path) == dict.fromkeys(HEAVY, False)
+
+
+CLOSED = ("levelscope.spectra", "levelscope.presets")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figures", "1", *GRID, "--out", "figs"],
+        ["figures", "2", *GRID, "--out", "figs"],
+        ["figures", "3", *GRID, "--out", "figs"],
+        ["figures", "4", *GRID, "--out", "figs"],
+        ["fidelity", *GRID, "--out", "f.csv", "--svg", "f.svg"],
+        ["ymean", *GRID, "--out", "y.csv", "--svg", "y.svg"],
+        ["evolve", "--b", "3", *GRID, "--out", "e.csv"],
+    ],
+    ids=["figures1", "figures2", "figures3", "figures4", "fidelity", "ymean", "evolve"],
+)
+def test_open_system_commands_load_no_closed_system_module(tmp_path, argv):
+    statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(statement, tmp_path, CLOSED) == dict.fromkeys(CLOSED, False)
+
+
+def test_preset_criterion_loads_the_closed_system_modules(tmp_path):
+    # The commands import spectra and presets themselves; the probe sees
+    # them, so the checks above are not vacuous.
+    statement = ("from levelscope.cli import main\n"
+                 "assert main(['criterion', '--preset', 'h2_morse', '--n', '3']) == 0")
+    assert _loaded_after(statement, tmp_path, CLOSED) == dict.fromkeys(CLOSED, True)
 
 
 def test_open_system_command_loads_numpy(tmp_path):
