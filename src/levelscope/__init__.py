@@ -21,7 +21,8 @@ from .numerics import (
 
 # Every other name loads its submodule on first use (PEP 562), so that
 # `import levelscope` loads only numerics: the closed-system half (spectra,
-# presets) is pure Python, and only open_system and observables need numpy.
+# presets) and the scalar open-system half (diffusive) are pure Python, and
+# only open_system, the b-ladder, needs numpy.
 _LAZY = {
     **dict.fromkeys(("Box", "CriterionPoint", "DegeneratePeriod", "Harmonic", "Hydrogenoid",
                      "IndexOutOfSpectrum", "ModelParams", "Morse", "NotNormalized", "Quartic",
@@ -30,9 +31,9 @@ _LAZY = {
                      "superposition_delta_e", "threshold_scan"), "spectra"),
     **dict.fromkeys(("builtin_preset_names", "load_model"), "presets"),
     **dict.fromkeys(("DiffusiveConfig", "YMeanPoint", "fidelity_overlap", "fock_weight",
-                     "mean_h0", "mean_n", "mean_tau", "mean_y_point", "survival"), "diffusive"),
+                     "log_points", "mean_h0", "mean_n", "mean_tau", "mean_y_point",
+                     "mean_y_series", "survival"), "diffusive"),
     **dict.fromkeys(("FockDistribution", "distribution"), "open_system"),
-    **dict.fromkeys(("TimeSeries", "log_grid", "mean_y_series"), "observables"),
 }
 
 
@@ -50,54 +51,6 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "__version__",
-    # numerics
-    "DEFAULT_TOLERANCE",
-    "NonConvergent",
-    "SeriesTolerance",
-    "log_factorial",
-    # spectra
-    "Box",
-    "CriterionPoint",
-    "DegeneratePeriod",
-    "Harmonic",
-    "Hydrogenoid",
-    "IndexOutOfSpectrum",
-    "ModelParams",
-    "Morse",
-    "NotNormalized",
-    "Quartic",
-    "ScanResult",
-    "SuperpositionSpec",
-    "criterion_point",
-    "energy",
-    "harmonic_dpdq",
-    "max_index",
-    "min_index",
-    "period",
-    "quartic_limits",
-    "superposition_delta_e",
-    "threshold_scan",
-    # presets
-    "builtin_preset_names",
-    "load_model",
-    # open system
-    "DiffusiveConfig",
-    "FockDistribution",
-    "distribution",
-    "fock_weight",
-    # observables
-    "MismatchedConfig",
-    "TimeSeries",
-    "YMeanPoint",
-    "ZeroEnergy",
-    "fidelity_overlap",
-    "log_grid",
-    "mean_h0",
-    "mean_n",
-    "mean_tau",
-    "mean_y_point",
-    "mean_y_series",
-    "survival",
-]
+# The eagerly imported numerics names, then every lazy one.
+__all__ = ["__version__", "DEFAULT_TOLERANCE", "MismatchedConfig", "NonConvergent",
+           "SeriesTolerance", "ZeroEnergy", "log_factorial", *_LAZY]

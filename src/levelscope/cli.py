@@ -226,9 +226,21 @@ def _kt_grid(args: argparse.Namespace) -> list[float]:
         kind, start, stop, points = spec.split(":")
         if kind != "log":
             raise ValueError
-        return log_points(float(start), float(stop), int(points))
+        start, stop, points = float(start), float(stop), int(points)
     except ValueError:
         raise SystemExit2(f"grid must look like log:START:STOP:POINTS, got {spec!r}") from None
+    return log_points(start, stop, points)
+
+
+def _times(kappa: float, grid: Sequence[float]) -> list[float]:
+    """The time t = kt / kappa of each grid point; a kappa so small that one
+    of them overflows exits 2 rather than asking for t = inf."""
+    times = [kt / kappa for kt in grid]
+    for kt, t in zip(grid, times):
+        if t == math.inf:
+            raise SystemExit2(f"--kappa {kappa} is too small for the grid: "
+                              f"t = kt / kappa overflows at kappa*t = {kt:g}")
+    return times
 
 
 def _parse_b_list(spec: str) -> tuple[int, ...]:
@@ -358,7 +370,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     grid = _kt_grid(args)
     # Every distribution exists before the file is opened, so a
     # non-convergent cut (exit 3) leaves no partial file.
-    dists = distributions(cfg, [kt / cfg.kappa for kt in grid])
+    dists = distributions(cfg, _times(cfg.kappa, grid))
     counts = []
 
     def blocks():
@@ -446,10 +458,11 @@ def _curves(
 
     value = curve()
     grid = _kt_grid(args)
+    cfgs = [DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam) for b in b_values]
+    times = _times(args.kappa, grid)
     curves = []
-    for b in b_values:
-        cfg = DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam)
-        points = [value(cfg, kt / cfg.kappa) for kt in grid]
+    for cfg in cfgs:
+        points = [value(cfg, t) for t in times]
         check_curve(grid, [p[0] for p in points])
         curves.append(points)
     return grid, curves

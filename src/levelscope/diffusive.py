@@ -5,8 +5,8 @@ and the survival P_b(b, t) they give, the neighbour fidelity F(b, t) as a
 terminating sum, the closed-form moments <N>, <H0>, <tau> and the criterion
 <y(b)> built on them, and the log-spaced kappa*t grid with the check every
 plotted curve passes. None of it needs an array, so every command but
-`evolve` starts without numpy; open_system (the b-ladder) and observables
-(array series) import numpy and re-export these names.
+`evolve` starts without numpy; open_system (the b-ladder) is the one module
+that imports numpy, and it re-exports the names it shares with this one.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "mean_n",
     "mean_tau",
     "mean_y_point",
+    "mean_y_series",
     "survival",
 ]
 
@@ -328,6 +329,23 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     )
 
 
+def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float]) -> list[YMeanPoint]:
+    """<y(b)> along a strictly increasing kappa*t grid, one mean_y_point
+    at t = kt / kappa per entry. Any 1-d sequence of numbers will do, a
+    numpy array included."""
+    try:
+        grid = [float(kt) for kt in kt_grid]
+    except TypeError:  # not iterable, or an entry that is itself a sequence
+        grid = []
+    if not grid:
+        raise ValueError("kt_grid must be a non-empty 1-d sequence")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("kt_grid must be finite")
+    if any(not a < b for a, b in zip(grid, grid[1:])):
+        raise ValueError("kt_grid must be strictly increasing")
+    return [mean_y_point(cfg_b, kt / cfg_b.kappa) for kt in grid]
+
+
 def log_points(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> list[float]:
     """Log-spaced kappa*t values from start to stop, the figure convention.
 
@@ -336,8 +354,9 @@ def log_points(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> lis
     libm's pow, so the grid does not depend on how numpy dispatches its
     own power on the machine at hand.
     """
-    if not (start > 0.0 and math.isfinite(stop) and stop > start and points >= 2):
-        raise ValueError(f"bad log grid ({start}, {stop}, {points})")
+    if not (0.0 < start < stop < math.inf and points >= 2):
+        raise ValueError("log grid needs 0 < START < STOP < inf and POINTS >= 2, "
+                         f"got START={start}, STOP={stop}, POINTS={points}")
     a, b = math.log10(start), math.log10(stop)
     step = (b - a) / (points - 1)
     return [10.0 ** (i * step + a) for i in range(points - 1)] + [10.0**b]

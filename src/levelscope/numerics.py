@@ -33,8 +33,8 @@ class NonConvergent(ArithmeticError):
     """
 
 
-# The observables raise these two; they live here, away from numpy, so that
-# the command line can name them without importing the open-system stack.
+# The diffusive observables raise these two; they live here so that the
+# command line can name them without importing any open-system module.
 class MismatchedConfig(ValueError):
     """Two configurations that must share kappa, omega, lam do not."""
 

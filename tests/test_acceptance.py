@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from levelscope import presets
-from levelscope.observables import fidelity_overlap, log_grid, mean_y_point, survival
+from levelscope.diffusive import fidelity_overlap, log_points, mean_y_point, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
 from levelscope.spectra import (
     RESOLVABLE_THRESHOLD,
@@ -223,10 +223,10 @@ def test_a04_morse_preset_all_levels_unresolvable():
 def test_a05_trace_normalization():
     started = time.perf_counter()
     worst = 0.0
-    grid = log_grid(1e-3, 1e2, 25)
+    grid = log_points(1e-3, 1e2, 25)
     for b in (0, 1, 2, 5, 10, 15):
         cfg = DiffusiveConfig(b=b, kappa=1.0)
-        for kt in grid.tolist():
+        for kt in grid:
             worst = max(worst, abs(distribution(cfg, kt).trace() - 1.0))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -302,8 +302,8 @@ def test_a08_survival_ordering():
 
 def test_a09_discreteness_lifetime_window():
     started = time.perf_counter()
-    grid = log_grid()  # the full 200-point figure grid
-    kts = grid.tolist()
+    kts = log_points()  # the full 200-point figure grid
+    grid = np.array(kts)
     worst_kappa = worst_scale = bound_frac = 0.0
     worst_closed = (0.0, "")
     scales = []

@@ -436,14 +436,60 @@ def test_infinite_grid_stop_exits_2(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+GRID_RULE = "log grid needs 0 < START < STOP < inf and POINTS >= 2, got "
+GRID_FORMAT = "grid must look like log:START:STOP:POINTS"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("log:1e-3:1:1", GRID_RULE + "START=0.001, STOP=1.0, POINTS=1"),
+        ("log:1:1e-3:5", GRID_RULE + "START=1.0, STOP=0.001, POINTS=5"),
+        ("log:0:1:5", GRID_RULE + "START=0.0, STOP=1.0, POINTS=5"),
+        ("log:1e-3:nan:5", GRID_RULE + "START=0.001, STOP=nan, POINTS=5"),
+        ("log:1e-3:1", GRID_FORMAT),
+        ("lin:1:2:3", GRID_FORMAT),
+    ],
+    ids=["one-point", "reversed", "zero-start", "nan-stop", "three-fields", "lin"],
+)
+def test_bad_grid_names_what_is_wrong(tmp_path, capsys, spec, message):
+    # A well-formed grid with a bad value names the rule it breaks; only a
+    # malformed one gets the format message.
+    out = tmp_path / "f.csv"
+    assert main(["fidelity", "--b", "1", "--grid", spec, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert (GRID_FORMAT in err) == (message == GRID_FORMAT)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fidelity", "--b", "1", "--kappa", "1e-310"],
+         "--kappa 1e-310 is too small for the grid: t = kt / kappa overflows at kappa*t = 0.018"),
+        (["evolve", "--b", "2", "--kappa", "1e-320", "--grid", "log:1e-3:1:3"],
+         "--kappa 1e-320 is too small for the grid: t = kt / kappa overflows at kappa*t = 0.001"),
+    ],
+    ids=["fidelity", "evolve"],
+)
+def test_kappa_too_small_for_the_grid_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "t must be finite" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["evolve", "--b", "2", "--kappa", "inf"], "kappa must be finite"),
         (["fidelity", "--omega", "nan"], "omega must be finite"),
         (["fidelity", "--lambda", "inf"], "lam must be finite"),
-        # kt / kappa overflows, so survival is asked for at t = inf
-        (["figures", "2", "--kappa", "1e-320"], "t must be finite"),
+        # kt / kappa overflows: the message names --kappa, not t = inf
+        (["figures", "2", "--kappa", "1e-320"], "--kappa 1e-320 is too small for the grid"),
     ],
     ids=["kappa-inf", "omega-nan", "lambda-inf", "time-inf"],
 )

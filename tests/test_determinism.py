@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from levelscope import cli
-from levelscope.observables import fidelity_overlap, log_grid, survival
+from levelscope.diffusive import fidelity_overlap, log_points, survival
 from levelscope.open_system import DiffusiveConfig, distribution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -58,7 +58,7 @@ def test_output_bytes_do_not_depend_on_process_or_cache_history(tmp_path, monkey
     # The CLI sweeps b upwards from cold tables; warm them downwards first.
     for b in (16, 11, 6, 2):
         cfg, lower = DiffusiveConfig(b=b, kappa=1.0), DiffusiveConfig(b=b - 1, kappa=1.0)
-        for kt in log_grid(1e-3, 1e2, 9).tolist():
+        for kt in log_points(1e-3, 1e2, 9):
             distribution(cfg, kt)
             fidelity_overlap(cfg, lower, kt)
             survival(cfg, kt)

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelscope.observables import (
-    MismatchedConfig,
-    TimeSeries,
-    ZeroEnergy,
+from levelscope.cli import main
+from levelscope.diffusive import (
+    check_curve,
     fidelity_overlap,
-    log_grid,
+    log_points,
     mean_h0,
     mean_n,
     mean_tau,
@@ -22,9 +21,7 @@ from levelscope.observables import (
     mean_y_series,
     survival,
 )
-from levelscope.cli import main
-from levelscope.diffusive import check_curve, log_points
-from levelscope.numerics import SeriesTolerance
+from levelscope.numerics import MismatchedConfig, SeriesTolerance, ZeroEnergy
 from levelscope.open_system import DiffusiveConfig, distribution
 from oracles import fidelity_closed_form, fidelity_direct, fidelity_terminating
 
@@ -292,14 +289,23 @@ def test_mean_y_scale_invariance_in_omega_lam():
 
 
 def test_mean_y_series_shape_and_grid_checks():
-    grid = log_grid(1e-3, 1.0, 7)
-    series = mean_y_series(cfg_for(2, omega=0.1, lam=1.0), grid)
+    cfg = cfg_for(2, omega=0.1, lam=1.0)
+    grid = log_points(1e-3, 1.0, 7)
+    series = mean_y_series(cfg, grid)
     assert len(series) == 7
-    assert [p.kt for p in series] == pytest.approx(grid.tolist())
-    with pytest.raises(ValueError):
-        mean_y_series(cfg_for(2, omega=0.1, lam=1.0), [0.2, 0.1])
-    with pytest.raises(ValueError):
-        mean_y_series(cfg_for(2, omega=0.1, lam=1.0), [])
+    assert [p.kt for p in series] == pytest.approx(grid)
+    # An array gives the points of the same list; only the caller loads numpy.
+    assert mean_y_series(cfg, np.array(grid)) == series
+    for bad, match in (
+        ([0.2, 0.1], "strictly increasing"),
+        ([0.1, 0.1], "strictly increasing"),
+        ([], "non-empty 1-d"),
+        ([[0.1, 0.2]], "1-d"),
+        ([0.1, [0.2]], "1-d"),
+        (np.array([[0.1, 0.2], [0.3, 0.4]]), "1-d"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            mean_y_series(cfg, bad)
     with pytest.raises(ValueError):
         mean_y_point(cfg_for(0, omega=0.1, lam=1.0), 0.1)
     for bad in ([0.1, math.nan], [math.nan], [0.1, math.inf]):
@@ -310,7 +316,7 @@ def test_mean_y_series_shape_and_grid_checks():
 def test_mean_y_series_reaches_late_times():
     # A certified level cut passes max_terms near kappa*t = 1e5; the
     # closed-form moments need no cut.
-    series = mean_y_series(cfg_for(40, omega=0.1, lam=1.0), log_grid(1e-3, 1e5, 9))
+    series = mean_y_series(cfg_for(40, omega=0.1, lam=1.0), log_points(1e-3, 1e5, 9))
     assert series[-1].kt == pytest.approx(1e5)
     assert all(0.0 < p.y_mean < math.pi / (2.0 * p.kt) for p in series)
 
@@ -331,31 +337,17 @@ def test_mean_y_bound_and_mean_level_property(b, log_kt, ratio, kappa):
 
 
 # ---------------------------------------------------------------------------
-# TimeSeries and grids
+# Grids and the curve check
 
 
-def test_time_series_invariants():
-    ts = TimeSeries("demo", np.array([0.1, 0.2]), np.array([1.0, 2.0]))
-    assert list(ts.points()) == [(0.1, 1.0), (0.2, 2.0)]
-    with pytest.raises(ValueError):
-        TimeSeries("bad", np.array([0.2, 0.1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        TimeSeries("bad", np.array([0.1, 0.2]), np.array([1.0, math.nan]))
-    with pytest.raises(ValueError):
-        TimeSeries("bad", np.array([0.1]), np.array([1.0, 2.0]))
-
-
-def test_log_grid_defaults():
-    grid = log_grid()
-    assert grid.shape == (200,)
+def test_log_points_defaults():
+    grid = log_points()
+    assert len(grid) == 200
     assert grid[0] == pytest.approx(1e-3)
     assert grid[-1] == pytest.approx(1e2)
-    with pytest.raises(ValueError):
-        log_grid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        log_grid(1.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        log_grid(1e-3, math.inf, 10)
+    for start, stop, points in ((0.0, 1.0, 10), (1.0, 1.0, 10), (1e-3, math.inf, 10)):
+        with pytest.raises(ValueError, match="0 < START < STOP < inf and POINTS >= 2"):
+            log_points(start, stop, points)
 
 
 def _linspace_exponents(start: float, stop: float, points: int) -> list[float]:
@@ -382,7 +374,6 @@ def test_log_points_are_libm_powers_of_the_linspace_exponents(start, stop, point
     # 10.0 ** y, whatever numpy's own power does on this CPU.
     grid = log_points(start, stop, points)
     assert grid == [10.0**y for y in _linspace_exponents(start, stop, points)]
-    assert log_grid(start, stop, points).tolist() == grid
 
 
 @pytest.mark.parametrize("start, stop, points", GRIDS[:1] + GRIDS[3:])
@@ -400,7 +391,7 @@ def test_command_line_grid_is_the_library_grid(tmp_path):
     argv = ["figures", "2", "--grid", "log:0.00102:98.7:200", "--format", "json", "--out", str(out)]
     assert main(argv) == 0
     rows = json.loads((out / "figure2.json").read_text())["rows"]
-    assert [row[0] for row in rows] == log_grid(0.00102, 98.7, 200).tolist()
+    assert [row[0] for row in rows] == log_points(0.00102, 98.7, 200)
 
 
 def test_check_curve_is_the_time_series_check():
@@ -415,6 +406,3 @@ def test_check_curve_is_the_time_series_check():
     ):
         with pytest.raises(ValueError, match=match):
             check_curve(kt, values)
-        if len(kt) == len(values):
-            with pytest.raises(ValueError, match=match):
-                TimeSeries("bad", np.array(kt), np.array(values))

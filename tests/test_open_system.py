@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelscope import open_system
+from levelscope.diffusive import fidelity_overlap, survival
 from levelscope.numerics import NonConvergent, SeriesTolerance
-from levelscope.observables import fidelity_overlap, survival
 from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
 from oracles import fock_weight_reference, ladder_row_reference, tail_moments, weight_oracle
 

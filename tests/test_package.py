@@ -1,5 +1,6 @@
 """Tests of the package surface: the exported names and what the CLI imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import levelscope
 from levelscope import diffusive, numerics, observables
-from levelscope.cli import EXIT_USAGE, main
+from levelscope.cli import EXIT_USAGE, build_parser, main
 from levelscope.svgplot import _escape, line_plot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +55,40 @@ def test_cli_import_loads_no_scipy():
 
 def test_import_loads_no_numpy():
     assert _loaded_after("import levelscope, levelscope.cli") == dict.fromkeys(HEAVY, False)
+
+
+def test_observables_and_mean_y_series_load_no_numpy():
+    # The alias module the benchmark harness imports, and the <y(b)> series
+    # it runs, are pure Python.
+    statement = ("import levelscope, levelscope.observables\n"
+                 "cfg = levelscope.DiffusiveConfig(b=2, kappa=1.0, omega=0.1, lam=1.0)\n"
+                 "levelscope.mean_y_series(cfg, [0.1, 0.2])")
+    assert _loaded_after(statement) == dict.fromkeys(HEAVY, False)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_open_system_imports_numpy():
+    modules = sorted((SRC / "levelscope").glob("*.py"))
+    assert len(modules) > 1
+    assert [p.name for p in modules if "numpy" in _imported_modules(p)] == ["open_system.py"]
+
+
+def test_observables_aliases_the_diffusive_objects():
+    # The benchmark harness calls and traces these names; each must be the
+    # diffusive function itself, so a wrapper on either attribute sees it.
+    for name in ("fidelity_overlap", "survival", "mean_y_point", "mean_y_series"):
+        assert getattr(observables, name) is getattr(diffusive, name)
+    assert levelscope.DiffusiveConfig is diffusive.DiffusiveConfig
+    assert callable(main) and callable(build_parser)
 
 
 def test_import_loads_only_the_closed_system_modules():
@@ -151,13 +186,13 @@ def test_exported_names_are_the_submodule_objects():
         "print(sorted(set(levelscope.__all__) - set(dir(levelscope))))\n"
         "print([n for n in levelscope.__all__ if n != '__version__' and not any(\n"
         "    getattr(importlib.import_module(f'levelscope.{m}'), n, None) is getattr(levelscope, n)\n"
-        "    for m in ('numerics', 'spectra', 'presets', 'diffusive', 'open_system', 'observables'))])"
+        "    for m in ('numerics', 'spectra', 'presets', 'diffusive', 'open_system'))])"
     )
     assert _fresh(code).splitlines() == ["[]", "[]"]
 
 
 def test_lazy_names_are_bound_once():
-    for name in ("DiffusiveConfig", "fidelity_overlap", "log_grid", "TimeSeries"):
+    for name in ("DiffusiveConfig", "fidelity_overlap", "mean_y_series", "distribution"):
         value = getattr(levelscope, name)
         assert vars(levelscope)[name] is value
     assert levelscope.fidelity_overlap is observables.fidelity_overlap is diffusive.fidelity_overlap
