@@ -25,19 +25,17 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import __version__
 from .numerics import NonConvergent, SeriesTolerance, ZeroEnergy
 
 # Each half loads inside the commands that use it: the closed-system modules
-# (spectra, presets) in `criterion` and `scan`, the open-system ones in the
-# rest, so numpy loads only where the b-ladder runs (`evolve`). json loads
-# only where --format json is written.
+# in `criterion` and `scan` (presets only for --preset), the open-system ones
+# in the rest, so numpy loads only where the b-ladder runs (`evolve`). json
+# loads only where --format json is written.
 if TYPE_CHECKING:
-    from .diffusive import DiffusiveConfig
     from .spectra import ModelParams
 
 EXIT_OK = 0
@@ -48,61 +46,27 @@ EXIT_IO = 4
 _FLOAT_FMT = "%.12g"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every emitted data file."""
-
-    command: str
-    parameters: dict[str, str]
-    tool_version: str
-    tolerances: SeriesTolerance
-    timestamp: str
-
-    def lines(self) -> list[str]:
-        params = " ".join(f"{k}={v}" for k, v in sorted(self.parameters.items()))
-        tol = self.tolerances
-        return [
-            f"levelscope {self.command} v{self.tool_version}",
-            f"generated: {self.timestamp}",
-            f"parameters: {params}",
-            f"tolerances: rel_eps={tol.rel_eps:g} max_terms={tol.max_terms}",
-        ]
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": dict(sorted(self.parameters.items())),
-            "tool_version": self.tool_version,
-            "tolerances": {
-                "rel_eps": self.tolerances.rel_eps,
-                "max_terms": self.tolerances.max_terms,
-            },
-            "timestamp": self.timestamp,
-        }
-
-
-def _timestamp() -> str:
-    # SOURCE_DATE_EPOCH pins the manifest for reproducible output.
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
-
-
-def _manifest(args: argparse.Namespace, command: str, extra: dict[str, str] | None = None) -> RunManifest:
+def _manifest(args: argparse.Namespace, command: str, extra: dict[str, str] | None = None) -> dict:
+    """The provenance block of every data file: the JSON `manifest` object,
+    which the CSV header renders as its `#` lines."""
     params: dict[str, str] = dict(extra or {})
     for key in ("model", "preset", "n", "n_min", "n_max", "b", "kappa", "omega", "lam", "grid"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            value = getattr(args, key)
+        value = getattr(args, key, None)
+        if value is not None:
             params[key.replace("_", "-")] = (
                 ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             )
-    return RunManifest(
-        command=command,
-        parameters=params,
-        tool_version=__version__,
-        tolerances=_tolerance(args),
-        timestamp=_timestamp(),
-    )
+    tol = _tolerance(args)
+    # SOURCE_DATE_EPOCH pins the manifest for reproducible output.
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    stamp = time.gmtime(int(epoch) if epoch else int(time.time()))
+    return {
+        "command": command,
+        "parameters": dict(sorted(params.items())),
+        "tool_version": __version__,
+        "tolerances": {"rel_eps": tol.rel_eps, "max_terms": tol.max_terms},
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp),
+    }
 
 
 def _fmt(value: object) -> str:
@@ -161,7 +125,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_table(
     path: Path,
-    manifest: RunManifest,
+    manifest: dict,
     header: Sequence[str],
     rows: Sequence[Sequence[object]],
     footer_comments: Sequence[str] = (),
@@ -172,7 +136,7 @@ def _write_table(
         import json
 
         payload = {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "units": unit_note,
             "columns": list(header),
             "rows": [[v for v in row] for row in rows],
@@ -187,7 +151,7 @@ def _write_table(
 
 def _write_csv(
     path: Path,
-    manifest: RunManifest,
+    manifest: dict,
     header: Sequence[str],
     body: Iterable[str],
     footer_comments: Sequence[str] = (),
@@ -196,7 +160,14 @@ def _write_csv(
     """Write a CSV table whose data rows are already formatted: each entry of
     body is one line or several joined by newlines. Entries are written as
     body yields them, so a generator streams the table."""
-    head = [f"# {line}" for line in manifest.lines()]
+    params = " ".join(f"{k}={v}" for k, v in manifest["parameters"].items())
+    tol = manifest["tolerances"]
+    head = [
+        f"# levelscope {manifest['command']} v{manifest['tool_version']}",
+        f"# generated: {manifest['timestamp']}",
+        f"# parameters: {params}",
+        f"# tolerances: rel_eps={tol['rel_eps']:g} max_terms={tol['max_terms']}",
+    ]
     if unit_note:
         head.append(f"# units: {unit_note}")
     head.append(",".join(header))
@@ -256,10 +227,12 @@ def _parse_b_list(spec: str) -> tuple[int, ...]:
 
 
 def _model_from_args(args: argparse.Namespace) -> ModelParams:
-    from . import presets, spectra
-
     if args.preset:
+        from . import presets
+
         return presets.load_model(args.preset)
+    from . import spectra
+
     if not args.model:
         raise SystemExit2("one of --model or --preset is required")
     name = args.model.lower()
@@ -397,72 +370,41 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Curve values at one (cfg, t): each maker imports what its curve needs, once
-# per command, and returns the function of (cfg, t) that gives a tuple of data
-# columns whose first entry is the plotted curve.
-_Value = Callable[["DiffusiveConfig", float], tuple[float, ...]]
-
-
-def _fidelity() -> _Value:
-    from .diffusive import fidelity_overlap
-
-    def value(cfg: DiffusiveConfig, t: float) -> tuple[float]:
-        return (fidelity_overlap(cfg, replace(cfg, b=cfg.b - 1), t),)
-
-    return value
-
-
-def _survival() -> _Value:
-    from .diffusive import survival
-
-    def value(cfg: DiffusiveConfig, t: float) -> tuple[float]:
-        return (survival(cfg, t),)
-
-    return value
-
-
-def _ymean() -> _Value:
-    from .diffusive import mean_y_point
-
-    def value(cfg: DiffusiveConfig, t: float) -> tuple[float, float, float]:
-        point = mean_y_point(cfg, t)
-        # signed ingredients ride along so the sign of d_tau stays visible
-        return point.y_mean, point.d_energy, point.d_tau
-
-    return value
-
-
-# Curve values that compare b with b-1, with the message for a b below 1.
-_NEEDS_B1 = {
-    _fidelity: "fidelity needs b >= 1 (compares |b> with |b-1>)",
-    _ymean: "ymean needs b >= 1",
-}
-
-
 def _curves(
     args: argparse.Namespace,
     b_values: Sequence[int],
-    curve: Callable[[], _Value],
+    name: str,
     omega: float,
     lam: float,
 ) -> tuple[list[float], list[list[tuple[float, ...]]]]:
-    """The kappa*t grid and, per initial index b, the curve's values along it.
+    """The kappa*t grid and, per initial index b, the named curve ("fidelity",
+    "survival" or "ymean") along it: per grid point a tuple of data columns
+    whose first entry is the plotted curve.
 
     A b below 1 for a curve that compares b with b-1 exits 2 first. Each
     plotted curve passes diffusive.check_curve (strictly increasing grid,
     finite values) before anything is written.
     """
-    if curve in _NEEDS_B1 and any(b < 1 for b in b_values):
-        raise SystemExit2(_NEEDS_B1[curve])
-    from .diffusive import DiffusiveConfig, check_curve
+    if name == "fidelity" and min(b_values) < 1:
+        raise SystemExit2("fidelity needs b >= 1 (compares |b> with |b-1>)")
+    if name == "ymean" and min(b_values) < 1:
+        raise SystemExit2("ymean needs b >= 1")
+    from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_point, survival
 
-    value = curve()
     grid = _kt_grid(args)
     cfgs = [DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam) for b in b_values]
     times = _times(args.kappa, grid)
     curves = []
     for cfg in cfgs:
-        points = [value(cfg, t) for t in times]
+        if name == "fidelity":
+            lower = DiffusiveConfig(b=cfg.b - 1, kappa=cfg.kappa, omega=omega, lam=lam)
+            points = [(fidelity_overlap(cfg, lower, t),) for t in times]
+        elif name == "survival":
+            points = [(survival(cfg, t),) for t in times]
+        else:
+            # signed ingredients ride along so the sign of d_tau stays visible
+            ys = [mean_y_point(cfg, t) for t in times]
+            points = [(p.y_mean, p.d_energy, p.d_tau) for p in ys]
         check_curve(grid, [p[0] for p in points])
         curves.append(points)
     return grid, curves
@@ -498,7 +440,7 @@ def _plot(
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    grid, curves = _curves(args, args.b, _fidelity, args.omega, args.lam)
+    grid, curves = _curves(args, args.b, "fidelity", args.omega, args.lam)
     rows = _rows(grid, curves, 1)
     manifest = _manifest(args, "fidelity", {"b-set": ",".join(map(str, args.b))})
     _write_table(
@@ -512,7 +454,7 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_ymean(args: argparse.Namespace) -> int:
-    grid, curves = _curves(args, args.b, _ymean, args.omega, args.lam)
+    grid, curves = _curves(args, args.b, "ymean", args.omega, args.lam)
     rows = _rows(grid, curves, 3)
     header = ["kt"]
     for b in args.b:
@@ -531,23 +473,23 @@ def _cmd_ymean(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# which -> (value, y label, hline, default b set, omega, lam)
+# which -> (curve, y label, hline, default b set, omega, lam)
 _FIGURES = {
-    1: (_fidelity, "F(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
-    2: (_survival, "P_b(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
-    3: (_ymean, "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 0.10, 1.0),
-    4: (_ymean, "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 10.0, 1.0),
+    1: ("fidelity", "F(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
+    2: ("survival", "P_b(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
+    3: ("ymean", "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 0.10, 1.0),
+    4: ("ymean", "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 10.0, 1.0),
 }
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    value, y_label, hline, default_b, omega, lam = _FIGURES[args.which]
+    name, y_label, hline, default_b, omega, lam = _FIGURES[args.which]
     b_values = args.b if args.b is not None else default_b
-    grid, curves = _curves(args, b_values, value, omega, lam)
+    grid, curves = _curves(args, b_values, name, omega, lam)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     extra = {"which": str(args.which), "b-set": ",".join(map(str, b_values))}
-    if value is _ymean:
+    if name == "ymean":
         extra["omega-over-lam"] = _fmt(omega / lam)
         # <y(b)> uses exact moments: no truncation certificate applies.
         extra["moments"] = "closed-form"

@@ -230,7 +230,8 @@ def _moments(b: int, kappa: float, t: float) -> tuple[float, float]:
     Exact, so no truncation certificate applies.
     """
     check_time(t)
-    u = 2.0 * kappa * t
+    # kappa*t first: a kappa near the float ceiling must not overflow 2*kappa.
+    u = 2.0 * (kappa * t)
     m1 = b + u
     m2 = b * b + 4.0 * b * u + 2.0 * u * u + u
     if not math.isfinite(m2):

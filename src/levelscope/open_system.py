@@ -53,15 +53,6 @@ class FockDistribution:
             return 0.0
         return float(self.weights[n])
 
-    def moments(self) -> tuple[float, float, float]:
-        """(sum P, sum n P, sum n^2 P) over the stored range."""
-        n = np.arange(self.weights.shape[0], dtype=float)
-        return (
-            float(self.weights.sum()),
-            float(n @ self.weights),
-            float((n * n) @ self.weights),
-        )
-
 
 # The b-ladder. The generating function G_b(s) = z (g + (z-g)s)^b / (1-gs)^(b+1)
 # of the populations (g, z = gamma, zeta) obeys G_b = G_{b-1} (g + (z-g)s)/(1-gs),

@@ -244,6 +244,10 @@ def _morse_energy(model: Morse, n: int) -> float:
 def energy(model: ModelParams, n: int) -> float:
     """Eigenvalue E_n of the model (hbar = 1)."""
     _check_index(model, n)
+    return _energy(model, n)
+
+
+def _energy(model: ModelParams, n: int) -> float:
     if isinstance(model, Harmonic):
         return model.omega * (n + 0.5)
     if isinstance(model, Box):
@@ -268,6 +272,10 @@ def period(model: ModelParams, n: int) -> float:
     (2 |E(n)| alpha^2)). Quartic: 2 pi / (omega + 2 lam n).
     """
     _check_index(model, n)
+    return _period(model, n)
+
+
+def _period(model: ModelParams, n: int) -> float:
     if isinstance(model, Harmonic):
         return 2.0 * math.pi / model.omega
     if isinstance(model, Box):
@@ -297,17 +305,24 @@ def criterion_point(model: ModelParams, n: int) -> CriterionPoint:
     criterion is identically zero and therefore says nothing about the
     spectrum (a different verdict than merely y < 1/2).
     """
-    if isinstance(model, Harmonic):
-        raise DegeneratePeriod(
-            "harmonic period is energy independent: dTau = 0 for every n, "
-            "the period cannot probe this spectrum"
-        )
+    _reject_harmonic(model)
     if n < criterion_min_index(model):
         raise IndexOutOfSpectrum(
             f"criterion needs a lower neighbor: n must be >= {criterion_min_index(model)}"
         )
     e_hi, e_lo = energy(model, n), energy(model, n - 1)
-    t_hi, t_lo = period(model, n), period(model, n - 1)
+    return _point(n, e_hi, e_lo, period(model, n), period(model, n - 1))
+
+
+def _reject_harmonic(model: ModelParams) -> None:
+    if isinstance(model, Harmonic):
+        raise DegeneratePeriod(
+            "harmonic period is energy independent: dTau = 0 for every n, "
+            "the period cannot probe this spectrum"
+        )
+
+
+def _point(n: int, e_hi: float, e_lo: float, t_hi: float, t_lo: float) -> CriterionPoint:
     d_energy = (e_hi - e_lo) / 2.0
     d_tau = (t_hi - t_lo) / 2.0
     y = abs(d_energy * d_tau)
@@ -348,7 +363,18 @@ def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
         raise IndexOutOfSpectrum(
             f"scan must start at n >= {criterion_min_index(model)} for {type(model).__name__}"
         )
-    points = tuple(criterion_point(model, n) for n in range(n_min, n_max + 1))
+    _reject_harmonic(model)
+    # The range is checked once, against the first level past the top, the
+    # one a level-by-level scan would stop at.
+    top = max_index(model)
+    if top is not None and n_max > top:
+        _check_index(model, max(n_min, top + 1))
+    # Each level's E and tau once, for n_min-1..n_max; the points are
+    # criterion_point's bit for bit.
+    levels = range(n_min - 1, n_max + 1)
+    e = [_energy(model, n) for n in levels]
+    tau = [_period(model, n) for n in levels]
+    points = tuple(map(_point, levels[1:], e[1:], e, tau[1:], tau))
     first = next((p.n for p in points if not p.resolvable), None)
     notes = []
     if first is None:

@@ -5,9 +5,10 @@ None of this runs in production: the 50-digit direct weight sum, two
 terminating sum over i that `fidelity_overlap` evaluates in floats), the
 paper's expanded triple sum for F(b, t) with the certified series summation
 it needs (the A07 audit of `fidelity_overlap`), the 50-digit tails of the
-trace and the first two moments beyond a level cut in closed form, and the
-plain forms of two hot paths: the level weight with a per-call ln k! list,
-and the b-ladder climbed one row at a time.
+trace and the first two moments beyond a level cut in closed form, the
+moments of a distribution's stored weights, and the plain forms of two hot
+paths: the level weight with a per-call ln k! list, and the b-ladder
+climbed one row at a time.
 """
 
 from __future__ import annotations
@@ -198,6 +199,12 @@ def fock_weight_reference(cfg: DiffusiveConfig, n: int, t: float) -> float:
             + (b + n - 2 * p) * lg + (2 * p + 1) * lz
         )
     return acc
+
+
+def stored_moments(dist: open_system.FockDistribution) -> tuple[float, float, float]:
+    """(sum P, sum n P, sum n^2 P) over a distribution's stored levels."""
+    n = np.arange(dist.weights.shape[0], dtype=float)
+    return float(dist.weights.sum()), float(n @ dist.weights), float((n * n) @ dist.weights)
 
 
 def tail_moments(b: int, kt: float, L: int) -> tuple[float, float, float]:

@@ -3,6 +3,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,55 @@ def test_scan_json_mirror(tmp_path):
     assert payload["manifest"]["command"] == "scan"
     assert len(payload["rows"]) == 5
     assert any("first_unresolvable" in f for f in payload["footer"])
+
+
+def header_manifest(path):
+    """The `#` manifest lines of a CSV data file, parsed into the shape of
+    the JSON `manifest` object."""
+    comments, _, _ = read_csv(path)
+    title, generated, parameters, tolerances = comments[:4]
+    command, version = title.removeprefix("# levelscope ").rsplit(" v", 1)
+    tol = dict(kv.split("=") for kv in tolerances.removeprefix("# tolerances: ").split())
+    return {
+        "command": command,
+        "parameters": dict(kv.split("=", 1) for kv in parameters.split()[2:]),
+        "tool_version": version,
+        "tolerances": {"rel_eps": float(tol["rel_eps"]), "max_terms": int(tol["max_terms"])},
+        "timestamp": generated.removeprefix("# generated: "),
+    }
+
+
+GRID3 = ["--grid", "log:1e-3:1:3"]
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["scan", "--model", "quartic", "--omega", "0.3", "--n-max", "6", "--out"], "{}"),
+        (["scan", "--preset", "h2_morse", "--n-min", "3", "--out"], "{}"),
+        (["evolve", "--b", "2", "--eps", "1e-09", "--weight-floor", "0", *GRID3, "--out"], "{}"),
+        (["fidelity", "--b", "1,3", "--kappa", "2.5", *GRID3, "--out"], "{}"),
+        (["ymean", "--omega", "0.2", "--lambda", "3", "--out"], "{}"),
+        (["figures", "1", "--b", "4", *GRID3, "--out"], "{}/figure1.{}"),
+        (["figures", "2", *GRID3, "--out"], "{}/figure2.{}"),
+        (["figures", "3", "--kappa", "0.5", "--out"], "{}/figure3.{}"),
+        (["figures", "4", *GRID3, "--out"], "{}/figure4.{}"),
+    ],
+    ids=["scan", "scan-preset", "evolve", "fidelity", "ymean",
+         "figures1", "figures2", "figures3", "figures4"],
+)
+def test_csv_header_and_json_manifest_are_one_manifest(tmp_path, monkeypatch, argv, data):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    paths = []
+    for fmt in ("csv", "json"):
+        out = str(tmp_path / fmt)
+        assert main([*argv, out, "--format", fmt]) == EXIT_OK
+        paths.append(Path(data.format(out, fmt)))
+    csv_path, json_path = paths
+    manifest = json.loads(json_path.read_text())["manifest"]
+    assert header_manifest(csv_path) == manifest
+    assert manifest["timestamp"] == "2023-11-14T22:13:20Z"
+    assert manifest["command"] == " ".join(argv[:2] if argv[0] == "figures" else argv[:1])
 
 
 def test_csv_rows_format_each_value_as_fmt():

@@ -23,7 +23,7 @@ from levelscope.diffusive import (
 )
 from levelscope.numerics import MismatchedConfig, SeriesTolerance, ZeroEnergy
 from levelscope.open_system import DiffusiveConfig, distribution
-from oracles import fidelity_closed_form, fidelity_direct, fidelity_terminating
+from oracles import fidelity_closed_form, fidelity_direct, fidelity_terminating, stored_moments
 
 
 def cfg_for(b: int, omega: float = 0.0, lam: float = 0.0) -> DiffusiveConfig:
@@ -226,7 +226,7 @@ def test_mean_tau_zero_energy_raises():
 def test_closed_form_moments_match_certified_sums(b, kt):
     omega, lam = 0.7, 1.3
     cfg = cfg_for(b, omega, lam)
-    _, m1, m2 = distribution(cfg, kt).moments()
+    _, m1, m2 = stored_moments(distribution(cfg, kt))
     assert mean_n(cfg, kt) == pytest.approx(m1, rel=1e-9)
     assert mean_h0(cfg, kt) == pytest.approx(omega * m1 + lam * m2, rel=1e-9)
 
@@ -248,6 +248,33 @@ def test_moments_reject_overflow():
     # finite moments, but lam <N^2> overflows
     with pytest.raises(ValueError, match="<H0> overflows"):
         mean_h0(cfg_for(3, omega=0.1, lam=1e300), 1e5)
+
+
+def test_ymean_takes_a_kappa_near_the_float_ceiling(tmp_path):
+    # 2 kappa overflows at kappa = 1e308; u = 2 (kappa t) does not.
+    out = tmp_path / "y.csv"
+    argv = ["ymean", "--b", "2", "--kappa", "1e308", "--grid", "log:1e-3:1:3", "--out", str(out)]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.37, 1.0, 2.5, 1e3])
+@pytest.mark.parametrize("b", [1, 2, 15])
+def test_moments_keep_their_bits_on_the_figure_grid(b, kappa):
+    # Doubling is exact, so 2 (kappa t) is (2 kappa) t bit for bit wherever
+    # neither product overflows or falls subnormal.
+    omega, lam = 0.1, 1.0
+    cfg = DiffusiveConfig(b=b, kappa=kappa, omega=omega, lam=lam)
+    for kt in log_points():
+        t = kt / kappa
+        u = 2.0 * kappa * t
+        assert mean_n(cfg, t) == b + u
+        point = mean_y_point(cfg, t)
+        assert point.mean_n_b == b + u
+        assert point.mean_h0_b == omega * (b + u) + lam * (b * b + 4.0 * b * u + 2.0 * u * u + u)
 
 
 # ---------------------------------------------------------------------------

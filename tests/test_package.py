@@ -82,6 +82,33 @@ def test_only_open_system_imports_numpy():
     assert [p.name for p in modules if "numpy" in _imported_modules(p)] == ["open_system.py"]
 
 
+def _imports_cli(source: str) -> bool:
+    """Whether a module directly under levelscope imports levelscope.cli."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "levelscope.cli" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"levelscope.{module}" if module else "levelscope"
+            names = {a.name for a in node.names}
+            if module == "levelscope.cli" or (module == "levelscope" and "cli" in names):
+                return True
+    return False
+
+
+def test_no_module_imports_the_cli():
+    # The CLI runs as `python -m levelscope.cli`, where an import of
+    # levelscope.cli compiles and runs cli.py a second time.
+    for source in ("from . import cli", "from .cli import main", "import levelscope.cli",
+                   "from levelscope import cli"):
+        assert _imports_cli(source)
+    assert not _imports_cli("from . import __version__\nfrom .numerics import ZeroEnergy")
+    modules = sorted((SRC / "levelscope").glob("*.py"))
+    assert [p.name for p in modules if _imports_cli(p.read_text(encoding="utf-8"))] == []
+
+
 def test_observables_aliases_the_diffusive_objects():
     # The benchmark harness calls and traces these names; each must be the
     # diffusive function itself, so a wrapper on either attribute sees it.
@@ -92,8 +119,9 @@ def test_observables_aliases_the_diffusive_objects():
 
 
 def test_import_loads_only_the_closed_system_modules():
-    # Both halves load inside the commands that use them: spectra and
-    # presets in criterion and scan, the open-system modules in the rest.
+    # Both halves load inside the commands that use them: spectra in
+    # criterion and scan (presets only for --preset), the open-system
+    # modules in the rest.
     code = ("import sys, levelscope, levelscope.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('levelscope.')))")
     assert _fresh(code) == str(["levelscope.cli", "levelscope.numerics"])
@@ -153,6 +181,20 @@ CLOSED = ("levelscope.spectra", "levelscope.presets")
 def test_open_system_commands_load_no_closed_system_module(tmp_path, argv):
     statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
     assert _loaded_after(statement, tmp_path, CLOSED) == dict.fromkeys(CLOSED, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criterion", "--model", "box", "--n", "4"],
+        ["scan", "--model", "quartic", "--n-max", "5", "--out", "q.csv"],
+    ],
+    ids=["criterion", "scan"],
+)
+def test_model_flags_load_no_presets(tmp_path, argv):
+    statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(statement, tmp_path, CLOSED) == {
+        "levelscope.spectra": True, "levelscope.presets": False}
 
 
 def test_preset_criterion_loads_the_closed_system_modules(tmp_path):

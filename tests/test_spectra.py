@@ -269,6 +269,49 @@ def test_scan_rejects_bad_ranges():
         threshold_scan(HYD, 0, 10)
 
 
+H2 = presets.load_model("h2_morse")
+WELL = Morse(depth=1.0, alpha=1.0, anharmonicity=10.0, mass=1.0, r0=1.0, omega=0.4)
+
+
+@pytest.mark.parametrize(
+    "model, n_min, n_max",
+    [(BOX, 2, 400), (HYD, 2, 400), (Quartic(omega=0.1, lam=1.0), 1, 400),
+     (Quartic(omega=0.3, lam=0.0), 1, 20), (H2, 1, 16), (H2, 16, 16), (WELL, 1, 4)],
+    ids=["box", "hydrogenoid", "quartic", "quartic-lam-0", "h2", "h2-top", "morse"],
+)
+def test_scan_points_are_the_criterion_points(model, n_min, n_max):
+    # The scan evaluates each level once; repr tells every float bit apart.
+    points = threshold_scan(model, n_min, n_max).points
+    assert repr(points) == repr(tuple(criterion_point(model, n) for n in range(n_min, n_max + 1)))
+
+
+SHALLOW = Morse(depth=1.0, alpha=1.0, anharmonicity=1.0, mass=1.0, r0=1.0, omega=0.4)
+
+
+@pytest.mark.parametrize(
+    "model, n_min, n_max, error, message",
+    [
+        (H2, 1, 40, IndexOutOfSpectrum,
+         "n=17 lies past the top of the Morse well (last bound level n=16)"),
+        (H2, 20, 40, IndexOutOfSpectrum,
+         "n=20 lies past the top of the Morse well (last bound level n=16)"),
+        (SHALLOW, 1, 3, IndexOutOfSpectrum, "Morse well too shallow to hold any level"),
+        (Harmonic(mass=1.0, omega=1.0), 1, 4, DegeneratePeriod,
+         "harmonic period is energy independent: dTau = 0 for every n, "
+         "the period cannot probe this spectrum"),
+        (Harmonic(mass=1.0, omega=1.0), 0, 4, IndexOutOfSpectrum,
+         "scan must start at n >= 1 for Harmonic"),
+        (BOX, 5, 4, ValueError, "empty scan range [5, 4]"),
+        (BOX, 1, 10, IndexOutOfSpectrum, "scan must start at n >= 2 for Box"),
+    ],
+    ids=["past-top", "all-past-top", "shallow", "harmonic", "harmonic-low", "empty", "low"],
+)
+def test_scan_errors_are_the_level_by_level_errors(model, n_min, n_max, error, message):
+    with pytest.raises(error) as exc:
+        threshold_scan(model, n_min, n_max)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # harmonic resolution product and quartic asymptotes
 
