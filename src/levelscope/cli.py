@@ -25,8 +25,8 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import __version__
 from .numerics import NonConvergent, SeriesTolerance, ZeroEnergy
@@ -34,7 +34,9 @@ from .numerics import NonConvergent, SeriesTolerance, ZeroEnergy
 # Each half loads inside the commands that use it: the closed-system modules
 # in `criterion` and `scan` (presets only for --preset), the open-system ones
 # in the rest, so numpy loads only where the b-ladder runs (`evolve`). json
-# loads only where --format json is written.
+# loads only where --format json is written. Type checkers read this
+# TYPE_CHECKING as typing's; defining it here keeps typing unloaded.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .spectra import ModelParams
 
@@ -77,27 +79,30 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _csv_rows(rows: Sequence[Sequence[object]]) -> list[str]:
-    """The rows as CSV lines, formatted as _fmt formats each value.
+def _csv_rows(rows: Sequence[Sequence[object]]) -> str:
+    """The rows as CSV lines joined by newlines, each value formatted as
+    _fmt formats it.
 
     Every column keeps the type of its first entry, so one %-format string,
-    built from the first row, formats each whole row.
+    built from the first row and repeated per row, formats the whole table
+    with one %; a bool column is swapped for its words by one slice
+    assignment first.
     """
     if not rows:
-        return []
-    line = ",".join(_FLOAT_FMT if isinstance(v, float) else "%s" for v in rows[0])
-    flags = [isinstance(v, bool) for v in rows[0]]
-    if any(flags):
-        rows = [
-            tuple(("true" if v else "false") if flag else v for flag, v in zip(flags, row))
-            for row in rows
-        ]
-    return [line % tuple(row) for row in rows]
+        return ""
+    first = rows[0]
+    line = ",".join(_FLOAT_FMT if isinstance(v, float) else "%s" for v in first)
+    width = len(first)
+    values = [v for row in rows for v in row]
+    for j, v in enumerate(first):
+        if isinstance(v, bool):
+            values[j::width] = ["true" if flag else "false" for flag in values[j::width]]
+    return "\n".join([line] * len(rows)) % tuple(values)
 
 
 def _csv_blocks(blocks: Iterable[tuple[tuple, list[int], list[float]]]) -> Iterator[str]:
     """The rows of each (shared columns, levels, weights) block as CSV lines
-    joined by newlines, formatted as _csv_rows would format them.
+    joined by newlines, as _csv_rows would format them.
 
     One % formats a block: the shared columns are formatted once into its
     rows' format string, which is repeated per level and applied to the
@@ -145,7 +150,7 @@ def _write_table(
         _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     # One entry, so the rows go out in one write.
-    body = ["\n".join(_csv_rows(rows))] if rows else []
+    body = [_csv_rows(rows)] if rows else []
     _write_csv(path, manifest, header, body, footer_comments, unit_note)
 
 

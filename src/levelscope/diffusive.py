@@ -12,15 +12,16 @@ that imports numpy, and it re-exports the names it shares with this one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .numerics import (
     DEFAULT_TOLERANCE,
+    Frozen,
     MismatchedConfig,
     SeriesTolerance,
     ZeroEnergy,
+    _set,
     is_integer,
     log_factorials,
 )
@@ -43,30 +44,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiffusiveConfig:
+class DiffusiveConfig(Frozen):
     """Open-system run parameters.
 
     b: initial Fock index; kappa: diffusion rate; omega, lam: oscillator
     frequency and nonlinear strength (hbar = 1 units); tol: truncation policy.
     """
 
-    b: int
-    kappa: float
-    omega: float = 0.0
-    lam: float = 0.0
-    tol: SeriesTolerance = field(default=DEFAULT_TOLERANCE)
+    __slots__ = ("b", "kappa", "omega", "lam", "tol")
 
-    def __post_init__(self) -> None:
-        if not is_integer(self.b) or self.b < 0:
-            raise ValueError(f"b must be a non-negative integer, got {self.b!r}")
+    def __init__(self, b: int, kappa: float, omega: float = 0.0, lam: float = 0.0,
+                 tol: SeriesTolerance = DEFAULT_TOLERANCE) -> None:
+        if not is_integer(b) or b < 0:
+            raise ValueError(f"b must be a non-negative integer, got {b!r}")
         # Chained comparisons with inf also reject NaN.
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
-        if not 0.0 <= self.omega < math.inf:
-            raise ValueError(f"omega must be finite and non-negative, got {self.omega}")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+        if not 0.0 < kappa < math.inf:
+            raise ValueError(f"kappa must be finite and positive, got {kappa}")
+        if not 0.0 <= omega < math.inf:
+            raise ValueError(f"omega must be finite and non-negative, got {omega}")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {lam}")
+        _set(self, "b", b)
+        _set(self, "kappa", kappa)
+        _set(self, "omega", omega)
+        _set(self, "lam", lam)
+        _set(self, "tol", tol)
 
 
 def check_time(t: float) -> None:
@@ -199,8 +201,7 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     return math.exp(a) * total * (b * x)
 
 
-@dataclass(frozen=True)
-class YMeanPoint:
+class YMeanPoint(Frozen):
     """One <y(b)> evaluation with its ingredients.
 
     d_energy = (<H0(b)> - <H0(b-1)>) / 2 and d_tau = (<tau_b> - <tau_{b-1}>) / 2
@@ -208,16 +209,22 @@ class YMeanPoint:
     faster); y_mean = |d_energy * d_tau| in units of hbar.
     """
 
-    kt: float
-    mean_n_b: float
-    mean_n_bm1: float
-    mean_h0_b: float
-    mean_h0_bm1: float
-    mean_tau_b: float
-    mean_tau_bm1: float
-    d_energy: float
-    d_tau: float
-    y_mean: float
+    __slots__ = ("kt", "mean_n_b", "mean_n_bm1", "mean_h0_b", "mean_h0_bm1", "mean_tau_b",
+                 "mean_tau_bm1", "d_energy", "d_tau", "y_mean")
+
+    def __init__(self, kt: float, mean_n_b: float, mean_n_bm1: float, mean_h0_b: float,
+                 mean_h0_bm1: float, mean_tau_b: float, mean_tau_bm1: float,
+                 d_energy: float, d_tau: float, y_mean: float) -> None:
+        _set(self, "kt", kt)
+        _set(self, "mean_n_b", mean_n_b)
+        _set(self, "mean_n_bm1", mean_n_bm1)
+        _set(self, "mean_h0_b", mean_h0_b)
+        _set(self, "mean_h0_bm1", mean_h0_bm1)
+        _set(self, "mean_tau_b", mean_tau_b)
+        _set(self, "mean_tau_bm1", mean_tau_bm1)
+        _set(self, "d_energy", d_energy)
+        _set(self, "d_tau", d_tau)
+        _set(self, "y_mean", y_mean)
 
 
 def _moments(b: int, kappa: float, t: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Shared numerical primitives: log-factorials, the integer check of index
-parameters, the truncation policy of the certified Fock-weight series, and
-the domain errors of the open-system observables.
+parameters, the truncation policy of the certified Fock-weight series, the
+domain errors of the open-system observables, and Frozen, the base of every
+value type.
 
 Everything here is safe to call from any number of threads; the one piece
 of shared state, the ln k! table, is only ever replaced whole.
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 __all__ = [
+    "Frozen",
     "MIN_REL_EPS",
     "MismatchedConfig",
     "NonConvergent",
@@ -23,6 +24,48 @@ __all__ = [
     "log_factorial",
     "log_factorials",
 ]
+
+
+# Stores a field past Frozen.__setattr__; the value types' __init__ use it.
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the value types: plain __slots__ classes whose fields are the
+    names in __slots__, in constructor order.
+
+    Each subclass's __init__ checks its arguments and stores every field
+    with object.__setattr__ (as _set); after that the object is immutable.
+    Objects are equal, and hash alike, when their types and field values
+    are; the repr is Name(field=value, ...). Copies and pickles rebuild the
+    object through its constructor, so they pass its checks again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
 
 
 class NonConvergent(ArithmeticError):
@@ -54,8 +97,7 @@ class ZeroEnergy(ArithmeticError):
 MIN_REL_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
+class SeriesTolerance(Frozen):
     """Truncation policy of the level populations.
 
     rel_eps: bound on the proven tail beyond the cut, relative to the full
@@ -64,19 +106,20 @@ class SeriesTolerance:
     max_terms: hard cap on the number of levels kept.
     """
 
-    rel_eps: float = 1e-10
-    max_terms: int = 1_000_000
+    __slots__ = ("rel_eps", "max_terms")
 
-    def __post_init__(self) -> None:
-        if not self.rel_eps > 0.0:
+    def __init__(self, rel_eps: float = 1e-10, max_terms: int = 1_000_000) -> None:
+        if not rel_eps > 0.0:
             raise ValueError("rel_eps must be positive")
-        if not MIN_REL_EPS <= self.rel_eps < 1.0:
+        if not MIN_REL_EPS <= rel_eps < 1.0:
             raise ValueError(
                 f"rel_eps must lie in [{MIN_REL_EPS:g}, 1): the weights carry about "
-                f"2.7e-13 relative rounding, got {self.rel_eps:g}"
+                f"2.7e-13 relative rounding, got {rel_eps:g}"
             )
-        if self.max_terms < 1:
+        if max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        _set(self, "rel_eps", rel_eps)
+        _set(self, "max_terms", max_terms)
 
 
 DEFAULT_TOLERANCE = SeriesTolerance()

@@ -18,19 +18,17 @@ and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .diffusive import DiffusiveConfig, _kernels, check_level, check_time, fock_weight
-from .numerics import NonConvergent, SeriesTolerance
+from .numerics import Frozen, NonConvergent, SeriesTolerance, _set
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
 
 
-@dataclass(frozen=True)
-class FockDistribution:
+class FockDistribution(Frozen):
     """Diagonal weights of the evolved state at one time.
 
     weights[n] holds P_b(n, t) for n = 0 .. n_cut, as a read-only array;
@@ -39,10 +37,13 @@ class FockDistribution:
     configured tolerance.
     """
 
-    t: float
-    weights: np.ndarray
-    n_cut: int
-    tail_bound: float
+    __slots__ = ("t", "weights", "n_cut", "tail_bound")
+
+    def __init__(self, t: float, weights: np.ndarray, n_cut: int, tail_bound: float) -> None:
+        _set(self, "t", t)
+        _set(self, "weights", weights)
+        _set(self, "n_cut", n_cut)
+        _set(self, "tail_bound", tail_bound)
 
     def trace(self) -> float:
         return float(self.weights.sum())

@@ -9,10 +9,8 @@ Box and Hydrogenoid those cancel out of y identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
-from .numerics import is_integer
+from .numerics import Frozen, _set, is_integer
 
 __all__ = [
     "IndexOutOfSpectrum",
@@ -64,49 +62,47 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class Harmonic:
+class Harmonic(Frozen):
     """E_n = omega (n + 1/2), period 2 pi / omega for every n."""
 
-    mass: float
-    omega: float
+    __slots__ = ("mass", "omega")
 
-    def __post_init__(self) -> None:
-        _require_positive("mass", self.mass)
-        _require_positive("omega", self.omega)
+    def __init__(self, mass: float, omega: float) -> None:
+        _require_positive("mass", mass)
+        _require_positive("omega", omega)
+        _set(self, "mass", mass)
+        _set(self, "omega", omega)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Frozen):
     """Infinite well of the given width: E_n = n^2 pi^2 / (2 m a^2), n >= 1."""
 
-    mass: float
-    width: float
+    __slots__ = ("mass", "width")
 
-    def __post_init__(self) -> None:
-        _require_positive("mass", self.mass)
-        _require_positive("width", self.width)
+    def __init__(self, mass: float, width: float) -> None:
+        _require_positive("mass", mass)
+        _require_positive("width", width)
+        _set(self, "mass", mass)
+        _set(self, "width", width)
 
 
-@dataclass(frozen=True)
-class Hydrogenoid:
+class Hydrogenoid(Frozen):
     """Coulomb spectrum E_n = -mu Z^2 e^4 / (2 n^2) for s states, n >= 1."""
 
-    reduced_mass: float = 1.0
-    charge_number: int = 1
-    charge: float = 1.0
+    __slots__ = ("reduced_mass", "charge_number", "charge")
 
-    def __post_init__(self) -> None:
-        _require_positive("reduced_mass", self.reduced_mass)
-        if not is_integer(self.charge_number) or self.charge_number < 1:
-            raise ValueError(
-                f"charge_number must be an integer >= 1, got {self.charge_number!r}"
-            )
-        _require_positive("charge", self.charge)
+    def __init__(self, reduced_mass: float = 1.0, charge_number: int = 1,
+                 charge: float = 1.0) -> None:
+        _require_positive("reduced_mass", reduced_mass)
+        if not is_integer(charge_number) or charge_number < 1:
+            raise ValueError(f"charge_number must be an integer >= 1, got {charge_number!r}")
+        _require_positive("charge", charge)
+        _set(self, "reduced_mass", reduced_mass)
+        _set(self, "charge_number", charge_number)
+        _set(self, "charge", charge)
 
 
-@dataclass(frozen=True)
-class Morse:
+class Morse(Frozen):
     """Morse well U(x) = depth (e^(-2 alpha x) - 2 e^(-alpha x)).
 
     E(n) = -depth + omega [(n + 1/2) - (n + 1/2)^2 / anharmonicity], valid
@@ -131,74 +127,85 @@ class Morse:
     in bohr).
     """
 
-    depth: float
-    alpha: float
-    anharmonicity: float
-    mass: float
-    r0: float
-    omega: float
+    __slots__ = ("depth", "alpha", "anharmonicity", "mass", "r0", "omega")
 
-    def __post_init__(self) -> None:
-        _require_positive("depth", self.depth)
-        _require_positive("alpha", self.alpha)
-        _require_positive("anharmonicity", self.anharmonicity)
-        _require_positive("mass", self.mass)
-        _require_positive("r0", self.r0)
-        _require_positive("omega", self.omega)
+    def __init__(self, depth: float, alpha: float, anharmonicity: float, mass: float,
+                 r0: float, omega: float) -> None:
+        _require_positive("depth", depth)
+        _require_positive("alpha", alpha)
+        _require_positive("anharmonicity", anharmonicity)
+        _require_positive("mass", mass)
+        _require_positive("r0", r0)
+        _require_positive("omega", omega)
+        _set(self, "depth", depth)
+        _set(self, "alpha", alpha)
+        _set(self, "anharmonicity", anharmonicity)
+        _set(self, "mass", mass)
+        _set(self, "r0", r0)
+        _set(self, "omega", omega)
 
 
-@dataclass(frozen=True)
-class Quartic:
+class Quartic(Frozen):
     """Kerr-type oscillator: E(n) = omega n + lam n^2 (hbar = 1)."""
 
-    omega: float
-    lam: float
+    __slots__ = ("omega", "lam")
 
-    def __post_init__(self) -> None:
-        _require_positive("omega", self.omega)
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-
-
-ModelParams = Union[Harmonic, Box, Hydrogenoid, Morse, Quartic]
+    def __init__(self, omega: float, lam: float) -> None:
+        _require_positive("omega", omega)
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {lam}")
+        _set(self, "omega", omega)
+        _set(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class CriterionPoint:
+ModelParams = Harmonic | Box | Hydrogenoid | Morse | Quartic
+
+
+class CriterionPoint(Frozen):
     """One scan row: level data, neighbor half-differences, and the verdict.
 
     d_energy = (E_n - E_{n-1}) / 2, d_tau = (tau_n - tau_{n-1}) / 2,
     y = |d_energy * d_tau| in units of hbar, resolvable iff y >= 1/2.
     """
 
-    n: int
-    energy: float
-    tau: float
-    d_energy: float
-    d_tau: float
-    y: float
-    resolvable: bool
+    __slots__ = ("n", "energy", "tau", "d_energy", "d_tau", "y", "resolvable")
+
+    def __init__(self, n: int, energy: float, tau: float, d_energy: float, d_tau: float,
+                 y: float, resolvable: bool) -> None:
+        _set(self, "n", n)
+        _set(self, "energy", energy)
+        _set(self, "tau", tau)
+        _set(self, "d_energy", d_energy)
+        _set(self, "d_tau", d_tau)
+        _set(self, "y", y)
+        _set(self, "resolvable", resolvable)
 
 
-@dataclass(frozen=True)
-class SuperpositionSpec:
+class SuperpositionSpec(Frozen):
     """Two-level superposition a|E_n> + b|E_{n-1}>; must be normalized."""
 
-    a: complex
-    b: complex
-    n: int
+    __slots__ = ("a", "b", "n")
 
-    def __post_init__(self) -> None:
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2
+    def __init__(self, a: complex, b: complex, n: int) -> None:
+        norm = abs(a) ** 2 + abs(b) ** 2
         if abs(norm - 1.0) > 1e-9:
             raise NotNormalized(f"|a|^2 + |b|^2 = {norm!r}, expected 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    points: tuple[CriterionPoint, ...]
-    first_unresolvable: int | None
-    note: str
+class ScanResult(Frozen):
+    """The rows of threshold_scan, the first level with y < 1/2 (or None),
+    and a note on every threshold crossing."""
+
+    __slots__ = ("points", "first_unresolvable", "note")
+
+    def __init__(self, points: tuple[CriterionPoint, ...], first_unresolvable: int | None,
+                 note: str) -> None:
+        _set(self, "points", points)
+        _set(self, "first_unresolvable", first_unresolvable)
+        _set(self, "note", note)
 
 
 def min_index(model: ModelParams) -> int:
@@ -247,18 +254,30 @@ def energy(model: ModelParams, n: int) -> float:
     return _energy(model, n)
 
 
+def _not_finite(name: str, n: int) -> ValueError:
+    return ValueError(
+        f"{name} is not finite at n={n}: the model parameters leave double-precision range"
+    )
+
+
+# _energy and _period turn a float overflow or a division by an underflowed
+# zero into this message; a value that comes out inf or NaN instead is caught
+# by _point, which every criterion row passes.
 def _energy(model: ModelParams, n: int) -> float:
-    if isinstance(model, Harmonic):
-        return model.omega * (n + 0.5)
-    if isinstance(model, Box):
-        return (n * n * math.pi**2) / (2.0 * model.mass * model.width**2)
-    if isinstance(model, Hydrogenoid):
-        mu_z2_e4 = model.reduced_mass * model.charge_number**2 * model.charge**4
-        return -mu_z2_e4 / (2.0 * n * n)
-    if isinstance(model, Morse):
-        return _morse_energy(model, n)
-    if isinstance(model, Quartic):
-        return model.omega * n + model.lam * n * n
+    try:
+        if isinstance(model, Harmonic):
+            return model.omega * (n + 0.5)
+        if isinstance(model, Box):
+            return (n * n * math.pi**2) / (2.0 * model.mass * model.width**2)
+        if isinstance(model, Hydrogenoid):
+            mu_z2_e4 = model.reduced_mass * model.charge_number**2 * model.charge**4
+            return -mu_z2_e4 / (2.0 * n * n)
+        if isinstance(model, Morse):
+            return _morse_energy(model, n)
+        if isinstance(model, Quartic):
+            return model.omega * n + model.lam * n * n
+    except (OverflowError, ZeroDivisionError):
+        raise _not_finite("E_n", n) from None
     raise TypeError(f"unknown model {model!r}")
 
 
@@ -276,20 +295,23 @@ def period(model: ModelParams, n: int) -> float:
 
 
 def _period(model: ModelParams, n: int) -> float:
-    if isinstance(model, Harmonic):
-        return 2.0 * math.pi / model.omega
-    if isinstance(model, Box):
-        return 2.0 * model.mass * model.width**2 / (n * math.pi)
-    if isinstance(model, Hydrogenoid):
-        mu_z2_e4 = model.reduced_mass * model.charge_number**2 * model.charge**4
-        return 2.0 * math.pi * n**3 / mu_z2_e4
-    if isinstance(model, Morse):
-        e_n = _morse_energy(model, n)
-        return 2.0 * math.pi * math.sqrt(
-            model.mass * model.r0**2 / (2.0 * abs(e_n) * model.alpha**2)
-        )
-    if isinstance(model, Quartic):
-        return 2.0 * math.pi / (model.omega + 2.0 * model.lam * n)
+    try:
+        if isinstance(model, Harmonic):
+            return 2.0 * math.pi / model.omega
+        if isinstance(model, Box):
+            return 2.0 * model.mass * model.width**2 / (n * math.pi)
+        if isinstance(model, Hydrogenoid):
+            mu_z2_e4 = model.reduced_mass * model.charge_number**2 * model.charge**4
+            return 2.0 * math.pi * n**3 / mu_z2_e4
+        if isinstance(model, Morse):
+            e_n = _morse_energy(model, n)
+            return 2.0 * math.pi * math.sqrt(
+                model.mass * model.r0**2 / (2.0 * abs(e_n) * model.alpha**2)
+            )
+        if isinstance(model, Quartic):
+            return 2.0 * math.pi / (model.omega + 2.0 * model.lam * n)
+    except (OverflowError, ZeroDivisionError):
+        raise _not_finite("tau_n", n) from None
     raise TypeError(f"unknown model {model!r}")
 
 
@@ -326,6 +348,14 @@ def _point(n: int, e_hi: float, e_lo: float, t_hi: float, t_lo: float) -> Criter
     d_energy = (e_hi - e_lo) / 2.0
     d_tau = (t_hi - t_lo) / 2.0
     y = abs(d_energy * d_tau)
+    # y is finite only if every quantity before it is; otherwise name the
+    # first that is not. A chained comparison with inf also rejects NaN.
+    if not y < math.inf:
+        for name, level, value in (("E_n", n, e_hi), ("E_n", n - 1, e_lo), ("tau_n", n, t_hi),
+                                   ("tau_n", n - 1, t_lo), ("dE", n, d_energy),
+                                   ("dTau", n, d_tau), ("y", n, y)):
+            if not math.isfinite(value):
+                raise _not_finite(name, level)
     return CriterionPoint(
         n=n,
         energy=e_hi,

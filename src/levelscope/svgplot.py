@@ -5,7 +5,7 @@ line. No plotting dependency; output is a deterministic string of the data.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 __all__ = ["line_plot"]
 

@@ -7,7 +7,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line; without
 
 import math
 import time
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -320,7 +319,7 @@ def test_a09_discreteness_lifetime_window():
             # The populations depend on kappa*t alone, so the whole curve
             # scales as 1/kappa.
             for kappa in (0.1, 10.0):
-                other = replace(cfg, kappa=kappa)
+                other = DiffusiveConfig(b=b, kappa=kappa, omega=ratio, lam=1.0)
                 scaled = np.array([mean_y_point(other, kt / kappa).y_mean for kt in kts])
                 worst_kappa = max(worst_kappa, float(np.max(np.abs(scaled - values) / values)))
             # <y(b)> < pi / (2 kappa t) at every kappa*t > 0.

@@ -66,6 +66,39 @@ def test_criterion_non_finite_model_exits_2(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["criterion", "--model", "box", "--mass", "1e-300", "--width", "1e-300", "--n", "3"],
+         "E_n is not finite at n=3"),
+        (["scan", "--model", "box", "--mass", "1e300", "--width", "1e300",
+          "--n-min", "2", "--n-max", "5"], "E_n is not finite at n=1"),
+        (["criterion", "--model", "hydrogenoid", "--mass", "1e300", "--charge", "1e300",
+          "--n", "3"], "E_n is not finite at n=3"),
+        (["criterion", "--model", "hydrogenoid", "--mass", "1e-300", "--charge", "1e-300",
+          "--n", "3"], "tau_n is not finite at n=3"),
+        (["criterion", "--model", "quartic", "--omega", "1e308", "--lambda", "1e308",
+          "--n", "5"], "E_n is not finite at n=5"),
+        (["scan", "--model", "quartic", "--omega", "1e308", "--lambda", "1e308",
+          "--n-min", "1", "--n-max", "5"], "E_n is not finite at n=1"),
+    ],
+    ids=["criterion-box-small", "scan-box-large", "criterion-hydrogenoid-large",
+         "criterion-hydrogenoid-small", "criterion-quartic-large", "scan-quartic-large"],
+)
+def test_closed_model_overflow_exits_2(tmp_path, capsys, argv, message):
+    # Finite parameters whose levels or periods leave double range: a
+    # message naming the level and the quantity, no traceback, no NaN row.
+    out = tmp_path / "scan.csv"
+    if argv[0] == "scan":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {message}: "
+                            "the model parameters leave double-precision range\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_criterion_out_of_spectrum_exits_2(capsys):
     assert main(["criterion", "--model", "box", "--n", "1"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -209,9 +242,9 @@ def test_csv_rows_format_each_value_as_fmt():
         (40, 1e22, False, "y", np.float64(math.pi), math.inf, 123456789012345.0),
         (2**60, float("nan"), True, "", np.float64(0.0), 1.0, 7.0),
     ]
-    assert _csv_rows(rows) == [",".join(_fmt(v) for v in row) for row in rows]
-    assert _csv_rows([(0.5,)]) == ["0.5"]
-    assert _csv_rows([]) == []
+    assert _csv_rows(rows) == "\n".join(",".join(_fmt(v) for v in row) for row in rows)
+    assert _csv_rows([(0.5,)]) == "0.5"
+    assert _csv_rows([]) == ""
 
 
 def test_evolve_trace_column(tmp_path):
@@ -238,7 +271,7 @@ def test_evolve_csv_rows_are_the_json_rows_formatted_row_by_row(tmp_path, floor)
     rows = [tuple(row) for row in json.loads((tmp_path / "e.json").read_text())["rows"]]
     lines = (tmp_path / "e.csv").read_text().splitlines()
     body = [line for line in lines if not line.startswith("#")][1:]
-    assert body == _csv_rows(rows)
+    assert "\n".join(body) == _csv_rows(rows)
     assert (len(rows) > 0) == (floor != "2")
 
 

@@ -1,7 +1,9 @@
 """Tests for the shared numerical primitives, the relaxation kernels, and
 the certified series summation of the test oracles."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
 
@@ -9,6 +11,7 @@ import mpmath as mp
 import pytest
 
 from levelscope import numerics
+from levelscope.diffusive import DiffusiveConfig, YMeanPoint
 from levelscope.numerics import (
     DEFAULT_TOLERANCE,
     MIN_REL_EPS,
@@ -17,7 +20,17 @@ from levelscope.numerics import (
     log_factorial,
     log_factorials,
 )
-from levelscope.open_system import _kernels
+from levelscope.open_system import FockDistribution, _kernels
+from levelscope.spectra import (
+    Box,
+    CriterionPoint,
+    Harmonic,
+    Hydrogenoid,
+    Morse,
+    Quartic,
+    ScanResult,
+    SuperpositionSpec,
+)
 from oracles import sum_adaptive
 
 mp.mp.dps = 50
@@ -193,3 +206,52 @@ def test_series_tolerance_rejects_eps_outside_the_certifiable_range(eps):
 
 def test_series_tolerance_floor_is_legal():
     assert SeriesTolerance(rel_eps=MIN_REL_EPS).rel_eps == 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Frozen: the value types
+
+
+POINT = dict(n=3, energy=4.5, tau=0.25, d_energy=1.5, d_tau=-0.125, y=0.1875, resolvable=False)
+
+# Each value type with constructor keywords, in field order.
+VALUE_CASES = [
+    (SeriesTolerance, dict(rel_eps=1e-8, max_terms=500)),
+    (DiffusiveConfig, dict(b=2, kappa=0.5, omega=0.1, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))),
+    (YMeanPoint, dict(zip(YMeanPoint.__slots__, [0.5 * k for k in range(1, 11)]))),
+    # A tuple stands in for the weight array, which numpy does not hash.
+    (FockDistribution, dict(t=0.1, weights=(0.75, 0.25), n_cut=1, tail_bound=0.0)),
+    (Harmonic, dict(mass=1.0, omega=2.0)),
+    (Box, dict(mass=1.0, width=2.0)),
+    (Hydrogenoid, dict(reduced_mass=1.0, charge_number=2, charge=1.5)),
+    (Morse, dict(depth=1.0, alpha=1.0, anharmonicity=10.0, mass=1.0, r0=1.0, omega=0.4)),
+    (Quartic, dict(omega=1.0, lam=0.5)),
+    (CriterionPoint, POINT),
+    (SuperpositionSpec, dict(a=0.6, b=0.8j, n=3)),
+    (ScanResult, dict(points=(CriterionPoint(**POINT),), first_unresolvable=3, note="n=3")),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", VALUE_CASES, ids=[c.__name__ for c, _ in VALUE_CASES])
+def test_value_types_are_frozen_values(cls, kwargs):
+    value = cls(**kwargs)
+    assert isinstance(value, numerics.Frozen)
+    assert cls.__slots__ == tuple(kwargs)
+    for name in (*kwargs, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert {name: getattr(value, name) for name in kwargs} == kwargs
+    # Equal values: equal objects with equal hashes, whether built by
+    # keyword, by position, or by copy and pickle through the constructor.
+    by_position = cls(*kwargs.values())
+    assert by_position == value and not by_position != value
+    assert hash(by_position) == hash(value)
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    # A different type with the same fields and values is not equal.
+    other = type("Other", (numerics.Frozen,), {"__slots__": cls.__slots__,
+                                                "__init__": cls.__init__})(**kwargs)
+    assert other != value and value != other
+    assert value != tuple(kwargs.values())
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"

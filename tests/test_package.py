@@ -82,6 +82,16 @@ def test_only_open_system_imports_numpy():
     assert [p.name for p in modules if "numpy" in _imported_modules(p)] == ["open_system.py"]
 
 
+def test_no_module_imports_dataclasses_or_typing():
+    # The value types are plain __slots__ classes on numerics.Frozen, and
+    # annotations take their names from collections.abc, so a cold command
+    # pays neither import (dataclasses alone loads inspect, ast, dis, ...).
+    modules = sorted((SRC / "levelscope").glob("*.py"))
+    assert len(modules) > 1
+    assert [p.name for p in modules
+            if _imported_modules(p) & {"dataclasses", "typing"}] == []
+
+
 def _imports_cli(source: str) -> bool:
     """Whether a module directly under levelscope imports levelscope.cli."""
     for node in ast.walk(ast.parse(source)):
@@ -160,6 +170,40 @@ def test_scalar_open_system_commands_load_no_numpy(tmp_path, argv, fmt):
     # arrays.
     statement = f"from levelscope.cli import main\nassert main({[*argv, '--format', fmt]!r}) == 0"
     assert _loaded_after(statement, cwd=tmp_path) == dict.fromkeys(HEAVY, False)
+
+
+STDLIB_HEAVY = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criterion", "--model", "hydrogenoid", "--n", "3", "--format", "json"],
+        ["criterion", "--preset", "h2_morse", "--n", "3"],
+        ["scan", "--model", "box", "--n-max", "6", "--out", "b.csv"],
+        ["scan", "--preset", "h2_morse", "--n-min", "1", "--out", "h2.json", "--format", "json"],
+        ["figures", "1", *GRID, "--out", "figs"],
+        ["figures", "2", *GRID, "--out", "figs"],
+        ["figures", "3", *GRID, "--out", "figs"],
+        ["figures", "4", *GRID, "--out", "figs"],
+        ["fidelity", *GRID, "--out", "f.csv", "--svg", "f.svg"],
+        ["ymean", *GRID, "--out", "y.json", "--svg", "y.svg", "--format", "json"],
+    ],
+    ids=["criterion", "criterion-preset", "scan", "scan-preset", "figures1", "figures2",
+         "figures3", "figures4", "fidelity", "ymean"],
+)
+def test_cold_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
+    statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(statement, tmp_path, STDLIB_HEAVY) == dict.fromkeys(STDLIB_HEAVY, False)
+
+
+def test_evolve_loads_no_dataclasses(tmp_path):
+    # numpy itself imports inspect, so only dataclasses is levelscope's to
+    # avoid here; the inspect probe shows the check can see such imports.
+    argv = ["evolve", "--b", "3", *GRID, "--out", "e.csv"]
+    statement = f"from levelscope.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(statement, tmp_path, STDLIB_HEAVY) == {"dataclasses": False,
+                                                                "inspect": True}
 
 
 CLOSED = ("levelscope.spectra", "levelscope.presets")

@@ -1,7 +1,7 @@
 """Tests for the closed-system model catalog and the y(n) criterion."""
 
+import inspect
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -312,6 +312,28 @@ def test_scan_errors_are_the_level_by_level_errors(model, n_min, n_max, error, m
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "model, n, name, level",
+    [
+        (Quartic(omega=1e308, lam=1e308), 5, "E_n", 5),  # E comes out inf
+        (Quartic(omega=1e-300, lam=1e300), 1, "y", 1),  # finite dE * dTau overflows
+        (Box(mass=1e300, width=1e300), 3, "E_n", 3),  # width**2 raises OverflowError
+        (Hydrogenoid(reduced_mass=1e-300, charge=1e-300), 3, "tau_n", 3),  # divides by 0
+    ],
+    ids=["quartic-energy", "quartic-y", "box-overflow", "hydrogenoid-zero-division"],
+)
+def test_non_finite_criterion_names_the_quantity_and_level(model, n, name, level):
+    message = (f"{name} is not finite at n={level}: "
+               "the model parameters leave double-precision range")
+    with pytest.raises(ValueError) as exc:
+        criterion_point(model, n)
+    assert str(exc.value) == message
+    if isinstance(model, Quartic):  # the scan meets the same quantity first
+        with pytest.raises(ValueError) as exc:
+            threshold_scan(model, n, n + 3)
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # harmonic resolution product and quartic asymptotes
 
@@ -393,15 +415,23 @@ VALID_MODELS = (
 )
 
 
+def _parameters(model) -> dict:
+    """The constructor parameters of the model's type, by name."""
+    return dict(inspect.signature(type(model)).parameters)
+
+
 @pytest.mark.parametrize(
     "model, name",
-    [(m, f.name) for m in VALID_MODELS for f in fields(m) if f.type == "float"],
+    [(m, name) for m in VALID_MODELS
+     for name, param in _parameters(m).items() if param.annotation == "float"],
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,
 )
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_models_reject_non_finite_parameters(model, name, bad):
+    values = {key: getattr(model, key) for key in _parameters(model)}
+    assert type(model)(**values) == model
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        replace(model, **{name: bad})
+        type(model)(**{**values, name: bad})
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, True])
