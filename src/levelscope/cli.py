@@ -48,11 +48,13 @@ EXIT_IO = 4
 _FLOAT_FMT = "%.12g"
 
 
-def _manifest(args: argparse.Namespace, command: str, extra: dict[str, str] | None = None) -> dict:
+def _manifest(args: argparse.Namespace, command: str, extra: dict[str, str] | None = None,
+              keys: Sequence[str] = ("b", "kappa", "omega", "lam", "grid")) -> dict:
     """The provenance block of every data file: the JSON `manifest` object,
-    which the CSV header renders as its `#` lines."""
+    which the CSV header renders as its `#` lines. Its parameters are extra
+    and the flags named in keys that were given or have a default."""
     params: dict[str, str] = dict(extra or {})
-    for key in ("model", "preset", "n", "n_min", "n_max", "b", "kappa", "omega", "lam", "grid"):
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             params[key.replace("_", "-")] = (
@@ -236,24 +238,15 @@ def _model_from_args(args: argparse.Namespace) -> ModelParams:
         from . import presets
 
         return presets.load_model(args.preset)
-    from . import spectra
-
     if not args.model:
         raise SystemExit2("one of --model or --preset is required")
-    name = args.model.lower()
-    if name == "harmonic":
-        return spectra.Harmonic(mass=args.mass, omega=args.omega)
-    if name == "box":
-        return spectra.Box(mass=args.mass, width=args.width)
-    if name == "hydrogenoid":
-        return spectra.Hydrogenoid(
-            reduced_mass=args.mass, charge_number=args.charge_number, charge=args.charge
-        )
-    if name == "quartic":
-        return spectra.Quartic(omega=args.omega, lam=args.lam)
-    if name == "morse":
+    if args.model == "morse":
         raise SystemExit2("morse runs from a preset file: use --preset h2_morse or a path")
-    raise SystemExit2(f"unknown model {args.model!r}")
+    from . import spectra
+
+    # One flag per field; --mass is also the hydrogenoid's reduced_mass.
+    cls = spectra.MODELS[args.model]
+    return cls(*[getattr(args, "mass" if f == "reduced_mass" else f) for f in cls.__slots__])
 
 
 class SystemExit2(Exception):
@@ -320,7 +313,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         f"first_unresolvable = {result.first_unresolvable}",
         f"note: {result.note}",
     ]
-    manifest = _manifest(args, "scan", {"resolved-n-max": str(n_max)})
+    # The model as built, one entry per field, whether flags or a preset gave it.
+    params = {f.replace("_", "-"): str(getattr(model, f)) for f in model.__slots__}
+    params["model"] = type(model).__name__.lower()
+    params["resolved-n-max"] = str(n_max)
+    manifest = _manifest(args, "scan", params, ("preset", "n_min", "n_max"))
     _write_table(
         Path(args.out),
         manifest,

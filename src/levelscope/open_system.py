@@ -22,7 +22,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .diffusive import DiffusiveConfig, _kernels, check_level, check_time, fock_weight
+from .diffusive import (DiffusiveConfig, _kernels, _moments, check_level, check_time,
+                        fock_weight)
 from .numerics import Frozen, NonConvergent, SeriesTolerance, _set
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
@@ -34,7 +35,8 @@ class FockDistribution(Frozen):
     weights[n] holds P_b(n, t) for n = 0 .. n_cut, as a read-only array;
     tail_bound is a proven upper bound on the probability beyond n_cut.
     The weights plus the tail account for the full unit trace to within the
-    configured tolerance.
+    configured tolerance. Equality compares the weights by value; the hash
+    leaves them out, so equal distributions hash alike.
     """
 
     __slots__ = ("t", "weights", "n_cut", "tail_bound")
@@ -44,6 +46,15 @@ class FockDistribution(Frozen):
         _set(self, "weights", weights)
         _set(self, "n_cut", n_cut)
         _set(self, "tail_bound", tail_bound)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.t, self.n_cut, self.tail_bound) == (other.t, other.n_cut, other.tail_bound)
+                and np.array_equal(self.weights, other.weights))
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self.t, self.n_cut, self.tail_bound))
 
     def trace(self) -> float:
         return float(self.weights.sum())
@@ -186,17 +197,17 @@ def _cut(b: int, kt: float, tol: SeriesTolerance) -> tuple[int, float]:
 
     n_cut is the smallest L >= b found at which the trace bound is at most
     rel_eps and each moment bound at most rel_eps * max(m, 1), with m the
-    closed-form moment b + u or b^2 + 4bu + 2u^2 + u (u = 2kt): by doubling,
+    closed-form moment <N> or <N^2> of diffusive._moments: by doubling,
     then by bisection that keeps the passing end, so every cut returned is
-    proven. The row then spans n_cut + 1 <= max_terms levels.
+    proven. The row then spans n_cut + 1 <= max_terms levels. Raises
+    ValueError when <N^2> overflows.
     """
     g, z = _kernels(kt)
-    u, eps = 2.0 * kt, tol.rel_eps
-    targets = (
-        eps,
-        eps * max(b + u, 1.0),
-        eps * max(b * b + 4.0 * b * u + 2.0 * u * u + u, 1.0),
-    )
+    # kt as the rate over unit time: a kappa*t that overflowed to inf is then
+    # reported as an overflowing <N^2>, like any kt past about 4.74e153.
+    m1, m2 = _moments(b, kt, 1.0)
+    eps = tol.rel_eps
+    targets = (eps, eps * max(m1, 1.0), eps * max(m2, 1.0))
 
     def tail(L: int) -> float | None:
         bounds = _bounds(b, g, z, L)

@@ -2,16 +2,13 @@
 
 File schema (one `key = value` per line, `#` comments, blank lines ignored):
 
-    model = harmonic | box | hydrogenoid | morse | quartic
+    model = <name>                   # a key of spectra.MODELS
     units = natural | ev_angstrom_amu
-    <parameter> = <number>           # parameter names per model, see below
+    <field> = <number>               # one line per field of the model
 
-Parameter keys by model:
-    harmonic:    mass, omega
-    box:         mass, width
-    hydrogenoid: reduced_mass, charge_number, charge
-    morse:       depth, alpha, anharmonicity, mass, r0, omega
-    quartic:     omega, lambda
+The fields are the model class's __slots__, every one required; the key
+`lambda` stands for the quartic's `lam`. charge_number must be integral
+(2 and 2.0 load, 1.5 does not). Keys are case-insensitive and may not repeat.
 
 Units: the library computes with hbar = 1. `natural` means the file values
 already form a coherent hbar = 1 system and are used as-is. `ev_angstrom_amu`
@@ -40,14 +37,6 @@ _AMU_SI = 1.66053906892e-27  # kg
 # Mass unit of the (eV, Angstrom, hbar=1) system, in kg.
 _MASS_UNIT_SI = _HBAR_SI**2 / (_EV_SI * _ANGSTROM_SI**2)
 _AMU_TO_INTERNAL = _AMU_SI / _MASS_UNIT_SI
-
-_MODEL_KEYS = {
-    "harmonic": ("mass", "omega"),
-    "box": ("mass", "width"),
-    "hydrogenoid": ("reduced_mass", "charge_number", "charge"),
-    "morse": ("depth", "alpha", "anharmonicity", "mass", "r0", "omega"),
-    "quartic": ("omega", "lambda"),
-}
 
 # Keys that carry a mass and need rescaling under ev_angstrom_amu.
 _MASS_KEYS = {"mass", "reduced_mass"}
@@ -84,7 +73,7 @@ def _parse(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ValueError(f"line {lineno}: empty key or value in {raw!r}")
-        if key in entries:
+        if key.lower() in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         entries[key.lower()] = value
     return entries
@@ -100,10 +89,12 @@ def load_model(name_or_path: str) -> spectra.ModelParams:
     units = entries.pop("units", "natural").lower()
     if units not in ("natural", "ev_angstrom_amu"):
         raise ValueError(f"unknown unit system {units!r}")
-    if model_name not in _MODEL_KEYS:
-        raise ValueError(f"unknown model {model_name!r} (expected one of {sorted(_MODEL_KEYS)})")
+    cls = spectra.MODELS.get(model_name)
+    if cls is None:
+        raise ValueError(f"unknown model {model_name!r} (expected one of {sorted(spectra.MODELS)})")
 
-    keys = _MODEL_KEYS[model_name]
+    # The keys are the model's fields, in constructor order; `lambda` is lam.
+    keys = ["lambda" if field == "lam" else field for field in cls.__slots__]
     missing = [k for k in keys if k not in entries]
     if missing:
         raise ValueError(f"{model_name} config is missing {missing}")
@@ -111,7 +102,7 @@ def load_model(name_or_path: str) -> spectra.ModelParams:
     if extra:
         raise ValueError(f"{model_name} config has unknown keys {extra}")
 
-    values: dict[str, float] = {}
+    values: list[float] = []
     for key in keys:
         raw = entries[key]
         value = float(raw)
@@ -119,25 +110,9 @@ def load_model(name_or_path: str) -> spectra.ModelParams:
             raise ValueError(f"parameter {key!r} is not finite: {raw!r}")
         if units == "ev_angstrom_amu" and key in _MASS_KEYS:
             value *= _AMU_TO_INTERNAL
-        values[key] = value
-
-    if model_name == "harmonic":
-        return spectra.Harmonic(mass=values["mass"], omega=values["omega"])
-    if model_name == "box":
-        return spectra.Box(mass=values["mass"], width=values["width"])
-    if model_name == "hydrogenoid":
-        return spectra.Hydrogenoid(
-            reduced_mass=values["reduced_mass"],
-            charge_number=int(values["charge_number"]),
-            charge=values["charge"],
-        )
-    if model_name == "morse":
-        return spectra.Morse(
-            depth=values["depth"],
-            alpha=values["alpha"],
-            anharmonicity=values["anharmonicity"],
-            mass=values["mass"],
-            r0=values["r0"],
-            omega=values["omega"],
-        )
-    return spectra.Quartic(omega=values["omega"], lam=values["lambda"])
+        # An integral charge_number is passed as an int; any other value
+        # reaches Hydrogenoid, which rejects it.
+        if key == "charge_number" and value.is_integer():
+            value = int(value)
+        values.append(value)
+    return cls(*values)

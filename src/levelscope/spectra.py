@@ -22,6 +22,7 @@ __all__ = [
     "Morse",
     "Quartic",
     "ModelParams",
+    "MODELS",
     "CriterionPoint",
     "SuperpositionSpec",
     "ScanResult",
@@ -160,6 +161,11 @@ class Quartic(Frozen):
 
 ModelParams = Harmonic | Box | Hydrogenoid | Morse | Quartic
 
+# The model catalog. Presets and the command line build every model as
+# MODELS[name](*values), with the values in the order of the class's __slots__.
+MODELS = {"harmonic": Harmonic, "box": Box, "hydrogenoid": Hydrogenoid, "morse": Morse,
+          "quartic": Quartic}
+
 
 class CriterionPoint(Frozen):
     """One scan row: level data, neighbor half-differences, and the verdict.
@@ -249,9 +255,13 @@ def _morse_energy(model: Morse, n: int) -> float:
 
 
 def energy(model: ModelParams, n: int) -> float:
-    """Eigenvalue E_n of the model (hbar = 1)."""
+    """Eigenvalue E_n of the model (hbar = 1); ValueError if not finite."""
     _check_index(model, n)
-    return _energy(model, n)
+    e_n = _energy(model, n)
+    # A chained comparison with inf also rejects NaN.
+    if not -math.inf < e_n < math.inf:
+        raise _not_finite("E_n", n)
+    return e_n
 
 
 def _not_finite(name: str, n: int) -> ValueError:
@@ -262,7 +272,7 @@ def _not_finite(name: str, n: int) -> ValueError:
 
 # _energy and _period turn a float overflow or a division by an underflowed
 # zero into this message; a value that comes out inf or NaN instead is caught
-# by _point, which every criterion row passes.
+# by energy and period, and by _point, which every criterion row passes.
 def _energy(model: ModelParams, n: int) -> float:
     try:
         if isinstance(model, Harmonic):
@@ -288,10 +298,14 @@ def period(model: ModelParams, n: int) -> float:
     Hydrogenoid: the Kepler period 2 pi n^3 / (mu Z^2 e^4), the unique
     period whose half-differences match the Coulomb level analysis and
     which vanishes as E -> -infinity. Morse: 2 pi sqrt(m r0^2 /
-    (2 |E(n)| alpha^2)). Quartic: 2 pi / (omega + 2 lam n).
+    (2 |E(n)| alpha^2)). Quartic: 2 pi / (omega + 2 lam n). ValueError if
+    not finite, or 0: every period is positive, so 0 means a divisor overflowed.
     """
     _check_index(model, n)
-    return _period(model, n)
+    tau = _period(model, n)
+    if not 0.0 < tau < math.inf:
+        raise _not_finite("tau_n", n)
+    return tau
 
 
 def _period(model: ModelParams, n: int) -> float:
@@ -370,11 +384,9 @@ def _point(n: int, e_hi: float, e_lo: float, t_hi: float, t_lo: float) -> Criter
 def superposition_delta_e(model: ModelParams, spec: SuperpositionSpec) -> float:
     """Energy spread |a||b| (E_n - E_{n-1}) of a two-neighbor superposition.
 
-    Maximal, at half the level gap, for |a| = |b| = 1/sqrt(2).
+    Maximal, at half the level gap, for |a| = |b| = 1/sqrt(2). The spec is
+    normalized by construction.
     """
-    norm = abs(spec.a) ** 2 + abs(spec.b) ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise NotNormalized(f"|a|^2 + |b|^2 = {norm!r}, expected 1")
     if spec.n < min_index(model) + 1:
         raise IndexOutOfSpectrum(f"n={spec.n} has no lower neighbor in {type(model).__name__}")
     gap = energy(model, spec.n) - energy(model, spec.n - 1)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levelscope.cli import EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, _csv_rows, _fmt, main
+from levelscope import presets, spectra
+from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, SystemExit2,
+                            _csv_rows, _fmt, _model_from_args, build_parser, main)
 from oracles import fidelity_terminating
 
 
@@ -234,6 +237,78 @@ def test_csv_header_and_json_manifest_are_one_manifest(tmp_path, monkeypatch, ar
     assert header_manifest(csv_path) == manifest
     assert manifest["timestamp"] == "2023-11-14T22:13:20Z"
     assert manifest["command"] == " ".join(argv[:2] if argv[0] == "figures" else argv[:1])
+
+
+H2 = presets.load_model("h2_morse")
+SCAN_RANGE = {"n-min": "2", "n-max": "6", "resolved-n-max": "6"}
+
+
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (["--model", "box", "--mass", "2", "--width", "0.5"],
+         {"model": "box", "mass": "2.0", "width": "0.5", **SCAN_RANGE}),
+        (["--model", "hydrogenoid", "--charge-number", "2"],
+         {"model": "hydrogenoid", "reduced-mass": "1.0", "charge-number": "2", "charge": "1.0",
+          **SCAN_RANGE}),
+        (["--model", "quartic", "--omega", "0.3"],
+         {"model": "quartic", "omega": "0.3", "lam": "1.0", **SCAN_RANGE}),
+        (["--preset", "h2_morse"],
+         {"preset": "h2_morse", "model": "morse",
+          **{f: str(getattr(H2, f)) for f in H2.__slots__}, **SCAN_RANGE}),
+    ],
+    ids=["box", "hydrogenoid", "quartic", "preset"],
+)
+def test_scan_manifest_names_the_model_it_built(tmp_path, argv, parameters):
+    # The catalog name and every field of the model built, whether flags or a
+    # preset gave it; omega and lam only where the model has them.
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"scan.{fmt}"
+        argv_fmt = [*argv, "--n-min", "2", "--n-max", "6", "--out", str(out), "--format", fmt]
+        assert main(["scan", *argv_fmt]) == EXIT_OK
+        manifest = (header_manifest(out) if fmt == "csv"
+                    else json.loads(out.read_text())["manifest"])
+        assert manifest["parameters"] == dict(sorted(parameters.items()))
+
+
+def _model_action(command: str) -> argparse.Action:
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in commands.choices[command]._actions if a.dest == "model")
+
+
+@pytest.mark.parametrize("command", ["criterion", "scan"])
+def test_model_choices_are_the_catalog(command):
+    assert tuple(_model_action(command).choices) == tuple(spectra.MODELS)
+
+
+@pytest.mark.parametrize(
+    "argv, model",
+    [
+        (["--model", "harmonic", "--mass", "1.5", "--omega", "2"],
+         spectra.Harmonic(mass=1.5, omega=2.0)),
+        (["--model", "box", "--mass", "2", "--width", "0.5"], spectra.Box(mass=2.0, width=0.5)),
+        (["--model", "box"], spectra.Box(mass=1.0, width=1.0)),
+        (["--model", "hydrogenoid", "--mass", "0.75", "--charge-number", "3", "--charge", "1.25"],
+         spectra.Hydrogenoid(reduced_mass=0.75, charge_number=3, charge=1.25)),
+        (["--model", "hydrogenoid"], spectra.Hydrogenoid()),
+        (["--model", "quartic", "--omega", "0.3", "--lambda", "0.7"],
+         spectra.Quartic(omega=0.3, lam=0.7)),
+    ],
+    ids=["harmonic", "box", "box-defaults", "hydrogenoid", "hydrogenoid-defaults", "quartic"],
+)
+def test_model_flags_build_the_constructor_model(argv, model):
+    for command in ("criterion", "scan"):
+        tail = ["--n", "2"] if command == "criterion" else ["--out", "unused.csv"]
+        built = _model_from_args(build_parser().parse_args([command, *argv, *tail]))
+        assert built == model and repr(built) == repr(model)
+
+
+def test_morse_flags_point_to_a_preset():
+    args = build_parser().parse_args(["criterion", "--model", "morse", "--n", "2"])
+    with pytest.raises(SystemExit2) as exc:
+        _model_from_args(args)
+    assert str(exc.value) == "morse runs from a preset file: use --preset h2_morse or a path"
 
 
 def test_csv_rows_format_each_value_as_fmt():
@@ -602,6 +677,15 @@ def test_repeated_b_index_exits_2(tmp_path, capsys, argv):
     assert "repeats an index" in capsys.readouterr().err
 
 
+def test_preset_with_fractional_charge_number_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("model = hydrogenoid\nreduced_mass = 1\ncharge_number = 1.5\ncharge = 1\n")
+    assert main(["criterion", "--preset", str(cfg), "--n", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: charge_number must be an integer >= 1, got 1.5\n"
+    assert captured.out == ""
+
+
 def test_missing_preset_exits_2(tmp_path, capsys):
     code = main(["scan", "--preset", "unobtainium", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE
@@ -645,6 +729,16 @@ def test_nonconvergent_exits_3(tmp_path, capsys):
     code = main(["evolve", "--b", "0", "--grid", "log:1e6:1e7:2", "--out", str(out)])
     assert code == EXIT_NONCONVERGENT
     assert "non-convergent" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_past_the_second_moment_range_exits_2(tmp_path, capsys):
+    # From kappa*t = 4.75e153 on, <N^2> overflows: a domain error, not a
+    # cut that never converges.
+    out = tmp_path / "x.csv"
+    code = main(["evolve", "--b", "2", "--grid", "log:1e154:1e155:2", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: <N^2> overflows at kappa*t = 1e+154\n"
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Tests for the diffusive Fock-state evolution."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from levelscope import open_system
 from levelscope.diffusive import fidelity_overlap, survival
 from levelscope.numerics import NonConvergent, SeriesTolerance
-from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
+from levelscope.open_system import DiffusiveConfig, FockDistribution, distribution, fock_weight
 from oracles import (
     fock_weight_reference,
     ladder_row_reference,
@@ -180,6 +182,32 @@ def test_nonconvergent_when_cut_exceeds_term_cap():
     cfg = DiffusiveConfig(b=0, kappa=1.0, tol=SeriesTolerance(max_terms=50))
     with pytest.raises(NonConvergent):
         distribution(cfg, 1e4)
+
+
+@pytest.mark.parametrize("kt, error", [(4.74e153, NonConvergent), (4.75e153, ValueError),
+                                       (math.inf, ValueError)])
+def test_cut_past_the_second_moment_range_is_a_domain_error(kt, error):
+    # <N^2> = b^2 + 4bu + 2u^2 + u (u = 2 kappa*t) overflows once 8 (kappa*t)^2
+    # passes the float ceiling, at kappa*t = 4.74e153; below that the cut runs
+    # into max_terms instead.
+    with pytest.raises(error) as exc:
+        open_system._cut(2, kt, SeriesTolerance())
+    if error is ValueError:
+        assert str(exc.value) == f"<N^2> overflows at kappa*t = {kt:g}"
+
+
+def test_distributions_compare_and_hash_by_value():
+    cfg = cfg_for(3)
+    dist, again = distribution(cfg, 0.1), distribution(cfg, 0.1)
+    assert dist.weights is not again.weights
+    assert dist == again and not dist != again
+    assert hash(dist) == hash(again) and len({dist, again}) == 1
+    assert copy.copy(dist) == dist == pickle.loads(pickle.dumps(dist))
+    assert isinstance(pickle.loads(pickle.dumps(dist)).weights, np.ndarray)
+    fields = dict(t=dist.t, n_cut=dist.n_cut, tail_bound=dist.tail_bound)
+    assert FockDistribution(weights=dist.weights * 0.5, **fields) != dist
+    assert FockDistribution(weights=dist.weights[:-1], **fields) != dist
+    assert distribution(cfg, 0.2) != dist
 
 
 def test_config_validation():

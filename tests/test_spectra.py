@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from levelscope import presets
+from levelscope import presets, spectra
 from levelscope.spectra import (
     Box,
     DegeneratePeriod,
@@ -334,6 +334,30 @@ def test_non_finite_criterion_names_the_quantity_and_level(model, n, name, level
         assert str(exc.value) == message
 
 
+QUARTIC_OVERFLOW = Quartic(omega=1e308, lam=1e308)
+
+
+@pytest.mark.parametrize(
+    "call, name, level",
+    [
+        # Unchecked, E_5 is inf, tau_5 = 2 pi / inf is 0 and the spread
+        # inf - inf is NaN.
+        (lambda: energy(QUARTIC_OVERFLOW, 5), "E_n", 5),
+        (lambda: period(QUARTIC_OVERFLOW, 5), "tau_n", 5),
+        (lambda: superposition_delta_e(QUARTIC_OVERFLOW, SuperpositionSpec(0.6, 0.8, 5)),
+         "E_n", 5),
+        # width**2 underflows to 0, so the period is 0.
+        (lambda: period(Box(mass=1e-300, width=1e-300), 3), "tau_n", 3),
+    ],
+    ids=["quartic-energy", "quartic-period", "quartic-spread", "box-period-underflow"],
+)
+def test_level_functions_name_the_non_finite_quantity(call, name, level):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == (f"{name} is not finite at n={level}: "
+                              "the model parameters leave double-precision range")
+
+
 # ---------------------------------------------------------------------------
 # harmonic resolution product and quartic asymptotes
 
@@ -484,3 +508,50 @@ def test_preset_errors(tmp_path):
     bad.write_text("model = box\nmass = 1.0\nmass = 2.0\nwidth = 1.0\n")
     with pytest.raises(ValueError, match="duplicate"):
         presets.load_model(str(bad))
+    # Keys are case-insensitive, so a repeat in another case is a repeat too.
+    bad.write_text("model = box\nmass = 1.0\nMass = 5.0\nwidth = 1.0\n")
+    with pytest.raises(ValueError, match="line 3: duplicate key 'Mass'"):
+        presets.load_model(str(bad))
+
+
+@pytest.mark.parametrize("value", ["2", "2.0", "1.5"])
+def test_preset_charge_number_must_be_integral(tmp_path, value):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(f"model = hydrogenoid\nreduced_mass = 1\ncharge_number = {value}\ncharge = 1\n")
+    if value == "1.5":
+        with pytest.raises(ValueError) as exc:
+            presets.load_model(str(cfg))
+        assert str(exc.value) == "charge_number must be an integer >= 1, got 1.5"
+    else:
+        model = presets.load_model(str(cfg))
+        assert model == Hydrogenoid(charge_number=2) and type(model.charge_number) is int
+
+
+# ---------------------------------------------------------------------------
+# the model catalog
+
+
+def test_catalog_names_each_model_class_by_its_lowercased_name():
+    assert spectra.MODELS == {cls.__name__.lower(): cls
+                              for cls in (Harmonic, Box, Hydrogenoid, Morse, Quartic)}
+
+
+CATALOG_MODELS = (
+    Harmonic(mass=1.5, omega=2.0),
+    Box(mass=2.0, width=0.5),
+    Hydrogenoid(reduced_mass=0.75, charge_number=3, charge=1.25),
+    Morse(depth=1.0, alpha=1.5, anharmonicity=10.0, mass=2.0, r0=0.5, omega=0.4),
+    Quartic(omega=0.3, lam=0.7),
+)
+
+
+@pytest.mark.parametrize("model", CATALOG_MODELS, ids=lambda m: type(m).__name__)
+def test_natural_preset_of_the_fields_is_the_model(tmp_path, model):
+    # One key per field of the class, in any order; `lambda` is lam.
+    name = type(model).__name__.lower()
+    lines = [f"{'lambda' if f == 'lam' else f} = {getattr(model, f)!r}"
+             for f in reversed(model.__slots__)]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("\n".join([f"model = {name}", "units = natural", *lines]) + "\n")
+    loaded = presets.load_model(str(cfg))
+    assert loaded == model and repr(loaded) == repr(model)
