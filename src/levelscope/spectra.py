@@ -4,6 +4,12 @@ the resolvability criterion y(n) = |dE_n * dTau_n| against the hbar/2 bound.
 Units: hbar = 1 throughout, so y is reported directly in units of hbar and
 the threshold sits at 1/2. Each model carries its own scale constants; for
 Box and Hydrogenoid those cancel out of y identically.
+
+Each model is a ModelParams subclass that carries its own formulas. The
+functions below hold what the models share: the index range check, and one
+rule for a value that left double range (E_n must be finite, tau_n finite
+and positive), which energy, period and every criterion row apply alike. A
+new model is one class with its formulas plus one MODELS entry.
 """
 
 from __future__ import annotations
@@ -63,7 +69,25 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-class Harmonic(Frozen):
+class ModelParams(Frozen):
+    """Base of the closed-system models, a Frozen value type whose fields
+    are the model's parameters.
+
+    Each model supplies its own unchecked formulas: _energy(n) is E_n and
+    _period(n) the classical orbit period tau_n at E_n; either may overflow
+    or come out inf, NaN or 0, and the module functions check them. _first
+    is the first quantum number, and _top() the last bound level, or None
+    for an unbounded spectrum.
+    """
+
+    __slots__ = ()
+    _first = 0
+
+    def _top(self) -> int | None:
+        return None
+
+
+class Harmonic(ModelParams):
     """E_n = omega (n + 1/2), period 2 pi / omega for every n."""
 
     __slots__ = ("mass", "omega")
@@ -74,11 +98,19 @@ class Harmonic(Frozen):
         _set(self, "mass", mass)
         _set(self, "omega", omega)
 
+    def _energy(self, n: int) -> float:
+        return self.omega * (n + 0.5)
 
-class Box(Frozen):
-    """Infinite well of the given width: E_n = n^2 pi^2 / (2 m a^2), n >= 1."""
+    def _period(self, n: int) -> float:
+        return 2.0 * math.pi / self.omega
+
+
+class Box(ModelParams):
+    """Infinite well of the given width: E_n = n^2 pi^2 / (2 m a^2), n >= 1;
+    period 2 a^2 m / (n pi)."""
 
     __slots__ = ("mass", "width")
+    _first = 1
 
     def __init__(self, mass: float, width: float) -> None:
         _require_positive("mass", mass)
@@ -86,11 +118,23 @@ class Box(Frozen):
         _set(self, "mass", mass)
         _set(self, "width", width)
 
+    def _energy(self, n: int) -> float:
+        return (n * n * math.pi**2) / (2.0 * self.mass * self.width**2)
 
-class Hydrogenoid(Frozen):
-    """Coulomb spectrum E_n = -mu Z^2 e^4 / (2 n^2) for s states, n >= 1."""
+    def _period(self, n: int) -> float:
+        return 2.0 * self.mass * self.width**2 / (n * math.pi)
+
+
+class Hydrogenoid(ModelParams):
+    """Coulomb spectrum E_n = -mu Z^2 e^4 / (2 n^2) for s states, n >= 1.
+
+    The period is the Kepler period 2 pi n^3 / (mu Z^2 e^4), the unique
+    period whose half-differences match the Coulomb level analysis and
+    which vanishes as E -> -infinity.
+    """
 
     __slots__ = ("reduced_mass", "charge_number", "charge")
+    _first = 1
 
     def __init__(self, reduced_mass: float = 1.0, charge_number: int = 1,
                  charge: float = 1.0) -> None:
@@ -102,8 +146,16 @@ class Hydrogenoid(Frozen):
         _set(self, "charge_number", charge_number)
         _set(self, "charge", charge)
 
+    def _energy(self, n: int) -> float:
+        mu_z2_e4 = self.reduced_mass * self.charge_number**2 * self.charge**4
+        return -mu_z2_e4 / (2.0 * n * n)
 
-class Morse(Frozen):
+    def _period(self, n: int) -> float:
+        mu_z2_e4 = self.reduced_mass * self.charge_number**2 * self.charge**4
+        return 2.0 * math.pi * n**3 / mu_z2_e4
+
+
+class Morse(ModelParams):
     """Morse well U(x) = depth (e^(-2 alpha x) - 2 e^(-alpha x)).
 
     E(n) = -depth + omega [(n + 1/2) - (n + 1/2)^2 / anharmonicity], valid
@@ -145,9 +197,29 @@ class Morse(Frozen):
         _set(self, "r0", r0)
         _set(self, "omega", omega)
 
+    def _energy(self, n: int) -> float:
+        v = n + 0.5
+        return -self.depth + self.omega * (v - v * v / self.anharmonicity)
 
-class Quartic(Frozen):
-    """Kerr-type oscillator: E(n) = omega n + lam n^2 (hbar = 1)."""
+    def _period(self, n: int) -> float:
+        return 2.0 * math.pi * math.sqrt(
+            self.mass * self.r0**2 / (2.0 * abs(self._energy(n)) * self.alpha**2)
+        )
+
+    def _top(self) -> int:
+        # Levels are kept while they still climb (d E / d n > 0, i.e.
+        # n + 1/2 < anharmonicity / 2) and stay below dissociation (E(n) < 0).
+        n_top = math.ceil((self.anharmonicity - 1.0) / 2.0) - 1
+        while n_top >= 0 and self._energy(n_top) >= 0.0:
+            n_top -= 1
+        if n_top < 0:
+            raise IndexOutOfSpectrum("Morse well too shallow to hold any level")
+        return n_top
+
+
+class Quartic(ModelParams):
+    """Kerr-type oscillator: E(n) = omega n + lam n^2 (hbar = 1); period
+    2 pi / (omega + 2 lam n)."""
 
     __slots__ = ("omega", "lam")
 
@@ -158,8 +230,12 @@ class Quartic(Frozen):
         _set(self, "omega", omega)
         _set(self, "lam", lam)
 
+    def _energy(self, n: int) -> float:
+        return self.omega * n + self.lam * n * n
 
-ModelParams = Harmonic | Box | Hydrogenoid | Morse | Quartic
+    def _period(self, n: int) -> float:
+        return 2.0 * math.pi / (self.omega + 2.0 * self.lam * n)
+
 
 # The model catalog. Presets and the command line build every model as
 # MODELS[name](*values), with the values in the order of the class's __slots__.
@@ -216,26 +292,16 @@ class ScanResult(Frozen):
 
 def min_index(model: ModelParams) -> int:
     """Smallest valid quantum number of the model's spectrum."""
-    if isinstance(model, (Box, Hydrogenoid)):
-        return 1
-    return 0
+    return model._first
 
 
 def max_index(model: ModelParams) -> int | None:
     """Largest bound index, or None for an unbounded spectrum.
 
     Only the Morse well has a ceiling: levels are kept while they still
-    climb (d E / d n > 0, i.e. n + 1/2 < anharmonicity / 2) and stay below
-    dissociation (E(n) < 0).
+    climb and stay below dissociation.
     """
-    if not isinstance(model, Morse):
-        return None
-    n_top = math.ceil((model.anharmonicity - 1.0) / 2.0) - 1
-    while n_top >= 0 and _morse_energy(model, n_top) >= 0.0:
-        n_top -= 1
-    if n_top < 0:
-        raise IndexOutOfSpectrum("Morse well too shallow to hold any level")
-    return n_top
+    return model._top()
 
 
 def _check_index(model: ModelParams, n: int) -> None:
@@ -249,84 +315,45 @@ def _check_index(model: ModelParams, n: int) -> None:
         )
 
 
-def _morse_energy(model: Morse, n: int) -> float:
-    v = n + 0.5
-    return -model.depth + model.omega * (v - v * v / model.anharmonicity)
-
-
-def energy(model: ModelParams, n: int) -> float:
-    """Eigenvalue E_n of the model (hbar = 1); ValueError if not finite."""
-    _check_index(model, n)
-    e_n = _energy(model, n)
-    # A chained comparison with inf also rejects NaN.
-    if not -math.inf < e_n < math.inf:
-        raise _not_finite("E_n", n)
-    return e_n
-
-
 def _not_finite(name: str, n: int) -> ValueError:
     return ValueError(
         f"{name} is not finite at n={n}: the model parameters leave double-precision range"
     )
 
 
-# _energy and _period turn a float overflow or a division by an underflowed
-# zero into this message; a value that comes out inf or NaN instead is caught
-# by energy and period, and by _point, which every criterion row passes.
-def _energy(model: ModelParams, n: int) -> float:
+def _checked(name: str, n: int, value: float) -> float:
+    """value, the quantity name at level n, if it lies in double range: a
+    period must be finite and positive (every period is, so 0 means a
+    divisor overflowed), anything else finite. Otherwise ValueError."""
+    # A chained comparison with inf also rejects NaN.
+    if not (0.0 if name == "tau_n" else -math.inf) < value < math.inf:
+        raise _not_finite(name, n)
+    return value
+
+
+def _raw(formula, name: str, n: int) -> float:
+    """formula(n), one of a model's _energy and _period, unchecked; a float
+    overflow or a division by an underflowed zero raises the ValueError of
+    the quantity name at level n."""
     try:
-        if isinstance(model, Harmonic):
-            return model.omega * (n + 0.5)
-        if isinstance(model, Box):
-            return (n * n * math.pi**2) / (2.0 * model.mass * model.width**2)
-        if isinstance(model, Hydrogenoid):
-            mu_z2_e4 = model.reduced_mass * model.charge_number**2 * model.charge**4
-            return -mu_z2_e4 / (2.0 * n * n)
-        if isinstance(model, Morse):
-            return _morse_energy(model, n)
-        if isinstance(model, Quartic):
-            return model.omega * n + model.lam * n * n
+        return formula(n)
     except (OverflowError, ZeroDivisionError):
-        raise _not_finite("E_n", n) from None
-    raise TypeError(f"unknown model {model!r}")
+        raise _not_finite(name, n) from None
+
+
+def energy(model: ModelParams, n: int) -> float:
+    """Eigenvalue E_n of the model (hbar = 1); ValueError if not finite."""
+    _check_index(model, n)
+    return _checked("E_n", n, _raw(model._energy, "E_n", n))
 
 
 def period(model: ModelParams, n: int) -> float:
-    """Classical orbit period at energy E_n.
-
-    Harmonic: 2 pi / omega, independent of n. Box: 2 a^2 m / (n pi).
-    Hydrogenoid: the Kepler period 2 pi n^3 / (mu Z^2 e^4), the unique
-    period whose half-differences match the Coulomb level analysis and
-    which vanishes as E -> -infinity. Morse: 2 pi sqrt(m r0^2 /
-    (2 |E(n)| alpha^2)). Quartic: 2 pi / (omega + 2 lam n). ValueError if
-    not finite, or 0: every period is positive, so 0 means a divisor overflowed.
+    """Classical orbit period at energy E_n (each model's docstring gives
+    its formula). ValueError if not finite, or 0: every period is positive,
+    so 0 means a divisor overflowed.
     """
     _check_index(model, n)
-    tau = _period(model, n)
-    if not 0.0 < tau < math.inf:
-        raise _not_finite("tau_n", n)
-    return tau
-
-
-def _period(model: ModelParams, n: int) -> float:
-    try:
-        if isinstance(model, Harmonic):
-            return 2.0 * math.pi / model.omega
-        if isinstance(model, Box):
-            return 2.0 * model.mass * model.width**2 / (n * math.pi)
-        if isinstance(model, Hydrogenoid):
-            mu_z2_e4 = model.reduced_mass * model.charge_number**2 * model.charge**4
-            return 2.0 * math.pi * n**3 / mu_z2_e4
-        if isinstance(model, Morse):
-            e_n = _morse_energy(model, n)
-            return 2.0 * math.pi * math.sqrt(
-                model.mass * model.r0**2 / (2.0 * abs(e_n) * model.alpha**2)
-            )
-        if isinstance(model, Quartic):
-            return 2.0 * math.pi / (model.omega + 2.0 * model.lam * n)
-    except (OverflowError, ZeroDivisionError):
-        raise _not_finite("tau_n", n) from None
-    raise TypeError(f"unknown model {model!r}")
+    return _checked("tau_n", n, _raw(model._period, "tau_n", n))
 
 
 def criterion_min_index(model: ModelParams) -> int:
@@ -346,8 +373,9 @@ def criterion_point(model: ModelParams, n: int) -> CriterionPoint:
         raise IndexOutOfSpectrum(
             f"criterion needs a lower neighbor: n must be >= {criterion_min_index(model)}"
         )
-    e_hi, e_lo = energy(model, n), energy(model, n - 1)
-    return _point(n, e_hi, e_lo, period(model, n), period(model, n - 1))
+    _check_index(model, n)
+    return _point(n, _raw(model._energy, "E_n", n), _raw(model._energy, "E_n", n - 1),
+                  _raw(model._period, "tau_n", n), _raw(model._period, "tau_n", n - 1))
 
 
 def _reject_harmonic(model: ModelParams) -> None:
@@ -359,17 +387,18 @@ def _reject_harmonic(model: ModelParams) -> None:
 
 
 def _point(n: int, e_hi: float, e_lo: float, t_hi: float, t_lo: float) -> CriterionPoint:
+    """The criterion row of level n from the unchecked E and tau of n and
+    n - 1; ValueError naming the first quantity that fails _checked."""
     d_energy = (e_hi - e_lo) / 2.0
     d_tau = (t_hi - t_lo) / 2.0
     y = abs(d_energy * d_tau)
-    # y is finite only if every quantity before it is; otherwise name the
-    # first that is not. A chained comparison with inf also rejects NaN.
-    if not y < math.inf:
+    # A finite y needs finite levels, dE and dTau, so with positive periods
+    # the row passes every check; only the other rows run them.
+    if not (y < math.inf and t_hi > 0.0 < t_lo):
         for name, level, value in (("E_n", n, e_hi), ("E_n", n - 1, e_lo), ("tau_n", n, t_hi),
                                    ("tau_n", n - 1, t_lo), ("dE", n, d_energy),
                                    ("dTau", n, d_tau), ("y", n, y)):
-            if not math.isfinite(value):
-                raise _not_finite(name, level)
+            _checked(name, level, value)
     return CriterionPoint(
         n=n,
         energy=e_hi,
@@ -387,10 +416,13 @@ def superposition_delta_e(model: ModelParams, spec: SuperpositionSpec) -> float:
     Maximal, at half the level gap, for |a| = |b| = 1/sqrt(2). The spec is
     normalized by construction.
     """
-    if spec.n < min_index(model) + 1:
-        raise IndexOutOfSpectrum(f"n={spec.n} has no lower neighbor in {type(model).__name__}")
-    gap = energy(model, spec.n) - energy(model, spec.n - 1)
-    return abs(spec.a) * abs(spec.b) * gap
+    n = spec.n
+    if n < min_index(model) + 1:
+        raise IndexOutOfSpectrum(f"n={n} has no lower neighbor in {type(model).__name__}")
+    _check_index(model, n)
+    e_hi = _checked("E_n", n, _raw(model._energy, "E_n", n))
+    e_lo = _checked("E_n", n - 1, _raw(model._energy, "E_n", n - 1))
+    return abs(spec.a) * abs(spec.b) * (e_hi - e_lo)
 
 
 def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
@@ -414,8 +446,9 @@ def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
     # Each level's E and tau once, for n_min-1..n_max; the points are
     # criterion_point's bit for bit.
     levels = range(n_min - 1, n_max + 1)
-    e = [_energy(model, n) for n in levels]
-    tau = [_period(model, n) for n in levels]
+    energy_of, period_of = model._energy, model._period
+    e = [_raw(energy_of, "E_n", n) for n in levels]
+    tau = [_raw(period_of, "tau_n", n) for n in levels]
     points = tuple(map(_point, levels[1:], e[1:], e, tau[1:], tau))
     first = next((p.n for p in points if not p.resolvable), None)
     notes = []

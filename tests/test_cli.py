@@ -82,11 +82,14 @@ def test_criterion_non_finite_model_exits_2(capsys, argv, message):
           "--n", "3"], "tau_n is not finite at n=3"),
         (["criterion", "--model", "quartic", "--omega", "1e308", "--lambda", "1e308",
           "--n", "5"], "E_n is not finite at n=5"),
+        (["scan", "--model", "quartic", "--omega", "1e308", "--lambda", "5e307",
+          "--n-min", "1", "--n-max", "1"], "tau_n is not finite at n=1"),
         (["scan", "--model", "quartic", "--omega", "1e308", "--lambda", "1e308",
           "--n-min", "1", "--n-max", "5"], "E_n is not finite at n=1"),
     ],
     ids=["criterion-box-small", "scan-box-large", "criterion-hydrogenoid-large",
-         "criterion-hydrogenoid-small", "criterion-quartic-large", "scan-quartic-large"],
+         "criterion-hydrogenoid-small", "criterion-quartic-large", "scan-quartic-zero-period",
+         "scan-quartic-large"],
 )
 def test_closed_model_overflow_exits_2(tmp_path, capsys, argv, message):
     # Finite parameters whose levels or periods leave double range: a

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levelscope import presets, spectra
 from levelscope.spectra import (
@@ -17,6 +19,7 @@ from levelscope.spectra import (
     NotNormalized,
     Quartic,
     SuperpositionSpec,
+    criterion_min_index,
     criterion_point,
     energy,
     harmonic_dpdq,
@@ -283,6 +286,59 @@ def test_scan_points_are_the_criterion_points(model, n_min, n_max):
     # The scan evaluates each level once; repr tells every float bit apart.
     points = threshold_scan(model, n_min, n_max).points
     assert repr(points) == repr(tuple(criterion_point(model, n) for n in range(n_min, n_max + 1)))
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi).map(lambda x: 10.0**x)
+
+
+def _fitted_morse(depth, alpha, anharmonicity, mass, r0, detuning) -> Morse:
+    # omega near 4 depth / anharmonicity, as in a fitted well, so that the
+    # well holds levels; independent draws are mostly too shallow.
+    return Morse(depth, alpha, anharmonicity, mass, r0, 4.0 * depth / anharmonicity * detuning)
+
+
+# Parameters log-uniform over 1e-300..1e300, so that levels, periods and
+# their differences overflow and underflow in every combination. The Morse
+# ceiling search walks down one level at a time from anharmonicity / 2, so
+# anharmonicity stays below 1e4 here.
+SCALE = _log_uniform(-300.0, 300.0)
+CAPACITY = _log_uniform(0.5, 4.0)
+DRAWN_MODELS = st.one_of(
+    st.builds(Box, mass=SCALE, width=SCALE),
+    st.builds(Hydrogenoid, reduced_mass=SCALE, charge_number=st.integers(1, 100), charge=SCALE),
+    st.builds(Quartic, omega=SCALE, lam=st.one_of(st.just(0.0), SCALE)),
+    st.builds(Morse, depth=SCALE, alpha=SCALE, anharmonicity=CAPACITY, mass=SCALE, r0=SCALE,
+              omega=SCALE),
+    st.builds(_fitted_morse, depth=SCALE, alpha=SCALE, anharmonicity=CAPACITY, mass=SCALE,
+              r0=SCALE, detuning=_log_uniform(-1.0, 0.1)),
+)
+
+
+def _rows_or_error(rows):
+    try:
+        return repr(rows())
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(model=DRAWN_MODELS,
+       start=st.one_of(st.integers(0, 2), st.integers(0, 20), st.integers(0, 10**9)),
+       count=st.integers(1, 4))
+# tau_1 = 2 pi / (omega + 2 lam) = 2 pi / inf is 0, a row that must not pass.
+@example(model=Quartic(omega=1e308, lam=5e307), start=0, count=1)
+# 2 |E_n| alpha^2 overflows, so both periods come out 0.
+@example(model=Morse(depth=3.893366748211468e+192, alpha=1.168751338103745e+87,
+                     anharmonicity=12.832998962983671, mass=7.143969753275426e-223,
+                     r0=2.5624210082468265e+58, omega=3.7819814997486035e+38),
+         start=1, count=2)
+def test_scan_rows_are_the_criterion_points_or_both_raise(model, start, count):
+    lo = criterion_min_index(model) + start
+    hi = lo + count - 1
+    scan = _rows_or_error(lambda: threshold_scan(model, lo, hi).points)
+    assert scan == _rows_or_error(lambda: tuple(criterion_point(model, n)
+                                                for n in range(lo, hi + 1)))
 
 
 SHALLOW = Morse(depth=1.0, alpha=1.0, anharmonicity=1.0, mass=1.0, r0=1.0, omega=0.4)
