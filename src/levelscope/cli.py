@@ -391,7 +391,7 @@ def _curves(
         raise SystemExit2("fidelity needs b >= 1 (compares |b> with |b-1>)")
     if name == "ymean" and min(b_values) < 1:
         raise SystemExit2("ymean needs b >= 1")
-    from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_point, survival
+    from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_series, survival
 
     grid = _kt_grid(args)
     cfgs = [DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam) for b in b_values]
@@ -404,8 +404,9 @@ def _curves(
         elif name == "survival":
             points = [(survival(cfg, t),) for t in times]
         else:
-            # signed ingredients ride along so the sign of d_tau stays visible
-            ys = [mean_y_point(cfg, t) for t in times]
+            # signed ingredients ride along so the sign of d_tau stays visible;
+            # the series takes t = kt / kappa, the same times as above
+            ys = mean_y_series(cfg, grid)
             points = [(p.y_mean, p.d_energy, p.d_tau) for p in ys]
         check_curve(grid, [p[0] for p in points])
         curves.append(points)

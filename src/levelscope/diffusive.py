@@ -93,6 +93,20 @@ def _kernels(kt: float) -> tuple[float, float]:
     return 2.0 * kt / (1.0 + 2.0 * kt), 1.0 / (1.0 + 2.0 * kt)
 
 
+@lru_cache(maxsize=64)
+def _weight_terms(b: int, n: int) -> tuple[tuple[float, float, float], ...]:
+    """The t-free part of each p-term of fock_weight, p = 0 .. min(b, n):
+    the ln C(b,p) C(n,p) chain lf[b] + lf[n] - 2 lf[p] - lf[n-p] - lf[b-p],
+    evaluated left to right as the full exponent would, and the powers
+    b+n-2p and 2p+1 of gamma and zeta as floats."""
+    lf = log_factorials(max(n, b) + 1)
+    return tuple(
+        (lf[b] + lf[n] - 2.0 * lf[p] - lf[n - p] - lf[b - p],
+         float(b + n - 2 * p), float(2 * p + 1))
+        for p in range(0, min(b, n) + 1)
+    )
+
+
 def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
     """Population P_b(n, t) of level n, as a finite log-space sum over p.
 
@@ -102,23 +116,23 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
         P_b(n) = sum_{p=0}^{min(b, n)} C(b, p) C(n, p) gamma^(b+n-2p) zeta^(2p+1)
 
     of positive terms; no truncation is involved for a single level. The
-    ln k! come from the shared numerics.log_factorials table. survival reads
-    this scalar sum; whole distributions come from the b-ladder.
+    ln k! come from the shared numerics.log_factorials table, and the t-free
+    head of each exponent is built once per (b, n) and cached, so a curve
+    pays per point only for (b+n-2p) ln gamma + (2p+1) ln zeta and the exp.
+    The terms are added one by one, left to right (a float sum() would
+    round differently). survival reads this scalar sum; whole distributions
+    come from the b-ladder.
     """
     check_level(n)
     check_time(t)
     g, z = _kernels(cfg.kappa * t)
     if g == 0.0:
         return 1.0 if n == cfg.b else 0.0
-    b = cfg.b
     lg, lz = math.log(g), math.log(z)
-    lf = log_factorials(max(n, b) + 1)
+    exp = math.exp
     acc = 0.0
-    for p in range(0, min(b, n) + 1):
-        acc += math.exp(
-            lf[b] + lf[n] - 2.0 * lf[p] - lf[n - p] - lf[b - p]
-            + (b + n - 2 * p) * lg + (2 * p + 1) * lz
-        )
+    for head, k_g, k_z in _weight_terms(cfg.b, n):
+        acc += exp(head + k_g * lg + k_z * lz)
     return acc
 
 
@@ -288,6 +302,46 @@ def mean_tau(cfg: DiffusiveConfig, t: float) -> float:
     return 2.0 * math.pi * m1 / h0
 
 
+def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
+    """<y(b)> at each time from the closed-form moments of the b and b-1
+    mixtures, inlined: per time the checks of check_time, _moments and
+    _energy in their order, with their messages, and their arithmetic in
+    the same order, so each value is bitwise that of the helpers."""
+    b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
+    if b < 1:
+        raise ValueError("mean_y_point needs b >= 1")
+    m = b - 1
+    bb, b4, mm, m4 = b * b, 4.0 * b, m * m, 4.0 * m
+    isfinite, inf, pi = math.isfinite, math.inf, math.pi
+    points = []
+    for t in times:
+        if not 0.0 <= t < inf:
+            raise ValueError(f"t must be finite and non-negative, got {t}")
+        kt = kappa * t
+        u = 2.0 * kt
+        m1_b = b + u
+        m2_b = bb + b4 * u + 2.0 * u * u + u
+        if not isfinite(m2_b):
+            raise ValueError(f"<N^2> overflows at kappa*t = {kt:g}")
+        # Each b - 1 moment rounds to at most its b counterpart, so the
+        # finiteness checks of the b moments cover both.
+        m1_m = m + u
+        m2_m = mm + m4 * u + 2.0 * u * u + u
+        h0_b = omega * m1_b + lam * m2_b
+        if not isfinite(h0_b):
+            raise ValueError(f"<H0> overflows at kappa*t = {kt:g}")
+        h0_m = omega * m1_m + lam * m2_m
+        if h0_b == 0.0 or h0_m == 0.0:
+            raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
+        tau_b = 2.0 * pi * m1_b / h0_b
+        tau_m = 2.0 * pi * m1_m / h0_m
+        d_energy = (h0_b - h0_m) / 2.0
+        d_tau = (tau_b - tau_m) / 2.0
+        points.append(YMeanPoint(kt, m1_b, m1_m, h0_b, h0_m, tau_b, tau_m, d_energy, d_tau,
+                                 abs(d_energy * d_tau)))
+    return points
+
+
 def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     """<y(b)> at one time from the b and b-1 mixtures.
 
@@ -309,38 +363,13 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     The moments come from that closed form, not from the certified weights;
     a negative or non-finite t, or a moment that overflows, raises ValueError.
     """
-    b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
-    if b < 1:
-        raise ValueError("mean_y_point needs b >= 1")
-    kt = kappa * t
-    m1_b, m2_b = _moments(b, kappa, t)
-    m1_m, m2_m = _moments(b - 1, kappa, t)
-    h0_b = _energy(omega, lam, m1_b, m2_b, kt)
-    h0_m = _energy(omega, lam, m1_m, m2_m, kt)
-    if h0_b == 0.0 or h0_m == 0.0:
-        raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
-    tau_b = 2.0 * math.pi * m1_b / h0_b
-    tau_m = 2.0 * math.pi * m1_m / h0_m
-    d_energy = (h0_b - h0_m) / 2.0
-    d_tau = (tau_b - tau_m) / 2.0
-    return YMeanPoint(
-        kt=kt,
-        mean_n_b=m1_b,
-        mean_n_bm1=m1_m,
-        mean_h0_b=h0_b,
-        mean_h0_bm1=h0_m,
-        mean_tau_b=tau_b,
-        mean_tau_bm1=tau_m,
-        d_energy=d_energy,
-        d_tau=d_tau,
-        y_mean=abs(d_energy * d_tau),
-    )
+    return _mean_y(cfg_b, (t,))[0]
 
 
 def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float]) -> list[YMeanPoint]:
-    """<y(b)> along a strictly increasing kappa*t grid, one mean_y_point
-    at t = kt / kappa per entry. Any 1-d sequence of numbers will do, a
-    numpy array included."""
+    """<y(b)> along a strictly increasing kappa*t grid, at t = kt / kappa
+    per entry: bitwise the mean_y_point of each, in one loop. Any 1-d
+    sequence of numbers will do, a numpy array included."""
     try:
         grid = [float(kt) for kt in kt_grid]
     except TypeError:  # not iterable, or an entry that is itself a sequence
@@ -351,7 +380,8 @@ def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float]) -> list[YMea
         raise ValueError("kt_grid must be finite")
     if any(not a < b for a, b in zip(grid, grid[1:])):
         raise ValueError("kt_grid must be strictly increasing")
-    return [mean_y_point(cfg_b, kt / cfg_b.kappa) for kt in grid]
+    kappa = cfg_b.kappa
+    return _mean_y(cfg_b, [kt / kappa for kt in grid])
 
 
 def log_points(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> list[float]:

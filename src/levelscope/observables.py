@@ -7,7 +7,9 @@ the benchmark harness (levelbench: sweep.py, selftest.py, tracer.py) calls
 observables.{fidelity_overlap, survival, mean_y_point, mean_y_series}; it
 goes once the harness imports levelscope.diffusive instead. The names here
 are the diffusive objects themselves, so a wrapper installed on either
-module attribute sees every call.
+module attribute sees every call made through that name. mean_y_series
+evaluates its points in one loop of its own and does not call
+mean_y_point, so a wrapper on mean_y_point sees only the direct calls.
 """
 
 from .diffusive import (

@@ -6,9 +6,11 @@ terminating sum over i that `fidelity_overlap` evaluates in floats), the
 paper's expanded triple sum for F(b, t) with the certified series summation
 it needs (the A07 audit of `fidelity_overlap`), the 50-digit tails of the
 trace and the first two moments beyond a level cut in closed form, the
-moments of a distribution's stored weights, and the plain forms of two hot
-paths: the level weight with a per-call ln k! list, and the b-ladder
-climbed one row at a time.
+moments of a distribution's stored weights, and the plain forms of the hot
+paths: the level weight with a per-call ln k! list and no cached terms,
+<y(b)> composed point by point from the moment helpers, the b-ladder
+climbed one row at a time, and the Morse ceiling search walked down one
+level at a time from the top of the climbing range.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ from typing import Iterable, Iterator, NamedTuple
 import mpmath as mp
 import numpy as np
 
-from levelscope import open_system
-from levelscope.numerics import DEFAULT_TOLERANCE, NonConvergent, SeriesTolerance, log_factorial
+from levelscope import diffusive, open_system
+from levelscope.numerics import (
+    DEFAULT_TOLERANCE,
+    NonConvergent,
+    SeriesTolerance,
+    ZeroEnergy,
+    log_factorial,
+)
+from levelscope.spectra import IndexOutOfSpectrum
 from levelscope.open_system import DiffusiveConfig, check_time
 
 
@@ -183,8 +192,9 @@ def fidelity_closed_form(cfg_b: DiffusiveConfig, t: float) -> float:
 
 
 def fock_weight_reference(cfg: DiffusiveConfig, n: int, t: float) -> float:
-    """open_system.fock_weight with its ln k! rebuilt as a list on each call,
-    the same p-sum in the same order."""
+    """open_system.fock_weight with its ln k! rebuilt as a list on each call
+    and each exponent evaluated as one chain, the same p-sum in the same
+    order."""
     check_time(t)
     g, z = open_system._kernels(cfg.kappa * t)
     if g == 0.0:
@@ -199,6 +209,49 @@ def fock_weight_reference(cfg: DiffusiveConfig, n: int, t: float) -> float:
             + (b + n - 2 * p) * lg + (2 * p + 1) * lz
         )
     return acc
+
+
+def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> diffusive.YMeanPoint:
+    """diffusive.mean_y_point composed from the moment helpers, one call per
+    preparation and time: _moments and _energy for b, then for b - 1."""
+    b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
+    if b < 1:
+        raise ValueError("mean_y_point needs b >= 1")
+    kt = kappa * t
+    m1_b, m2_b = diffusive._moments(b, kappa, t)
+    m1_m, m2_m = diffusive._moments(b - 1, kappa, t)
+    h0_b = diffusive._energy(omega, lam, m1_b, m2_b, kt)
+    h0_m = diffusive._energy(omega, lam, m1_m, m2_m, kt)
+    if h0_b == 0.0 or h0_m == 0.0:
+        raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
+    tau_b = 2.0 * math.pi * m1_b / h0_b
+    tau_m = 2.0 * math.pi * m1_m / h0_m
+    d_energy = (h0_b - h0_m) / 2.0
+    d_tau = (tau_b - tau_m) / 2.0
+    return diffusive.YMeanPoint(
+        kt=kt,
+        mean_n_b=m1_b,
+        mean_n_bm1=m1_m,
+        mean_h0_b=h0_b,
+        mean_h0_bm1=h0_m,
+        mean_tau_b=tau_b,
+        mean_tau_bm1=tau_m,
+        d_energy=d_energy,
+        d_tau=d_tau,
+        y_mean=abs(d_energy * d_tau),
+    )
+
+
+def morse_top_reference(well) -> int:
+    """The top bound level of a Morse well: the walk down, one level at a
+    time, from the last level that still climbs (n + 1/2 < anharmonicity / 2)
+    to the first whose energy is below dissociation."""
+    n_top = math.ceil((well.anharmonicity - 1.0) / 2.0) - 1
+    while n_top >= 0 and well._energy(n_top) >= 0.0:
+        n_top -= 1
+    if n_top < 0:
+        raise IndexOutOfSpectrum("Morse well too shallow to hold any level")
+    return n_top
 
 
 def stored_moments(dist: open_system.FockDistribution) -> tuple[float, float, float]:

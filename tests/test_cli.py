@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -687,6 +688,21 @@ def test_preset_with_fractional_charge_number_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: charge_number must be an integer >= 1, got 1.5\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("anharmonicity", ["1e7", "1e12"])
+def test_wide_morse_well_answers_at_once(tmp_path, capsys, anharmonicity):
+    # The well holds only n = 0 of about anharmonicity / 2 climbing levels;
+    # the ceiling search must not walk down through them one at a time.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("model = morse\ndepth = 1\nalpha = 1\nanharmonicity = "
+                   f"{anharmonicity}\nmass = 1\nr0 = 1\nomega = 1\n")
+    start = time.perf_counter()
+    code = main(["criterion", "--preset", str(cfg), "--n", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: n=1 lies past the top of the Morse well (last bound level n=0)\n")
 
 
 def test_missing_preset_exits_2(tmp_path, capsys):

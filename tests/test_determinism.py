@@ -3,8 +3,9 @@
 Every open-system data file must be a function of the command line alone:
 two fresh processes write the same bytes, and so does an in-process run
 made after a warm-up that filled the shared tables (ln k!, the fidelity
-coefficient ratios) in a different b order. The closed-system output is
-pinned by its sha256 digests.
+coefficient ratios, the t-free weight terms) in a different b order. Both
+the open-system and the closed-system output are pinned by their sha256
+digests.
 """
 
 import hashlib
@@ -25,9 +26,66 @@ COMMANDS = {
     "figures1": ["figures", "1"],
     "figures2": ["figures", "2"],
     "figures3": ["figures", "3"],
+    "figures4": ["figures", "4"],
     "fidelity": ["fidelity", "--b", "1,5,10,15"],
     "evolve": ["evolve", "--b", "15"],
     "ymean": ["ymean", "--b", "2,5,10,15"],
+}
+
+# sha256 of every file each command writes under SOURCE_DATE_EPOCH=0 (the
+# figures write their data file and an SVG). A change that moves a printed
+# digit updates these digests together with its list of moved digits.
+OPEN_DIGESTS = {
+    ("figures1", "csv"): {
+        "figure1.csv": "a0fc60893986efdc85bef998e22d9843be9f4f49eea0cc70faeb05b85922528a",
+        "figure1.svg": "efd716d222663fc5c5094c578b281b83216cec55eff9515eb1bd3135127e7513",
+    },
+    ("figures1", "json"): {
+        "figure1.json": "afb49da175d7ab6b0964d59ca7085f987c39c3f19071294d3c7b105ae719adfd",
+        "figure1.svg": "efd716d222663fc5c5094c578b281b83216cec55eff9515eb1bd3135127e7513",
+    },
+    ("figures2", "csv"): {
+        "figure2.csv": "063dcf47a27f98e53dc6902fa7f0cb20ba5fc262451c4660058da9264b306f4b",
+        "figure2.svg": "2862fbf8ab923149a440d98afcbf26f45f06023ff28dd7493ac6200cc51b4ed5",
+    },
+    ("figures2", "json"): {
+        "figure2.json": "1bf6f68dbad8bf0073ef9390bcc0615f2dc72e89e8fc0e224b7714e8be147762",
+        "figure2.svg": "2862fbf8ab923149a440d98afcbf26f45f06023ff28dd7493ac6200cc51b4ed5",
+    },
+    ("figures3", "csv"): {
+        "figure3.csv": "5a9da8ec86100a60539231ce54208e11b8e0980c3bff1f56f0e5fe20f2a10681",
+        "figure3.svg": "806290920faaeeffdaf8bcf2842f8c3cbac6a77cccacb9d8c927fc1c1c8ad2ef",
+    },
+    ("figures3", "json"): {
+        "figure3.json": "4f459b9f2aa3a4cf0dac832cab1b1f17cef41b8ddcfa0b99327256a2ddc6cdf1",
+        "figure3.svg": "806290920faaeeffdaf8bcf2842f8c3cbac6a77cccacb9d8c927fc1c1c8ad2ef",
+    },
+    ("figures4", "csv"): {
+        "figure4.csv": "89a719bec8d002c5173134b7ec7759ccf5b456bef939203b6d5a5c68fae39b76",
+        "figure4.svg": "c5d7fc25b1ffaebc81b8ee3dcbf7caf8316f0d1845d4363fd2e66f3c71374df6",
+    },
+    ("figures4", "json"): {
+        "figure4.json": "ad192d3cab8a60ebd013640fd24c9dab7b962ba7beff8fcd00062bda0d600bff",
+        "figure4.svg": "c5d7fc25b1ffaebc81b8ee3dcbf7caf8316f0d1845d4363fd2e66f3c71374df6",
+    },
+    ("fidelity", "csv"): {
+        "fidelity.csv": "3753a97d19821fe29edab78f86272ce28c721dc6f10bdc51a998c6ed6a1becde",
+    },
+    ("fidelity", "json"): {
+        "fidelity.json": "1b39164bf4823fa1f16b5a2181b3348f8bd2049c18a7abe8c5eafced62249162",
+    },
+    ("evolve", "csv"): {
+        "evolve.csv": "5a18dc8fcc72588f8b3ed53e92f87955957ce47f269cdc695e5dd55017a19806",
+    },
+    ("evolve", "json"): {
+        "evolve.json": "d0e6e2babe037760455ebaf43f675acc8607c62f6a4dc74fe998a54646d84985",
+    },
+    ("ymean", "csv"): {
+        "ymean.csv": "6044fea08c2a8fc780807660144205d5c13e064f96b0d0a6476259756645920d",
+    },
+    ("ymean", "json"): {
+        "ymean.json": "40722264cac5d0cfb36cef6cbb8878b2d0cc0a4629e406ceff9b904242e708d0",
+    },
 }
 
 
@@ -39,6 +97,10 @@ def _argv(name: str, fmt: str, out_dir: Path) -> list[str]:
 
 def _files(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def _digests(files: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -56,6 +118,7 @@ def test_output_bytes_do_not_depend_on_process_or_cache_history(tmp_path, monkey
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     fresh = _files(dirs[0])
     assert fresh and _files(dirs[1]) == fresh
+    assert _digests(fresh) == OPEN_DIGESTS[name, fmt]
 
     # The CLI sweeps b upwards from cold tables; warm them downwards first.
     for b in (16, 11, 6, 2):

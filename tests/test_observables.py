@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levelscope.cli import main
@@ -23,7 +23,13 @@ from levelscope.diffusive import (
 )
 from levelscope.numerics import MismatchedConfig, SeriesTolerance, ZeroEnergy
 from levelscope.open_system import DiffusiveConfig, distribution
-from oracles import fidelity_closed_form, fidelity_direct, fidelity_terminating, stored_moments
+from oracles import (
+    fidelity_closed_form,
+    fidelity_direct,
+    fidelity_terminating,
+    mean_y_reference,
+    stored_moments,
+)
 
 
 def cfg_for(b: int, omega: float = 0.0, lam: float = 0.0) -> DiffusiveConfig:
@@ -248,6 +254,52 @@ def test_moments_reject_overflow():
     # finite moments, but lam <N^2> overflows
     with pytest.raises(ValueError, match="<H0> overflows"):
         mean_h0(cfg_for(3, omega=0.1, lam=1e300), 1e5)
+
+
+# mean_y_series runs one loop over its times; each point must be bitwise the
+# mean_y_point at t = kt / kappa, and both the helper-by-helper composition.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 400),
+    kappa=st.floats(1e-6, 1e6),
+    omega=st.one_of(st.just(0.0), st.floats(1e-8, 1e4)),
+    lam=st.one_of(st.just(0.0), st.floats(1e-8, 1e4)),
+    start=st.floats(1e-8, 1e3),
+)
+def test_ymean_series_is_bitwise_the_points(b, kappa, omega, lam, start):
+    assume(omega > 0.0 or lam > 0.0)  # <H0> = 0 is the ZeroEnergy case below
+    cfg = DiffusiveConfig(b=b, kappa=kappa, omega=omega, lam=lam)
+    grid = log_points(start, start * 1e4, 9)
+    series = mean_y_series(cfg, grid)
+    points = [mean_y_point(cfg, kt / kappa) for kt in grid]
+    reference = [mean_y_reference(cfg, kt / kappa) for kt in grid]
+    assert [repr(p) for p in series] == [repr(p) for p in points] == [repr(p) for p in reference]
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as exc:
+        call()
+    return exc.type, str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "b, kappa, omega, lam, kt, error",
+    [
+        (0, 1.0, 1.0, 1.0, 0.5, "mean_y_point needs b >= 1"),
+        (3, 1e-300, 0.1, 1.0, 1e10, "t must be finite and non-negative, got inf"),
+        (3, 1.0, 0.1, 1.0, 1e200, "<N^2> overflows at kappa*t = 1e+200"),
+        (3, 1.0, 0.1, 1e300, 1e5, "<H0> overflows at kappa*t = 100000"),
+        (1, 1.0, 0.0, 0.0, 0.5, "<H0> = 0 at t=0.5; cannot form the period estimate"),
+    ],
+    ids=["b0", "t-overflow", "n2-overflow", "h0-overflow", "zero-energy"],
+)
+def test_ymean_series_and_point_raise_alike(b, kappa, omega, lam, kt, error):
+    cfg = DiffusiveConfig(b=b, kappa=kappa, omega=omega, lam=lam)
+    series = _raised(lambda: mean_y_series(cfg, [kt]))
+    assert series == _raised(lambda: mean_y_point(cfg, kt / kappa))
+    assert series == _raised(lambda: mean_y_reference(cfg, kt / kappa))
+    assert series[1] == error
+    assert series[0] is (ZeroEnergy if b == 1 else ValueError)
 
 
 def test_ymean_takes_a_kappa_near_the_float_ceiling(tmp_path):

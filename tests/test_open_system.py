@@ -98,6 +98,16 @@ def test_weight_matches_per_call_log_factorial_reference(kt):
             assert fock_weight(cfg, n, kt) == fock_weight_reference(cfg, n, kt), (b, n)
 
 
+# The t-free head of each p-term is cached per (b, n), 64 entries; draws
+# over far more (b, n) pairs than that, in random order, hit, miss and evict.
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(b=st.integers(0, 200), n=st.integers(0, 400), kt=st.floats(1e-8, 1e4))
+def test_weight_is_bitwise_the_uncached_chain(b, n, kt):
+    cfg = cfg_for(b)
+    assert fock_weight(cfg, n, kt).hex() == fock_weight_reference(cfg, n, kt).hex()
+    assert survival(cfg, kt).hex() == fock_weight_reference(cfg, b, kt).hex()
+
+
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_weight_path_rejects_non_finite_time(t):
     cfg = cfg_for(2)

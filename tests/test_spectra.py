@@ -30,6 +30,7 @@ from levelscope.spectra import (
     superposition_delta_e,
     threshold_scan,
 )
+from oracles import morse_top_reference
 
 BOX = Box(mass=1.0, width=1.0)
 HYD = Hydrogenoid()
@@ -300,8 +301,11 @@ def _fitted_morse(depth, alpha, anharmonicity, mass, r0, detuning) -> Morse:
 
 # Parameters log-uniform over 1e-300..1e300, so that levels, periods and
 # their differences overflow and underflow in every combination. The Morse
-# ceiling search walks down one level at a time from anharmonicity / 2, so
-# anharmonicity stays below 1e4 here.
+# ceiling search walks, one at a time, the levels near the root of E(n) whose
+# computed sign rounding could decide: about 2^-48 depth / omega of them,
+# endless for depth / omega ~ 1e100. E(n) crosses 0 in the climbing range
+# only if anharmonicity >= 4 depth / omega, so anharmonicity stays below 1e4
+# here.
 SCALE = _log_uniform(-300.0, 300.0)
 CAPACITY = _log_uniform(0.5, 4.0)
 DRAWN_MODELS = st.one_of(
@@ -462,6 +466,55 @@ def test_morse_levels_climb_then_stop():
         energy(model, top + 1)
     with pytest.raises(IndexOutOfSpectrum):
         period(model, top + 1)
+
+
+def _top_or_error(top, well):
+    try:
+        return top(well)
+    except IndexOutOfSpectrum as exc:
+        return str(exc)
+
+
+# The ceiling search starts at the closed-form root of E and walks the rest;
+# the one-level walk from the top of the climbing range is its reference.
+# Wells up to anharmonicity 2e5 keep that walk short; omega is drawn freely,
+# near 4 depth / anharmonicity (where E(n) barely reaches 0 at the top of the
+# range), and within a few ulps of it.
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    depth=SCALE,
+    anharmonicity=_log_uniform(-1.0, 5.3),
+    # omega itself, or a factor on the fitted 4 depth / anharmonicity
+    omega=st.one_of(
+        st.tuples(st.just("free"), SCALE),
+        st.tuples(st.just("fitted"), st.builds(lambda sign, x: 1.0 + sign * x,
+                                               st.sampled_from([1.0, -1.0]),
+                                               _log_uniform(-17.0, 0.0))),
+        st.tuples(st.just("fitted"), st.sampled_from(
+            [1.0, 1.0 - 2.0**-52, 1.0 + 2.0**-52, 1.0 - 2.0**-40, 1.0 + 2.0**-40])),
+    ),
+)
+@example(depth=1.0, anharmonicity=1e5, omega=("free", 1.0))
+@example(depth=1.0, anharmonicity=1e5, omega=("free", 1e-320))
+@example(depth=1e-320, anharmonicity=1e5, omega=("free", 1.0))
+@example(depth=1e300, anharmonicity=1e5, omega=("free", 1e-300))
+def test_morse_top_is_the_one_level_walk(depth, anharmonicity, omega):
+    kind, value = omega
+    omega = value if kind == "free" else 4.0 * depth / anharmonicity * value
+    if not 0.0 < omega < math.inf:
+        return
+    well = Morse(depth, 1.0, anharmonicity, 1.0, 1.0, omega)
+    assert _top_or_error(Morse._top, well) == _top_or_error(morse_top_reference, well)
+
+
+@pytest.mark.parametrize("anharmonicity", [1e7, 1e12, 1e100, 1e200])
+def test_morse_top_of_a_wide_well(anharmonicity):
+    # Levels pass dissociation at n = 1 of about anharmonicity / 2 climbing
+    # ones; from 1.3e154 up, (n + 1/2)^2 overflows at the top of the range,
+    # E comes out -inf there, and the walk stops at once, as it always did.
+    well = Morse(1.0, 1.0, anharmonicity, 1.0, 1.0, 1.0)
+    expected = 0 if anharmonicity < 1e154 else math.ceil((anharmonicity - 1.0) / 2.0) - 1
+    assert well._top() == expected
 
 
 def test_morse_period_grows_toward_dissociation():
