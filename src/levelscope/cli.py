@@ -246,7 +246,7 @@ def _model_from_args(args: argparse.Namespace) -> ModelParams:
 
     # One flag per field; --mass is also the hydrogenoid's reduced_mass.
     cls = spectra.MODELS[args.model]
-    return cls(*[getattr(args, "mass" if f == "reduced_mass" else f) for f in cls.__slots__])
+    return cls(*[getattr(args, "mass" if f == "reduced_mass" else f) for f in cls._fields])
 
 
 class SystemExit2(Exception):
@@ -314,7 +314,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         f"note: {result.note}",
     ]
     # The model as built, one entry per field, whether flags or a preset gave it.
-    params = {f.replace("_", "-"): str(getattr(model, f)) for f in model.__slots__}
+    params = {f.replace("_", "-"): str(getattr(model, f)) for f in model._fields}
     params["model"] = type(model).__name__.lower()
     params["resolved-n-max"] = str(n_max)
     manifest = _manifest(args, "scan", params, ("preset", "n_min", "n_max"))

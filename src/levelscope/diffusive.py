@@ -21,7 +21,6 @@ from .numerics import (
     MismatchedConfig,
     SeriesTolerance,
     ZeroEnergy,
-    _set,
     is_integer,
     log_factorials,
 )
@@ -51,10 +50,11 @@ class DiffusiveConfig(Frozen):
     frequency and nonlinear strength (hbar = 1 units); tol: truncation policy.
     """
 
-    __slots__ = ("b", "kappa", "omega", "lam", "tol")
+    __slots__ = ()
+    _fields = ("b", "kappa", "omega", "lam", "tol")
 
-    def __init__(self, b: int, kappa: float, omega: float = 0.0, lam: float = 0.0,
-                 tol: SeriesTolerance = DEFAULT_TOLERANCE) -> None:
+    def __new__(cls, b: int, kappa: float, omega: float = 0.0, lam: float = 0.0,
+                tol: SeriesTolerance = DEFAULT_TOLERANCE) -> DiffusiveConfig:
         if not is_integer(b) or b < 0:
             raise ValueError(f"b must be a non-negative integer, got {b!r}")
         # Chained comparisons with inf also reject NaN.
@@ -64,11 +64,7 @@ class DiffusiveConfig(Frozen):
             raise ValueError(f"omega must be finite and non-negative, got {omega}")
         if not 0.0 <= lam < math.inf:
             raise ValueError(f"lam must be finite and non-negative, got {lam}")
-        _set(self, "b", b)
-        _set(self, "kappa", kappa)
-        _set(self, "omega", omega)
-        _set(self, "lam", lam)
-        _set(self, "tol", tol)
+        return tuple.__new__(cls, (b, kappa, omega, lam, tol))
 
 
 def check_time(t: float) -> None:
@@ -223,22 +219,15 @@ class YMeanPoint(Frozen):
     faster); y_mean = |d_energy * d_tau| in units of hbar.
     """
 
-    __slots__ = ("kt", "mean_n_b", "mean_n_bm1", "mean_h0_b", "mean_h0_bm1", "mean_tau_b",
-                 "mean_tau_bm1", "d_energy", "d_tau", "y_mean")
+    __slots__ = ()
+    _fields = ("kt", "mean_n_b", "mean_n_bm1", "mean_h0_b", "mean_h0_bm1", "mean_tau_b",
+               "mean_tau_bm1", "d_energy", "d_tau", "y_mean")
 
-    def __init__(self, kt: float, mean_n_b: float, mean_n_bm1: float, mean_h0_b: float,
-                 mean_h0_bm1: float, mean_tau_b: float, mean_tau_bm1: float,
-                 d_energy: float, d_tau: float, y_mean: float) -> None:
-        _set(self, "kt", kt)
-        _set(self, "mean_n_b", mean_n_b)
-        _set(self, "mean_n_bm1", mean_n_bm1)
-        _set(self, "mean_h0_b", mean_h0_b)
-        _set(self, "mean_h0_bm1", mean_h0_bm1)
-        _set(self, "mean_tau_b", mean_tau_b)
-        _set(self, "mean_tau_bm1", mean_tau_bm1)
-        _set(self, "d_energy", d_energy)
-        _set(self, "d_tau", d_tau)
-        _set(self, "y_mean", y_mean)
+    def __new__(cls, kt: float, mean_n_b: float, mean_n_bm1: float, mean_h0_b: float,
+                mean_h0_bm1: float, mean_tau_b: float, mean_tau_bm1: float,
+                d_energy: float, d_tau: float, y_mean: float) -> YMeanPoint:
+        return tuple.__new__(cls, (kt, mean_n_b, mean_n_bm1, mean_h0_b, mean_h0_bm1, mean_tau_b,
+                                   mean_tau_bm1, d_energy, d_tau, y_mean))
 
 
 def _moments(b: int, kappa: float, t: float) -> tuple[float, float]:
@@ -390,14 +379,19 @@ def log_points(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> lis
     The exponents are np.linspace's, i * step + log10(start) with the last
     one set to log10(stop), bit for bit; each value is 10.0 ** exponent,
     libm's pow, so the grid does not depend on how numpy dispatches its
-    own power on the machine at hand.
+    own power on the machine at hand. A STOP so close to the float ceiling
+    that 10.0 ** log10(STOP) overflows raises ValueError.
     """
     if not (0.0 < start < stop < math.inf and points >= 2):
         raise ValueError("log grid needs 0 < START < STOP < inf and POINTS >= 2, "
                          f"got START={start}, STOP={stop}, POINTS={points}")
     a, b = math.log10(start), math.log10(stop)
     step = (b - a) / (points - 1)
-    return [10.0 ** (i * step + a) for i in range(points - 1)] + [10.0**b]
+    try:
+        return [10.0 ** (i * step + a) for i in range(points - 1)] + [10.0**b]
+    except OverflowError:
+        raise ValueError(f"log grid STOP={stop} is too close to the float ceiling: "
+                         f"10 ** log10(STOP) overflows") from None
 
 
 def check_curve(kt: Sequence[float], values: Sequence[float]) -> None:

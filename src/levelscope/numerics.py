@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import _tuplegetter
 
 __all__ = [
     "Frozen",
@@ -26,46 +27,52 @@ __all__ = [
 ]
 
 
-# Stores a field past Frozen.__setattr__; the value types' __init__ use it.
-_set = object.__setattr__
+class Frozen(tuple):
+    """Base of the value types: each value is the tuple of its fields, the
+    names in the class's _fields, in constructor order.
 
-
-class Frozen:
-    """Base of the value types: plain __slots__ classes whose fields are the
-    names in __slots__, in constructor order.
-
-    Each subclass's __init__ checks its arguments and stores every field
-    with object.__setattr__ (as _set); after that the object is immutable.
-    Objects are equal, and hash alike, when their types and field values
-    are; the repr is Name(field=value, ...). Copies and pickles rebuild the
-    object through its constructor, so they pass its checks again.
+    A subclass declares _fields and __slots__ = (), and builds its value in
+    __new__: it checks its arguments and returns tuple.__new__(cls, fields).
+    Each field reads through the C getter namedtuple uses, and assigning to
+    it raises AttributeError. A value is equal to another, and hashes alike,
+    only when their types and field values are; it is never equal to a plain
+    tuple, and values do not order. The repr is Name(field=value, ...), and
+    unpacking yields the fields in _fields order. Copies and pickles rebuild
+    the value through its constructor, so they pass its checks again.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+    def __init_subclass__(cls) -> None:
+        if cls.__dict__.get("__slots__") != ():
+            raise TypeError(f"{cls.__name__} must set __slots__ = ()")
+        for index, name in enumerate(cls.__dict__.get("_fields", ())):
+            if hasattr(Frozen, name):
+                raise TypeError(f"field {name!r} of {cls.__name__} would shadow "
+                                f"the inherited attribute of that name")
+            setattr(cls, name, _tuplegetter(index, name))
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __lt__(self, other: object) -> bool:
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __hash__(self) -> int:
-        return hash((self.__class__, self._values()))
+        return hash((self.__class__, tuple(self)))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return self.__class__, tuple(self)
 
 
 class NonConvergent(ArithmeticError):
@@ -106,9 +113,10 @@ class SeriesTolerance(Frozen):
     max_terms: hard cap on the number of levels kept.
     """
 
-    __slots__ = ("rel_eps", "max_terms")
+    __slots__ = ()
+    _fields = ("rel_eps", "max_terms")
 
-    def __init__(self, rel_eps: float = 1e-10, max_terms: int = 1_000_000) -> None:
+    def __new__(cls, rel_eps: float = 1e-10, max_terms: int = 1_000_000) -> SeriesTolerance:
         if not rel_eps > 0.0:
             raise ValueError("rel_eps must be positive")
         if not MIN_REL_EPS <= rel_eps < 1.0:
@@ -118,8 +126,7 @@ class SeriesTolerance(Frozen):
             )
         if max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        _set(self, "rel_eps", rel_eps)
-        _set(self, "max_terms", max_terms)
+        return tuple.__new__(cls, (rel_eps, max_terms))
 
 
 DEFAULT_TOLERANCE = SeriesTolerance()

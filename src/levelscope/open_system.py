@@ -24,7 +24,7 @@ import numpy as np
 
 from .diffusive import (DiffusiveConfig, _kernels, _moments, check_level, check_time,
                         fock_weight)
-from .numerics import Frozen, NonConvergent, SeriesTolerance, _set
+from .numerics import Frozen, NonConvergent, SeriesTolerance
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
 
@@ -39,17 +39,16 @@ class FockDistribution(Frozen):
     leaves them out, so equal distributions hash alike.
     """
 
-    __slots__ = ("t", "weights", "n_cut", "tail_bound")
+    __slots__ = ()
+    _fields = ("t", "weights", "n_cut", "tail_bound")
 
-    def __init__(self, t: float, weights: np.ndarray, n_cut: int, tail_bound: float) -> None:
-        _set(self, "t", t)
-        _set(self, "weights", weights)
-        _set(self, "n_cut", n_cut)
-        _set(self, "tail_bound", tail_bound)
+    def __new__(cls, t: float, weights: np.ndarray, n_cut: int,
+                tail_bound: float) -> FockDistribution:
+        return tuple.__new__(cls, (t, weights, n_cut, tail_bound))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            return False
         return ((self.t, self.n_cut, self.tail_bound) == (other.t, other.n_cut, other.tail_bound)
                 and np.array_equal(self.weights, other.weights))
 

@@ -6,7 +6,7 @@ File schema (one `key = value` per line, `#` comments, blank lines ignored):
     units = natural | ev_angstrom_amu
     <field> = <number>               # one line per field of the model
 
-The fields are the model class's __slots__, every one required; the key
+The fields are the model class's _fields, every one required; the key
 `lambda` stands for the quartic's `lam`. charge_number must be integral
 (2 and 2.0 load, 1.5 does not). Keys are case-insensitive and may not repeat.
 
@@ -94,7 +94,7 @@ def load_model(name_or_path: str) -> spectra.ModelParams:
         raise ValueError(f"unknown model {model_name!r} (expected one of {sorted(spectra.MODELS)})")
 
     # The keys are the model's fields, in constructor order; `lambda` is lam.
-    keys = ["lambda" if field == "lam" else field for field in cls.__slots__]
+    keys = ["lambda" if field == "lam" else field for field in cls._fields]
     missing = [k for k in keys if k not in entries]
     if missing:
         raise ValueError(f"{model_name} config is missing {missing}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import Frozen, _set, is_integer
+from .numerics import Frozen, is_integer
 
 __all__ = [
     "IndexOutOfSpectrum",
@@ -90,13 +90,13 @@ class ModelParams(Frozen):
 class Harmonic(ModelParams):
     """E_n = omega (n + 1/2), period 2 pi / omega for every n."""
 
-    __slots__ = ("mass", "omega")
+    __slots__ = ()
+    _fields = ("mass", "omega")
 
-    def __init__(self, mass: float, omega: float) -> None:
+    def __new__(cls, mass: float, omega: float) -> Harmonic:
         _require_positive("mass", mass)
         _require_positive("omega", omega)
-        _set(self, "mass", mass)
-        _set(self, "omega", omega)
+        return tuple.__new__(cls, (mass, omega))
 
     def _energy(self, n: int) -> float:
         return self.omega * (n + 0.5)
@@ -109,14 +109,14 @@ class Box(ModelParams):
     """Infinite well of the given width: E_n = n^2 pi^2 / (2 m a^2), n >= 1;
     period 2 a^2 m / (n pi)."""
 
-    __slots__ = ("mass", "width")
+    __slots__ = ()
+    _fields = ("mass", "width")
     _first = 1
 
-    def __init__(self, mass: float, width: float) -> None:
+    def __new__(cls, mass: float, width: float) -> Box:
         _require_positive("mass", mass)
         _require_positive("width", width)
-        _set(self, "mass", mass)
-        _set(self, "width", width)
+        return tuple.__new__(cls, (mass, width))
 
     def _energy(self, n: int) -> float:
         return (n * n * math.pi**2) / (2.0 * self.mass * self.width**2)
@@ -133,18 +133,17 @@ class Hydrogenoid(ModelParams):
     which vanishes as E -> -infinity.
     """
 
-    __slots__ = ("reduced_mass", "charge_number", "charge")
+    __slots__ = ()
+    _fields = ("reduced_mass", "charge_number", "charge")
     _first = 1
 
-    def __init__(self, reduced_mass: float = 1.0, charge_number: int = 1,
-                 charge: float = 1.0) -> None:
+    def __new__(cls, reduced_mass: float = 1.0, charge_number: int = 1,
+                charge: float = 1.0) -> Hydrogenoid:
         _require_positive("reduced_mass", reduced_mass)
         if not is_integer(charge_number) or charge_number < 1:
             raise ValueError(f"charge_number must be an integer >= 1, got {charge_number!r}")
         _require_positive("charge", charge)
-        _set(self, "reduced_mass", reduced_mass)
-        _set(self, "charge_number", charge_number)
-        _set(self, "charge", charge)
+        return tuple.__new__(cls, (reduced_mass, charge_number, charge))
 
     def _energy(self, n: int) -> float:
         mu_z2_e4 = self.reduced_mass * self.charge_number**2 * self.charge**4
@@ -186,22 +185,18 @@ class Morse(ModelParams):
     in bohr).
     """
 
-    __slots__ = ("depth", "alpha", "anharmonicity", "mass", "r0", "omega")
+    __slots__ = ()
+    _fields = ("depth", "alpha", "anharmonicity", "mass", "r0", "omega")
 
-    def __init__(self, depth: float, alpha: float, anharmonicity: float, mass: float,
-                 r0: float, omega: float) -> None:
+    def __new__(cls, depth: float, alpha: float, anharmonicity: float, mass: float,
+                r0: float, omega: float) -> Morse:
         _require_positive("depth", depth)
         _require_positive("alpha", alpha)
         _require_positive("anharmonicity", anharmonicity)
         _require_positive("mass", mass)
         _require_positive("r0", r0)
         _require_positive("omega", omega)
-        _set(self, "depth", depth)
-        _set(self, "alpha", alpha)
-        _set(self, "anharmonicity", anharmonicity)
-        _set(self, "mass", mass)
-        _set(self, "r0", r0)
-        _set(self, "omega", omega)
+        return tuple.__new__(cls, (depth, alpha, anharmonicity, mass, r0, omega))
 
     def _energy(self, n: int) -> float:
         v = n + 0.5
@@ -247,14 +242,14 @@ class Quartic(ModelParams):
     """Kerr-type oscillator: E(n) = omega n + lam n^2 (hbar = 1); period
     2 pi / (omega + 2 lam n)."""
 
-    __slots__ = ("omega", "lam")
+    __slots__ = ()
+    _fields = ("omega", "lam")
 
-    def __init__(self, omega: float, lam: float) -> None:
+    def __new__(cls, omega: float, lam: float) -> Quartic:
         _require_positive("omega", omega)
         if not 0.0 <= lam < math.inf:
             raise ValueError(f"lam must be finite and non-negative, got {lam}")
-        _set(self, "omega", omega)
-        _set(self, "lam", lam)
+        return tuple.__new__(cls, (omega, lam))
 
     def _energy(self, n: int) -> float:
         return self.omega * n + self.lam * n * n
@@ -264,7 +259,7 @@ class Quartic(ModelParams):
 
 
 # The model catalog. Presets and the command line build every model as
-# MODELS[name](*values), with the values in the order of the class's __slots__.
+# MODELS[name](*values), with the values in the order of the class's _fields.
 MODELS = {"harmonic": Harmonic, "box": Box, "hydrogenoid": Hydrogenoid, "morse": Morse,
           "quartic": Quartic}
 
@@ -276,44 +271,37 @@ class CriterionPoint(Frozen):
     y = |d_energy * d_tau| in units of hbar, resolvable iff y >= 1/2.
     """
 
-    __slots__ = ("n", "energy", "tau", "d_energy", "d_tau", "y", "resolvable")
+    __slots__ = ()
+    _fields = ("n", "energy", "tau", "d_energy", "d_tau", "y", "resolvable")
 
-    def __init__(self, n: int, energy: float, tau: float, d_energy: float, d_tau: float,
-                 y: float, resolvable: bool) -> None:
-        _set(self, "n", n)
-        _set(self, "energy", energy)
-        _set(self, "tau", tau)
-        _set(self, "d_energy", d_energy)
-        _set(self, "d_tau", d_tau)
-        _set(self, "y", y)
-        _set(self, "resolvable", resolvable)
+    def __new__(cls, n: int, energy: float, tau: float, d_energy: float, d_tau: float,
+                y: float, resolvable: bool) -> CriterionPoint:
+        return tuple.__new__(cls, (n, energy, tau, d_energy, d_tau, y, resolvable))
 
 
 class SuperpositionSpec(Frozen):
     """Two-level superposition a|E_n> + b|E_{n-1}>; must be normalized."""
 
-    __slots__ = ("a", "b", "n")
+    __slots__ = ()
+    _fields = ("a", "b", "n")
 
-    def __init__(self, a: complex, b: complex, n: int) -> None:
+    def __new__(cls, a: complex, b: complex, n: int) -> SuperpositionSpec:
         norm = abs(a) ** 2 + abs(b) ** 2
         if abs(norm - 1.0) > 1e-9:
             raise NotNormalized(f"|a|^2 + |b|^2 = {norm!r}, expected 1")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "n", n)
+        return tuple.__new__(cls, (a, b, n))
 
 
 class ScanResult(Frozen):
     """The rows of threshold_scan, the first level with y < 1/2 (or None),
     and a note on every threshold crossing."""
 
-    __slots__ = ("points", "first_unresolvable", "note")
+    __slots__ = ()
+    _fields = ("points", "first_unresolvable", "note")
 
-    def __init__(self, points: tuple[CriterionPoint, ...], first_unresolvable: int | None,
-                 note: str) -> None:
-        _set(self, "points", points)
-        _set(self, "first_unresolvable", first_unresolvable)
-        _set(self, "note", note)
+    def __new__(cls, points: tuple[CriterionPoint, ...], first_unresolvable: int | None,
+                note: str) -> ScanResult:
+        return tuple.__new__(cls, (points, first_unresolvable, note))
 
 
 def min_index(model: ModelParams) -> int:

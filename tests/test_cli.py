@@ -259,7 +259,7 @@ SCAN_RANGE = {"n-min": "2", "n-max": "6", "resolved-n-max": "6"}
          {"model": "quartic", "omega": "0.3", "lam": "1.0", **SCAN_RANGE}),
         (["--preset", "h2_morse"],
          {"preset": "h2_morse", "model": "morse",
-          **{f: str(getattr(H2, f)) for f in H2.__slots__}, **SCAN_RANGE}),
+          **{f: str(getattr(H2, f)) for f in H2._fields}, **SCAN_RANGE}),
     ],
     ids=["box", "hydrogenoid", "quartic", "preset"],
 )
@@ -596,6 +596,23 @@ def test_infinite_grid_stop_exits_2(tmp_path, capsys):
     code = main(["fidelity", "--grid", "log:1e-3:1e400:5", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fidelity"], ["ymean"], ["figures", "1"], ["evolve", "--b", "2"]],
+    ids=["fidelity", "ymean", "figures", "evolve"],
+)
+def test_grid_stop_at_the_float_ceiling_exits_2(tmp_path, capsys, argv):
+    # STOP is finite, but 10 ** log10(STOP) rounds past the largest double:
+    # the grid is refused with a message, and nothing is written.
+    out = tmp_path / "out"
+    code = main([*argv, "--grid", "log:1:1.7976931348623157e308:3", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert ("error: log grid STOP=1.7976931348623157e+308 is too close to the float ceiling: "
+            "10 ** log10(STOP) overflows") in err
+    assert not out.exists()
 
 
 GRID_RULE = "log grid needs 0 < START < STOP < inf and POINTS >= 2, got "

@@ -3,6 +3,7 @@ the certified series summation of the test oracles."""
 
 import copy
 import math
+import operator
 import pickle
 import sys
 import threading
@@ -218,7 +219,7 @@ POINT = dict(n=3, energy=4.5, tau=0.25, d_energy=1.5, d_tau=-0.125, y=0.1875, re
 VALUE_CASES = [
     (SeriesTolerance, dict(rel_eps=1e-8, max_terms=500)),
     (DiffusiveConfig, dict(b=2, kappa=0.5, omega=0.1, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))),
-    (YMeanPoint, dict(zip(YMeanPoint.__slots__, [0.5 * k for k in range(1, 11)]))),
+    (YMeanPoint, dict(zip(YMeanPoint._fields, [0.5 * k for k in range(1, 11)]))),
     # A tuple stands in for the weight array, which numpy does not hash.
     (FockDistribution, dict(t=0.1, weights=(0.75, 0.25), n_cut=1, tail_bound=0.0)),
     (Harmonic, dict(mass=1.0, omega=2.0)),
@@ -235,8 +236,8 @@ VALUE_CASES = [
 @pytest.mark.parametrize("cls, kwargs", VALUE_CASES, ids=[c.__name__ for c, _ in VALUE_CASES])
 def test_value_types_are_frozen_values(cls, kwargs):
     value = cls(**kwargs)
-    assert isinstance(value, numerics.Frozen)
-    assert cls.__slots__ == tuple(kwargs)
+    assert isinstance(value, numerics.Frozen) and isinstance(value, tuple)
+    assert cls._fields == tuple(kwargs) and cls.__slots__ == ()
     for name in (*kwargs, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, 1.0)
@@ -250,8 +251,50 @@ def test_value_types_are_frozen_values(cls, kwargs):
     assert hash(by_position) == hash(value)
     assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
     # A different type with the same fields and values is not equal.
-    other = type("Other", (numerics.Frozen,), {"__slots__": cls.__slots__,
-                                                "__init__": cls.__init__})(**kwargs)
+    other = type("Other", (numerics.Frozen,), {"__slots__": (), "_fields": cls._fields,
+                                                "__new__": cls.__new__})(**kwargs)
     assert other != value and value != other
-    assert value != tuple(kwargs.values())
+    assert not other == value and not value == other
+    # The value is the tuple of its fields, yet never equal to a plain tuple.
+    fields = tuple(kwargs.values())
+    assert (*value,) == fields and len(value) == len(cls._fields)
+    assert not value == fields and not fields == value
+    assert value != fields and fields != value
+    for less in (operator.lt, operator.le, operator.gt, operator.ge):
+        for left, right in ((value, by_position), (value, fields), (fields, value)):
+            with pytest.raises(TypeError):
+                less(left, right)
     assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+
+
+def test_value_unpacks_in_field_order():
+    rel_eps, max_terms = SeriesTolerance(rel_eps=1e-8, max_terms=500)
+    assert (rel_eps, max_terms) == (1e-8, 500)
+    b, kappa, omega, lam, tol = DiffusiveConfig(b=2, kappa=0.5, omega=0.1)
+    assert (b, kappa, omega, lam, tol) == (2, 0.5, 0.1, 0.0, DEFAULT_TOLERANCE)
+
+
+class _ForgedConfig:
+    """Pickles as a DiffusiveConfig whose reduce tuple holds b = -1."""
+
+    def __reduce__(self):
+        return DiffusiveConfig, (-1, 1.0, 0.0, 0.0, DEFAULT_TOLERANCE)
+
+
+def test_unpickling_runs_the_constructor_checks():
+    data = pickle.dumps(_ForgedConfig())
+    with pytest.raises(ValueError, match="b must be a non-negative integer, got -1"):
+        pickle.loads(data)
+
+
+@pytest.mark.parametrize("name", ["count", "index", "_fields"])
+def test_a_field_may_not_shadow_a_tuple_attribute(name):
+    with pytest.raises(TypeError, match=f"field {name!r} of Bad would shadow"):
+        type("Bad", (numerics.Frozen,), {"__slots__": (), "_fields": ("x", name)})
+
+
+def test_a_value_type_must_declare_empty_slots():
+    # Without __slots__ = () the instances would carry a writable __dict__;
+    # a tuple subclass may not declare any other slots.
+    with pytest.raises(TypeError, match="Bad must set __slots__ = \\(\\)"):
+        type("Bad", (numerics.Frozen,), {"_fields": ("x",)})

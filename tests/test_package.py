@@ -83,13 +83,56 @@ def test_only_open_system_imports_numpy():
 
 
 def test_no_module_imports_dataclasses_or_typing():
-    # The value types are plain __slots__ classes on numerics.Frozen, and
-    # annotations take their names from collections.abc, so a cold command
-    # pays neither import (dataclasses alone loads inspect, ast, dis, ...).
+    # Each value type is the tuple of its fields, a numerics.Frozen subclass,
+    # and annotations take their names from collections.abc, so a cold
+    # command pays neither import (dataclasses alone loads inspect, ast, ...).
     modules = sorted((SRC / "levelscope").glob("*.py"))
     assert len(modules) > 1
     assert [p.name for p in modules
             if _imported_modules(p) & {"dataclasses", "typing"}] == []
+
+
+def _base_name(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _construction_bypasses(sources: dict[str, str]) -> list[str]:
+    """Each use of object.__setattr__ in the sources, and each __init__ of a
+    class whose bases reach Frozen by name, as "file:line: what"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    classes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    frozen, grew = {"Frozen"}, True
+    while grew:
+        grew = False
+        for _, node in classes:
+            if node.name not in frozen and any(_base_name(b) in frozen for b in node.bases):
+                frozen.add(node.name)
+                grew = True
+    found = [f"{name}:{node.lineno}: object.__setattr__"
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+             and _base_name(node.value) == "object"]
+    found += [f"{name}:{item.lineno}: {node.name}.__init__"
+              for name, node in classes if node.name in frozen
+              for item in node.body
+              if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+    return found
+
+
+def test_value_types_have_one_construction_path():
+    # A value is built only by its class's __new__, as one tuple: nothing
+    # stores a field past it, and no value type runs an __init__ after it.
+    init = "    def __init__(self):\n        pass\n"
+    assert _construction_bypasses({"a": "_set = object.__setattr__\n"}) == [
+        "a:1: object.__setattr__"]
+    assert _construction_bypasses({"a": "class A(Frozen):\n" + init}) == ["a:2: A.__init__"]
+    assert _construction_bypasses({"a": "class A(numerics.Frozen):\n    pass\n",
+                                   "b": "class B(A):\n" + init}) == ["b:2: B.__init__"]
+    assert _construction_bypasses({"a": "class C:\n" + init}) == []
+    modules = sorted((SRC / "levelscope").glob("*.py"))
+    assert len(modules) > 1
+    assert _construction_bypasses({p.name: p.read_text(encoding="utf-8") for p in modules}) == []
 
 
 def _imports_cli(source: str) -> bool:

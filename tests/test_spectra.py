@@ -659,7 +659,7 @@ def test_natural_preset_of_the_fields_is_the_model(tmp_path, model):
     # One key per field of the class, in any order; `lambda` is lam.
     name = type(model).__name__.lower()
     lines = [f"{'lambda' if f == 'lam' else f} = {getattr(model, f)!r}"
-             for f in reversed(model.__slots__)]
+             for f in reversed(model._fields)]
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text("\n".join([f"model = {name}", "units = natural", *lines]) + "\n")
     loaded = presets.load_model(str(cfg))
