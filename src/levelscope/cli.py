@@ -305,10 +305,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             raise SystemExit2("--n-max is required for models without a level ceiling")
         n_max = top
     result = spectra.threshold_scan(model, args.n_min, n_max)
-    rows = [
-        (p.n, p.energy, p.tau, p.d_energy, p.d_tau, p.y, p.resolvable)
-        for p in result.points
-    ]
+    # A CriterionPoint is the tuple of its fields, in the column order below.
+    rows = result.points
     footer = [
         f"first_unresolvable = {result.first_unresolvable}",
         f"note: {result.note}",

@@ -12,6 +12,7 @@ that imports numpy, and it re-exports the names it shares with this one.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ from .numerics import (
     SeriesTolerance,
     ZeroEnergy,
     is_integer,
-    log_factorials,
+    log_factorial,
 )
 
 __all__ = [
@@ -92,15 +93,29 @@ def _kernels(kt: float) -> tuple[float, float]:
 @lru_cache(maxsize=64)
 def _weight_terms(b: int, n: int) -> tuple[tuple[float, float, float], ...]:
     """The t-free part of each p-term of fock_weight, p = 0 .. min(b, n):
-    the ln C(b,p) C(n,p) chain lf[b] + lf[n] - 2 lf[p] - lf[n-p] - lf[b-p],
-    evaluated left to right as the full exponent would, and the powers
-    b+n-2p and 2p+1 of gamma and zeta as floats."""
-    lf = log_factorials(max(n, b) + 1)
+    the ln C(b,p) C(n,p) chain lf[b] + lf[n] - 2 lf[p] - lf[n-p] - lf[b-p]
+    with lf = log_factorial, evaluated left to right as the full exponent
+    would, and the powers b+n-2p and 2p+1 of gamma and zeta as floats."""
+    lf_b, lf_n = log_factorial(b), log_factorial(n)
     return tuple(
-        (lf[b] + lf[n] - 2.0 * lf[p] - lf[n - p] - lf[b - p],
+        (lf_b + lf_n - 2.0 * log_factorial(p) - log_factorial(n - p) - log_factorial(b - p),
          float(b + n - 2 * p), float(2 * p + 1))
         for p in range(0, min(b, n) + 1)
     )
+
+
+def _weight(b: int, n: int, kt: float) -> float:
+    """The p-sum of fock_weight at kappa*t = kt, for a level n and a time
+    already checked."""
+    g, z = _kernels(kt)
+    if g == 0.0:
+        return 1.0 if n == b else 0.0
+    lg, lz = math.log(g), math.log(z)
+    exp = math.exp
+    acc = 0.0
+    for head, k_g, k_z in _weight_terms(b, n):
+        acc += exp(head + k_g * lg + k_z * lz)
+    return acc
 
 
 def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
@@ -112,39 +127,22 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
         P_b(n) = sum_{p=0}^{min(b, n)} C(b, p) C(n, p) gamma^(b+n-2p) zeta^(2p+1)
 
     of positive terms; no truncation is involved for a single level. The
-    ln k! come from the shared numerics.log_factorials table, and the t-free
-    head of each exponent is built once per (b, n) and cached, so a curve
-    pays per point only for (b+n-2p) ln gamma + (2p+1) ln zeta and the exp.
-    The terms are added one by one, left to right (a float sum() would
-    round differently). survival reads this scalar sum; whole distributions
-    come from the b-ladder.
+    t-free head of each exponent (its ln k! from numerics.log_factorial) is
+    built once per (b, n) and cached, so a curve pays per point only for
+    (b+n-2p) ln gamma + (2p+1) ln zeta and the exp. The terms are added one
+    by one, left to right (a float sum() would round differently). survival
+    reads this scalar sum; whole distributions come from the b-ladder.
     """
     check_level(n)
     check_time(t)
-    g, z = _kernels(cfg.kappa * t)
-    if g == 0.0:
-        return 1.0 if n == cfg.b else 0.0
-    lg, lz = math.log(g), math.log(z)
-    exp = math.exp
-    acc = 0.0
-    for head, k_g, k_z in _weight_terms(cfg.b, n):
-        acc += exp(head + k_g * lg + k_z * lz)
-    return acc
+    return _weight(cfg.b, n, cfg.kappa * t)
 
 
 def survival(cfg: DiffusiveConfig, t: float) -> float:
     """Probability P_b(b, t) of still finding the prepared index b."""
-    return fock_weight(cfg, cfg.b, t)
-
-
-def _require_same_bath(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig) -> None:
-    if (cfg_b.kappa, cfg_b.omega, cfg_b.lam) != (cfg_bm1.kappa, cfg_bm1.omega, cfg_bm1.lam):
-        raise MismatchedConfig(
-            "fidelity compares preparations under the same bath and oscillator: "
-            f"(kappa, omega, lam) differ: {cfg_b} vs {cfg_bm1}"
-        )
-    if cfg_bm1.b != cfg_b.b - 1:
-        raise MismatchedConfig(f"expected neighboring indices, got b={cfg_b.b} and {cfg_bm1.b}")
+    check_time(t)
+    b = cfg.b
+    return _weight(b, b, cfg.kappa * t)
 
 
 # The nested sums of fidelity_overlap are rescaled by e^-_SPAN whenever they
@@ -198,9 +196,17 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     triple sum against it. The two configurations must share kappa, omega
     and lam.
     """
-    _require_same_bath(cfg_b, cfg_bm1)
+    b, kappa, omega, lam, _ = cfg_b
+    m, kappa_m, omega_m, lam_m, _ = cfg_bm1
+    if not (kappa == kappa_m and omega == omega_m and lam == lam_m):
+        raise MismatchedConfig(
+            "fidelity compares preparations under the same bath and oscillator: "
+            f"(kappa, omega, lam) differ: {cfg_b} vs {cfg_bm1}"
+        )
+    if m != b - 1:
+        raise MismatchedConfig(f"expected neighboring indices, got b={b} and {m}")
     check_time(t)
-    b, x = cfg_b.b, 4.0 * (cfg_b.kappa * t)
+    x = 4.0 * (kappa * t)
     if x == 0.0:
         return 0.0
     up, down = _fidelity_ratios(b)
@@ -217,6 +223,11 @@ class YMeanPoint(Frozen):
     d_energy = (<H0(b)> - <H0(b-1)>) / 2 and d_tau = (<tau_b> - <tau_{b-1}>) / 2
     keep their signs (d_tau is negative here: the heavier mixture runs
     faster); y_mean = |d_energy * d_tau| in units of hbar.
+
+    The constructor checks nothing, and _mean_y builds its records straight
+    from their field tuples, as it would; a check added here fails the
+    construction-path test of tests/test_package.py until _mean_y calls
+    the constructor again.
     """
 
     __slots__ = ()
@@ -295,14 +306,18 @@ def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
     """<y(b)> at each time from the closed-form moments of the b and b-1
     mixtures, inlined: per time the checks of check_time, _moments and
     _energy in their order, with their messages, and their arithmetic in
-    the same order, so each value is bitwise that of the helpers."""
-    b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
+    the same order, so each value is bitwise that of the helpers. Each
+    record is built from its field tuple, as YMeanPoint's check-free
+    constructor would build it."""
+    b, kappa, omega, lam, _ = cfg_b
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
     m = b - 1
     bb, b4, mm, m4 = b * b, 4.0 * b, m * m, 4.0 * m
-    isfinite, inf, pi = math.isfinite, math.inf, math.pi
-    points = []
+    # 2.0 * pi * m1 evaluates (2.0 * pi) * m1, so hoisting the product moves no bit.
+    isfinite, inf, two_pi = math.isfinite, math.inf, 2.0 * math.pi
+    new, points = tuple.__new__, []
+    append = points.append
     for t in times:
         if not 0.0 <= t < inf:
             raise ValueError(f"t must be finite and non-negative, got {t}")
@@ -322,12 +337,12 @@ def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
         h0_m = omega * m1_m + lam * m2_m
         if h0_b == 0.0 or h0_m == 0.0:
             raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
-        tau_b = 2.0 * pi * m1_b / h0_b
-        tau_m = 2.0 * pi * m1_m / h0_m
+        tau_b = two_pi * m1_b / h0_b
+        tau_m = two_pi * m1_m / h0_m
         d_energy = (h0_b - h0_m) / 2.0
         d_tau = (tau_b - tau_m) / 2.0
-        points.append(YMeanPoint(kt, m1_b, m1_m, h0_b, h0_m, tau_b, tau_m, d_energy, d_tau,
-                                 abs(d_energy * d_tau)))
+        append(new(YMeanPoint, (kt, m1_b, m1_m, h0_b, h0_m, tau_b, tau_m, d_energy, d_tau,
+                                abs(d_energy * d_tau))))
     return points
 
 
@@ -360,14 +375,14 @@ def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float]) -> list[YMea
     per entry: bitwise the mean_y_point of each, in one loop. Any 1-d
     sequence of numbers will do, a numpy array included."""
     try:
-        grid = [float(kt) for kt in kt_grid]
+        grid = list(map(float, kt_grid))
     except TypeError:  # not iterable, or an entry that is itself a sequence
         grid = []
     if not grid:
         raise ValueError("kt_grid must be a non-empty 1-d sequence")
     if not all(map(math.isfinite, grid)):
         raise ValueError("kt_grid must be finite")
-    if any(not a < b for a, b in zip(grid, grid[1:])):
+    if not all(map(operator.lt, grid, grid[1:])):
         raise ValueError("kt_grid must be strictly increasing")
     kappa = cfg_b.kappa
     return _mean_y(cfg_b, [kt / kappa for kt in grid])

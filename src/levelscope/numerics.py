@@ -3,8 +3,8 @@ parameters, the truncation policy of the certified Fock-weight series, the
 domain errors of the open-system observables, and Frozen, the base of every
 value type.
 
-Everything here is safe to call from any number of threads; the one piece
-of shared state, the ln k! table, is only ever replaced whole.
+The module holds no mutable state, so everything here is safe to call
+from any number of threads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "ZeroEnergy",
     "is_integer",
     "log_factorial",
-    "log_factorials",
 ]
 
 
@@ -147,24 +146,6 @@ def log_factorial(k: int) -> float:
     if k < len(_LOG_FACT_TABLE):
         return _LOG_FACT_TABLE[k]
     return math.lgamma(k + 1.0)
-
-
-# ln(k!) for k = 0 .. len - 1, entry for entry equal to log_factorial(k). It
-# is grown only to the size a caller asks for, and by replacing it whole, so
-# a reader holds a complete table even while another thread grows it. Two
-# threads growing it at once may store the shorter table last; that costs a
-# later regrowth, never a wrong entry, so no lock is taken.
-_log_factorials: tuple[float, ...] = _LOG_FACT_TABLE
-
-
-def log_factorials(size: int) -> tuple[float, ...]:
-    """The shared ln k! table, holding at least k = 0 .. size - 1."""
-    global _log_factorials
-    table = _log_factorials
-    if len(table) < size:
-        table = table + tuple(math.lgamma(k + 1.0) for k in range(len(table), size))
-        _log_factorials = table
-    return table
 
 
 def is_integer(value: object) -> bool:

@@ -2,10 +2,11 @@
 
 Every open-system data file must be a function of the command line alone:
 two fresh processes write the same bytes, and so does an in-process run
-made after a warm-up that filled the shared tables (ln k!, the fidelity
+made after a warm-up that filled the cached tables (the fidelity
 coefficient ratios, the t-free weight terms) in a different b order. Both
 the open-system and the closed-system output are pinned by their sha256
-digests.
+digests, and so are the library curves the open_sweep benchmark computes,
+value for value.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from levelscope import cli
-from levelscope.diffusive import fidelity_overlap, log_points, survival
+from levelscope.diffusive import fidelity_overlap, log_points, mean_y_series, survival
 from levelscope.open_system import DiffusiveConfig, distribution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -204,3 +205,40 @@ def test_closed_model_output_digests(tmp_path, monkeypatch, capsys, model, outpu
         out.read_bytes() if out.exists() else None)
     digest = data and hashlib.sha256(data).hexdigest()
     assert (code, digest) == CLOSED_DIGESTS[model, output]
+
+
+# The library curves of the open_sweep benchmark, pinned bit for bit: sha256
+# of the repr of each family of curves on one 200-point kappa*t grid. repr
+# writes every float with all its digits, so any moved bit changes a digest,
+# including one of exp, log or log1p: the digests belong to the libm they were
+# taken with (glibc 2.36, x86_64). Where both Python versions fail them alike,
+# compare against a run of the parent commit on that machine before blaming
+# the kernels.
+# F and P_b for b = 1..40; <y(b)> for b = 2..40 at omega/lam = 0.1 and 10.
+CURVE_KAPPA, CURVE_LAM = 0.8, 1.3
+CURVE_DIGESTS = {
+    "fidelity": "126d759346571597b29cbd1e214183dd96647fcff823dd7d53c61c20e29fd2be",
+    "survival": "5aa792fe280981514bbc46e40d14b7dd07bd66c36160c9164077e469cbeb5774",
+    "ymean-0.1": "0fcee214eed297d9ccb9e28126026ba73b4259f7744aa4f1db7987262a2ea6e1",
+    "ymean-10": "bae14edb876cafc3b9d6e323fbf719d6c9c5a35eaab7bc0d51611dd5d51aa37b",
+}
+
+
+def _curves(family: str) -> list:
+    kts = log_points(1e-3, 1e2, 200)
+    ts = [kt / CURVE_KAPPA for kt in kts]
+    if family == "fidelity":
+        return [[fidelity_overlap(DiffusiveConfig(b, CURVE_KAPPA),
+                                  DiffusiveConfig(b - 1, CURVE_KAPPA), t) for t in ts]
+                for b in range(1, 41)]
+    if family == "survival":
+        return [[survival(DiffusiveConfig(b, CURVE_KAPPA), t) for t in ts] for b in range(1, 41)]
+    omega = float(family.split("-")[1]) * CURVE_LAM
+    return [mean_y_series(DiffusiveConfig(b, CURVE_KAPPA, omega, CURVE_LAM), kts)
+            for b in range(2, 41)]
+
+
+@pytest.mark.parametrize("family", list(CURVE_DIGESTS))
+def test_library_curve_digests(family):
+    digest = hashlib.sha256(repr(_curves(family)).encode()).hexdigest()
+    assert digest == CURVE_DIGESTS[family]

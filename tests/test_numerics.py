@@ -5,21 +5,18 @@ import copy
 import math
 import operator
 import pickle
-import sys
-import threading
 
 import mpmath as mp
 import pytest
 
 from levelscope import numerics
-from levelscope.diffusive import DiffusiveConfig, YMeanPoint
+from levelscope.diffusive import DiffusiveConfig, YMeanPoint, mean_y_point, mean_y_series
 from levelscope.numerics import (
     DEFAULT_TOLERANCE,
     MIN_REL_EPS,
     NonConvergent,
     SeriesTolerance,
     log_factorial,
-    log_factorials,
 )
 from levelscope.open_system import FockDistribution, _kernels
 from levelscope.spectra import (
@@ -31,6 +28,8 @@ from levelscope.spectra import (
     Quartic,
     ScanResult,
     SuperpositionSpec,
+    criterion_point,
+    threshold_scan,
 )
 from oracles import sum_adaptive
 
@@ -69,51 +68,6 @@ def test_log_factorial_consecutive_difference_is_log_k():
         lf_k = log_factorial(k)
         err = abs(lf_k - log_factorial(k - 1) - math.log(k))
         assert err <= 1e-12 * max(1.0, lf_k), f"failed at k={k}"
-
-
-def test_log_factorial_table_matches_log_factorial_bitwise():
-    table = log_factorials(5001)
-    assert len(table) >= 5001
-    assert [x.hex() for x in table[:5001]] == [log_factorial(k).hex() for k in range(5001)]
-
-
-def test_log_factorial_does_not_grow_the_table(monkeypatch):
-    monkeypatch.setattr(numerics, "_log_factorials", numerics._LOG_FACT_TABLE)
-    log_factorial(4000)
-    assert numerics._log_factorials is numerics._LOG_FACT_TABLE
-    assert len(log_factorials(30)) == 30  # grown to the size asked for, no more
-
-
-def test_log_factorial_table_grown_by_two_threads(monkeypatch):
-    # Both threads grow the table from its 21-entry seed at once, in
-    # different steps; every table either one is handed is complete and
-    # holds the serial values.
-    monkeypatch.setattr(numerics, "_log_factorials", numerics._LOG_FACT_TABLE)
-    want = tuple(log_factorial(k) for k in range(3000))
-    sizes = (list(range(22, 3000, 3)), list(range(3000, 21, -7)))
-    results = [None, None]
-    start = threading.Barrier(2, timeout=60)
-
-    def run(i):
-        start.wait()
-        results[i] = [(size, log_factorials(size)) for size in sizes[i]]
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for seen in results:
-        assert len(seen) > 0
-        for size, table in seen:
-            assert len(table) >= size
-            assert table == want[: len(table)], size
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +219,36 @@ def test_value_types_are_frozen_values(cls, kwargs):
             with pytest.raises(TypeError):
                 less(left, right)
     assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+
+
+
+# diffusive._mean_y builds its YMeanPoint records from their field tuples,
+# and scan writes CriterionPoints as plain rows; a record built from its
+# field tuple must be the constructed one in every respect. The AST test in
+# test_package.py keeps such construction to check-free constructors.
+def _assert_same_record(record, built):
+    assert type(record) is type(built)
+    assert record == built and not record != built
+    assert hash(record) == hash(built)
+    assert repr(record) == repr(built)
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(built) and restored == built
+    assert repr(restored) == repr(built)
+
+
+@pytest.mark.parametrize("cls, kwargs", [VALUE_CASES[2], (CriterionPoint, POINT)],
+                         ids=["YMeanPoint", "CriterionPoint"])
+def test_a_record_built_from_its_field_tuple_is_the_constructed_one(cls, kwargs):
+    _assert_same_record(tuple.__new__(cls, tuple(kwargs.values())), cls(**kwargs))
+
+
+def test_kernel_records_are_the_constructed_ones():
+    cfg = DiffusiveConfig(b=3, kappa=0.7, omega=0.1, lam=1.0)
+    quartic = Quartic(omega=0.3, lam=0.7)
+    records = [*mean_y_series(cfg, [1e-3, 0.5, 40.0]), mean_y_point(cfg, 0.25),
+               criterion_point(quartic, 5), *threshold_scan(quartic, 1, 4).points]
+    for record in records:
+        _assert_same_record(record, type(record)(*record))
 
 
 def test_value_unpacks_in_field_order():

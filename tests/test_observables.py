@@ -13,6 +13,7 @@ from levelscope.cli import main
 from levelscope.diffusive import (
     check_curve,
     fidelity_overlap,
+    fock_weight,
     log_points,
     mean_h0,
     mean_n,
@@ -104,6 +105,27 @@ def test_fidelity_requires_matching_bath():
     looser = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))
     same = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0)
     assert fidelity_overlap(upper, looser, 0.1).hex() == fidelity_overlap(upper, same, 0.1).hex()
+
+
+
+# The bath is compared before the indices: a pair that differs in both is
+# reported as a bath mismatch, whichever of kappa, omega or lam differs.
+@pytest.mark.parametrize("field", ["kappa", "omega", "lam"])
+def test_fidelity_reports_a_bath_mismatch_before_an_index_mismatch(field):
+    upper = DiffusiveConfig(b=3, kappa=1.0, omega=1.0, lam=1.0)
+    other = DiffusiveConfig(**{"b": 0, "kappa": 1.0, "omega": 1.0, "lam": 1.0, field: 2.0})
+    with pytest.raises(MismatchedConfig, match=r"^fidelity compares preparations under the "
+                       r"same bath and oscillator: \(kappa, omega, lam\) differ: "):
+        fidelity_overlap(upper, other, 0.1)
+    # Both checks come before the time's.
+    with pytest.raises(MismatchedConfig, match="differ"):
+        fidelity_overlap(upper, other, math.nan)
+    same_bath = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0)
+    with pytest.raises(MismatchedConfig,
+                       match=r"^expected neighboring indices, got b=3 and 1$"):
+        fidelity_overlap(upper, same_bath, -1.0)
+    with pytest.raises(MismatchedConfig, match="expected neighboring indices, got b=3 and 4"):
+        fidelity_overlap(upper, DiffusiveConfig(b=4, kappa=1.0, omega=1.0, lam=1.0), 0.1)
 
 
 def test_fidelity_closed_form_stays_in_bounds():
@@ -373,14 +395,23 @@ def test_mean_y_series_shape_and_grid_checks():
     series = mean_y_series(cfg, grid)
     assert len(series) == 7
     assert [p.kt for p in series] == pytest.approx(grid)
-    # An array gives the points of the same list; only the caller loads numpy.
-    assert mean_y_series(cfg, np.array(grid)) == series
+    # Any 1-d sequence of numbers gives the points of the same list, bit for
+    # bit; only the caller loads numpy.
+    for same in (np.array(grid), tuple(grid), iter(grid), [np.float64(kt) for kt in grid]):
+        assert repr(mean_y_series(cfg, same)) == repr(series)
+    assert repr(mean_y_series(cfg, np.arange(1, 4))) == repr(mean_y_series(cfg, [1.0, 2.0, 3.0]))
     for bad, match in (
         ([0.2, 0.1], "strictly increasing"),
         ([0.1, 0.1], "strictly increasing"),
+        ([0.3, 0.2, 0.1], "strictly increasing"),
+        (np.array([0.1, 0.3, 0.2]), "strictly increasing"),
         ([], "non-empty 1-d"),
+        (np.array([]), "non-empty 1-d"),
+        (np.array(0.5), "non-empty 1-d"),
+        (0.5, "non-empty 1-d"),
         ([[0.1, 0.2]], "1-d"),
         ([0.1, [0.2]], "1-d"),
+        ([[0.1], [0.2]], "1-d"),
         (np.array([[0.1, 0.2], [0.3, 0.4]]), "1-d"),
     ):
         with pytest.raises(ValueError, match=match):
@@ -390,6 +421,42 @@ def test_mean_y_series_shape_and_grid_checks():
     for bad in ([0.1, math.nan], [math.nan], [0.1, math.inf]):
         with pytest.raises(ValueError, match="finite"):
             mean_y_series(cfg_for(2, omega=0.1, lam=1.0), bad)
+
+
+
+# Each curve function refuses a bad time with check_time's message, and
+# checks its other arguments first: the level of fock_weight, the pair of
+# fidelity_overlap, the grid of mean_y_series.
+@pytest.mark.parametrize("t", [-1.0, -math.inf, math.inf, math.nan])
+def test_curve_functions_reject_a_bad_time(t):
+    cfg, lower = pair_for(3, omega=0.1, lam=1.0)
+    message = f"^t must be finite and non-negative, got {t}$"
+    for call in (
+        lambda: fidelity_overlap(cfg, lower, t),
+        lambda: survival(cfg, t),
+        lambda: fock_weight(cfg, 2, t),
+        lambda: mean_y_point(cfg, t),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match="n must be a non-negative integer, got -1"):
+        fock_weight(cfg, -1, t)
+    with pytest.raises(MismatchedConfig):
+        fidelity_overlap(cfg, cfg_for(1), t)
+
+
+def test_mean_y_series_checks_the_grid_first():
+    cfg = cfg_for(3, omega=0.1, lam=1.0)
+    # A negative kappa*t passes the grid checks and fails as a bad time.
+    with pytest.raises(ValueError, match="^t must be finite and non-negative, got -0.5$"):
+        mean_y_series(cfg, [-0.5, 0.5])
+    # The grid is checked before b, finiteness before order.
+    b0 = cfg_for(0, omega=0.1, lam=1.0)
+    for bad, match in (([0.2, math.nan, 0.1], "^kt_grid must be finite$"),
+                       ([0.2, 0.1], "^kt_grid must be strictly increasing$"),
+                       ([0.1, [0.2]], "^kt_grid must be a non-empty 1-d sequence$")):
+        with pytest.raises(ValueError, match=match):
+            mean_y_series(b0, bad)
 
 
 def test_mean_y_series_reaches_late_times():

@@ -87,8 +87,8 @@ def test_weight_accepts_numpy_integer_level():
     assert dist.weight(np.int32(3)) == dist.weight(3)
 
 
-# The p-sum reads ln k! from the shared table; a per-call list gives the
-# same bits.
+# The p-sum builds its t-free heads from log_factorial once per (b, n); a
+# per-call list gives the same bits.
 @pytest.mark.parametrize("kt", [1e-6, 1e-3, 0.05, 0.5, 1.0, 7.5, 100.0, 1e3])
 def test_weight_matches_per_call_log_factorial_reference(kt):
     levels = range(0, 201, 8)

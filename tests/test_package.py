@@ -96,9 +96,42 @@ def _base_name(node: ast.expr) -> str:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
 
+def _is_tuple_new(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "tuple")
+
+
+def _news(node: ast.ClassDef) -> list[ast.FunctionDef]:
+    return [item for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__new__"]
+
+
+def _builds_only(node: ast.ClassDef) -> bool:
+    """Whether the class's __new__ is the one statement
+    `return tuple.__new__(cls, (<its other parameters, in order>))`."""
+    news = _news(node)
+    if len(news) != 1:
+        return False
+    args, body = news[0].args, news[0].body
+    if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]  # the docstring
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    if args.vararg or args.kwarg or len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    return (isinstance(call, ast.Call) and _is_tuple_new(call.func) and not call.keywords
+            and len(call.args) == 2 and isinstance(call.args[1], ast.Tuple)
+            and [getattr(a, "id", None) for a in (call.args[0], *call.args[1].elts)] == params)
+
+
 def _construction_bypasses(sources: dict[str, str]) -> list[str]:
-    """Each use of object.__setattr__ in the sources, and each __init__ of a
-    class whose bases reach Frozen by name, as "file:line: what"."""
+    """Each way the sources build a value type past its constructor, as
+    "file:line: what": a use of object.__setattr__; an __init__ of a class
+    whose bases reach Frozen by name; and a tuple.__new__(C, ...) outside
+    C.__new__ (directly or through a local name bound to tuple.__new__),
+    unless C reaches Frozen and its __new__ only builds the tuple of its
+    parameters, so that the call is exactly the constructor's body."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     classes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
@@ -117,12 +150,54 @@ def _construction_bypasses(sources: dict[str, str]) -> list[str]:
               for name, node in classes if node.name in frozen
               for item in node.body
               if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
-    return found
+    builds_only = {node.name for _, node in classes
+                   if node.name in frozen and _builds_only(node)}
+    constructors = {fn for _, node in classes if node.name in frozen for fn in _news(node)}
+    seen, bypasses = set(), set()
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            aliases = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                    pairs = (zip(target.elts, value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                             else [(target, value)])
+                    for t, v in pairs:
+                        if _is_tuple_new(v) and isinstance(t, ast.Name):
+                            aliases.add(t.id)
+                            seen.add(v)
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if not (_is_tuple_new(func)
+                        or isinstance(func, ast.Name) and func.id in aliases):
+                    continue
+                seen.add(func)
+                first = node.args[0] if node.args else None
+                own = fn in constructors and isinstance(first, ast.Name) and fn.args.args \
+                    and first.id == fn.args.args[0].arg
+                if not own and getattr(first, "id", None) not in builds_only:
+                    what = getattr(first, "id", "?")
+                    bypasses.add(f"{name}:{node.lineno}: tuple.__new__({what}, ...)")
+            bypasses.update(f"{name}:{node.lineno}: tuple.__new__ passed on"
+                            for node in ast.walk(fn)
+                            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                            and node.id in aliases and node not in seen)
+        bypasses.update(f"{name}:{node.lineno}: tuple.__new__ passed on"
+                        for node in ast.walk(tree) if _is_tuple_new(node) and node not in seen)
+    return found + sorted(bypasses)
 
 
 def test_value_types_have_one_construction_path():
-    # A value is built only by its class's __new__, as one tuple: nothing
-    # stores a field past it, and no value type runs an __init__ after it.
+    # A value is built by its class's __new__, as one tuple: nothing stores
+    # a field past it, and no value type runs an __init__ after it. A kernel
+    # may build a record as tuple.__new__(C, fields) only while C.__new__ is
+    # that very call on its own parameters; a check added to C.__new__ then
+    # makes each such call a bypass.
     init = "    def __init__(self):\n        pass\n"
     assert _construction_bypasses({"a": "_set = object.__setattr__\n"}) == [
         "a:1: object.__setattr__"]
@@ -130,6 +205,24 @@ def test_value_types_have_one_construction_path():
     assert _construction_bypasses({"a": "class A(numerics.Frozen):\n    pass\n",
                                    "b": "class B(A):\n" + init}) == ["b:2: B.__init__"]
     assert _construction_bypasses({"a": "class C:\n" + init}) == []
+    new = ("class P(Frozen):\n"
+           "    def __new__(cls, a, b):\n"
+           "        {check}return tuple.__new__(cls, ({fields}))\n")
+    direct = "def f():\n    return tuple.__new__(P, (1, 2))\n"
+    bound = "def f():\n    new, xs = tuple.__new__, []\n    xs.append(new(P, (1, 2)))\n"
+    for use in (direct, bound):
+        line = use.count("\n") + 3
+        assert _construction_bypasses({"a": new.format(check="", fields="a, b") + use}) == []
+        for check, fields in (("assert a\n        ", "a, b"), ("", "b, a"), ("", "a, b, 0")):
+            source = new.format(check=check, fields=fields) + use
+            assert _construction_bypasses({"a": source}) == [
+                f"a:{line + bool(check)}: tuple.__new__(P, ...)"]
+        assert _construction_bypasses({"a": use.replace("P", "Q")}) == [
+            f"a:{line - 3}: tuple.__new__(Q, ...)"]
+    assert _construction_bypasses({"a": "make = tuple.__new__\n"}) == [
+        "a:1: tuple.__new__ passed on"]
+    assert _construction_bypasses({"a": "def f(g):\n    new = tuple.__new__\n    g(new)\n"}) == [
+        "a:3: tuple.__new__ passed on"]
     modules = sorted((SRC / "levelscope").glob("*.py"))
     assert len(modules) > 1
     assert _construction_bypasses({p.name: p.read_text(encoding="utf-8") for p in modules}) == []
