@@ -10,14 +10,7 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    MismatchedConfig,
-    NonConvergent,
-    SeriesTolerance,
-    ZeroEnergy,
-    log_factorial,
-)
+from .numerics import MismatchedConfig, NonConvergent, ZeroEnergy, log_factorial
 
 # Every other name loads its submodule on first use (PEP 562), so that
 # `import levelscope` loads only numerics: the closed-system half (spectra,
@@ -52,5 +45,5 @@ def __dir__() -> list[str]:
 
 
 # The eagerly imported numerics names, then every lazy one.
-__all__ = ["__version__", "DEFAULT_TOLERANCE", "MismatchedConfig", "NonConvergent",
-           "SeriesTolerance", "ZeroEnergy", "log_factorial", *_LAZY]
+__all__ = ["__version__", "MismatchedConfig", "NonConvergent", "ZeroEnergy", "log_factorial",
+           *_LAZY]

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from . import __version__
-from .numerics import NonConvergent, SeriesTolerance, ZeroEnergy
+from .numerics import MAX_TERMS, REL_EPS, NonConvergent, ZeroEnergy, check_rel_eps
 
 # Each half loads inside the commands that use it: the closed-system modules
 # in `criterion` and `scan` (presets only for --preset), the open-system ones
@@ -60,7 +60,6 @@ def _manifest(args: argparse.Namespace, command: str, extra: dict[str, str] | No
             params[key.replace("_", "-")] = (
                 ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             )
-    tol = _tolerance(args)
     # SOURCE_DATE_EPOCH pins the manifest for reproducible output.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     stamp = time.gmtime(int(epoch) if epoch else int(time.time()))
@@ -68,7 +67,7 @@ def _manifest(args: argparse.Namespace, command: str, extra: dict[str, str] | No
         "command": command,
         "parameters": dict(sorted(params.items())),
         "tool_version": __version__,
-        "tolerances": {"rel_eps": tol.rel_eps, "max_terms": tol.max_terms},
+        "tolerances": {"rel_eps": getattr(args, "eps", REL_EPS), "max_terms": MAX_TERMS},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp),
     }
 
@@ -186,11 +185,6 @@ def _write_csv(
             out.writelines(f"# {comment}\n" for comment in footer_comments)
     except OSError as exc:
         raise WriteFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _tolerance(args: argparse.Namespace) -> SeriesTolerance:
-    eps = getattr(args, "eps", None)
-    return SeriesTolerance(rel_eps=eps) if eps is not None else SeriesTolerance()
 
 
 def _kt_grid(args: argparse.Namespace) -> list[float]:
@@ -335,15 +329,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise SystemExit2(
             f"--weight-floor must be finite and non-negative, got {args.weight_floor}"
         )
+    check_rel_eps(args.eps)
     from .open_system import DiffusiveConfig, distributions
 
-    cfg = DiffusiveConfig(
-        b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam, tol=_tolerance(args)
-    )
+    cfg = DiffusiveConfig(b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam)
     grid = _kt_grid(args)
     # Every distribution exists before the file is opened, so a
     # non-convergent cut (exit 3) leaves no partial file.
-    dists = distributions(cfg, _times(cfg.kappa, grid))
+    dists = distributions(cfg, _times(cfg.kappa, grid), args.eps)
     counts = []
 
     def blocks():
@@ -558,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--b", type=int, required=True)
     _add_open_flags(evolve)
     # The ladder is the one truncated series: other commands take no --eps.
-    evolve.add_argument("--eps", type=float, default=None, help="relative series tolerance")
+    evolve.add_argument("--eps", type=float, default=REL_EPS, help="relative series tolerance")
     evolve.add_argument("--weight-floor", type=float, default=1e-16,
                         help="omit rows with weight below this")
     evolve.add_argument("--out", required=True)

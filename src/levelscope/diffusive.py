@@ -7,6 +7,9 @@ terminating sum, the closed-form moments <N>, <H0>, <tau> and the criterion
 plotted curve passes. None of it needs an array, so every command but
 `evolve` starts without numpy; open_system (the b-ladder) is the one module
 that imports numpy, and it re-exports the names it shares with this one.
+Everything here is a closed form or a finite sum, so the configuration holds
+only the physics; the ladder, the one truncated series, takes its tolerance
+as an argument.
 """
 
 from __future__ import annotations
@@ -16,15 +19,7 @@ import operator
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    Frozen,
-    MismatchedConfig,
-    SeriesTolerance,
-    ZeroEnergy,
-    is_integer,
-    log_factorial,
-)
+from .numerics import Frozen, MismatchedConfig, ZeroEnergy, is_integer, log_factorial
 
 __all__ = [
     "DiffusiveConfig",
@@ -48,14 +43,14 @@ class DiffusiveConfig(Frozen):
     """Open-system run parameters.
 
     b: initial Fock index; kappa: diffusion rate; omega, lam: oscillator
-    frequency and nonlinear strength (hbar = 1 units); tol: truncation policy.
+    frequency and nonlinear strength (hbar = 1 units).
     """
 
     __slots__ = ()
-    _fields = ("b", "kappa", "omega", "lam", "tol")
+    _fields = ("b", "kappa", "omega", "lam")
 
-    def __new__(cls, b: int, kappa: float, omega: float = 0.0, lam: float = 0.0,
-                tol: SeriesTolerance = DEFAULT_TOLERANCE) -> DiffusiveConfig:
+    def __new__(cls, b: int, kappa: float, omega: float = 0.0,
+                lam: float = 0.0) -> DiffusiveConfig:
         if not is_integer(b) or b < 0:
             raise ValueError(f"b must be a non-negative integer, got {b!r}")
         # Chained comparisons with inf also reject NaN.
@@ -65,7 +60,7 @@ class DiffusiveConfig(Frozen):
             raise ValueError(f"omega must be finite and non-negative, got {omega}")
         if not 0.0 <= lam < math.inf:
             raise ValueError(f"lam must be finite and non-negative, got {lam}")
-        return tuple.__new__(cls, (b, kappa, omega, lam, tol))
+        return tuple.__new__(cls, (b, kappa, omega, lam))
 
 
 def check_time(t: float) -> None:
@@ -196,8 +191,8 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     triple sum against it. The two configurations must share kappa, omega
     and lam.
     """
-    b, kappa, omega, lam, _ = cfg_b
-    m, kappa_m, omega_m, lam_m, _ = cfg_bm1
+    b, kappa, omega, lam = cfg_b
+    m, kappa_m, omega_m, lam_m = cfg_bm1
     if not (kappa == kappa_m and omega == omega_m and lam == lam_m):
         raise MismatchedConfig(
             "fidelity compares preparations under the same bath and oscillator: "
@@ -309,7 +304,7 @@ def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
     the same order, so each value is bitwise that of the helpers. Each
     record is built from its field tuple, as YMeanPoint's check-free
     constructor would build it."""
-    b, kappa, omega, lam, _ = cfg_b
+    b, kappa, omega, lam = cfg_b
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
     m = b - 1
@@ -395,7 +390,9 @@ def log_points(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> lis
     one set to log10(stop), bit for bit; each value is 10.0 ** exponent,
     libm's pow, so the grid does not depend on how numpy dispatches its
     own power on the machine at hand. A STOP so close to the float ceiling
-    that 10.0 ** log10(STOP) overflows raises ValueError.
+    that 10.0 ** log10(STOP) overflows raises ValueError, and so does a
+    grid that does not strictly increase because some of its points round
+    to the same double (more POINTS than doubles between START and STOP).
     """
     if not (0.0 < start < stop < math.inf and points >= 2):
         raise ValueError("log grid needs 0 < START < STOP < inf and POINTS >= 2, "
@@ -403,10 +400,14 @@ def log_points(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> lis
     a, b = math.log10(start), math.log10(stop)
     step = (b - a) / (points - 1)
     try:
-        return [10.0 ** (i * step + a) for i in range(points - 1)] + [10.0**b]
+        grid = [10.0 ** (i * step + a) for i in range(points - 1)] + [10.0**b]
     except OverflowError:
         raise ValueError(f"log grid STOP={stop} is too close to the float ceiling: "
                          f"10 ** log10(STOP) overflows") from None
+    if not all(map(operator.lt, grid, grid[1:])):
+        raise ValueError(f"log grid START={start}, STOP={stop}, POINTS={points} is not "
+                         f"strictly increasing: some of its points round to the same double")
+    return grid
 
 
 def check_curve(kt: Sequence[float], values: Sequence[float]) -> None:

@@ -1,7 +1,7 @@
 """Shared numerical primitives: log-factorials, the integer check of index
-parameters, the truncation policy of the certified Fock-weight series, the
-domain errors of the open-system observables, and Frozen, the base of every
-value type.
+parameters, the truncation defaults of the b-ladder and the check of its
+tolerance, the domain errors of the open-system observables, and Frozen,
+the base of every value type.
 
 The module holds no mutable state, so everything here is safe to call
 from any number of threads.
@@ -15,12 +15,13 @@ from collections import _tuplegetter
 
 __all__ = [
     "Frozen",
+    "MAX_TERMS",
     "MIN_REL_EPS",
     "MismatchedConfig",
     "NonConvergent",
-    "SeriesTolerance",
-    "DEFAULT_TOLERANCE",
+    "REL_EPS",
     "ZeroEnergy",
+    "check_rel_eps",
     "is_integer",
     "log_factorial",
 ]
@@ -103,32 +104,22 @@ class ZeroEnergy(ArithmeticError):
 MIN_REL_EPS = 1e-12
 
 
-class SeriesTolerance(Frozen):
-    """Truncation policy of the level populations.
-
-    rel_eps: bound on the proven tail beyond the cut, relative to the full
-        sum (the trace, and each of the first two moments), in
-        [MIN_REL_EPS, 1).
-    max_terms: hard cap on the number of levels kept.
-    """
-
-    __slots__ = ()
-    _fields = ("rel_eps", "max_terms")
-
-    def __new__(cls, rel_eps: float = 1e-10, max_terms: int = 1_000_000) -> SeriesTolerance:
-        if not rel_eps > 0.0:
-            raise ValueError("rel_eps must be positive")
-        if not MIN_REL_EPS <= rel_eps < 1.0:
-            raise ValueError(
-                f"rel_eps must lie in [{MIN_REL_EPS:g}, 1): the weights carry about "
-                f"2.7e-13 relative rounding, got {rel_eps:g}"
-            )
-        if max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        return tuple.__new__(cls, (rel_eps, max_terms))
+# The b-ladder's truncation defaults: the tail it proves beyond its level cut,
+# relative to the full sum, and the most levels a row may keep.
+REL_EPS = 1e-10
+MAX_TERMS = 1_000_000
 
 
-DEFAULT_TOLERANCE = SeriesTolerance()
+def check_rel_eps(rel_eps: float) -> None:
+    """Raise ValueError unless rel_eps, the ladder's bound on the proven tail
+    beyond its cut relative to the full sum, lies in [MIN_REL_EPS, 1)."""
+    if not rel_eps > 0.0:
+        raise ValueError("rel_eps must be positive")
+    if not MIN_REL_EPS <= rel_eps < 1.0:
+        raise ValueError(
+            f"rel_eps must lie in [{MIN_REL_EPS:g}, 1): the weights carry about "
+            f"2.7e-13 relative rounding, got {rel_eps:g}"
+        )
 
 
 # ln(k!) for k = 0..20, evaluated from the exact integer factorials.

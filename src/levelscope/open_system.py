@@ -12,7 +12,9 @@ level populations depend only on the initial index b and on the
 dimensionless time kappa*t; omega and lam ride along in the configuration
 because energy observables need them. The configuration, the kernels and
 the single-level weight fock_weight live in the numpy-free diffusive module
-and are re-exported here.
+and are re-exported here. The ladder is the one truncated series, so it
+alone takes a tolerance: the rel_eps argument of distributions (default
+numerics.REL_EPS), with at most numerics.MAX_TERMS levels per row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .diffusive import (DiffusiveConfig, _kernels, _moments, check_level, check_time,
                         fock_weight)
-from .numerics import Frozen, NonConvergent, SeriesTolerance
+from .numerics import MAX_TERMS, REL_EPS, Frozen, NonConvergent, check_rel_eps
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
 
@@ -35,8 +37,8 @@ class FockDistribution(Frozen):
     weights[n] holds P_b(n, t) for n = 0 .. n_cut, as a read-only array;
     tail_bound is a proven upper bound on the probability beyond n_cut.
     The weights plus the tail account for the full unit trace to within the
-    configured tolerance. Equality compares the weights by value; the hash
-    leaves them out, so equal distributions hash alike.
+    rel_eps they were computed with. Equality compares the weights by value;
+    the hash leaves them out, so equal distributions hash alike.
     """
 
     __slots__ = ()
@@ -191,21 +193,20 @@ def _bounds(b: int, g: float, z: float, L: int) -> tuple[float, float, float] | 
     )
 
 
-def _cut(b: int, kt: float, tol: SeriesTolerance) -> tuple[int, float]:
+def _cut(b: int, kt: float, eps: float) -> tuple[int, float]:
     """(n_cut, trace tail bound) of row P_b at kappa*t = kt, before any weight.
 
     n_cut is the smallest L >= b found at which the trace bound is at most
-    rel_eps and each moment bound at most rel_eps * max(m, 1), with m the
+    eps and each moment bound at most eps * max(m, 1), with m the
     closed-form moment <N> or <N^2> of diffusive._moments: by doubling,
     then by bisection that keeps the passing end, so every cut returned is
-    proven. The row then spans n_cut + 1 <= max_terms levels. Raises
+    proven. The row then spans n_cut + 1 <= MAX_TERMS levels. Raises
     ValueError when <N^2> overflows.
     """
     g, z = _kernels(kt)
     # kt as the rate over unit time: a kappa*t that overflowed to inf is then
     # reported as an overflowing <N^2>, like any kt past about 4.74e153.
     m1, m2 = _moments(b, kt, 1.0)
-    eps = tol.rel_eps
     targets = (eps, eps * max(m1, 1.0), eps * max(m2, 1.0))
 
     def tail(L: int) -> float | None:
@@ -214,12 +215,12 @@ def _cut(b: int, kt: float, tol: SeriesTolerance) -> tuple[int, float]:
             return None
         return bounds[0]
 
-    cap = tol.max_terms - 1
+    cap = MAX_TERMS - 1
     lo, hi = b - 1, b  # lo is below every cut
     while hi > cap or (bound := tail(hi)) is None:
         if hi >= cap:
             raise NonConvergent(
-                f"level cut for b={b}, kappa*t={kt} exceeded max_terms={tol.max_terms}"
+                f"level cut for b={b}, kappa*t={kt} exceeded max_terms={MAX_TERMS}"
             )
         lo, hi = hi, min(hi + 2 * (hi - lo), cap)
     while hi - lo > 1:
@@ -238,23 +239,26 @@ def _delta(b: int, t: float) -> FockDistribution:
     return FockDistribution(t=t, weights=weights, n_cut=b, tail_bound=0.0)
 
 
-def distributions(cfg: DiffusiveConfig, ts: Sequence[float]) -> list[FockDistribution]:
+def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
+                  rel_eps: float = REL_EPS) -> list[FockDistribution]:
     """All level populations at each time in ts, truncated with a proven tail.
 
     The cut n_cut comes first, from saddle-point bounds on the generating
-    function: the trace beyond it is at most tail_bound <= cfg.tol.rel_eps,
-    and each of the first two moments beyond it at most rel_eps times the
-    moment (or rel_eps, below 1), so downstream energy averages inherit the
-    bound. Raises NonConvergent, before any weight is computed, when no cut
-    within cfg.tol.max_terms levels passes at some time. The weights are row
-    b of the b-ladder P_b = g P_{b-1} + z^2 S, climbed from P_0 in b
-    O(n_cut) steps. They are read-only views; nothing is shared between
-    calls, so they do not depend on earlier ones.
+    function: the trace beyond it is at most tail_bound <= rel_eps, and each
+    of the first two moments beyond it at most rel_eps times the moment (or
+    rel_eps, below 1), so downstream energy averages inherit the bound.
+    rel_eps must lie in [MIN_REL_EPS, 1) (numerics.check_rel_eps), else
+    ValueError. Raises NonConvergent, before any weight is computed, when no
+    cut within MAX_TERMS levels passes at some time. The weights are row b
+    of the b-ladder P_b = g P_{b-1} + z^2 S, climbed from P_0 in b O(n_cut)
+    steps. They are read-only views; nothing is shared between calls, so
+    they do not depend on earlier ones.
     """
+    check_rel_eps(rel_eps)
     for t in ts:
         check_time(t)
     kts = [cfg.kappa * t for t in ts]
-    cuts = [None if kt == 0.0 else _cut(cfg.b, kt, cfg.tol) for kt in kts]
+    cuts = [None if kt == 0.0 else _cut(cfg.b, kt, rel_eps) for kt in kts]
     groups: dict[int, list[tuple[int, int, float, float]]] = {}
     for i, (kt, cut) in enumerate(zip(kts, cuts)):
         if cut is not None:
@@ -285,6 +289,6 @@ def distributions(cfg: DiffusiveConfig, ts: Sequence[float]) -> list[FockDistrib
     ]
 
 
-def distribution(cfg: DiffusiveConfig, t: float) -> FockDistribution:
-    """All level populations at time t: distributions(cfg, [t])[0]."""
-    return distributions(cfg, [t])[0]
+def distribution(cfg: DiffusiveConfig, t: float, rel_eps: float = REL_EPS) -> FockDistribution:
+    """All level populations at time t: distributions(cfg, [t], rel_eps)[0]."""
+    return distributions(cfg, [t], rel_eps)[0]

@@ -11,7 +11,10 @@ __all__ = ["line_plot"]
 
 _PALETTE = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2", "#937860", "#dd8452")
 
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
+# About this many y ticks, at a step of 1, 2, 2.5 or 5 times a power of ten.
+_TICKS = 5
 
 
 def _escape(text: str) -> str:
@@ -25,10 +28,10 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / count
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -50,10 +53,9 @@ def line_plot(
     x_label: str,
     y_label: str,
     hline: float | None = None,
-    width: int = 720,
-    height: int = 480,
 ) -> str:
-    """Render labeled (x, y) curves on a log-x, linear-y frame.
+    """Render labeled (x, y) curves on a log-x, linear-y frame, _WIDTH by
+    _HEIGHT pixels.
 
     curves: (label, x values, y values) triples; x must be positive.
     hline: optional horizontal reference line, drawn dashed.
@@ -76,8 +78,8 @@ def line_plot(
     y_lo = -pad if y_lo >= 0.0 else y_lo - pad
     y_hi = y_hi + pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + plot_w * (math.log10(x) - lx_lo) / (lx_hi - lx_lo)
@@ -88,11 +90,11 @@ def line_plot(
     out: list[str] = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
     )
     # frame
@@ -128,7 +130,7 @@ def line_plot(
         )
     # axis labels
     out.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10:.1f}" text-anchor="middle" '
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
     )
     out.append(

@@ -23,13 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from levelscope import diffusive, open_system
-from levelscope.numerics import (
-    DEFAULT_TOLERANCE,
-    NonConvergent,
-    SeriesTolerance,
-    ZeroEnergy,
-    log_factorial,
-)
+from levelscope.numerics import NonConvergent, ZeroEnergy, log_factorial
 from levelscope.spectra import IndexOutOfSpectrum
 from levelscope.open_system import DiffusiveConfig, check_time
 
@@ -113,7 +107,10 @@ class SeriesSum:
 
 
 def sum_adaptive(
-    terms: Iterable[float], tol: SeriesTolerance = DEFAULT_TOLERANCE, ratio_guard: float = 0.9999
+    terms: Iterable[float],
+    rel_eps: float = 1e-10,
+    max_terms: int = 1_000_000,
+    ratio_guard: float = 0.9999,
 ) -> SeriesSum:
     """Sum an eventually-geometric series with a certified tail bound.
 
@@ -130,9 +127,9 @@ def sum_adaptive(
     prev_mag: float | None = None
     count = 0
     for term in terms:
-        if count >= tol.max_terms:
+        if count >= max_terms:
             raise NonConvergent(
-                f"series did not satisfy its stopping rule within {tol.max_terms} terms"
+                f"series did not satisfy its stopping rule within {max_terms} terms"
             )
         total = total + term
         count += 1
@@ -144,7 +141,7 @@ def sum_adaptive(
                 ratio = 0.0 if mag == 0.0 else math.inf
             if ratio < ratio_guard:
                 tail = mag * ratio / (1.0 - ratio)
-                if tail <= tol.rel_eps * abs(total):
+                if tail <= rel_eps * abs(total):
                     return SeriesSum(value=total, terms_used=count, tail_bound=tail)
         prev_mag = mag
     return SeriesSum(value=total, terms_used=count, tail_bound=0.0)
@@ -188,7 +185,7 @@ def fidelity_closed_form(cfg_b: DiffusiveConfig, t: float) -> float:
             yield acc
             l += 1
 
-    return float(sum_adaptive(l_terms(), cfg_b.tol).value)
+    return float(sum_adaptive(l_terms()).value)
 
 
 def fock_weight_reference(cfg: DiffusiveConfig, n: int, t: float) -> float:

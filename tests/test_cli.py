@@ -615,6 +615,39 @@ def test_grid_stop_at_the_float_ceiling_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# Nine log-spaced points between 1 and 1 + 2 ulp round to three doubles,
+# each repeated.
+REPEATING_GRID = "log:1:1.0000000000000004:9"
+REPEATS = ("error: log grid START=1.0, STOP=1.0000000000000004, POINTS=9 is not strictly "
+           "increasing: some of its points round to the same double")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evolve", "--b", "2"], ["fidelity"], ["ymean"], ["figures", "1"], ["figures", "2"],
+     ["figures", "3"], ["figures", "4"]],
+    ids=["evolve", "fidelity", "ymean", "figures1", "figures2", "figures3", "figures4"],
+)
+def test_grid_with_repeated_points_exits_2(tmp_path, capsys, argv):
+    # Every grid command refuses the grid itself, with one message, before
+    # it writes a file or makes a directory.
+    out = tmp_path / "out"
+    assert main([*argv, "--grid", REPEATING_GRID, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == REPEATS + "\n" and captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_evolve_checks_eps_before_the_grid(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    code = main(["evolve", "--b", "2", "--eps", "1e-300", "--grid", REPEATING_GRID,
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "rel_eps must lie in [1e-12, 1)" in err and "log grid" not in err
+    assert not any(tmp_path.iterdir())
+
+
 GRID_RULE = "log grid needs 0 < START < STOP < inf and POINTS >= 2, got "
 GRID_FORMAT = "grid must look like log:START:STOP:POINTS"
 

@@ -1,5 +1,6 @@
-"""Tests for the shared numerical primitives, the relaxation kernels, and
-the certified series summation of the test oracles."""
+"""Tests for the shared numerical primitives, the relaxation kernels, the
+ladder's tolerance check, and the certified series summation of the test
+oracles."""
 
 import copy
 import math
@@ -11,14 +12,8 @@ import pytest
 
 from levelscope import numerics
 from levelscope.diffusive import DiffusiveConfig, YMeanPoint, mean_y_point, mean_y_series
-from levelscope.numerics import (
-    DEFAULT_TOLERANCE,
-    MIN_REL_EPS,
-    NonConvergent,
-    SeriesTolerance,
-    log_factorial,
-)
-from levelscope.open_system import FockDistribution, _kernels
+from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent, log_factorial
+from levelscope.open_system import FockDistribution, _kernels, distribution, distributions
 from levelscope.spectra import (
     Box,
     CriterionPoint,
@@ -103,16 +98,16 @@ def test_kernel_n0_normalization_seed(kt):
 
 
 def test_sum_adaptive_geometric():
-    result = sum_adaptive((0.5**l for l in range(10_000)), DEFAULT_TOLERANCE)
-    assert result.value == pytest.approx(2.0, rel=DEFAULT_TOLERANCE.rel_eps * 10)
-    assert result.tail_bound <= DEFAULT_TOLERANCE.rel_eps * 2.0 * 1.01
+    result = sum_adaptive(0.5**l for l in range(10_000))
+    assert result.value == pytest.approx(2.0, rel=1e-10 * 10)
+    assert result.tail_bound <= 1e-10 * 2.0 * 1.01
 
 
 def test_sum_adaptive_weight_series_sums_to_one():
     # sum_l gamma^l zeta = 1 for the n = 0 kernels at any time.
     for kt in (0.05, 1.0, 20.0):
         g, z = 2 * kt / (1 + 2 * kt), 1 / (1 + 2 * kt)
-        result = sum_adaptive((g**l * z for l in range(10**6)), DEFAULT_TOLERANCE)
+        result = sum_adaptive(g**l * z for l in range(10**6))
         assert result.value == pytest.approx(1.0, rel=1e-9)
 
 
@@ -122,7 +117,7 @@ def test_sum_adaptive_certificate_covers_longer_summation():
         # ratio tends to 0.9 from above (polynomial prefactor).
         return ((l + 1) ** 2 * 0.9**l for l in range(count))
 
-    result = sum_adaptive(terms(10**6), SeriesTolerance(rel_eps=1e-8))
+    result = sum_adaptive(terms(10**6), rel_eps=1e-8)
     longer = sum(terms(10 * result.terms_used))
     assert abs(result.value - longer) <= result.tail_bound
     assert result.terms_used > 10
@@ -130,7 +125,7 @@ def test_sum_adaptive_certificate_covers_longer_summation():
 
 def test_sum_adaptive_nonconvergent_hits_term_cap():
     with pytest.raises(NonConvergent):
-        sum_adaptive((1.0 for _ in range(10**9)), SeriesTolerance(max_terms=100))
+        sum_adaptive((1.0 for _ in range(10**9)), max_terms=100)
 
 
 def test_sum_adaptive_exhausted_stream_is_exact():
@@ -141,26 +136,44 @@ def test_sum_adaptive_exhausted_stream_is_exact():
 
 
 def test_sum_adaptive_handles_all_zero_tail():
-    result = sum_adaptive(iter([1.0, 0.0, 0.0]), DEFAULT_TOLERANCE)
+    result = sum_adaptive(iter([1.0, 0.0, 0.0]))
     assert result.value == 1.0
     assert result.tail_bound == 0.0
 
 
+# ---------------------------------------------------------------------------
+# the series tolerance: the rel_eps of the b-ladder, checked by distributions
+
+
+LADDER = DiffusiveConfig(b=2, kappa=0.5)
+
+
 def test_series_tolerance_validation():
-    with pytest.raises(ValueError):
-        SeriesTolerance(rel_eps=0.0)
-    with pytest.raises(ValueError):
-        SeriesTolerance(max_terms=0)
+    # The tolerance is checked before the times, so a bad time behind it
+    # changes nothing; the default is REL_EPS.
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^rel_eps must be positive$"):
+            distributions(LADDER, [0.1, math.nan], rel_eps=eps)
+        with pytest.raises(ValueError, match="^rel_eps must be positive$"):
+            distribution(LADDER, 0.1, eps)
+    assert distribution(LADDER, 0.1) == distribution(LADDER, 0.1, REL_EPS)
 
 
 @pytest.mark.parametrize("eps", [1e-13, 1e-300, 1.0, math.inf])
 def test_series_tolerance_rejects_eps_outside_the_certifiable_range(eps):
-    with pytest.raises(ValueError, match="rel_eps must lie in"):
-        SeriesTolerance(rel_eps=eps)
+    message = (r"^rel_eps must lie in \[1e-12, 1\): the weights carry about 2.7e-13 "
+               f"relative rounding, got {eps:g}$")
+    with pytest.raises(ValueError, match=message):
+        distributions(LADDER, [0.1], rel_eps=eps)
+    with pytest.raises(ValueError, match=message):
+        distribution(LADDER, 0.1, eps)
 
 
 def test_series_tolerance_floor_is_legal():
-    assert SeriesTolerance(rel_eps=MIN_REL_EPS).rel_eps == 1e-12
+    assert MIN_REL_EPS == 1e-12
+    dist = distribution(LADDER, 0.1, MIN_REL_EPS)
+    assert dist.tail_bound <= MIN_REL_EPS
+    assert dist.n_cut > distribution(LADDER, 0.1).n_cut
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +184,7 @@ POINT = dict(n=3, energy=4.5, tau=0.25, d_energy=1.5, d_tau=-0.125, y=0.1875, re
 
 # Each value type with constructor keywords, in field order.
 VALUE_CASES = [
-    (SeriesTolerance, dict(rel_eps=1e-8, max_terms=500)),
-    (DiffusiveConfig, dict(b=2, kappa=0.5, omega=0.1, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))),
+    (DiffusiveConfig, dict(b=2, kappa=0.5, omega=0.1, lam=1.0)),
     (YMeanPoint, dict(zip(YMeanPoint._fields, [0.5 * k for k in range(1, 11)]))),
     # A tuple stands in for the weight array, which numpy does not hash.
     (FockDistribution, dict(t=0.1, weights=(0.75, 0.25), n_cut=1, tail_bound=0.0)),
@@ -236,7 +248,7 @@ def _assert_same_record(record, built):
     assert repr(restored) == repr(built)
 
 
-@pytest.mark.parametrize("cls, kwargs", [VALUE_CASES[2], (CriterionPoint, POINT)],
+@pytest.mark.parametrize("cls, kwargs", [VALUE_CASES[1], (CriterionPoint, POINT)],
                          ids=["YMeanPoint", "CriterionPoint"])
 def test_a_record_built_from_its_field_tuple_is_the_constructed_one(cls, kwargs):
     _assert_same_record(tuple.__new__(cls, tuple(kwargs.values())), cls(**kwargs))
@@ -252,17 +264,20 @@ def test_kernel_records_are_the_constructed_ones():
 
 
 def test_value_unpacks_in_field_order():
-    rel_eps, max_terms = SeriesTolerance(rel_eps=1e-8, max_terms=500)
-    assert (rel_eps, max_terms) == (1e-8, 500)
-    b, kappa, omega, lam, tol = DiffusiveConfig(b=2, kappa=0.5, omega=0.1)
-    assert (b, kappa, omega, lam, tol) == (2, 0.5, 0.1, 0.0, DEFAULT_TOLERANCE)
+    b, kappa, omega, lam = DiffusiveConfig(b=2, kappa=0.5, omega=0.1)
+    assert (b, kappa, omega, lam) == (2, 0.5, 0.1, 0.0)
+
+
+def test_a_config_holds_only_the_physics():
+    # The b-ladder's tolerance is an argument of distributions, not a field.
+    assert DiffusiveConfig._fields == ("b", "kappa", "omega", "lam")
 
 
 class _ForgedConfig:
     """Pickles as a DiffusiveConfig whose reduce tuple holds b = -1."""
 
     def __reduce__(self):
-        return DiffusiveConfig, (-1, 1.0, 0.0, 0.0, DEFAULT_TOLERANCE)
+        return DiffusiveConfig, (-1, 1.0, 0.0, 0.0)
 
 
 def test_unpickling_runs_the_constructor_checks():

@@ -22,7 +22,7 @@ from levelscope.diffusive import (
     mean_y_series,
     survival,
 )
-from levelscope.numerics import MismatchedConfig, SeriesTolerance, ZeroEnergy
+from levelscope.numerics import MismatchedConfig, ZeroEnergy
 from levelscope.open_system import DiffusiveConfig, distribution
 from oracles import (
     fidelity_closed_form,
@@ -101,10 +101,6 @@ def test_fidelity_requires_matching_bath():
         other = DiffusiveConfig(**{"b": 1, "kappa": 1.0, "omega": 1.0, "lam": 1.0, field: 2.0})
         with pytest.raises(MismatchedConfig):
             fidelity_overlap(upper, other, 0.1)
-    # F reads no tolerance, so configurations that differ only in tol agree.
-    looser = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0, tol=SeriesTolerance(rel_eps=1e-8))
-    same = DiffusiveConfig(b=1, kappa=1.0, omega=1.0, lam=1.0)
-    assert fidelity_overlap(upper, looser, 0.1).hex() == fidelity_overlap(upper, same, 0.1).hex()
 
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from levelscope import open_system
 from levelscope.diffusive import fidelity_overlap, survival
-from levelscope.numerics import NonConvergent, SeriesTolerance
+from levelscope.numerics import REL_EPS, NonConvergent
 from levelscope.open_system import DiffusiveConfig, FockDistribution, distribution, fock_weight
 from oracles import (
     fock_weight_reference,
@@ -188,12 +188,6 @@ def test_distribution_tail_certificate_consistency():
     assert dist.trace() + dist.tail_bound >= 1.0 - 1e-8
 
 
-def test_nonconvergent_when_cut_exceeds_term_cap():
-    cfg = DiffusiveConfig(b=0, kappa=1.0, tol=SeriesTolerance(max_terms=50))
-    with pytest.raises(NonConvergent):
-        distribution(cfg, 1e4)
-
-
 @pytest.mark.parametrize("kt, error", [(4.74e153, NonConvergent), (4.75e153, ValueError),
                                        (math.inf, ValueError)])
 def test_cut_past_the_second_moment_range_is_a_domain_error(kt, error):
@@ -201,7 +195,7 @@ def test_cut_past_the_second_moment_range_is_a_domain_error(kt, error):
     # passes the float ceiling, at kappa*t = 4.74e153; below that the cut runs
     # into max_terms instead.
     with pytest.raises(error) as exc:
-        open_system._cut(2, kt, SeriesTolerance())
+        open_system._cut(2, kt, REL_EPS)
     if error is ValueError:
         assert str(exc.value) == f"<N^2> overflows at kappa*t = {kt:g}"
 
@@ -264,7 +258,7 @@ def test_trace_fidelity_and_survival_property(b, log_kt):
     kt = 10.0 ** log_kt
     cfg = cfg_for(b)
     dist = distribution(cfg, kt)
-    assert abs(dist.trace() + dist.tail_bound - 1.0) <= cfg.tol.rel_eps
+    assert abs(dist.trace() + dist.tail_bound - 1.0) <= REL_EPS
     assert survival(cfg, kt) <= 1.0
     if b >= 1:
         lower = cfg_for(b - 1)
@@ -356,7 +350,7 @@ def test_weights_are_the_prefix_of_a_longer_row(b, kt):
     # The cut sets how many levels a row is climbed on, never a weight: each
     # kept weight is bitwise that of the same row on four times the levels.
     dist = distribution(cfg_for(b), kt)
-    assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, cfg_for(b).tol)
+    assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, REL_EPS)
     longer = ladder_row_reference(b, kt, 4 * (dist.n_cut + 1))
     assert dist.weights.tobytes() == longer[: dist.n_cut + 1].tobytes()
 
@@ -418,7 +412,7 @@ def test_distributions_match_the_reference_climb(b, grid):
         if kt == 0.0:
             assert dist.weights.tolist() == [0.0] * b + [1.0]
             continue
-        assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, cfg_for(b).tol)
+        assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, REL_EPS)
         want = ladder_row_reference(b, kt, dist.n_cut + 1)[: dist.n_cut + 1]
         assert dist.weights.tobytes() == want.tobytes(), kt
         assert not dist.weights.flags.writeable
@@ -453,10 +447,9 @@ def test_cut_bounds_the_exact_tails(b, eps):
     # digits, are at most the saddle-point bounds; the trace bound is the
     # reported tail_bound and at most rel_eps, each moment bound at most
     # rel_eps * max(m, 1), and one level less fails a bound.
-    tol = SeriesTolerance(rel_eps=eps)
     for kt in PROOF_KTS:
         g, z = open_system._kernels(kt)
-        n_cut, tail = open_system._cut(b, kt, tol)
+        n_cut, tail = open_system._cut(b, kt, eps)
         bounds = open_system._bounds(b, g, z, n_cut)
         exact = tail_moments(b, kt, n_cut)
         assert all(e <= bound for e, bound in zip(exact, bounds)), (kt, exact, bounds)
