@@ -10,12 +10,12 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .numerics import MismatchedConfig, NonConvergent, ZeroEnergy, log_factorial
+from .numerics import MismatchedConfig, NonConvergent, ZeroEnergy
 
 # Every other name loads its submodule on first use (PEP 562), so that
 # `import levelscope` loads only numerics: the closed-system half (spectra,
 # presets) and the scalar open-system half (diffusive) are pure Python, and
-# only open_system, the b-ladder, needs numpy.
+# only open_system, whole level distributions as arrays, needs numpy.
 _LAZY = {
     **dict.fromkeys(("Box", "CriterionPoint", "DegeneratePeriod", "Harmonic", "Hydrogenoid",
                      "IndexOutOfSpectrum", "ModelParams", "Morse", "NotNormalized", "Quartic",
@@ -45,5 +45,4 @@ def __dir__() -> list[str]:
 
 
 # The eagerly imported numerics names, then every lazy one.
-__all__ = ["__version__", "MismatchedConfig", "NonConvergent", "ZeroEnergy", "log_factorial",
-           *_LAZY]
+__all__ = ["__version__", "MismatchedConfig", "NonConvergent", "ZeroEnergy", *_LAZY]

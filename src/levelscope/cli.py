@@ -33,8 +33,8 @@ from .numerics import MAX_TERMS, REL_EPS, NonConvergent, ZeroEnergy, check_rel_e
 
 # Each half loads inside the commands that use it: the closed-system modules
 # in `criterion` and `scan` (presets only for --preset), the open-system ones
-# in the rest, so numpy loads only where the b-ladder runs (`evolve`). json
-# loads only where --format json is written. Type checkers read this
+# in the rest, so numpy loads only where weight arrays are built (`evolve`).
+# json loads only where --format json is written. Type checkers read this
 # TYPE_CHECKING as typing's; defining it here keeps typing unloaded.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve = commands.add_parser("evolve", help="Fock populations over time")
     evolve.add_argument("--b", type=int, required=True)
     _add_open_flags(evolve)
-    # The ladder is the one truncated series: other commands take no --eps.
+    # The level cut is the one truncation: other commands take no --eps.
     evolve.add_argument("--eps", type=float, default=REL_EPS, help="relative series tolerance")
     evolve.add_argument("--weight-floor", type=float, default=1e-16,
                         help="omit rows with weight below this")

@@ -1,15 +1,17 @@
 """The scalar half of the diffusive open system, in pure Python.
 
 The run configuration, the relaxation kernels, single-level Fock weights
-and the survival P_b(b, t) they give, the neighbour fidelity F(b, t) as a
-terminating sum, the closed-form moments <N>, <H0>, <tau> and the criterion
-<y(b)> built on them, and the log-spaced kappa*t grid with the check every
-plotted curve passes. None of it needs an array, so every command but
-`evolve` starts without numpy; open_system (the b-ladder) is the one module
-that imports numpy, and it re-exports the names it shares with this one.
-Everything here is a closed form or a finite sum, so the configuration holds
-only the physics; the ladder, the one truncated series, takes its tolerance
-as an argument.
+and the survival P_b(b, t) they give, the neighbour fidelity F(b, t), the
+closed-form moments <N>, <H0>, <tau> and the criterion <y(b)> built on
+them, and the log-spaced kappa*t grid with the check every plotted curve
+passes. The weights and F are terminating sums of positive terms, both
+evaluated by one Horner's rule in ratio form (_nested). None of it needs
+an array, so every command but `evolve` starts without numpy;
+open_system, which evaluates the same weight sums over arrays of levels,
+is the one module that imports numpy, and it re-exports the names it
+shares with this one. Everything here is a closed form or a finite sum, so
+the configuration holds only the physics; the level cut of open_system,
+the one truncation, takes its tolerance as an argument.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import operator
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .numerics import Frozen, MismatchedConfig, ZeroEnergy, is_integer, log_factorial
+from .numerics import Frozen, MismatchedConfig, ZeroEnergy, is_integer
 
 __all__ = [
     "DiffusiveConfig",
@@ -85,63 +87,8 @@ def _kernels(kt: float) -> tuple[float, float]:
     return 2.0 * kt / (1.0 + 2.0 * kt), 1.0 / (1.0 + 2.0 * kt)
 
 
-@lru_cache(maxsize=64)
-def _weight_terms(b: int, n: int) -> tuple[tuple[float, float, float], ...]:
-    """The t-free part of each p-term of fock_weight, p = 0 .. min(b, n):
-    the ln C(b,p) C(n,p) chain lf[b] + lf[n] - 2 lf[p] - lf[n-p] - lf[b-p]
-    with lf = log_factorial, evaluated left to right as the full exponent
-    would, and the powers b+n-2p and 2p+1 of gamma and zeta as floats."""
-    lf_b, lf_n = log_factorial(b), log_factorial(n)
-    return tuple(
-        (lf_b + lf_n - 2.0 * log_factorial(p) - log_factorial(n - p) - log_factorial(b - p),
-         float(b + n - 2 * p), float(2 * p + 1))
-        for p in range(0, min(b, n) + 1)
-    )
-
-
-def _weight(b: int, n: int, kt: float) -> float:
-    """The p-sum of fock_weight at kappa*t = kt, for a level n and a time
-    already checked."""
-    g, z = _kernels(kt)
-    if g == 0.0:
-        return 1.0 if n == b else 0.0
-    lg, lz = math.log(g), math.log(z)
-    exp = math.exp
-    acc = 0.0
-    for head, k_g, k_z in _weight_terms(b, n):
-        acc += exp(head + k_g * lg + k_z * lz)
-    return acc
-
-
-def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
-    """Population P_b(n, t) of level n, as a finite log-space sum over p.
-
-    Collecting the double-index expansion of the evolved state at the
-    physical level n = p + l leaves, per level, the finite sum
-
-        P_b(n) = sum_{p=0}^{min(b, n)} C(b, p) C(n, p) gamma^(b+n-2p) zeta^(2p+1)
-
-    of positive terms; no truncation is involved for a single level. The
-    t-free head of each exponent (its ln k! from numerics.log_factorial) is
-    built once per (b, n) and cached, so a curve pays per point only for
-    (b+n-2p) ln gamma + (2p+1) ln zeta and the exp. The terms are added one
-    by one, left to right (a float sum() would round differently). survival
-    reads this scalar sum; whole distributions come from the b-ladder.
-    """
-    check_level(n)
-    check_time(t)
-    return _weight(cfg.b, n, cfg.kappa * t)
-
-
-def survival(cfg: DiffusiveConfig, t: float) -> float:
-    """Probability P_b(b, t) of still finding the prepared index b."""
-    check_time(t)
-    b = cfg.b
-    return _weight(b, b, cfg.kappa * t)
-
-
-# The nested sums of fidelity_overlap are rescaled by e^-_SPAN whenever they
-# pass e^_SPAN; the scale then goes into the exponent of the prefactor, where
+# The nested sums of _nested are rescaled by e^-_SPAN whenever they pass
+# e^_SPAN; the scale then goes into the exponent of the prefactor, where
 # adding a whole multiple of _SPAN rounds nothing.
 _SPAN = 400.0
 _BIG = math.exp(_SPAN)
@@ -149,12 +96,14 @@ _SHRINK = math.exp(-_SPAN)
 
 
 @lru_cache(maxsize=64)
-def _fidelity_ratios(b: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Successive coefficient ratios of sum_i c_i w^i, c_i = C(b,i) C(b-1,i),
-    innermost first: c_{i+1}/c_i for i = b-2 .. 0, and the same for the
-    reversed coefficients d_j = c_{b-1-j}."""
-    up = tuple((b - i) * (b - 1 - i) / ((i + 1) * (i + 1)) for i in range(b - 2, -1, -1))
-    down = tuple((b - 1 - j) * (b - 1 - j) / ((j + 1) * (j + 2)) for j in range(b - 2, -1, -1))
+def _ratios(b: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Successive coefficient ratios of S = sum_p c_p w^p, c_p = C(b,p) C(n,p),
+    innermost first: c_{p+1}/c_p for p = m-1 .. 0, and the same for the
+    reversed coefficients d_q = c_{m-q}, with m = min(b, n). Each is a
+    quotient of two integer products, rounded once."""
+    m, d = min(b, n), abs(b - n)
+    up = tuple((b - p) * (n - p) / ((p + 1) * (p + 1)) for p in range(m - 1, -1, -1))
+    down = tuple((m - q) * (m - q) / ((q + 1) * (d + q + 1)) for q in range(m - 1, -1, -1))
     return up, down
 
 
@@ -170,6 +119,69 @@ def _nested(ratios: tuple[float, ...], w: float, log_scale: float) -> tuple[floa
             one *= _SHRINK
             log_scale += _SPAN
     return acc, log_scale
+
+
+def _horner_args(kt: float) -> tuple[bool, float, float, float]:
+    """(forward, w, log1p(u), log1p(1/u)) of the weight sums at u = 2kt > 0:
+    forward is u >= 1, where the sums run in w = 1/u^2, and below they run
+    reversed in w = u^2; log1p(u) and log1p(1/u) are -ln zeta and -ln gamma.
+    Where 1/u overflows (u below 2^-1024), log1p(1/u) is taken as -log(u),
+    which it equals to within u, relative. kt is taken as a Python float, so
+    a numpy scalar time does not warn at the ends of the float range."""
+    u = 2.0 * float(kt)
+    inv = 1.0 / u
+    forward = u >= 1.0
+    return (forward, 1.0 / (u * u) if forward else u * u, math.log1p(u),
+            math.log1p(inv) if inv < math.inf else -math.log(u))
+
+
+def _weight(b: int, n: int, kt: float) -> float:
+    """P_b(n) at kappa*t = kt, for a level n and a time already checked."""
+    if kt == 0.0:
+        return 1.0 if n == b else 0.0
+    forward, w, l1, l2 = _horner_args(kt)
+    up, down = _ratios(b, n)
+    if forward:
+        total, a = _nested(up, w, -l1 - (b + n) * l2)
+    else:
+        m = min(b, n)
+        lead = math.log(math.comb(max(b, n), m))
+        total, a = _nested(down, w, lead - (2 * m + 1) * l1 - (b + n - 2 * m) * l2)
+    return math.exp(a) * total
+
+
+def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
+    """Population P_b(n, t) of level n, a terminating sum of positive terms.
+
+    Collecting the double-index expansion of the evolved state at the
+    physical level n = p + l leaves, per level, the finite sum
+
+        P_b(n) = sum_{p=0}^{min(b, n)} C(b, p) C(n, p) gamma^(b+n-2p) zeta^(2p+1)
+               = zeta gamma^(b+n) S(b, n, w),   S = sum_p C(b,p) C(n,p) w^p,
+
+    with w = (zeta/gamma)^2 = 1/u^2, u = 2 kappa t: S is the 2F1(-b, -n; 1; w)
+    of the Meixner-type polynomials (Koekoek, Lesky & Swarttouw,
+    Hypergeometric Orthogonal Polynomials, 2010, sec. 9.10), and no
+    truncation is involved. For u >= 1, S is Horner's rule in ratio form
+    (_nested) in w, under the prefactor exp(-log1p(u) - (b+n) log1p(1/u));
+    below, it runs in 1/w = u^2 on the reversed coefficients, under
+    exp(ln C(M, m) - (2m+1) log1p(u) - (b+n-2m) log1p(1/u)) with
+    m = min(b, n), M = max(b, n). No power exceeds 1 and every term is
+    positive, so the rounding needs no conditioning argument (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 5). A kappa*t
+    that overflows to inf gives the limit 0. survival is this sum at n = b;
+    open_system.distributions evaluates it over arrays of levels.
+    """
+    check_level(n)
+    check_time(t)
+    return _weight(cfg.b, n, cfg.kappa * t)
+
+
+def survival(cfg: DiffusiveConfig, t: float) -> float:
+    """Probability P_b(b, t) of still finding the prepared index b."""
+    check_time(t)
+    b = cfg.b
+    return _weight(b, b, cfg.kappa * t)
 
 
 def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float) -> float:
@@ -204,7 +216,7 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     x = 4.0 * (kappa * t)
     if x == 0.0:
         return 0.0
-    up, down = _fidelity_ratios(b)
+    up, down = _ratios(b, m)
     if x >= 1.0:
         total, a = _nested(up, 1.0 / (x * x), -2.0 * b * math.log1p(1.0 / x))
         return math.exp(a) * total / x

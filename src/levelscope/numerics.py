@@ -1,5 +1,5 @@
-"""Shared numerical primitives: log-factorials, the integer check of index
-parameters, the truncation defaults of the b-ladder and the check of its
+"""Shared numerical primitives: the integer check of index parameters, the
+truncation defaults of the level distributions and the check of their
 tolerance, the domain errors of the open-system observables, and Frozen,
 the base of every value type.
 
@@ -9,7 +9,6 @@ from any number of threads.
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections import _tuplegetter
 
@@ -23,7 +22,6 @@ __all__ = [
     "ZeroEnergy",
     "check_rel_eps",
     "is_integer",
-    "log_factorial",
 ]
 
 
@@ -96,47 +94,31 @@ class ZeroEnergy(ArithmeticError):
 
 # Smallest rel_eps a tail bound may claim. Against 50-digit mpmath at the
 # exact double kappa*t, the weights of the 133,175 rows of `evolve --b 15`
-# (kappa*t up to 100) carry at most 2.7e-13 relative error,
-# nearly all of it the rounding of the kernel gamma = 2kt/(1+2kt) raised to
-# powers n of several thousand; the b-ladder itself adds under 2e-15. A tail
-# certified below that error would certify nothing, so the floor sits about
-# four times above it.
+# (kappa*t up to 100) carry at most 1.6e-14 relative error, nearly all of it
+# the rounding of the exponent of their prefactor, -log1p(u) - (b+n)
+# log1p(1/u) at u = 2 kappa*t, which grows with the level n. A tail
+# certified below that error would certify nothing; the floor sits well
+# above it.
 MIN_REL_EPS = 1e-12
 
 
-# The b-ladder's truncation defaults: the tail it proves beyond its level cut,
-# relative to the full sum, and the most levels a row may keep.
+# The truncation defaults of the level distributions: the tail proven beyond
+# a row's level cut, relative to the full sum, and the most levels a row may
+# keep.
 REL_EPS = 1e-10
 MAX_TERMS = 1_000_000
 
 
 def check_rel_eps(rel_eps: float) -> None:
-    """Raise ValueError unless rel_eps, the ladder's bound on the proven tail
-    beyond its cut relative to the full sum, lies in [MIN_REL_EPS, 1)."""
+    """Raise ValueError unless rel_eps, a distribution's bound on the proven
+    tail beyond its cut relative to the full sum, lies in [MIN_REL_EPS, 1)."""
     if not rel_eps > 0.0:
         raise ValueError("rel_eps must be positive")
     if not MIN_REL_EPS <= rel_eps < 1.0:
         raise ValueError(
             f"rel_eps must lie in [{MIN_REL_EPS:g}, 1): the weights carry about "
-            f"2.7e-13 relative rounding, got {rel_eps:g}"
+            f"1.6e-14 relative rounding, got {rel_eps:g}"
         )
-
-
-# ln(k!) for k = 0..20, evaluated from the exact integer factorials.
-_LOG_FACT_TABLE = tuple(math.log(math.factorial(k)) if k > 1 else 0.0 for k in range(21))
-
-
-def log_factorial(k: int) -> float:
-    """Natural log of k! (exact table below 21, lgamma above).
-
-    Relative error stays below 1e-12 across the whole integer range of
-    interest (checked against big-integer factorials in the test suite).
-    """
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    if k < len(_LOG_FACT_TABLE):
-        return _LOG_FACT_TABLE[k]
-    return math.lgamma(k + 1.0)
 
 
 def is_integer(value: object) -> bool:

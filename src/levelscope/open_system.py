@@ -1,20 +1,19 @@
 """Diffusive relaxation of an initial Fock state of the quartic oscillator.
 
 The evolved state stays diagonal in the Fock basis; this module computes its
-weights P_b(n, t) as whole rows of the b-ladder recurrence (distributions,
-and distribution for one time), the one open-system computation that needs
-arrays; only `evolve` runs it. The truncation in n is a saddle-point bound
-on the generating function, computed for every time before any weight, so
-each row is climbed once, on the levels it keeps rounded up to whole filter
-blocks; rows of one block size climb together, padded to at most 1.5 times
-their length, and each keeps the weights it would have climbed alone. The
-level populations depend only on the initial index b and on the
-dimensionless time kappa*t; omega and lam ride along in the configuration
-because energy observables need them. The configuration, the kernels and
-the single-level weight fock_weight live in the numpy-free diffusive module
-and are re-exported here. The ladder is the one truncated series, so it
-alone takes a tolerance: the rel_eps argument of distributions (default
-numerics.REL_EPS), with at most numerics.MAX_TERMS levels per row.
+weights P_b(n, t) as whole rows (distributions, and distribution for one
+time), the one open-system computation that needs arrays; only `evolve`
+runs it. The truncation in n is a saddle-point bound on the generating
+function, computed for every time before any weight; each weight is then
+the terminating sum of diffusive.fock_weight, evaluated element by element
+over flat vectors of levels a fixed number at a time. The level
+populations depend only on the initial index b and on the dimensionless
+time kappa*t; omega and lam ride along in the configuration because energy
+observables need them. The configuration, the kernels and the
+single-level weight fock_weight live in the numpy-free diffusive module
+and are re-exported here. The cut is the one truncation, so distributions
+alone takes a tolerance: its rel_eps argument (default numerics.REL_EPS),
+with at most numerics.MAX_TERMS levels per row.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .diffusive import (DiffusiveConfig, _kernels, _moments, check_level, check_time,
-                        fock_weight)
+from .diffusive import (_BIG, _SHRINK, _SPAN, DiffusiveConfig, _horner_args, _kernels, _moments,
+                        check_level, check_time, fock_weight)
 from .numerics import MAX_TERMS, REL_EPS, Frozen, NonConvergent, check_rel_eps
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
@@ -65,78 +64,6 @@ class FockDistribution(Frozen):
         if n > self.n_cut:
             return 0.0
         return float(self.weights[n])
-
-
-# The b-ladder. The generating function G_b(s) = z (g + (z-g)s)^b / (1-gs)^(b+1)
-# of the populations (g, z = gamma, zeta) obeys G_b = G_{b-1} (g + (z-g)s)/(1-gs),
-# and since g^2 - g + z = z^2 that factor is g + z^2 sum_{k>=1} g^(k-1) s^k, all
-# of whose coefficients are positive. Hence, summing positive terms only,
-#
-#     P_0(n) = z g^n,
-#     P_b(n) = g P_{b-1}(n) + z^2 S(n),   S(0) = 0,  S(n+1) = g S(n) + P_{b-1}(n),
-#
-# the degree recurrence of the Meixner-type sum z g^(b+n) 2F1(-b, -n; 1; (z/g)^2)
-# (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials, 2010,
-# sec. 9.10). P_b(n) needs only P_{b-1}(m <= n), so a row computed on more
-# levels has a bitwise identical prefix.
-#
-# The filter S runs in blocks of K levels laid out from n = 0, each the scaled
-# cumsum g^j sum_{i<=j} g^-i x(o+i) plus the carry g^(j+1) S(o). K depends on
-# g alone: g^-K stays below e^_BLOCK_SPAN, so no scaled sum overflows, and K
-# stays at most _BLOCK_MAX, which bounds the rounding a block's cumsum adds.
-_BLOCK_SPAN = 600.0
-_BLOCK_MAX = 128
-
-
-def _block_size(g: float) -> int:
-    span = -math.log(g)
-    return _BLOCK_MAX if span * _BLOCK_MAX <= _BLOCK_SPAN else max(1, int(_BLOCK_SPAN / span))
-
-
-def _climb(b: int, k: int, blocks: int, gs: list[float], zs: list[float]) -> np.ndarray:
-    """Rows P_b on blocks * k levels, one per kernel pair (g, z) of block size
-    k, climbed together from P_0(n) = z g^n as one read-only array.
-
-    Every row gets its own powers g^j (j = 0..k) and g^-j (j = 0..k-1) and
-    the same operations, in the same order, as when climbed alone, so it is
-    bitwise the row climbed alone on the same levels.
-    """
-    up = np.array([[math.pow(g, j) for j in range(k + 1)] for g in gs])
-    down = np.array([[math.pow(g, -j) for j in range(k)] for g in gs])
-    starts = np.array([[z * math.pow(g, k * i) for i in range(blocks)] for g, z in zip(gs, zs)])
-    rows = (starts[:, :, None] * up[:, None, :k]).reshape(len(gs), -1)
-    g = np.array(gs)[:, None]
-    zz = np.array([z * z for z in zs])[:, None]
-    scratch = np.empty((len(gs), blocks, k))
-    for _ in range(b):
-        _step(rows, scratch, g, zz, up, down)
-    rows.setflags(write=False)
-    return rows
-
-
-def _step(rows: np.ndarray, scratch: np.ndarray, g: np.ndarray, zz: np.ndarray,
-          up: np.ndarray, down: np.ndarray) -> None:
-    """One ladder step of every row in place, P_{b-1} to P_b on the same
-    levels; scratch holds the filter blocks, shaped (rows, blocks, k)."""
-    k = down.shape[1]
-    blocks = np.multiply(rows.reshape(scratch.shape), down[:, None, :], out=scratch)
-    np.add.accumulate(blocks, axis=2, out=blocks)
-    blocks *= up[:, None, :k]
-    # Block o now holds g^j C(j), C(j) = sum_{i<=j} g^-i x(o+i), and adding
-    # the carry g^(j+1) S(o) gives S(o+j+1); S(o) runs from S(0) = 0.
-    if blocks.shape[1] > 1:
-        starts = []
-        for gk, ends in zip(up[:, k].tolist(), blocks[:, :-1, -1].tolist()):
-            carry, row = 0.0, []
-            for end in ends:
-                carry = gk * carry + end
-                row.append(carry)
-            starts.append(row)
-        blocks[:, 1:] += np.array(starts)[:, :, None] * up[:, None, 1:]
-    s_next = blocks.reshape(rows.shape)
-    s_next *= zz
-    rows *= g
-    rows[:, 1:] += s_next[:, :-1]
 
 
 # The cut. G_b has positive coefficients P_b(n), so for every s in (1, 1/g)
@@ -239,6 +166,51 @@ def _delta(b: int, t: float) -> FockDistribution:
     return FockDistribution(t=t, weights=weights, n_cut=b, tail_bound=0.0)
 
 
+# The weights. Each is diffusive's terminating sum P_b(n) = z g^(b+n) S(b, n, w),
+# evaluated element by element over flat vectors of levels: the rows laid end
+# to end in one array, _CHUNK_LEVELS levels at a time, so the temporaries stay
+# the same size however long the grid or its rows. Nothing mixes elements, so
+# neither the budget nor the other rows of a call move a bit of a row.
+_CHUNK_LEVELS = 1 << 13
+
+
+def _populations(b: int, n: np.ndarray, forward: bool, w: np.ndarray, l1: np.ndarray,
+                 l2: np.ndarray) -> np.ndarray:
+    """P_b(n) at each level of n, with the w, log1p(u) and log1p(1/u) of its
+    row (diffusive._horner_args), every row of one direction.
+
+    Per element these are the operations of diffusive._weight, in its order,
+    rescaling included, in one loop over p for all elements: a ratio past
+    min(b, n) is zero and leaves the sum at 1. Each weight is therefore
+    bitwise fock_weight's.
+    """
+    m = np.minimum(n, b)
+    if forward:
+        scale = -l1 - (b + n) * l2
+    else:
+        d = np.abs(n - b)
+        leads = np.array([math.log(math.comb(max(b, j), min(b, j))) for j in range(n.max() + 1)])
+        scale = leads[n] - (2 * m + 1) * l1 - (b + n - 2 * m) * l2
+    acc, one = np.ones(n.shape), np.ones(n.shape)
+    for p in range(m.max() - 1, -1, -1):
+        if forward:
+            r = (b - p) * np.maximum(n - p, 0) / ((p + 1) * (p + 1))
+        else:
+            k = np.maximum(m - p, 0)
+            r = k * k / ((p + 1) * (d + p + 1))
+        r *= w
+        r *= acc
+        acc = np.add(one, r, out=r)
+        big = acc > _BIG
+        if big.any():
+            acc[big] *= _SHRINK
+            one[big] *= _SHRINK
+            scale[big] += _SPAN
+    # libm's exp, as fock_weight takes it: numpy's own may round differently,
+    # and differently again on another CPU.
+    return np.fromiter(map(math.exp, scale.tolist()), float, n.shape[0]) * acc
+
+
 def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
                   rel_eps: float = REL_EPS) -> list[FockDistribution]:
     """All level populations at each time in ts, truncated with a proven tail.
@@ -249,42 +221,39 @@ def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
     rel_eps, below 1), so downstream energy averages inherit the bound.
     rel_eps must lie in [MIN_REL_EPS, 1) (numerics.check_rel_eps), else
     ValueError. Raises NonConvergent, before any weight is computed, when no
-    cut within MAX_TERMS levels passes at some time. The weights are row b
-    of the b-ladder P_b = g P_{b-1} + z^2 S, climbed from P_0 in b O(n_cut)
-    steps. They are read-only views; nothing is shared between calls, so
-    they do not depend on earlier ones.
+    cut within MAX_TERMS levels passes at some time. The weights are those
+    of fock_weight on levels 0 .. n_cut, bit for bit, so a row's bits do not
+    depend on the other times in ts. They are read-only; nothing is shared
+    between calls, so they do not depend on earlier ones.
     """
     check_rel_eps(rel_eps)
     for t in ts:
         check_time(t)
+    b = cfg.b
     kts = [cfg.kappa * t for t in ts]
-    cuts = [None if kt == 0.0 else _cut(cfg.b, kt, rel_eps) for kt in kts]
-    groups: dict[int, list[tuple[int, int, float, float]]] = {}
-    for i, (kt, cut) in enumerate(zip(kts, cuts)):
-        if cut is not None:
-            g, z = _kernels(kt)
-            k = _block_size(g)
-            groups.setdefault(k, []).append((-(-(cut[0] + 1) // k), i, g, z))
-    # Rows of one block size climb together: sorted by length, in chunks whose
-    # longest row is at most 1.5 times the shortest, each chunk as one array
-    # on the levels of its longest row. Short rows then share each step's
-    # array operations, padding adds at most half of a row's work, and by the
-    # prefix property every kept weight is that of its row climbed alone.
-    rows: dict[int, np.ndarray] = {}
-    for k, points in groups.items():
-        points.sort()
-        start = 0
-        while start < len(points):
-            end, shortest = start + 1, points[start][0]
-            while end < len(points) and 2 * points[end][0] <= 3 * shortest:
-                end += 1
-            chunk = points[start:end]
-            climbed = _climb(cfg.b, k, chunk[-1][0], [p[2] for p in chunk], [p[3] for p in chunk])
-            rows.update(zip([p[1] for p in chunk], climbed))
-            start = end
+    cuts = [None if kt == 0.0 else _cut(b, kt, rel_eps) for kt in kts]
+    # The kept rows end to end in one array, those summed in reverse first.
+    kept = sorted(((_horner_args(kt), i, cut[0] + 1)
+                   for i, (kt, cut) in enumerate(zip(kts, cuts)) if cut is not None),
+                  key=lambda row: row[0][0])
+    lengths = [length for _, _, length in kept]
+    ends = np.cumsum(lengths, dtype=np.int64)
+    starts = ends - lengths
+    store = np.empty(sum(lengths))
+    split = sum(length for args, _, length in kept if not args[0])
+    w, l1, l2 = (np.array([args[k] for args, _, _ in kept]) for k in (1, 2, 3))
+    for forward, lo, hi in ((False, 0, split), (True, split, store.shape[0])):
+        for start in range(lo, hi, _CHUNK_LEVELS):
+            stop = min(start + _CHUNK_LEVELS, hi)
+            flat = np.arange(start, stop)
+            row = np.searchsorted(ends, flat, side="right")
+            store[start:stop] = _populations(b, flat - starts[row], forward, w[row], l1[row],
+                                             l2[row])
+    store.setflags(write=False)
+    views = {i: store[s:e] for (_, i, _), s, e in zip(kept, starts.tolist(), ends.tolist())}
     return [
-        _delta(cfg.b, t) if cut is None
-        else FockDistribution(t=t, weights=rows[i][: cut[0] + 1], n_cut=cut[0], tail_bound=cut[1])
+        _delta(b, t) if cut is None
+        else FockDistribution(t=t, weights=views[i], n_cut=cut[0], tail_bound=cut[1])
         for i, (t, cut) in enumerate(zip(ts, cuts))
     ]
 

@@ -2,8 +2,8 @@
 
 Every open-system data file must be a function of the command line alone:
 two fresh processes write the same bytes, and so does an in-process run
-made after a warm-up that filled the cached tables (the fidelity
-coefficient ratios, the t-free weight terms) in a different b order. Both
+made after a warm-up that filled the cached table of coefficient ratios
+of the weight and fidelity sums in a different b order. Both
 the open-system and the closed-system output are pinned by their sha256
 digests, and so are the library curves the open_sweep benchmark computes,
 value for value.
@@ -50,7 +50,7 @@ OPEN_DIGESTS = {
         "figure2.svg": "2862fbf8ab923149a440d98afcbf26f45f06023ff28dd7493ac6200cc51b4ed5",
     },
     ("figures2", "json"): {
-        "figure2.json": "1bf6f68dbad8bf0073ef9390bcc0615f2dc72e89e8fc0e224b7714e8be147762",
+        "figure2.json": "0c30f542967491912a300008fcb0faff4c88c696911da5271ce647dcc8f40fcb",
         "figure2.svg": "2862fbf8ab923149a440d98afcbf26f45f06023ff28dd7493ac6200cc51b4ed5",
     },
     ("figures3", "csv"): {
@@ -76,10 +76,10 @@ OPEN_DIGESTS = {
         "fidelity.json": "1b39164bf4823fa1f16b5a2181b3348f8bd2049c18a7abe8c5eafced62249162",
     },
     ("evolve", "csv"): {
-        "evolve.csv": "5a18dc8fcc72588f8b3ed53e92f87955957ce47f269cdc695e5dd55017a19806",
+        "evolve.csv": "c28a31ab64902dab51c010aedd19f4e0e2f4a8afd5afc09571873a14aed57b3d",
     },
     ("evolve", "json"): {
-        "evolve.json": "d0e6e2babe037760455ebaf43f675acc8607c62f6a4dc74fe998a54646d84985",
+        "evolve.json": "58754c32ca41c20561eb6902945fb90f39a1e2dfd21c506bc47de28708393478",
     },
     ("ymean", "csv"): {
         "ymean.csv": "6044fea08c2a8fc780807660144205d5c13e064f96b0d0a6476259756645920d",
@@ -218,7 +218,7 @@ def test_closed_model_output_digests(tmp_path, monkeypatch, capsys, model, outpu
 CURVE_KAPPA, CURVE_LAM = 0.8, 1.3
 CURVE_DIGESTS = {
     "fidelity": "126d759346571597b29cbd1e214183dd96647fcff823dd7d53c61c20e29fd2be",
-    "survival": "5aa792fe280981514bbc46e40d14b7dd07bd66c36160c9164077e469cbeb5774",
+    "survival": "9d2252a4e8bf91b65d82bd8172c7c2b86a62d5101e68efdace03a24430a5092d",
     "ymean-0.1": "0fcee214eed297d9ccb9e28126026ba73b4259f7744aa4f1db7987262a2ea6e1",
     "ymean-10": "bae14edb876cafc3b9d6e323fbf719d6c9c5a35eaab7bc0d51611dd5d51aa37b",
 }

@@ -1,6 +1,6 @@
 """Tests for the shared numerical primitives, the relaxation kernels, the
-ladder's tolerance check, and the certified series summation of the test
-oracles."""
+distributions' tolerance check, and the ln k! and the certified series
+summation of the test oracles."""
 
 import copy
 import math
@@ -12,7 +12,7 @@ import pytest
 
 from levelscope import numerics
 from levelscope.diffusive import DiffusiveConfig, YMeanPoint, mean_y_point, mean_y_series
-from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent, log_factorial
+from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
 from levelscope.open_system import FockDistribution, _kernels, distribution, distributions
 from levelscope.spectra import (
     Box,
@@ -26,13 +26,13 @@ from levelscope.spectra import (
     criterion_point,
     threshold_scan,
 )
-from oracles import sum_adaptive
+from oracles import log_factorial, sum_adaptive
 
 mp.mp.dps = 50
 
 
 # ---------------------------------------------------------------------------
-# log_factorial
+# log_factorial, the ln k! of the oracles' triple sum and p-sum
 
 
 def test_log_factorial_base_cases():
@@ -142,10 +142,10 @@ def test_sum_adaptive_handles_all_zero_tail():
 
 
 # ---------------------------------------------------------------------------
-# the series tolerance: the rel_eps of the b-ladder, checked by distributions
+# the series tolerance: the rel_eps of the level cut, checked by distributions
 
 
-LADDER = DiffusiveConfig(b=2, kappa=0.5)
+CUT_CFG = DiffusiveConfig(b=2, kappa=0.5)
 
 
 def test_series_tolerance_validation():
@@ -153,27 +153,27 @@ def test_series_tolerance_validation():
     # changes nothing; the default is REL_EPS.
     for eps in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="^rel_eps must be positive$"):
-            distributions(LADDER, [0.1, math.nan], rel_eps=eps)
+            distributions(CUT_CFG, [0.1, math.nan], rel_eps=eps)
         with pytest.raises(ValueError, match="^rel_eps must be positive$"):
-            distribution(LADDER, 0.1, eps)
-    assert distribution(LADDER, 0.1) == distribution(LADDER, 0.1, REL_EPS)
+            distribution(CUT_CFG, 0.1, eps)
+    assert distribution(CUT_CFG, 0.1) == distribution(CUT_CFG, 0.1, REL_EPS)
 
 
 @pytest.mark.parametrize("eps", [1e-13, 1e-300, 1.0, math.inf])
 def test_series_tolerance_rejects_eps_outside_the_certifiable_range(eps):
-    message = (r"^rel_eps must lie in \[1e-12, 1\): the weights carry about 2.7e-13 "
+    message = (r"^rel_eps must lie in \[1e-12, 1\): the weights carry about 1.6e-14 "
                f"relative rounding, got {eps:g}$")
     with pytest.raises(ValueError, match=message):
-        distributions(LADDER, [0.1], rel_eps=eps)
+        distributions(CUT_CFG, [0.1], rel_eps=eps)
     with pytest.raises(ValueError, match=message):
-        distribution(LADDER, 0.1, eps)
+        distribution(CUT_CFG, 0.1, eps)
 
 
 def test_series_tolerance_floor_is_legal():
     assert MIN_REL_EPS == 1e-12
-    dist = distribution(LADDER, 0.1, MIN_REL_EPS)
+    dist = distribution(CUT_CFG, 0.1, MIN_REL_EPS)
     assert dist.tail_bound <= MIN_REL_EPS
-    assert dist.n_cut > distribution(LADDER, 0.1).n_cut
+    assert dist.n_cut > distribution(CUT_CFG, 0.1).n_cut
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_value_unpacks_in_field_order():
 
 
 def test_a_config_holds_only_the_physics():
-    # The b-ladder's tolerance is an argument of distributions, not a field.
+    # The level cut's tolerance is an argument of distributions, not a field.
     assert DiffusiveConfig._fields == ("b", "kappa", "omega", "lam")
 
 

@@ -11,17 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelscope import open_system
+from levelscope import diffusive, open_system
 from levelscope.diffusive import fidelity_overlap, survival
-from levelscope.numerics import REL_EPS, NonConvergent
+from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
 from levelscope.open_system import DiffusiveConfig, FockDistribution, distribution, fock_weight
-from oracles import (
-    fock_weight_reference,
-    ladder_row_reference,
-    stored_moments,
-    tail_moments,
-    weight_oracle,
-)
+from oracles import stored_moments, tail_moments, weight_oracle, weight_psum
 
 
 def cfg_for(b: int, **kw) -> DiffusiveConfig:
@@ -87,25 +81,54 @@ def test_weight_accepts_numpy_integer_level():
     assert dist.weight(np.int32(3)) == dist.weight(3)
 
 
-# The p-sum builds its t-free heads from log_factorial once per (b, n); a
-# per-call list gives the same bits.
+# A cross-check by another algorithm: the log-space p-sum with its ln k!
+# rebuilt per call, itself good to a few 1e-13 at these b and n, on both
+# sides of kappa*t = 1/2, where the sum switches direction.
 @pytest.mark.parametrize("kt", [1e-6, 1e-3, 0.05, 0.5, 1.0, 7.5, 100.0, 1e3])
 def test_weight_matches_per_call_log_factorial_reference(kt):
     levels = range(0, 201, 8)
     for b in levels:
         cfg = cfg_for(b)
         for n in levels:
-            assert fock_weight(cfg, n, kt) == fock_weight_reference(cfg, n, kt), (b, n)
+            got, want = fock_weight(cfg, n, kt), weight_psum(b, n, kt)
+            assert abs(got - want) <= 1e-12 * want + 1e-300, (b, n)
 
 
-# The t-free head of each p-term is cached per (b, n), 64 entries; draws
-# over far more (b, n) pairs than that, in random order, hit, miss and evict.
+# The coefficient ratios are cached per (b, n), 64 entries; draws over far
+# more (b, n) pairs than that, in random order, hit, miss and evict, and
+# every weight keeps the bits of ratios built afresh.
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(b=st.integers(0, 200), n=st.integers(0, 400), kt=st.floats(1e-8, 1e4))
 def test_weight_is_bitwise_the_uncached_chain(b, n, kt):
     cfg = cfg_for(b)
-    assert fock_weight(cfg, n, kt).hex() == fock_weight_reference(cfg, n, kt).hex()
-    assert survival(cfg, kt).hex() == fock_weight_reference(cfg, b, kt).hex()
+    cached = fock_weight(cfg, n, kt).hex(), survival(cfg, kt).hex()
+    diffusive._ratios.cache_clear()
+    assert (fock_weight(cfg, n, kt).hex(), survival(cfg, kt).hex()) == cached
+
+
+@pytest.mark.parametrize("func", ["survival", "fock_weight", "fidelity_overlap"])
+def test_kappa_t_at_the_ends_of_the_float_range(func):
+    # A kappa*t that overflows to inf gives each limit, 0; a subnormal one
+    # keeps the values of the sums, never a 0 * inf = NaN, with the
+    # distribution's weights alongside.
+    def call(b, kappa, t):
+        cfg = DiffusiveConfig(b, kappa)
+        if func == "survival":
+            return survival(cfg, t)
+        if func == "fock_weight":
+            return fock_weight(cfg, b - 1, t)
+        return fidelity_overlap(cfg, DiffusiveConfig(b - 1, kappa), t)
+
+    assert call(2, 1e300, 1e10) == 0.0
+    for kt in (5e-324, 1e-320):
+        value = call(3, 1.0, kt)
+        assert math.isfinite(value) and value >= 0.0
+        if func == "survival":
+            assert value == 1.0
+        if func == "fock_weight":
+            weights = distribution(cfg_for(3), kt).weights
+            assert np.all(np.isfinite(weights)) and weights[3] == 1.0
+            assert weights[2] == value > 0.0
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -273,7 +296,7 @@ def test_weights_are_read_only():
 
 
 # ---------------------------------------------------------------------------
-# the b-ladder behind every distribution
+# the weight arrays behind every distribution
 
 
 def _oracle_levels(weights: np.ndarray, count: int = 40) -> list[int]:
@@ -287,8 +310,8 @@ def _oracle_levels(weights: np.ndarray, count: int = 40) -> list[int]:
 @pytest.mark.parametrize("b", [0, 1, 2, 5, 15, 40])
 @pytest.mark.parametrize("kt", [1e-3, 0.01, 0.3, 0.49, 0.51, 2.0, 40.0, 100.0])
 def test_distribution_weights_match_high_precision_oracle(b, kt):
-    # kt = 0.49 and 0.51 sit on either side of zeta = gamma, where the
-    # single-level p-sum switches the end it scales from.
+    # kt = 0.49 and 0.51 sit on either side of kt = 1/2, where the sum
+    # switches from the reversed coefficients to the forward ones.
     weights = distribution(cfg_for(b), kt).weights
     for n in _oracle_levels(weights):
         want = weight_oracle(b, n, kt)
@@ -297,7 +320,8 @@ def test_distribution_weights_match_high_precision_oracle(b, kt):
 
 @pytest.mark.parametrize("b, kt", [(600, 0.5), (800, 0.45)])
 def test_distribution_weights_for_large_b(b, kt):
-    # 600 and 800 ladder steps: the rounding each step adds must not pile up.
+    # 600 and 800 Horner steps, with rescaling (S passes e^400 here): the
+    # rounding each step adds must not pile up.
     weights = distribution(cfg_for(b), kt).weights
     assert np.all(np.isfinite(weights))
     assert abs(weights.sum() - 1.0) <= 1e-8
@@ -309,24 +333,15 @@ def test_distribution_weights_for_large_b(b, kt):
 @pytest.mark.parametrize("b", [0, 3, 15])
 @pytest.mark.parametrize("kt", [0.05, 0.5, 2.0])
 @pytest.mark.parametrize("split", [1, 7, 16, 90])
-def test_weight_block_split_matches_single_call(b, kt, split):
-    # A ladder row on `split` filter blocks is bitwise the prefix of the same
-    # row on four times as many levels: P_b(n) reads only levels m <= n, and
-    # the blocks sit at fixed offsets from n = 0. Climbed in one chunk with a
-    # second row of its block size, each row is the row climbed alone.
-    g, z = open_system._kernels(kt)
-    size = open_system._block_size(g)
-    short = open_system._climb(b, size, split, [g], [z])[0]
-    long = open_system._climb(b, size, 4 * split, [g], [z])[0]
-    assert short.shape[0] == split * size and long.shape[0] == 4 * split * size
-    np.testing.assert_array_equal(long[: short.shape[0]], short)
-    assert np.all(np.isfinite(long)) and np.all(long >= 0.0)
-    g2, z2 = open_system._kernels(kt * 1.01)
-    assert open_system._block_size(g2) == size
-    pair = open_system._climb(b, size, 4 * split, [g2, g], [z2, z])
-    alone = ladder_row_reference(b, kt, long.shape[0])
-    assert pair[1].tobytes() == long.tobytes() == alone.tobytes()
-    assert pair[0].tobytes() == open_system._climb(b, size, 4 * split, [g2], [z2])[0].tobytes()
+def test_weight_block_split_matches_single_call(monkeypatch, b, kt, split):
+    # The rows are summed in blocks of _CHUNK_LEVELS levels. Blocks of
+    # `split` levels cut each row, and the boundary between the reversed and
+    # the forward rows, in many places; every weight keeps its bits.
+    grid = [kt, 0.3, 1.7]
+    want = [d.weights.tobytes() for d in open_system.distributions(cfg_for(b), grid)]
+    monkeypatch.setattr(open_system, "_CHUNK_LEVELS", split)
+    got = [d.weights.tobytes() for d in open_system.distributions(cfg_for(b), grid)]
+    assert got == want
 
 
 @pytest.mark.parametrize("b, kt", [(5, 0.01), (15, 0.3), (40, 100.0)])
@@ -347,54 +362,31 @@ def test_distribution_does_not_depend_on_cache_history(b, kt):
 @pytest.mark.parametrize("b", [0, 3, 15, 100])
 @pytest.mark.parametrize("kt", [1e-6, 0.05, 0.49, 0.5, 0.51, 7.5, 100.0])
 def test_weights_are_the_prefix_of_a_longer_row(b, kt):
-    # The cut sets how many levels a row is climbed on, never a weight: each
-    # kept weight is bitwise that of the same row on four times the levels.
+    # The cut sets how many levels a row keeps, never a weight: each kept
+    # weight is bitwise that of the longer row a tighter tolerance keeps.
     dist = distribution(cfg_for(b), kt)
     assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, REL_EPS)
-    longer = ladder_row_reference(b, kt, 4 * (dist.n_cut + 1))
-    assert dist.weights.tobytes() == longer[: dist.n_cut + 1].tobytes()
-
-
-def test_evolve_grid_climbs_each_ladder_once(monkeypatch):
-    # Each grid point climbs once, in one chunk of rows of its own block
-    # size, on levels from the n_cut + 1 of its cut, rounded up to whole
-    # filter blocks, to 1.5 times those blocks; the chunks share climbs.
-    climb, chunks = open_system._climb, []
-
-    def counted(b, size, blocks, gs, zs):
-        chunks.append((size, blocks, gs))
-        return climb(b, size, blocks, gs, zs)
-
-    monkeypatch.setattr(open_system, "_climb", counted)
-    grid = np.logspace(-3, 2, 200).tolist()
-    dists = open_system.distributions(cfg_for(15), grid)
-    climbed = {g: (size, blocks) for size, blocks, gs in chunks for g in gs}
-    assert sum(len(gs) for _, _, gs in chunks) == len(climbed) == len(grid)
-    assert len(chunks) < len(grid) // 4
-    for kt, dist in zip(grid, dists):
-        g = open_system._kernels(kt)[0]
-        size, blocks = climbed[g]
-        own = -(-(dist.n_cut + 1) // size)
-        assert size == open_system._block_size(g)
-        assert own <= blocks and 2 * blocks <= 3 * own
+    longer = distribution(cfg_for(b), kt, MIN_REL_EPS)
+    assert longer.n_cut >= dist.n_cut
+    assert dist.weights.tobytes() == longer.weights[: dist.n_cut + 1].tobytes()
 
 
 def test_distribution_fails_fast_past_max_terms(monkeypatch):
     # At kappa*t = 1e5 the proven cut passes max_terms: NonConvergent comes
-    # from the cut, before any ladder row is started, also when it is the
-    # last point of a grid whose other cuts pass.
-    climbs = []
-    monkeypatch.setattr(open_system, "_climb", lambda *args: climbs.append(args))
+    # from the cut, before any weight is summed, also when it is the last
+    # point of a grid whose other cuts pass.
+    sums = []
+    monkeypatch.setattr(open_system, "_populations", lambda *args: sums.append(args))
     for b in (0, 15):
         with pytest.raises(NonConvergent, match="exceeded max_terms=1000000"):
             distribution(cfg_for(b), 1e5)
         with pytest.raises(NonConvergent, match="exceeded max_terms=1000000"):
             open_system.distributions(cfg_for(b), [1e-3, 0.5, 100.0, 1e5])
-    assert climbs == []
+    assert sums == []
 
 
-# kappa*t = 0 (the delta), both sides of the largest block size (kappa*t
-# near 0.0046), and up to 1e4, where a row holds about 7e5 levels.
+# kappa*t = 0 (the delta), both sides of kappa*t = 1/2, and up to 1e4, where
+# a row holds about 7e5 levels.
 REFERENCE_KTS = [0.0, 1e-6, 1e-4, 1e-3, 3e-3, 0.0045, 0.0047, 0.01, 0.05, 0.49, 0.5, 0.51,
                  1.0, 7.5, 30.0, 100.0, 1e3, 1e4]
 
@@ -404,18 +396,20 @@ REFERENCE_KTS = [0.0, 1e-6, 1e-4, 1e-3, 3e-3, 0.0045, 0.0047, 0.01, 0.05, 0.49, 
     "grid", [REFERENCE_KTS, np.logspace(-3, 2, 200).tolist()], ids=["reference", "evolve"]
 )
 def test_distributions_match_the_reference_climb(b, grid):
-    # The batched climb keeps every kept weight of the row climbed alone, byte
-    # for byte, with the cut of _cut, in grid order.
+    # Each row of a grid is, byte for byte, the row computed alone, with the
+    # cut of _cut, in grid order; its weights are those of fock_weight, bit
+    # for bit, checked at up to 40 levels of each row.
     dists = open_system.distributions(cfg_for(b), grid)
     assert [d.t for d in dists] == grid
     for kt, dist in zip(grid, dists):
+        assert not dist.weights.flags.writeable
         if kt == 0.0:
             assert dist.weights.tolist() == [0.0] * b + [1.0]
             continue
         assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, REL_EPS)
-        want = ladder_row_reference(b, kt, dist.n_cut + 1)[: dist.n_cut + 1]
-        assert dist.weights.tobytes() == want.tobytes(), kt
-        assert not dist.weights.flags.writeable
+        assert dist.weights.tobytes() == distribution(cfg_for(b), kt).weights.tobytes(), kt
+        for n in _oracle_levels(dist.weights):
+            assert dist.weights[n] == fock_weight(cfg_for(b), n, kt), (kt, n)
 
 
 # kappa*t = 1e-3 .. 1e2, two points per decade, and the proven n_cut there at

@@ -302,8 +302,7 @@ GRID = ["--grid", "log:1e-3:1:3"]
     ids=["figures1", "figures2", "figures3", "figures4", "fidelity", "ymean"],
 )
 def test_scalar_open_system_commands_load_no_numpy(tmp_path, argv, fmt):
-    # Fidelity, survival and <y(b)> are scalar arithmetic: no b-ladder, no
-    # arrays.
+    # Fidelity, survival and <y(b)> are scalar arithmetic: no weight arrays.
     statement = f"from levelscope.cli import main\nassert main({[*argv, '--format', fmt]!r}) == 0"
     assert _loaded_after(statement, cwd=tmp_path) == dict.fromkeys(HEAVY, False)
 
