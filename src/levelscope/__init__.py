@@ -24,8 +24,7 @@ _LAZY = {
                      "superposition_delta_e", "threshold_scan"), "spectra"),
     **dict.fromkeys(("builtin_preset_names", "load_model"), "presets"),
     **dict.fromkeys(("DiffusiveConfig", "YMeanPoint", "fidelity_overlap", "fock_weight",
-                     "log_points", "mean_h0", "mean_n", "mean_tau", "mean_y_point",
-                     "mean_y_series", "survival"), "diffusive"),
+                     "log_points", "mean_y_point", "mean_y_series", "survival"), "diffusive"),
     **dict.fromkeys(("FockDistribution", "distribution"), "open_system"),
 }
 

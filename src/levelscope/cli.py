@@ -363,110 +363,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _curves(
-    args: argparse.Namespace,
-    b_values: Sequence[int],
-    name: str,
-    omega: float,
-    lam: float,
-) -> tuple[list[float], list[list[tuple[float, ...]]]]:
-    """The kappa*t grid and, per initial index b, the named curve ("fidelity",
-    "survival" or "ymean") along it: per grid point a tuple of data columns
-    whose first entry is the plotted curve.
-
-    A b below 1 for a curve that compares b with b-1 exits 2 first. Each
-    plotted curve passes diffusive.check_curve (strictly increasing grid,
-    finite values) before anything is written.
-    """
-    if name == "fidelity" and min(b_values) < 1:
-        raise SystemExit2("fidelity needs b >= 1 (compares |b> with |b-1>)")
-    if name == "ymean" and min(b_values) < 1:
-        raise SystemExit2("ymean needs b >= 1")
-    from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_series, survival
-
-    grid = _kt_grid(args)
-    cfgs = [DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam) for b in b_values]
-    times = _times(args.kappa, grid)
-    curves = []
-    for cfg in cfgs:
-        if name == "fidelity":
-            lower = DiffusiveConfig(b=cfg.b - 1, kappa=cfg.kappa, omega=omega, lam=lam)
-            points = [(fidelity_overlap(cfg, lower, t),) for t in times]
-        elif name == "survival":
-            points = [(survival(cfg, t),) for t in times]
-        else:
-            # signed ingredients ride along so the sign of d_tau stays visible;
-            # the series takes t = kt / kappa, the same times as above
-            ys = mean_y_series(cfg, grid)
-            points = [(p.y_mean, p.d_energy, p.d_tau) for p in ys]
-        check_curve(grid, [p[0] for p in points])
-        curves.append(points)
-    return grid, curves
-
-
-def _rows(grid: list[float], curves: list[list[tuple[float, ...]]], width: int) -> list[tuple]:
-    """One row per grid point: kt, then the first `width` columns of each curve."""
-    return [
-        (kt, *(v for points in curves for v in points[i][:width]))
-        for i, kt in enumerate(grid)
-    ]
-
-
-def _plot(
-    path: Path,
-    grid: list[float],
-    b_values: Sequence[int],
-    curves: list[list[tuple[float, ...]]],
-    title: str,
-    y_label: str,
-    hline: float | None,
-) -> None:
-    from .svgplot import line_plot
-
-    svg = line_plot(
-        [(f"b={b}", grid, [p[0] for p in points]) for b, points in zip(b_values, curves)],
-        title=title,
-        x_label="kappa t",
-        y_label=y_label,
-        hline=hline,
-    )
-    _write_text(path, svg)
-
-
-def _cmd_fidelity(args: argparse.Namespace) -> int:
-    grid, curves = _curves(args, args.b, "fidelity", args.omega, args.lam)
-    rows = _rows(grid, curves, 1)
-    manifest = _manifest(args, "fidelity", {"b-set": ",".join(map(str, args.b))})
-    _write_table(
-        Path(args.out), manifest, ["kt"] + [f"F_b{b}" for b in args.b], rows, fmt=args.format,
-        unit_note="kt = kappa*t; F(b,t) = Tr[rho(t,b) rho(t,b-1)]",
-    )
-    if args.svg:
-        _plot(Path(args.svg), grid, args.b, curves, "F over kappa*t", "F", None)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return EXIT_OK
-
-
-def _cmd_ymean(args: argparse.Namespace) -> int:
-    grid, curves = _curves(args, args.b, "ymean", args.omega, args.lam)
-    rows = _rows(grid, curves, 3)
-    header = ["kt"]
-    for b in args.b:
-        header += [f"y_mean_b{b}", f"d_energy_b{b}", f"d_tau_b{b}"]
-    manifest = _manifest(
-        args, "ymean", {"b-set": ",".join(map(str, args.b)), "moments": "closed-form"}
-    )
-    _write_table(
-        Path(args.out), manifest, header, rows, fmt=args.format,
-        unit_note="kt = kappa*t; y_mean = |d_energy * d_tau| in units of hbar "
-        "(threshold 1/2); d_energy, d_tau keep their signs",
-    )
-    if args.svg:
-        _plot(Path(args.svg), grid, args.b, curves, "<y(b)> over kappa*t", "<y(b)> / hbar", 0.5)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return EXIT_OK
-
-
 # which -> (curve, y label, hline, default b set, omega, lam)
 _FIGURES = {
     1: ("fidelity", "F(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
@@ -475,28 +371,91 @@ _FIGURES = {
     4: ("ymean", "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 10.0, 1.0),
 }
 
+# The curve outputs, keyed by the command as the manifest names it:
+# command -> (curve, columns of one b, unit note, plot title, y label, hline,
+# manifest extras). Per grid point a curve is a tuple of data columns whose
+# first entry is plotted; a file keeps as many of them as its columns name.
+_OUTPUTS = {
+    "fidelity": ("fidelity", ("F_b{b}",), "kt = kappa*t; F(b,t) = Tr[rho(t,b) rho(t,b-1)]",
+                 "F over kappa*t", "F", None, {}),
+    "ymean": ("ymean", ("y_mean_b{b}", "d_energy_b{b}", "d_tau_b{b}"),
+              "kt = kappa*t; y_mean = |d_energy * d_tau| in units of hbar "
+              "(threshold 1/2); d_energy, d_tau keep their signs",
+              "<y(b)> over kappa*t", "<y(b)> / hbar", 0.5, {"moments": "closed-form"}),
+    **{
+        f"figures {which}": (
+            curve, ("b{b}",), f"kt = kappa*t; column per initial index b; values: {y_label}",
+            f"figure {which}: {y_label}", y_label, hline,
+            # <y(b)> uses exact moments: no truncation certificate applies.
+            {"which": str(which), "omega-over-lam": _fmt(omega / lam), "moments": "closed-form"}
+            if curve == "ymean" else {"which": str(which)},
+        )
+        for which, (curve, y_label, hline, _, omega, lam) in _FIGURES.items()
+    },
+}
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    name, y_label, hline, default_b, omega, lam = _FIGURES[args.which]
-    b_values = args.b if args.b is not None else default_b
-    grid, curves = _curves(args, b_values, name, omega, lam)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    extra = {"which": str(args.which), "b-set": ",".join(map(str, b_values))}
-    if name == "ymean":
-        extra["omega-over-lam"] = _fmt(omega / lam)
-        # <y(b)> uses exact moments: no truncation certificate applies.
-        extra["moments"] = "closed-form"
-    manifest = _manifest(args, f"figures {args.which}", extra)
-    data_path = out_dir / f"figure{args.which}.{'json' if args.format == 'json' else 'csv'}"
-    _write_table(
-        data_path, manifest, ["kt"] + [f"b{b}" for b in b_values], _rows(grid, curves, 1),
-        fmt=args.format,
-        unit_note=f"kt = kappa*t; column per initial index b; values: {y_label}",
-    )
-    svg_path = out_dir / f"figure{args.which}.svg"
-    _plot(svg_path, grid, b_values, curves, f"figure {args.which}: {y_label}", y_label, hline)
-    print(f"wrote {data_path} and {svg_path}")
+
+def _cmd_curves(args: argparse.Namespace) -> int:
+    """fidelity, ymean and figures 1-4: per initial index b one curve along
+    the kappa*t grid, written as one data file and plotted as one SVG, as
+    the command's _OUTPUTS entry describes them.
+
+    A b below 1 for a curve that compares b with b-1 exits 2 first. Each
+    plotted curve passes diffusive.check_curve (strictly increasing grid,
+    finite values) before anything is written.
+    """
+    if args.command == "figures":
+        command = f"figures {args.which}"
+        _, _, _, default_b, omega, lam = _FIGURES[args.which]
+        b_values = default_b if args.b is None else args.b
+    else:
+        command, omega, lam, b_values = args.command, args.omega, args.lam, args.b
+    curve, columns, unit_note, title, y_label, hline, extra = _OUTPUTS[command]
+    if curve == "fidelity" and min(b_values) < 1:
+        raise SystemExit2("fidelity needs b >= 1 (compares |b> with |b-1>)")
+    if curve == "ymean" and min(b_values) < 1:
+        raise SystemExit2("ymean needs b >= 1")
+    from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_series, survival
+
+    grid = _kt_grid(args)
+    cfgs = [DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam) for b in b_values]
+    times = _times(args.kappa, grid)
+    curves = []
+    for cfg in cfgs:
+        if curve == "fidelity":
+            lower = DiffusiveConfig(b=cfg.b - 1, kappa=cfg.kappa, omega=omega, lam=lam)
+            points = [(fidelity_overlap(cfg, lower, t),) for t in times]
+        elif curve == "survival":
+            points = [(survival(cfg, t),) for t in times]
+        else:
+            # signed ingredients ride along so the sign of d_tau stays visible;
+            # the series takes t = kt / kappa, the same times as above
+            points = [(p.y_mean, p.d_energy, p.d_tau) for p in mean_y_series(cfg, grid)]
+        check_curve(grid, [p[0] for p in points])
+        curves.append(points)
+
+    width = len(columns)
+    rows = [(kt, *(v for points in curves for v in points[i][:width]))
+            for i, kt in enumerate(grid)]
+    header = ["kt"] + [column.format(b=b) for b in b_values for column in columns]
+    manifest = _manifest(args, command, {**extra, "b-set": ",".join(map(str, b_values))})
+    if args.command == "figures":
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        data_path = out_dir / f"figure{args.which}.{args.format}"
+        svg_path = out_dir / f"figure{args.which}.svg"
+        done = f"wrote {data_path} and {svg_path}"
+    else:
+        data_path, svg_path = Path(args.out), args.svg and Path(args.svg)
+        done = f"wrote {args.out} ({len(rows)} rows)"
+    _write_table(data_path, manifest, header, rows, fmt=args.format, unit_note=unit_note)
+    if svg_path:
+        from .svgplot import line_plot
+
+        plotted = [(f"b={b}", grid, [p[0] for p in points]) for b, points in zip(b_values, curves)]
+        svg = line_plot(plotted, title=title, x_label="kappa t", y_label=y_label, hline=hline)
+        _write_text(svg_path, svg)
+    print(done)
     return EXIT_OK
 
 
@@ -558,22 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--format", choices=("csv", "json"), default="csv")
     evolve.set_defaults(func=_cmd_evolve)
 
-    fid = commands.add_parser("fidelity", help="neighbor fidelity curves")
-    fid.add_argument("--b", type=_parse_b_list, default=(1, 5, 10, 15),
-                     help="comma-separated initial indices")
-    _add_open_flags(fid)
-    fid.add_argument("--out", required=True)
-    fid.add_argument("--svg", default=None, help="also write an SVG plot here")
-    fid.add_argument("--format", choices=("csv", "json"), default="csv")
-    fid.set_defaults(func=_cmd_fidelity)
-
-    ymean = commands.add_parser("ymean", help="<y(b)> curves")
-    ymean.add_argument("--b", type=_parse_b_list, default=(2, 5, 10, 15))
-    _add_open_flags(ymean)
-    ymean.add_argument("--out", required=True)
-    ymean.add_argument("--svg", default=None)
-    ymean.add_argument("--format", choices=("csv", "json"), default="csv")
-    ymean.set_defaults(func=_cmd_ymean)
+    for name, help_text, default_b in (("fidelity", "neighbor fidelity curves", (1, 5, 10, 15)),
+                                       ("ymean", "<y(b)> curves", (2, 5, 10, 15))):
+        curves = commands.add_parser(name, help=help_text)
+        curves.add_argument("--b", type=_parse_b_list, default=default_b,
+                            help="comma-separated initial indices")
+        _add_open_flags(curves)
+        curves.add_argument("--out", required=True)
+        curves.add_argument("--svg", default=None, help="also write an SVG plot here")
+        curves.add_argument("--format", choices=("csv", "json"), default="csv")
+        curves.set_defaults(func=_cmd_curves)
 
     figs = commands.add_parser("figures", help="canned figure-analog data")
     figs.add_argument("which", type=int, choices=(1, 2, 3, 4))
@@ -582,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_open_flags(figs, omega_lam=False)
     figs.add_argument("--out", required=True, help="output directory")
     figs.add_argument("--format", choices=("csv", "json"), default="csv")
-    figs.set_defaults(func=_cmd_figures)
+    figs.set_defaults(func=_cmd_curves)
 
     return parser
 

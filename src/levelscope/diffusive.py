@@ -2,14 +2,14 @@
 
 The run configuration, the relaxation kernels, single-level Fock weights
 and the survival P_b(b, t) they give, the neighbour fidelity F(b, t), the
-closed-form moments <N>, <H0>, <tau> and the criterion <y(b)> built on
-them, and the log-spaced kappa*t grid with the check every plotted curve
-passes. The weights and F are terminating sums of positive terms, both
-evaluated by one Horner's rule in ratio form (_nested). None of it needs
-an array, so every command but `evolve` starts without numpy;
-open_system, which evaluates the same weight sums over arrays of levels,
-is the one module that imports numpy, and it re-exports the names it
-shares with this one. Everything here is a closed form or a finite sum, so
+criterion <y(b)> with the closed-form moments <N>, <H0>, <tau> it is built
+on (fields of its YMeanPoint records), and the log-spaced kappa*t grid
+with the check every plotted curve passes. The weights and F are
+terminating sums of positive terms, both evaluated by one Horner's rule
+in ratio form (_nested). None of it needs an array, so every command but
+`evolve` starts without numpy; open_system, which evaluates the same
+weight sums over arrays of levels, is the one module that imports numpy,
+and it re-exports the names it shares with this one. Everything here is a closed form or a finite sum, so
 the configuration holds only the physics; the level cut of open_system,
 the one truncation, takes its tolerance as an argument.
 """
@@ -32,9 +32,6 @@ __all__ = [
     "fidelity_overlap",
     "fock_weight",
     "log_points",
-    "mean_h0",
-    "mean_n",
-    "mean_tau",
     "mean_y_point",
     "mean_y_series",
     "survival",
@@ -231,6 +228,13 @@ class YMeanPoint(Frozen):
     keep their signs (d_tau is negative here: the heavier mixture runs
     faster); y_mean = |d_energy * d_tau| in units of hbar.
 
+    mean_n_*, mean_h0_* and mean_tau_* are <N>, <H0> = omega <N> + lam <N^2>
+    (hbar = 1) and the period estimate 2 pi <N> / <H0> of the b and b-1
+    mixtures. As t -> 0 the estimate for b >= 1 tends to 2 pi / (omega + lam b),
+    not to the closed-system orbit period 2 pi / (omega + 2 lam b): the moment
+    ratio is an approximation, and both values are reported rather than
+    reconciled.
+
     The constructor checks nothing, and _mean_y builds its records straight
     from their field tuples, as it would; a check added here fails the
     construction-path test of tests/test_package.py until _mean_y calls
@@ -267,55 +271,13 @@ def _moments(b: int, kappa: float, t: float) -> tuple[float, float]:
     return m1, m2
 
 
-def _energy(omega: float, lam: float, m1: float, m2: float, kt: float) -> float:
-    h0 = omega * m1 + lam * m2
-    if not math.isfinite(h0):
-        raise ValueError(f"<H0> overflows at kappa*t = {kt:g}")
-    return h0
-
-
-def mean_n(cfg: DiffusiveConfig, t: float) -> float:
-    """<N>(t) = b + 2 kappa t, the closed-form mean level of the mixture.
-
-    Raises ValueError for a negative or non-finite t.
-    """
-    return _moments(cfg.b, cfg.kappa, t)[0]
-
-
-def mean_h0(cfg: DiffusiveConfig, t: float) -> float:
-    """<H0>(t) = omega <N> + lam <N^2> (hbar = 1), from the closed-form
-    moments <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u with u = 2 kappa t.
-
-    Raises ValueError for a negative or non-finite t, or when <H0> overflows.
-    """
-    m1, m2 = _moments(cfg.b, cfg.kappa, t)
-    return _energy(cfg.omega, cfg.lam, m1, m2, cfg.kappa * t)
-
-
-def mean_tau(cfg: DiffusiveConfig, t: float) -> float:
-    """Period estimate 2 pi <N> / <H0> of the evolved mixture, from the
-    closed-form moments (see mean_h0).
-
-    Raises ZeroEnergy when <H0> = 0 (b = 0 at t = 0), rather than returning
-    a NaN. Note the t -> 0 limit for b >= 1 is 2 pi / (omega + lam b), which
-    differs from the closed-system orbit period 2 pi / (omega + 2 lam b):
-    the moment ratio is an approximation and both values are intentionally
-    reported by the CLI rather than reconciled.
-    """
-    m1, m2 = _moments(cfg.b, cfg.kappa, t)
-    h0 = _energy(cfg.omega, cfg.lam, m1, m2, cfg.kappa * t)
-    if h0 == 0.0:
-        raise ZeroEnergy(f"<H0> = 0 for b={cfg.b}, t={t}; period estimate undefined")
-    return 2.0 * math.pi * m1 / h0
-
-
 def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
     """<y(b)> at each time from the closed-form moments of the b and b-1
-    mixtures, inlined: per time the checks of check_time, _moments and
-    _energy in their order, with their messages, and their arithmetic in
-    the same order, so each value is bitwise that of the helpers. Each
-    record is built from its field tuple, as YMeanPoint's check-free
-    constructor would build it."""
+    mixtures, the one copy of their arithmetic: per time the checks of
+    check_time and _moments in their order, with their messages, then
+    <H0> = omega <N> + lam <N^2> and the period estimate
+    <tau> = 2 pi <N> / <H0> of each mixture. Each record is built from its
+    field tuple, as YMeanPoint's check-free constructor would build it."""
     b, kappa, omega, lam = cfg_b
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")

@@ -111,9 +111,8 @@ MAX_TERMS = 1_000_000
 
 def check_rel_eps(rel_eps: float) -> None:
     """Raise ValueError unless rel_eps, a distribution's bound on the proven
-    tail beyond its cut relative to the full sum, lies in [MIN_REL_EPS, 1)."""
-    if not rel_eps > 0.0:
-        raise ValueError("rel_eps must be positive")
+    tail beyond its cut relative to the full sum, lies in [MIN_REL_EPS, 1).
+    The one chained comparison also rejects 0, negatives, NaN and inf."""
     if not MIN_REL_EPS <= rel_eps < 1.0:
         raise ValueError(
             f"rel_eps must lie in [{MIN_REL_EPS:g}, 1): the weights carry about "

@@ -1,9 +1,11 @@
 """Former home of the time-dependent observables, kept as aliases.
 
-Fidelity, survival, the closed-form moments and <y(b)> are scalar
-arithmetic in the numpy-free diffusive module; this module only re-exports
-them under their old names, so it loads no numpy either. It stays because
-the benchmark harness (levelbench: sweep.py, selftest.py, tracer.py) calls
+Fidelity, survival and <y(b)> are scalar arithmetic in the numpy-free
+diffusive module; this module only re-exports them under their old names,
+so it loads no numpy either. The closed-form moments <N>, <H0> and <tau>
+are fields of the YMeanPoint records of mean_y_point and mean_y_series,
+not functions of their own. The module stays because the benchmark harness
+(levelbench: sweep.py, selftest.py, tracer.py) calls
 observables.{fidelity_overlap, survival, mean_y_point, mean_y_series}; it
 goes once the harness imports levelscope.diffusive instead. The names here
 are the diffusive objects themselves, so a wrapper installed on either
@@ -16,9 +18,6 @@ from .diffusive import (
     DiffusiveConfig,
     YMeanPoint,
     fidelity_overlap,
-    mean_h0,
-    mean_n,
-    mean_tau,
     mean_y_point,
     mean_y_series,
     survival,
@@ -31,9 +30,6 @@ __all__ = [
     "YMeanPoint",
     "ZeroEnergy",
     "fidelity_overlap",
-    "mean_h0",
-    "mean_n",
-    "mean_tau",
     "mean_y_point",
     "mean_y_series",
     "survival",

@@ -35,7 +35,6 @@ __all__ = [
     "RESOLVABLE_THRESHOLD",
     "min_index",
     "max_index",
-    "criterion_min_index",
     "energy",
     "period",
     "criterion_point",
@@ -370,11 +369,6 @@ def period(model: ModelParams, n: int) -> float:
     return _checked("tau_n", n, _raw(model._period, "tau_n", n))
 
 
-def criterion_min_index(model: ModelParams) -> int:
-    """Smallest n for which the criterion has a lower neighbor."""
-    return min_index(model) + 1
-
-
 def criterion_point(model: ModelParams, n: int) -> CriterionPoint:
     """Evaluate the resolvability criterion at level n from raw differences.
 
@@ -383,10 +377,9 @@ def criterion_point(model: ModelParams, n: int) -> CriterionPoint:
     spectrum (a different verdict than merely y < 1/2).
     """
     _reject_harmonic(model)
-    if n < criterion_min_index(model):
-        raise IndexOutOfSpectrum(
-            f"criterion needs a lower neighbor: n must be >= {criterion_min_index(model)}"
-        )
+    lo = min_index(model) + 1
+    if n < lo:
+        raise IndexOutOfSpectrum(f"criterion needs a lower neighbor: n must be >= {lo}")
     _check_index(model, n)
     return _point(n, _raw(model._energy, "E_n", n), _raw(model._energy, "E_n", n - 1),
                   _raw(model._period, "tau_n", n), _raw(model._period, "tau_n", n - 1))
@@ -447,10 +440,9 @@ def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
     """
     if n_min > n_max:
         raise ValueError(f"empty scan range [{n_min}, {n_max}]")
-    if n_min < criterion_min_index(model):
-        raise IndexOutOfSpectrum(
-            f"scan must start at n >= {criterion_min_index(model)} for {type(model).__name__}"
-        )
+    lo = min_index(model) + 1
+    if n_min < lo:
+        raise IndexOutOfSpectrum(f"scan must start at n >= {lo} for {type(model).__name__}")
     _reject_harmonic(model)
     # The range is checked once, against the first level past the top, the
     # one a level-by-level scan would stop at.

@@ -226,16 +226,19 @@ def weight_psum(b: int, n: int, kt: float) -> float:
 
 
 def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> diffusive.YMeanPoint:
-    """diffusive.mean_y_point composed from the moment helpers, one call per
-    preparation and time: _moments and _energy for b, then for b - 1."""
+    """diffusive.mean_y_point composed step by step, one preparation at a
+    time: the moments of b and of b - 1 from diffusive._moments, then
+    <H0> = omega <N> + lam <N^2> of each, checked for overflow."""
     b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
     kt = kappa * t
     m1_b, m2_b = diffusive._moments(b, kappa, t)
     m1_m, m2_m = diffusive._moments(b - 1, kappa, t)
-    h0_b = diffusive._energy(omega, lam, m1_b, m2_b, kt)
-    h0_m = diffusive._energy(omega, lam, m1_m, m2_m, kt)
+    h0_b, h0_m = omega * m1_b + lam * m2_b, omega * m1_m + lam * m2_m
+    for h0 in (h0_b, h0_m):
+        if not math.isfinite(h0):
+            raise ValueError(f"<H0> overflows at kappa*t = {kt:g}")
     if h0_b == 0.0 or h0_m == 0.0:
         raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
     tau_b = 2.0 * math.pi * m1_b / h0_b

@@ -432,7 +432,10 @@ def test_nonpositive_eps_exits_2(tmp_path, capsys, eps):
     out = tmp_path / "e.csv"
     code = main(["evolve", "--b", "2", "--eps", eps, "--grid", "log:1e-3:1:3", "--out", str(out)])
     assert code == EXIT_USAGE
-    assert "rel_eps must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: rel_eps must lie in [1e-12, 1): the weights carry about 1.6e-14 "
+        f"relative rounding, got {float(eps):g}\n"
+    )
     assert not out.exists()
 
 

@@ -31,6 +31,11 @@ COMMANDS = {
     "fidelity": ["fidelity", "--b", "1,5,10,15"],
     "evolve": ["evolve", "--b", "15"],
     "ymean": ["ymean", "--b", "2,5,10,15"],
+    "fidelity-svg": ["fidelity", "--b", "1,5,10,15"],
+    "ymean-svg": ["ymean", "--b", "2,5,10,15"],
+    # --b on a figure adds its b= key to the manifest, which the defaults leave out.
+    "figures1-b": ["figures", "1", "--b", "1,5"],
+    "figures3-b": ["figures", "3", "--b", "2,5"],
 }
 
 # sha256 of every file each command writes under SOURCE_DATE_EPOCH=0 (the
@@ -87,13 +92,58 @@ OPEN_DIGESTS = {
     ("ymean", "json"): {
         "ymean.json": "40722264cac5d0cfb36cef6cbb8878b2d0cc0a4629e406ceff9b904242e708d0",
     },
+    ("fidelity-svg", "csv"): {
+        "fidelity-svg.csv": "3753a97d19821fe29edab78f86272ce28c721dc6f10bdc51a998c6ed6a1becde",
+        "fidelity-svg.svg": "9a63feffb60282c56009dfcd3f2249ced1dc2feec5aba3518ac26a10fb1c6b7c",
+    },
+    ("fidelity-svg", "json"): {
+        "fidelity-svg.json": "1b39164bf4823fa1f16b5a2181b3348f8bd2049c18a7abe8c5eafced62249162",
+        "fidelity-svg.svg": "9a63feffb60282c56009dfcd3f2249ced1dc2feec5aba3518ac26a10fb1c6b7c",
+    },
+    ("ymean-svg", "csv"): {
+        "ymean-svg.csv": "6044fea08c2a8fc780807660144205d5c13e064f96b0d0a6476259756645920d",
+        "ymean-svg.svg": "6107c9df3e8c24f6f73a1098cc47576ef2e51ff6d75eaa370d4737e6eda13b9a",
+    },
+    ("ymean-svg", "json"): {
+        "ymean-svg.json": "40722264cac5d0cfb36cef6cbb8878b2d0cc0a4629e406ceff9b904242e708d0",
+        "ymean-svg.svg": "6107c9df3e8c24f6f73a1098cc47576ef2e51ff6d75eaa370d4737e6eda13b9a",
+    },
+    ("figures1-b", "csv"): {
+        "figure1.csv": "8ec48e7b1f0b9e90a433cebd281c12ba4260fc9602b6fddd4c45f3a8b109fc73",
+        "figure1.svg": "4a2c4c37941e230f1d9f1fcfddea145c877bf293fab98d50b5665c65239b89f2",
+    },
+    ("figures1-b", "json"): {
+        "figure1.json": "e3fe1342c4bfdf836904212300ca19e6729c39584426b0e428a70bb70b609b58",
+        "figure1.svg": "4a2c4c37941e230f1d9f1fcfddea145c877bf293fab98d50b5665c65239b89f2",
+    },
+    ("figures3-b", "csv"): {
+        "figure3.csv": "96e06fcde40775b1f1d9e03b3080b6b6fec16e81d66e3dc3e3ec2b13d03e24fb",
+        "figure3.svg": "886622f85519989f55724c2a143c93054376dcf138eb9621924378e6d450c263",
+    },
+    ("figures3-b", "json"): {
+        "figure3.json": "022d3f723cef4bb9293efd4791f0a21abf8cfae1bd3720af30f32004074c06fd",
+        "figure3.svg": "886622f85519989f55724c2a143c93054376dcf138eb9621924378e6d450c263",
+    },
 }
 
 
 def _argv(name: str, fmt: str, out_dir: Path) -> list[str]:
-    # figures write a directory, the other commands one file
-    out = out_dir if name.startswith("figures") else out_dir / f"{name}.{fmt}"
-    return [*COMMANDS[name], "--format", fmt, "--out", str(out)]
+    # figures write a directory, the other commands one file (and an SVG
+    # beside it for the -svg runs)
+    if name.startswith("figures"):
+        return [*COMMANDS[name], "--format", fmt, "--out", str(out_dir)]
+    svg = ["--svg", str(out_dir / f"{name}.svg")] if name.endswith("-svg") else []
+    return [*COMMANDS[name], "--format", fmt, "--out", str(out_dir / f"{name}.{fmt}"), *svg]
+
+
+def _stdout(name: str, fmt: str, out_dir: Path) -> str:
+    """The one line each command prints: the figures name both files they
+    write, the other commands their data file and its row count."""
+    if name.startswith("figures"):
+        which = COMMANDS[name][1]
+        return f"wrote {out_dir / f'figure{which}.{fmt}'} and {out_dir / f'figure{which}.svg'}\n"
+    rows = 133175 if name == "evolve" else 200
+    return f"wrote {out_dir / f'{name}.{fmt}'} ({rows} rows)\n"
 
 
 def _files(out_dir: Path) -> dict[str, bytes]:
@@ -106,17 +156,20 @@ def _digests(files: dict[str, bytes]) -> dict[str, str]:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_output_bytes_do_not_depend_on_process_or_cache_history(tmp_path, monkeypatch, name, fmt):
+def test_output_bytes_do_not_depend_on_process_or_cache_history(tmp_path, monkeypatch, capsys,
+                                                                name, fmt):
     env = {**os.environ, "PYTHONPATH": str(SRC), "SOURCE_DATE_EPOCH": "0"}
     dirs = [tmp_path / "fresh_a", tmp_path / "fresh_b", tmp_path / "warm"]
     for d in dirs:
         d.mkdir()
     procs = [
         subprocess.Popen([sys.executable, "-m", "levelscope.cli", *_argv(name, fmt, d)],
-                         env=env, stdout=subprocess.DEVNULL)
+                         env=env, stdout=subprocess.PIPE, text=True)
         for d in dirs[:2]
     ]
-    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    assert [p.communicate(timeout=120)[0] for p in procs] == [_stdout(name, fmt, d)
+                                                                for d in dirs[:2]]
+    assert [p.returncode for p in procs] == [0, 0]
     fresh = _files(dirs[0])
     assert fresh and _files(dirs[1]) == fresh
     assert _digests(fresh) == OPEN_DIGESTS[name, fmt]
@@ -129,7 +182,9 @@ def test_output_bytes_do_not_depend_on_process_or_cache_history(tmp_path, monkey
             fidelity_overlap(cfg, lower, kt)
             survival(cfg, kt)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    capsys.readouterr()
     assert cli.main(_argv(name, fmt, dirs[2])) == cli.EXIT_OK
+    assert capsys.readouterr().out == _stdout(name, fmt, dirs[2])
     assert _files(dirs[2]) == fresh
 
 

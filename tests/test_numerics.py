@@ -150,11 +150,14 @@ CUT_CFG = DiffusiveConfig(b=2, kappa=0.5)
 
 def test_series_tolerance_validation():
     # The tolerance is checked before the times, so a bad time behind it
-    # changes nothing; the default is REL_EPS.
+    # changes nothing; 0, negatives and NaN get the one range message; the
+    # default is REL_EPS.
     for eps in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="^rel_eps must be positive$"):
+        message = (r"^rel_eps must lie in \[1e-12, 1\): the weights carry about 1.6e-14 "
+                   f"relative rounding, got {eps:g}$")
+        with pytest.raises(ValueError, match=message):
             distributions(CUT_CFG, [0.1, math.nan], rel_eps=eps)
-        with pytest.raises(ValueError, match="^rel_eps must be positive$"):
+        with pytest.raises(ValueError, match=message):
             distribution(CUT_CFG, 0.1, eps)
     assert distribution(CUT_CFG, 0.1) == distribution(CUT_CFG, 0.1, REL_EPS)
 

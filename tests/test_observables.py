@@ -15,9 +15,6 @@ from levelscope.diffusive import (
     fidelity_overlap,
     fock_weight,
     log_points,
-    mean_h0,
-    mean_n,
-    mean_tau,
     mean_y_point,
     mean_y_series,
     survival,
@@ -189,15 +186,26 @@ def test_survival_decays_faster_for_higher_levels():
 # moments
 
 
+# <N>, <H0> and <tau> are fields of the <y(b)> record: the _b fields are
+# level b's, and the _bm1 fields at b + 1 reach b = 0 as well.
+def moments(b: int, kt: float, omega: float = 0.7, lam: float = 1.3) -> tuple[float, ...]:
+    """(<N>, <H0>, <tau>) of the mixture prepared in level b, at kappa = 1."""
+    if b == 0:
+        point = mean_y_point(cfg_for(1, omega, lam), kt)
+        return point.mean_n_bm1, point.mean_h0_bm1, point.mean_tau_bm1
+    point = mean_y_point(cfg_for(b, omega, lam), kt)
+    return point.mean_n_b, point.mean_h0_b, point.mean_tau_b
+
+
 @pytest.mark.parametrize("b", [0, 1, 2, 5, 10, 15])
 @pytest.mark.parametrize("kt", [1e-3, 0.1, 1.0, 10.0, 100.0])
 def test_mean_level_matches_generating_function(b, kt):
-    assert mean_n(cfg_for(b), kt) == pytest.approx(generating_moments(b, kt)[0], rel=1e-8)
+    assert moments(b, kt)[0] == pytest.approx(generating_moments(b, kt)[0], rel=1e-8)
 
 
 def test_mean_level_examples():
-    assert mean_n(cfg_for(4), 0.0) == 4.0
-    assert mean_n(cfg_for(0), 0.5) == pytest.approx(1.0, rel=1e-10)  # 2 kt
+    assert moments(4, 0.0)[0] == 4.0
+    assert moments(0, 0.5)[0] == pytest.approx(1.0, rel=1e-10)  # 2 kt
 
 
 @pytest.mark.parametrize("b", [0, 2, 15])
@@ -206,42 +214,42 @@ def test_mean_energy_matches_generating_function(b, kt):
     omega, lam = 0.7, 1.3
     m1, m2 = generating_moments(b, kt)
     expected = omega * m1 + lam * m2
-    assert mean_h0(cfg_for(b, omega, lam), kt) == pytest.approx(expected, rel=1e-8)
+    assert moments(b, kt, omega, lam)[1] == pytest.approx(expected, rel=1e-8)
 
 
 def test_mean_energy_examples():
-    cfg = cfg_for(3, omega=1.0, lam=1.0)
-    assert mean_h0(cfg, 0.0) == pytest.approx(12.0, rel=1e-12)
+    assert moments(3, 0.0, omega=1.0, lam=1.0)[1] == pytest.approx(12.0, rel=1e-12)
     # omega = 0 leaves the pure nonlinear term: lam * <N^2>
-    cfg0 = cfg_for(0, omega=0.0, lam=2.0)
     kt = 0.4
-    assert mean_h0(cfg0, kt) == pytest.approx(2.0 * generating_moments(0, kt)[1], rel=1e-8)
+    assert moments(0, kt, omega=0.0, lam=2.0)[1] == pytest.approx(
+        2.0 * generating_moments(0, kt)[1], rel=1e-8
+    )
     # lam = 0 reduces to omega * <N> exactly
-    cfg_lin = cfg_for(5, omega=0.9, lam=0.0)
-    assert mean_h0(cfg_lin, 0.7) == pytest.approx(0.9 * mean_n(cfg_lin, 0.7), rel=1e-12)
+    m1, h0, _ = moments(5, 0.7, omega=0.9, lam=0.0)
+    assert h0 == pytest.approx(0.9 * m1, rel=1e-12)
 
 
 def test_mean_tau_harmonic_reduction():
     # lam = 0: <tau> = 2 pi / omega at every time and for every b.
-    cfg = cfg_for(4, omega=2.0, lam=0.0)
     for kt in (0.0, 0.3, 10.0):
-        assert mean_tau(cfg, kt) == pytest.approx(math.pi, rel=1e-10)
-    assert mean_tau(cfg_for(0, omega=1.0, lam=0.0), 1.0) == pytest.approx(
-        2.0 * math.pi, rel=1e-10
-    )
+        assert moments(4, kt, omega=2.0, lam=0.0)[2] == pytest.approx(math.pi, rel=1e-10)
+    assert moments(0, 1.0, omega=1.0, lam=0.0)[2] == pytest.approx(2.0 * math.pi, rel=1e-10)
 
 
 def test_mean_tau_initial_value_uses_moment_ratio():
     # t -> 0 with b >= 1: 2 pi b / (omega b + lam b^2) = 2 pi / (omega + lam b),
     # which intentionally differs from the closed-orbit 2 pi / (omega + 2 lam b).
     for b in (1, 3, 10):
-        cfg = cfg_for(b, omega=0.5, lam=1.5)
-        assert mean_tau(cfg, 0.0) == pytest.approx(2 * math.pi / (0.5 + 1.5 * b), rel=1e-12)
+        # At t = 0 the b = 0 mixture has <H0> = 0, so b = 1 is read at b = 2.
+        point = mean_y_point(cfg_for(b + 1, omega=0.5, lam=1.5), 0.0)
+        assert point.mean_tau_bm1 == pytest.approx(2 * math.pi / (0.5 + 1.5 * b), rel=1e-12)
+        assert point.mean_tau_b == pytest.approx(2 * math.pi / (0.5 + 1.5 * (b + 1)), rel=1e-12)
 
 
 def test_mean_tau_zero_energy_raises():
-    with pytest.raises(ZeroEnergy):
-        mean_tau(cfg_for(0, omega=1.0, lam=1.0), 0.0)
+    # The b - 1 = 0 mixture has <H0> = 0 at t = 0: its period estimate is undefined.
+    with pytest.raises(ZeroEnergy, match="^<H0> = 0 at t=0.0; "):
+        mean_y_point(cfg_for(1, omega=1.0, lam=1.0), 0.0)
 
 
 # The certified Fock sums stay the oracle for the closed-form moments.
@@ -249,29 +257,26 @@ def test_mean_tau_zero_energy_raises():
 @pytest.mark.parametrize("kt", [1e-3, 0.3, 2.0, 40.0])
 def test_closed_form_moments_match_certified_sums(b, kt):
     omega, lam = 0.7, 1.3
-    cfg = cfg_for(b, omega, lam)
-    _, m1, m2 = stored_moments(distribution(cfg, kt))
-    assert mean_n(cfg, kt) == pytest.approx(m1, rel=1e-9)
-    assert mean_h0(cfg, kt) == pytest.approx(omega * m1 + lam * m2, rel=1e-9)
+    _, m1, m2 = stored_moments(distribution(cfg_for(b, omega, lam), kt))
+    mean_n, mean_h0, _ = moments(b, kt, omega, lam)
+    assert mean_n == pytest.approx(m1, rel=1e-9)
+    assert mean_h0 == pytest.approx(omega * m1 + lam * m2, rel=1e-9)
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_moments_reject_bad_times(t):
     cfg = cfg_for(3, omega=0.1, lam=1.0)
-    for fn in (mean_n, mean_h0, mean_tau, mean_y_point):
-        with pytest.raises(ValueError, match="t must be finite and non-negative"):
-            fn(cfg, t)
+    with pytest.raises(ValueError, match="t must be finite and non-negative"):
+        mean_y_point(cfg, t)
 
 
 def test_moments_reject_overflow():
     # u^2 overflows at kappa*t = 1e200: an error, never an inf or a NaN.
-    cfg = cfg_for(3, omega=0.1, lam=1.0)
-    for fn in (mean_n, mean_h0, mean_tau, mean_y_point):
-        with pytest.raises(ValueError, match="overflows"):
-            fn(cfg, 1e200)
+    with pytest.raises(ValueError, match="<N\\^2> overflows"):
+        mean_y_point(cfg_for(3, omega=0.1, lam=1.0), 1e200)
     # finite moments, but lam <N^2> overflows
     with pytest.raises(ValueError, match="<H0> overflows"):
-        mean_h0(cfg_for(3, omega=0.1, lam=1e300), 1e5)
+        mean_y_point(cfg_for(3, omega=0.1, lam=1e300), 1e5)
 
 
 # mean_y_series runs one loop over its times; each point must be bitwise the
@@ -341,7 +346,6 @@ def test_moments_keep_their_bits_on_the_figure_grid(b, kappa):
     for kt in log_points():
         t = kt / kappa
         u = 2.0 * kappa * t
-        assert mean_n(cfg, t) == b + u
         point = mean_y_point(cfg, t)
         assert point.mean_n_b == b + u
         assert point.mean_h0_b == omega * (b + u) + lam * (b * b + 4.0 * b * u + 2.0 * u * u + u)
@@ -474,8 +478,9 @@ def test_mean_y_bound_and_mean_level_property(b, log_kt, ratio, kappa):
     kt = 10.0 ** log_kt
     cfg = DiffusiveConfig(b=b, kappa=kappa, omega=ratio, lam=1.0)
     t = kt / kappa
-    assert mean_n(cfg, t) == pytest.approx(b + 2.0 * kt, rel=1e-14)
-    assert kt * mean_y_point(cfg, t).y_mean < math.pi / 2.0
+    point = mean_y_point(cfg, t)
+    assert point.mean_n_b == pytest.approx(b + 2.0 * kt, rel=1e-14)
+    assert kt * point.y_mean < math.pi / 2.0
 
 
 # ---------------------------------------------------------------------------

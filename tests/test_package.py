@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 import levelscope
-from levelscope import diffusive, numerics, observables
+from levelscope import diffusive, numerics, observables, spectra
 from levelscope.cli import EXIT_USAGE, build_parser, main
 from levelscope.svgplot import _escape, line_plot
 
@@ -46,6 +46,45 @@ def test_every_exported_name_resolves():
     missing = [name for name in levelscope.__all__ if not hasattr(levelscope, name)]
     assert missing == []
     assert len(set(levelscope.__all__)) == len(levelscope.__all__)
+
+
+# The exact public surface: a removed name cannot come back as an alias, and
+# a new one is added here on purpose.
+PUBLIC = {
+    levelscope: [
+        "Box", "CriterionPoint", "DegeneratePeriod", "DiffusiveConfig", "FockDistribution",
+        "Harmonic", "Hydrogenoid", "IndexOutOfSpectrum", "MismatchedConfig", "ModelParams",
+        "Morse", "NonConvergent", "NotNormalized", "Quartic", "ScanResult", "SuperpositionSpec",
+        "YMeanPoint", "ZeroEnergy", "__version__", "builtin_preset_names", "criterion_point",
+        "distribution", "energy", "fidelity_overlap", "fock_weight", "harmonic_dpdq",
+        "load_model", "log_points", "max_index", "mean_y_point", "mean_y_series", "min_index",
+        "period", "quartic_limits", "superposition_delta_e", "survival", "threshold_scan",
+    ],
+    diffusive: [
+        "DiffusiveConfig", "YMeanPoint", "check_curve", "check_level", "check_time",
+        "fidelity_overlap", "fock_weight", "log_points", "mean_y_point", "mean_y_series",
+        "survival",
+    ],
+    spectra: [
+        "Box", "CriterionPoint", "DegeneratePeriod", "Harmonic", "Hydrogenoid",
+        "IndexOutOfSpectrum", "MODELS", "ModelParams", "Morse", "NotNormalized", "Quartic",
+        "RESOLVABLE_THRESHOLD", "ScanResult", "SuperpositionSpec", "criterion_point", "energy",
+        "harmonic_dpdq", "max_index", "min_index", "period", "quartic_limits",
+        "superposition_delta_e", "threshold_scan",
+    ],
+    observables: [
+        "DiffusiveConfig", "MismatchedConfig", "YMeanPoint", "ZeroEnergy", "fidelity_overlap",
+        "mean_y_point", "mean_y_series", "survival",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", list(PUBLIC), ids=lambda m: m.__name__)
+def test_public_surface_is_pinned(module):
+    assert sorted(module.__all__) == PUBLIC[module]
+    # The <y(b)> record holds the moments; min_index + 1 is the criterion's first level.
+    for name in ("mean_n", "mean_h0", "mean_tau", "_energy", "criterion_min_index"):
+        assert not hasattr(module, name)
 
 
 def test_cli_import_loads_no_scipy():

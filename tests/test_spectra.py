@@ -19,7 +19,6 @@ from levelscope.spectra import (
     NotNormalized,
     Quartic,
     SuperpositionSpec,
-    criterion_min_index,
     criterion_point,
     energy,
     harmonic_dpdq,
@@ -338,7 +337,7 @@ def _rows_or_error(rows):
                      r0=2.5624210082468265e+58, omega=3.7819814997486035e+38),
          start=1, count=2)
 def test_scan_rows_are_the_criterion_points_or_both_raise(model, start, count):
-    lo = criterion_min_index(model) + start
+    lo = min_index(model) + 1 + start
     hi = lo + count - 1
     scan = _rows_or_error(lambda: threshold_scan(model, lo, hi).points)
     assert scan == _rows_or_error(lambda: tuple(criterion_point(model, n)
