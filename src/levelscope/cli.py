@@ -14,8 +14,9 @@ mirror of the same records via --format json); figure commands also emit a
 minimal SVG. Identical flags produce byte-identical data files: floats use a
 fixed format and the manifest timestamp honors SOURCE_DATE_EPOCH.
 
-Exit codes: 0 success, 2 bad arguments or out-of-domain request,
-3 numerical non-convergence, 4 I/O failure.
+Exit codes: 0 success, 2 bad arguments, out-of-domain request or a
+malformed SOURCE_DATE_EPOCH, 3 numerical non-convergence, 4 I/O failure
+(an output file, or stdout, that cannot be written).
 """
 
 from __future__ import annotations
@@ -60,9 +61,14 @@ def _manifest(args: argparse.Namespace, command: str, extra: dict[str, str] | No
             params[key.replace("_", "-")] = (
                 ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             )
-    # SOURCE_DATE_EPOCH pins the manifest for reproducible output.
+    # SOURCE_DATE_EPOCH pins the manifest for reproducible output. Every
+    # command builds its manifest before it writes a file or directory.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = time.gmtime(int(epoch) if epoch else int(time.time()))
+    try:
+        stamp = time.gmtime(int(epoch) if epoch else int(time.time()))
+    except (ValueError, OverflowError, OSError) as exc:
+        raise SystemExit2(f"SOURCE_DATE_EPOCH must be an integer count of seconds "
+                          f"in the platform's time range, got {epoch!r}") from exc
     return {
         "command": command,
         "parameters": dict(sorted(params.items())),
@@ -559,8 +565,47 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IO
 
 
+def _flush_stdout() -> bool:
+    """Flush stdout; False, with the error reported, if it cannot be written.
+
+    A failed flush keeps its data buffered, so fd 1 is then pointed at
+    devnull, as the signal module's note on SIGPIPE advises: the
+    interpreter's own flush at exit would otherwise fail again and turn the
+    exit code into 120.
+    """
+    if sys.stdout is None:  # started with fd 1 closed: print wrote nothing
+        return True
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: I/O failure: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def run() -> None:
-    raise SystemExit(main())
+    """Entry point of the console script and of `python -m levelscope.cli`:
+    main(), then exit with its code, or 4 if stdout cannot be written.
+
+    The heap is frozen on the way out, so the collections of interpreter
+    shutdown skip every object still alive: the CLI leaves no cyclic
+    garbage for them to reclaim, and module teardown, deallocation and the
+    std-stream flush still run. main() does not freeze, since tests and the
+    benchmark harness call it in processes that go on running.
+    """
+    import gc
+
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help, --version, usage errors
+            code = exc.code
+        raise SystemExit(code if _flush_stdout() else EXIT_IO)
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,8 +16,10 @@ import pytest
 
 from levelscope import presets, spectra
 from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, SystemExit2,
-                            _csv_rows, _fmt, _model_from_args, build_parser, main)
+                            _csv_rows, _fmt, _model_from_args, build_parser, main, run)
 from oracles import fidelity_terminating
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
@@ -819,3 +825,122 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "levelscope" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999999", "100000000000000000"])
+@pytest.mark.parametrize("argv", [
+    ["scan", "--model", "box", "--n-max", "5", "--out", "{out}/s.csv"],
+    ["evolve", "--b", "2", "--grid", "log:1e-3:1:3", "--out", "{out}/e.csv"],
+    ["fidelity", "--b", "1", "--grid", "log:1e-3:1:3", "--out", "{out}/f.csv",
+     "--svg", "{out}/f.svg"],
+    ["figures", "3", "--b", "2", "--grid", "log:1e-3:1:3", "--out", "{out}/figs"],
+])
+def test_malformed_source_date_epoch_exits_2_before_writing(tmp_path, monkeypatch, capsys,
+                                                            argv, epoch):
+    # Not an integer, or a time the platform's gmtime cannot represent
+    # (OverflowError past time_t, EOVERFLOW past its year range).
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    code = main([arg.format(out=tmp_path) for arg in argv])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: SOURCE_DATE_EPOCH must be an integer count of seconds in the "
+        f"platform's time range, got {epoch!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the process entry point, run()
+
+
+def _spawn(argv, stdout=subprocess.PIPE, **kwargs):
+    """`python -m levelscope.cli ARGV` with PYTHONUNBUFFERED unset, so stdout
+    is block-buffered as it is by default: its first write is the flush at
+    exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "levelscope.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["criterion", "--model", "box", "--n", "4"], EXIT_OK),
+    (["--version"], EXIT_OK),
+    (["scan", "--model", "box", "--n-max", "5", "--out", "{out}/s.csv"], EXIT_OK),
+    (["criterion", "--model", "box", "--n", "1"], EXIT_USAGE),
+    (["criterion", "--model", "box"], EXIT_USAGE),
+    (["criterion", "--model", "harmonic", "--n", "3"], EXIT_USAGE),
+    (["evolve", "--b", "2", "--grid", "log:1e-3:1e5:3", "--out", "{out}/e.csv"],
+     EXIT_NONCONVERGENT),
+    (["scan", "--model", "box", "--n-max", "5", "--out", "{out}/missing/s.csv"], EXIT_IO),
+])
+def test_process_exit_code_and_streams_are_mains(tmp_path, capsys, argv, code):
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    proc = _spawn(argv)
+    try:
+        expected = main(argv)
+    except SystemExit as exc:  # argparse
+        expected = exc.code
+    out, err = capsys.readouterr()
+    assert proc.returncode == expected == code
+    assert proc.stdout.decode() == out
+    assert proc.stderr.decode() == err
+    assert "Exception ignored" not in err
+
+
+def _assert_io_failure(proc, errno_text):
+    assert proc.returncode == EXIT_IO
+    err = proc.stderr.decode()
+    assert err.startswith(f"error: I/O failure: {errno_text}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--model", "box", "--n", "4"],
+    ["--version"],
+    ["scan", "--model", "box", "--n-max", "5", "--out", "{out}/s.csv"],
+])
+def test_stdout_on_a_full_device_exits_4(tmp_path, argv):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as full:
+        proc = _spawn([arg.format(out=tmp_path) for arg in argv], stdout=full)
+    _assert_io_failure(proc, "[Errno 28]")
+
+
+def test_stdout_to_a_closed_pipe_exits_4():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _spawn(["criterion", "--model", "box", "--n", "4"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    _assert_io_failure(proc, "[Errno 32]")
+
+
+def test_stdout_closed_at_start_is_no_failure():
+    # With fd 1 closed before start-up, sys.stdout is None and print writes
+    # nothing: there is no stream to flush or to fail.
+    proc = _spawn(["criterion", "--model", "box", "--n", "4"], stdout=None,
+                  preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    assert gc.get_freeze_count() == 0
+    assert main(["criterion", "--model", "box", "--n", "4"]) == EXIT_OK
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["criterion", "--model", "box", "--n", "4"], EXIT_OK),
+    (["criterion", "--model", "harmonic", "--n", "3"], EXIT_USAGE),
+    (["criterion", "--model", "box"], EXIT_USAGE),
+])
+def test_run_exits_with_mains_code_and_a_frozen_heap(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["levelscope", *argv])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()

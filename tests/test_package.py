@@ -131,6 +131,19 @@ def test_no_module_imports_dataclasses_or_typing():
             if _imported_modules(p) & {"dataclasses", "typing"}] == []
 
 
+def test_only_run_freezes_the_heap():
+    # The collector never visits a frozen object again, so only the process
+    # entry point freezes the heap, on its way out: never main(), which tests
+    # and the benchmark harness call in-process.
+    modules = sorted((SRC / "levelscope").glob("*.py"))
+    assert [p.name for p in modules if "gc" in _imported_modules(p)] == ["cli.py"]
+    tree = ast.parse((SRC / "levelscope" / "cli.py").read_text(encoding="utf-8"))
+    uses = [(fn.name, node.attr) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "gc"]
+    assert uses == [("run", "freeze")]
+
+
 def _base_name(node: ast.expr) -> str:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
