@@ -1,7 +1,8 @@
 """Shared numerical primitives: the integer check of index parameters, the
 truncation defaults of the level distributions and the check of their
-tolerance, the domain errors of the open-system observables, and Frozen,
-the base of every value type.
+tolerance, the domain errors of the open-system observables, Frozen, the
+base of every value type, and what every command of the command line
+shares: its usage error and the fixed format of the floats it prints.
 
 The module holds no mutable state, so everything here is safe to call
 from any number of threads.
@@ -9,18 +10,20 @@ from any number of threads.
 
 from __future__ import annotations
 
-import numbers
 from collections import _tuplegetter
 
 __all__ = [
+    "FLOAT_FMT",
     "Frozen",
     "MAX_TERMS",
     "MIN_REL_EPS",
     "MismatchedConfig",
     "NonConvergent",
     "REL_EPS",
+    "SystemExit2",
     "ZeroEnergy",
     "check_rel_eps",
+    "fmt",
     "is_integer",
 ]
 
@@ -92,6 +95,27 @@ class ZeroEnergy(ArithmeticError):
     period estimate 2 pi <N> / <H0> is undefined."""
 
 
+# The command line's own: every command module raises it, and the
+# dispatcher, which no module imports, maps it to exit code 2.
+class SystemExit2(Exception):
+    """Usage-level error: message on stderr, exit code 2."""
+
+
+# The one format of every float the command line prints or writes, so that
+# identical flags give byte-identical output.
+FLOAT_FMT = "%.12g"
+
+
+def fmt(value: object) -> str:
+    """A value as the command line prints it: floats in FLOAT_FMT, bools as
+    true/false, anything else as str()."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return FLOAT_FMT % value
+    return str(value)
+
+
 # Smallest rel_eps a tail bound may claim. Against 50-digit mpmath at the
 # exact double kappa*t, the weights of the 133,175 rows of `evolve --b 15`
 # (kappa*t up to 100) carry at most 1.6e-14 relative error, nearly all of it
@@ -123,6 +147,9 @@ def check_rel_eps(rel_eps: float) -> None:
 def is_integer(value: object) -> bool:
     """True for an int or another Integral type (numpy integers), False for a
     bool, a float (even 2.0) and anything else."""
-    return type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    )
+    if type(value) is int:
+        return True
+    # Loaded only here: every command line index is a plain int.
+    import numbers
+
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -48,18 +48,28 @@ def builtin_preset_names() -> tuple[str, ...]:
 
 
 def resolve_preset(name_or_path: str) -> str:
-    """Return the config text for a bundled preset name or a file path."""
+    """Return the config text for a bundled preset name or a file path.
+
+    FileNotFoundError, listing the bundled presets, when there is neither;
+    ValueError naming the preset when it exists but is no readable UTF-8
+    text (a directory, an unreadable file, undecodable bytes).
+    """
     path = Path(name_or_path)
-    if path.suffix == ".cfg" or path.exists():
-        return path.read_text(encoding="utf-8")
-    candidate = resources.files("levelscope.data") / f"{name_or_path}.cfg"
     try:
-        return candidate.read_text(encoding="utf-8")
+        if path.suffix == ".cfg" or path.exists():
+            return path.read_text(encoding="utf-8")
+        candidate = resources.files("levelscope.data") / f"{name_or_path}.cfg"
+        try:
+            return candidate.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise FileNotFoundError(
+                f"no preset file {name_or_path!r} and no bundled preset of that name "
+                f"(bundled: {', '.join(builtin_preset_names())})"
+            ) from None
     except FileNotFoundError:
-        raise FileNotFoundError(
-            f"no preset file {name_or_path!r} and no bundled preset of that name "
-            f"(bundled: {', '.join(builtin_preset_names())})"
-        ) from None
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read preset {name_or_path!r}: {exc}") from None
 
 
 def _parse(text: str) -> dict[str, str]:

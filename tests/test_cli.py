@@ -14,9 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levelscope import presets, spectra
+from levelscope import cli, presets, spectra
 from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, SystemExit2,
-                            _csv_rows, _fmt, _model_from_args, build_parser, main, run)
+                            build_parser, main, run)
+from levelscope.cli_closed import model_from_args
+from levelscope.cli_files import csv_rows
+from levelscope.numerics import fmt
 from oracles import fidelity_terminating
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -310,14 +313,14 @@ def test_model_choices_are_the_catalog(command):
 def test_model_flags_build_the_constructor_model(argv, model):
     for command in ("criterion", "scan"):
         tail = ["--n", "2"] if command == "criterion" else ["--out", "unused.csv"]
-        built = _model_from_args(build_parser().parse_args([command, *argv, *tail]))
+        built = model_from_args(build_parser().parse_args([command, *argv, *tail]))
         assert built == model and repr(built) == repr(model)
 
 
 def test_morse_flags_point_to_a_preset():
     args = build_parser().parse_args(["criterion", "--model", "morse", "--n", "2"])
     with pytest.raises(SystemExit2) as exc:
-        _model_from_args(args)
+        model_from_args(args)
     assert str(exc.value) == "morse runs from a preset file: use --preset h2_morse or a path"
 
 
@@ -327,9 +330,9 @@ def test_csv_rows_format_each_value_as_fmt():
         (40, 1e22, False, "y", np.float64(math.pi), math.inf, 123456789012345.0),
         (2**60, float("nan"), True, "", np.float64(0.0), 1.0, 7.0),
     ]
-    assert _csv_rows(rows) == "\n".join(",".join(_fmt(v) for v in row) for row in rows)
-    assert _csv_rows([(0.5,)]) == "0.5"
-    assert _csv_rows([]) == ""
+    assert csv_rows(rows) == "\n".join(",".join(fmt(v) for v in row) for row in rows)
+    assert csv_rows([(0.5,)]) == "0.5"
+    assert csv_rows([]) == ""
 
 
 def test_evolve_trace_column(tmp_path):
@@ -356,7 +359,7 @@ def test_evolve_csv_rows_are_the_json_rows_formatted_row_by_row(tmp_path, floor)
     rows = [tuple(row) for row in json.loads((tmp_path / "e.json").read_text())["rows"]]
     lines = (tmp_path / "e.csv").read_text().splitlines()
     body = [line for line in lines if not line.startswith("#")][1:]
-    assert "\n".join(body) == _csv_rows(rows)
+    assert "\n".join(body) == csv_rows(rows)
     assert (len(rows) > 0) == (floor != "2")
 
 
@@ -769,6 +772,31 @@ def test_missing_preset_exits_2(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("kind, reason", [("directory", "Is a directory"),
+                                          ("not-utf8", "can't decode byte 0xff"),
+                                          ("name-too-long", "File name too long")])
+@pytest.mark.parametrize("command", ["criterion", "scan"])
+def test_unreadable_preset_exits_2_naming_it(tmp_path, capsys, command, kind, reason):
+    # A preset that cannot be read as UTF-8 text is a bad argument, not an
+    # output failure (exit 4), and the message says which preset it was.
+    preset = tmp_path / "preset"
+    if kind == "directory":
+        preset.mkdir()
+    elif kind == "not-utf8":
+        preset.write_bytes(b"\xff\xfe")
+    else:
+        preset = tmp_path / ("a" * 5000)
+    out = tmp_path / "out"
+    out.mkdir()
+    tail = ["--n", "3"] if command == "criterion" else ["--out", str(out / "s.csv")]
+    assert main([command, "--preset", str(preset), *tail]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read preset {str(preset)!r}: ")
+    assert reason in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_scan_without_ceiling_needs_n_max(tmp_path, capsys):
     code = main(["scan", "--model", "box", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE
@@ -820,6 +848,56 @@ def test_evolve_past_the_second_moment_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _load_workloads():
+    """levelbench/workloads.py, the benchmark's argv generator (standard
+    library only), under a name that cannot clash with tests/oracles.py."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "levelbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("levelbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _load_workloads()
+PLAN_ARGV = sorted({op.argv for workload in ("closed_cli", "paper_cli") for seed in (1, 2, 3)
+                    for op in _WORKLOADS.plan(workload, seed)})
+EDGE_ARGV = [
+    [], ["--help"], ["-h"], ["--version"], ["bogus"], ["--bogus"], ["crit"], ["--", "scan"],
+    ["criterion", "--model", "box", "--n", "4", "extra"], ["scan", "--n-max", "x"],
+    ["figures", "5", "--out", "f"], ["fidelity", "--b", "1,1", "--out", "f.csv"],
+    *([name, *flags] for name in cli.COMMANDS for flags in (["--help"], ["-h"], ["--version"],
+                                                             ["--bogus"], [])),
+    *(["--version", name] for name in cli.COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", [list(a) for a in PLAN_ARGV] + EDGE_ARGV,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_lazy_parser_is_the_full_parser(parse_outcome, argv):
+    # main() declares only the flags of the command it runs; the benchmark's
+    # argv, help, version and every usage error must parse as with all of them.
+    command = next((token for token in argv if not token.startswith("-")), None)
+    lazy = cli.build_parser(command if command in cli.COMMANDS else None)
+    assert parse_outcome(lazy, argv) == parse_outcome(cli.build_parser(), argv)
+
+
+def test_main_parses_are_checked_against_the_full_parser(monkeypatch):
+    # tests/conftest.py compares each parse of main() with build_parser()'s;
+    # a full parser that cannot be built shows that it is built for criterion,
+    # whose own parser never loads cli_open.
+    from levelscope import cli_open
+
+    def broken(command, sub):
+        raise RuntimeError("full parser built")
+
+    monkeypatch.setattr(cli_open, "add_arguments", broken)
+    with pytest.raises(RuntimeError, match="full parser built"):
+        main(["criterion", "--model", "box", "--n", "4"])
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -827,25 +905,42 @@ def test_version_flag(capsys):
     assert "levelscope" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999999", "100000000000000000"])
-@pytest.mark.parametrize("argv", [
+EPOCH_ARGV = [
     ["scan", "--model", "box", "--n-max", "5", "--out", "{out}/s.csv"],
     ["evolve", "--b", "2", "--grid", "log:1e-3:1:3", "--out", "{out}/e.csv"],
     ["fidelity", "--b", "1", "--grid", "log:1e-3:1:3", "--out", "{out}/f.csv",
      "--svg", "{out}/f.svg"],
     ["figures", "3", "--b", "2", "--grid", "log:1e-3:1:3", "--out", "{out}/figs"],
-])
+]
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999999", "100000000000000000",
+                                   "-5", "-1", "999999999999", "253402300800"])
+@pytest.mark.parametrize("argv", EPOCH_ARGV)
 def test_malformed_source_date_epoch_exits_2_before_writing(tmp_path, monkeypatch, capsys,
                                                             argv, epoch):
-    # Not an integer, or a time the platform's gmtime cannot represent
-    # (OverflowError past time_t, EOVERFLOW past its year range).
+    # Not an integer, or a time before 1970 or past 9999-12-31T23:59:59Z,
+    # which no four-digit-year timestamp can state.
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
     code = main([arg.format(out=tmp_path) for arg in argv])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "error: SOURCE_DATE_EPOCH must be an integer count of seconds in the "
-        f"platform's time range, got {epoch!r}\n")
+        "error: SOURCE_DATE_EPOCH must be an integer count of seconds from 0 to "
+        f"253402300799 (9999-12-31T23:59:59Z), got {epoch!r}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("epoch, stamp", [("0", "1970-01-01T00:00:00Z"),
+                                          ("253402300799", "9999-12-31T23:59:59Z")])
+@pytest.mark.parametrize("argv", EPOCH_ARGV)
+def test_source_date_epoch_boundaries_are_written(tmp_path, monkeypatch, capsys, argv, epoch,
+                                                  stamp):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert main([arg.format(out=tmp_path) for arg in argv]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    data = list(tmp_path.rglob("*.csv"))
+    assert len(data) == 1
+    assert f"# generated: {stamp}\n" in data[0].read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

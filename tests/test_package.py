@@ -451,6 +451,40 @@ def test_ladder_commands_load_numpy(tmp_path, argv):
     assert _loaded_after(statement, cwd=tmp_path)["numpy"] is True
 
 
+BASE = ["levelscope", "levelscope.cli", "levelscope.numerics"]
+CURVES = [*BASE, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diffusive"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["criterion", "--model", "box", "--n", "4"],
+         [*BASE, "levelscope.cli_closed", "levelscope.spectra"]),
+        (["criterion", "--preset", "h2_morse", "--n", "3", "--format", "json"],
+         [*BASE, "levelscope.cli_closed", "levelscope.data", "levelscope.presets",
+          "levelscope.spectra"]),
+        (["scan", "--model", "box", "--n-max", "6", "--out", "b.csv"],
+         [*BASE, "levelscope.cli_closed", "levelscope.cli_files", "levelscope.spectra"]),
+        (["evolve", "--b", "3", *GRID, "--out", "e.csv"],
+         [*BASE, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diffusive",
+          "levelscope.open_system"]),
+        (["fidelity", *GRID, "--out", "f.csv", "--svg", "f.svg"], [*CURVES, "levelscope.svgplot"]),
+        (["ymean", *GRID, "--out", "y.json", "--format", "json"], CURVES),
+        (["figures", "2", *GRID, "--out", "figs"], [*CURVES, "levelscope.svgplot"]),
+    ],
+    ids=["criterion", "criterion-preset", "scan", "evolve", "fidelity", "ymean", "figures"],
+)
+def test_each_command_loads_only_its_own_modules(tmp_path, argv, loaded):
+    # main() imports the module of the command it runs and no other; the
+    # file writers load only where a file is written. No command needs
+    # numbers, which numpy alone (evolve) loads.
+    statement = (f"import sys\nfrom levelscope.cli import main\nassert main({argv!r}) == 0\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('levelscope')),\n"
+                 "      'numbers' in sys.modules, 'numpy' in sys.modules)")
+    numpy = argv[0] == "evolve"
+    assert _fresh(statement, tmp_path).splitlines()[-1] == f"{sorted(loaded)} {numpy} {numpy}"
+
+
 def test_exported_names_are_the_submodule_objects():
     # In a fresh process, so that dir() and every open-system name go through
     # the module hooks rather than values an earlier test cached.
