@@ -58,7 +58,9 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command or, given a command, one that lists every
     command but declares the flags of that one alone, so only its module
-    loads. Either parses that command's argv to the same Namespace."""
+    loads. Either parses that command's argv to the same Namespace. Any
+    other string declares no command's flags: argv that name no command
+    (--help, --version, none or an unknown one) need none of them."""
     parser = argparse.ArgumentParser(
         prog="levelscope",
         description="Classical measurability of discrete spectra and its decay under diffusion.",
@@ -78,10 +80,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # The command is the first token that is not an option: the top-level
-    # parser has no option that takes a value. Any other token (a typo, or
-    # no command at all) gets the full parser and its error.
-    command = next((token for token in argv if not token.startswith("-")), None)
-    parser = build_parser(command if command in COMMANDS else None)
+    # parser has no option that takes a value. Without one, or with a typo,
+    # no subparser runs, so the parser declares no command's flags.
+    command = next((token for token in argv if not token.startswith("-")), "")
+    parser = build_parser(command)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -6,8 +6,8 @@ criterion <y(b)> with the closed-form moments <N>, <H0>, <tau> it is built
 on (fields of its YMeanPoint records), and the log-spaced kappa*t grid
 with the check every plotted curve passes. The weights and F are
 terminating sums of positive terms, both evaluated by one Horner's rule
-in ratio form (_nested). None of it needs an array, so every command but
-`evolve` starts without numpy; open_system, which evaluates the same
+in ratio form (_nested, or its plain loop where no rescale can fire).
+None of it needs an array, so every command but `evolve` starts without numpy; open_system, which evaluates the same
 weight sums over arrays of levels, is the one module that imports numpy,
 and it re-exports the names it shares with this one. Everything here is a closed form or a finite sum, so
 the configuration holds only the physics; the level cut of open_system,
@@ -86,22 +86,28 @@ def _kernels(kt: float) -> tuple[float, float]:
 
 # The nested sums of _nested are rescaled by e^-_SPAN whenever they pass
 # e^_SPAN; the scale then goes into the exponent of the prefactor, where
-# adding a whole multiple of _SPAN rounds nothing.
+# adding a whole multiple of _SPAN rounds nothing. At w <= 1 every partial
+# sum of S(b, n, w) in ratio form is at most S(b, n, 1) = C(b+n, m)
+# (Chu-Vandermonde). Below _PLAIN, 5000 times under _BIG, a gap the rounding
+# of its 4m positive-term operations cannot bridge, no rescale can fire, and
+# the sum runs as a plain loop with the same bits.
 _SPAN = 400.0
 _BIG = math.exp(_SPAN)
 _SHRINK = math.exp(-_SPAN)
+_PLAIN = 1e170
 
 
 @lru_cache(maxsize=64)
-def _ratios(b: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _ratios(b: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...], float, bool]:
     """Successive coefficient ratios of S = sum_p c_p w^p, c_p = C(b,p) C(n,p),
     innermost first: c_{p+1}/c_p for p = m-1 .. 0, and the same for the
     reversed coefficients d_q = c_{m-q}, with m = min(b, n). Each is a
-    quotient of two integer products, rounded once."""
+    quotient of two integer products, rounded once. Then ln d_0 = ln C(M, m),
+    M = max(b, n), and whether S runs plain: C(b+n, m) < _PLAIN."""
     m, d = min(b, n), abs(b - n)
     up = tuple((b - p) * (n - p) / ((p + 1) * (p + 1)) for p in range(m - 1, -1, -1))
     down = tuple((m - q) * (m - q) / ((q + 1) * (d + q + 1)) for q in range(m - 1, -1, -1))
-    return up, down
+    return up, down, math.log(math.comb(m + d, m)), math.comb(b + n, m) < _PLAIN
 
 
 def _nested(ratios: tuple[float, ...], w: float, log_scale: float) -> tuple[float, float]:
@@ -124,7 +130,8 @@ def _horner_args(kt: float) -> tuple[bool, float, float, float]:
     reversed in w = u^2; log1p(u) and log1p(1/u) are -ln zeta and -ln gamma.
     Where 1/u overflows (u below 2^-1024), log1p(1/u) is taken as -log(u),
     which it equals to within u, relative. kt is taken as a Python float, so
-    a numpy scalar time does not warn at the ends of the float range."""
+    a numpy scalar time does not warn at the ends of the float range.
+    open_system's rows take these; _weight runs the same operations inline."""
     u = 2.0 * float(kt)
     inv = 1.0 / u
     forward = u >= 1.0
@@ -136,15 +143,22 @@ def _weight(b: int, n: int, kt: float) -> float:
     """P_b(n) at kappa*t = kt, for a level n and a time already checked."""
     if kt == 0.0:
         return 1.0 if n == b else 0.0
-    forward, w, l1, l2 = _horner_args(kt)
-    up, down = _ratios(b, n)
-    if forward:
-        total, a = _nested(up, w, -l1 - (b + n) * l2)
+    up, down, lead, plain = _ratios(b, n)
+    u = 2.0 * float(kt)
+    l1 = math.log1p(u)
+    if u >= 1.0:
+        ratios, w, a = up, 1.0 / (u * u), -l1 - (b + n) * math.log1p(1.0 / u)
     else:
-        m = min(b, n)
-        lead = math.log(math.comb(max(b, n), m))
-        total, a = _nested(down, w, lead - (2 * m + 1) * l1 - (b + n - 2 * m) * l2)
-    return math.exp(a) * total
+        inv, m = 1.0 / u, min(b, n)
+        l2 = math.log1p(inv) if inv < math.inf else -math.log(u)
+        ratios, w, a = down, u * u, lead - (2 * m + 1) * l1 - (b + n - 2 * m) * l2
+    if not plain:
+        acc, a = _nested(ratios, w, a)
+    else:
+        acc = 1.0
+        for r in ratios:
+            acc = 1.0 + r * w * acc
+    return math.exp(a) * acc
 
 
 def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
@@ -176,7 +190,8 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
 
 def survival(cfg: DiffusiveConfig, t: float) -> float:
     """Probability P_b(b, t) of still finding the prepared index b."""
-    check_time(t)
+    if not 0.0 <= t < math.inf:  # check_time, inline
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     b = cfg.b
     return _weight(b, b, cfg.kappa * t)
 
@@ -209,16 +224,23 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
         )
     if m != b - 1:
         raise MismatchedConfig(f"expected neighboring indices, got b={b} and {m}")
-    check_time(t)
+    if not 0.0 <= t < math.inf:  # check_time, inline
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     x = 4.0 * (kappa * t)
     if x == 0.0:
         return 0.0
-    up, down = _ratios(b, m)
+    up, down, _, plain = _ratios(b, m)
     if x >= 1.0:
-        total, a = _nested(up, 1.0 / (x * x), -2.0 * b * math.log1p(1.0 / x))
-        return math.exp(a) * total / x
-    total, a = _nested(down, x * x, -2.0 * b * math.log1p(x))
-    return math.exp(a) * total * (b * x)
+        ratios, w, a = up, 1.0 / (x * x), -2.0 * b * math.log1p(1.0 / x)
+    else:
+        ratios, w, a = down, x * x, -2.0 * b * math.log1p(x)
+    if not plain:  # _weight's loop
+        acc, a = _nested(ratios, w, a)
+    else:
+        acc = 1.0
+        for r in ratios:
+            acc = 1.0 + r * w * acc
+    return math.exp(a) * acc / x if x >= 1.0 else math.exp(a) * acc * (b * x)
 
 
 class YMeanPoint(Frozen):

@@ -50,24 +50,21 @@ def builtin_preset_names() -> tuple[str, ...]:
 def resolve_preset(name_or_path: str) -> str:
     """Return the config text for a bundled preset name or a file path.
 
-    FileNotFoundError, listing the bundled presets, when there is neither;
-    ValueError naming the preset when it exists but is no readable UTF-8
-    text (a directory, an unreadable file, undecodable bytes).
+    A name ending in .cfg is always a path. FileNotFoundError, naming the
+    preset and listing the bundled ones, when there is no such file or
+    bundled preset; ValueError naming the preset when it exists but is no
+    readable UTF-8 text (a directory, an unreadable file, undecodable bytes).
     """
     path = Path(name_or_path)
     try:
-        if path.suffix == ".cfg" or path.exists():
-            return path.read_text(encoding="utf-8")
-        candidate = resources.files("levelscope.data") / f"{name_or_path}.cfg"
-        try:
-            return candidate.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise FileNotFoundError(
-                f"no preset file {name_or_path!r} and no bundled preset of that name "
-                f"(bundled: {', '.join(builtin_preset_names())})"
-            ) from None
+        if path.suffix != ".cfg" and not path.exists():
+            path = resources.files("levelscope.data") / f"{name_or_path}.cfg"
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise
+        raise FileNotFoundError(
+            f"no preset file {name_or_path!r} and no bundled preset of that name "
+            f"(bundled: {', '.join(builtin_preset_names())})"
+        ) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read preset {name_or_path!r}: {exc}") from None
 

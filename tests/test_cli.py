@@ -772,6 +772,23 @@ def test_missing_preset_exits_2(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("name", ["unobtainium", "nope.cfg", "{tmp}/nope.cfg"])
+@pytest.mark.parametrize("command", ["criterion", "scan"])
+def test_missing_preset_names_it_and_the_bundled_ones(tmp_path, monkeypatch, capsys, command,
+                                                      name):
+    # A missing file ending in .cfg, which is never looked up among the
+    # bundled presets, gets the message of a missing name, not a bare errno.
+    monkeypatch.chdir(tmp_path)
+    preset = name.format(tmp=tmp_path)
+    tail = ["--n", "3"] if command == "criterion" else ["--out", "s.csv"]
+    assert main([command, "--preset", preset, *tail]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: no preset file {preset!r} and no bundled preset of that "
+                            "name (bundled: h2_morse)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind, reason", [("directory", "Is a directory"),
                                           ("not-utf8", "can't decode byte 0xff"),
                                           ("name-too-long", "File name too long")])
@@ -882,6 +899,15 @@ def test_lazy_parser_is_the_full_parser(parse_outcome, argv):
     command = next((token for token in argv if not token.startswith("-")), None)
     lazy = cli.build_parser(command if command in cli.COMMANDS else None)
     assert parse_outcome(lazy, argv) == parse_outcome(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [a for a in EDGE_ARGV
+                                  if not any(token in cli.COMMANDS for token in a)],
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_without_command_flags_is_the_full_parser(parse_outcome, argv):
+    # main() gives argv that name no command a parser that declares no
+    # command's flags: help, version and every usage error stay the same.
+    assert parse_outcome(cli.build_parser(""), argv) == parse_outcome(cli.build_parser(), argv)
 
 
 def test_main_parses_are_checked_against_the_full_parser(monkeypatch):

@@ -279,15 +279,34 @@ CURVE_DIGESTS = {
 }
 
 
-def _curves(family: str) -> list:
-    kts = log_points(1e-3, 1e2, 200)
-    ts = [kt / CURVE_KAPPA for kt in kts]
+# The same F and P_b curves one b at a time, where the plain loop ends and
+# _nested's rescaling begins: P_b runs plain up to b = 284 (C(2b, b) below
+# diffusive._PLAIN), F up to b = 285, and on this grid the rescale fires at
+# 2 points of P_b and 1 of F at b = 300, and at 14 of each at b = 400.
+RESCALE_DIGESTS = {
+    ("fidelity", 284): "673ebc4b71c4f25c53f55432c8018481ef136d772ee44aa2e2321f9ee9c3ac4e",
+    ("fidelity", 285): "357c35f703c86af0ec66adf093fd3ee49c313c971506915a9c22a007cafe9c13",
+    ("fidelity", 300): "506eedf123a34bc6deb19f5067e79519b64abf249ccf93f5133708fc041f9c6c",
+    ("fidelity", 400): "d35224e10567aae78f69b84bf2941088fdeec8c796b2f6633cc3d9d4f7f60a0e",
+    ("survival", 284): "4b4ec644eacb847279866d7bdeeb7d9ee3691823800e55136ca08b13fbd72983",
+    ("survival", 285): "940c00b4b1657c410cc6033e9fef396cd61c2fc48aca3e57eb707e7af47f26bd",
+    ("survival", 300): "db76eccef6b44a7c985d40417950a5cdafc4c643a8b3740a4dcf3cadf04ef3f8",
+    ("survival", 400): "1b8429a03979600e3172b4e05bec1e4ec87d64c1651a0b69b884d43820b84b8c",
+}
+
+
+def _curve(family: str, b: int) -> list:
+    ts = [kt / CURVE_KAPPA for kt in log_points(1e-3, 1e2, 200)]
+    cfg = DiffusiveConfig(b, CURVE_KAPPA)
     if family == "fidelity":
-        return [[fidelity_overlap(DiffusiveConfig(b, CURVE_KAPPA),
-                                  DiffusiveConfig(b - 1, CURVE_KAPPA), t) for t in ts]
-                for b in range(1, 41)]
-    if family == "survival":
-        return [[survival(DiffusiveConfig(b, CURVE_KAPPA), t) for t in ts] for b in range(1, 41)]
+        return [fidelity_overlap(cfg, DiffusiveConfig(b - 1, CURVE_KAPPA), t) for t in ts]
+    return [survival(cfg, t) for t in ts]
+
+
+def _curves(family: str) -> list:
+    if family in ("fidelity", "survival"):
+        return [_curve(family, b) for b in range(1, 41)]
+    kts = log_points(1e-3, 1e2, 200)
     omega = float(family.split("-")[1]) * CURVE_LAM
     return [mean_y_series(DiffusiveConfig(b, CURVE_KAPPA, omega, CURVE_LAM), kts)
             for b in range(2, 41)]
@@ -297,3 +316,9 @@ def _curves(family: str) -> list:
 def test_library_curve_digests(family):
     digest = hashlib.sha256(repr(_curves(family)).encode()).hexdigest()
     assert digest == CURVE_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family, b", list(RESCALE_DIGESTS))
+def test_rescaling_path_curve_digests(family, b):
+    digest = hashlib.sha256(repr(_curve(family, b)).encode()).hexdigest()
+    assert digest == RESCALE_DIGESTS[family, b]

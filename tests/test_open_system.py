@@ -106,6 +106,45 @@ def test_weight_is_bitwise_the_uncached_chain(b, n, kt):
     assert (fock_weight(cfg, n, kt).hex(), survival(cfg, kt).hex()) == cached
 
 
+# Where the cached verdict of _ratios is "plain", fock_weight, survival and
+# fidelity_overlap run Horner's rule without _nested's rescale test. That is
+# sound if the test can never fire there: _nested, given those ratios and any
+# w <= 1, must return the log scale it was given and the plain loop's bits.
+def _plain(ratios, w):
+    acc = 1.0
+    for r in ratios:
+        acc = 1.0 + r * w * acc
+    return acc
+
+
+def _assert_never_rescales(b, n, ws):
+    up, down, _, plain = diffusive._ratios(b, n)
+    if plain:
+        for ratios in (up, down):
+            for w in ws:
+                assert diffusive._nested(ratios, w, -7.0) == (_plain(ratios, w), -7.0), (b, n, w)
+
+
+# Every (b, n) with b, n <= 320, the pairs with b <= n only, since the cached
+# entry is symmetric in b and n (checked below); four interleaved slices of b.
+@pytest.mark.parametrize("first_b", range(4))
+def test_plain_verdict_never_skips_a_rescale(first_b):
+    for b in range(first_b, 321, 4):
+        for n in range(b, 321):
+            _assert_never_rescales(b, n, (1.0, 0.5, 1e-3, 0.0))
+    # b = n: plain through b = 284, where C(2b, b) passes 1e170.
+    assert diffusive._ratios(284, 284)[3] and not diffusive._ratios(285, 285)[3]
+
+
+# Draws on both sides of the boundary: about half of them are plain.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(b=st.integers(280, 300), n=st.integers(0, 2000) | st.integers(240, 320),
+       w=st.sampled_from([1.0, 0.5, 1e-3, 0.0]) | st.floats(0.0, 1.0))
+def test_plain_verdict_near_its_boundary(b, n, w):
+    assert diffusive._ratios(n, b) == diffusive._ratios(b, n)
+    _assert_never_rescales(b, n, (w,))
+
+
 @pytest.mark.parametrize("func", ["survival", "fock_weight", "fidelity_overlap"])
 def test_kappa_t_at_the_ends_of_the_float_range(func):
     # A kappa*t that overflows to inf gives each limit, 0; a subnormal one

@@ -471,14 +471,19 @@ CURVES = [*BASE, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diff
         (["fidelity", *GRID, "--out", "f.csv", "--svg", "f.svg"], [*CURVES, "levelscope.svgplot"]),
         (["ymean", *GRID, "--out", "y.json", "--format", "json"], CURVES),
         (["figures", "2", *GRID, "--out", "figs"], [*CURVES, "levelscope.svgplot"]),
+        (["--version"], BASE),
+        (["--help"], BASE),
     ],
-    ids=["criterion", "criterion-preset", "scan", "evolve", "fidelity", "ymean", "figures"],
+    ids=["criterion", "criterion-preset", "scan", "evolve", "fidelity", "ymean", "figures",
+         "version", "help"],
 )
 def test_each_command_loads_only_its_own_modules(tmp_path, argv, loaded):
     # main() imports the module of the command it runs and no other; the
-    # file writers load only where a file is written. No command needs
-    # numbers, which numpy alone (evolve) loads.
-    statement = (f"import sys\nfrom levelscope.cli import main\nassert main({argv!r}) == 0\n"
+    # file writers load only where a file is written, and --help and
+    # --version load no command. No command needs numbers, which numpy
+    # alone (evolve) loads.
+    statement = (f"import sys\nfrom levelscope.cli import main\ntry:\n    code = main({argv!r})\n"
+                 "except SystemExit as exc:\n    code = exc.code\nassert code == 0\n"
                  "print(sorted(m for m in sys.modules if m.startswith('levelscope')),\n"
                  "      'numbers' in sys.modules, 'numpy' in sys.modules)")
     numpy = argv[0] == "evolve"
