@@ -124,27 +124,14 @@ def _nested(ratios: tuple[float, ...], w: float, log_scale: float) -> tuple[floa
     return acc, log_scale
 
 
-def _horner_args(kt: float) -> tuple[bool, float, float, float]:
-    """(forward, w, log1p(u), log1p(1/u)) of the weight sums at u = 2kt > 0:
-    forward is u >= 1, where the sums run in w = 1/u^2, and below they run
-    reversed in w = u^2; log1p(u) and log1p(1/u) are -ln zeta and -ln gamma.
-    Where 1/u overflows (u below 2^-1024), log1p(1/u) is taken as -log(u),
-    which it equals to within u, relative. kt is taken as a Python float, so
-    a numpy scalar time does not warn at the ends of the float range.
-    open_system's rows take these; _weight runs the same operations inline."""
-    u = 2.0 * float(kt)
-    inv = 1.0 / u
-    forward = u >= 1.0
-    return (forward, 1.0 / (u * u) if forward else u * u, math.log1p(u),
-            math.log1p(inv) if inv < math.inf else -math.log(u))
-
-
 def _weight(b: int, n: int, kt: float) -> float:
     """P_b(n) at kappa*t = kt, for a level n and a time already checked."""
     if kt == 0.0:
         return 1.0 if n == b else 0.0
     up, down, lead, plain = _ratios(b, n)
-    u = 2.0 * float(kt)
+    # open_system._horner_args's operations, inline: a call would cost a
+    # frame and a tuple per point on the scalar curves' path.
+    u = 2.0 * kt
     l1 = math.log1p(u)
     if u >= 1.0:
         ratios, w, a = up, 1.0 / (u * u), -l1 - (b + n) * math.log1p(1.0 / u)
@@ -185,7 +172,7 @@ def fock_weight(cfg: DiffusiveConfig, n: int, t: float) -> float:
     """
     check_level(n)
     check_time(t)
-    return _weight(cfg.b, n, cfg.kappa * t)
+    return _weight(cfg.b, n, cfg.kappa * float(t))
 
 
 def survival(cfg: DiffusiveConfig, t: float) -> float:
@@ -193,7 +180,7 @@ def survival(cfg: DiffusiveConfig, t: float) -> float:
     if not 0.0 <= t < math.inf:  # check_time, inline
         raise ValueError(f"t must be finite and non-negative, got {t}")
     b = cfg.b
-    return _weight(b, b, cfg.kappa * t)
+    return _weight(b, b, cfg.kappa * float(t))
 
 
 def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float) -> float:
@@ -206,11 +193,11 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
 
     a sum of positive terms: the constant term of G_b(s) G_{b-1}(1/s) is its
     one residue inside |s| = 1, at s = gamma, which expands in positive
-    terms (b = 1 gives x / (1+x)^2). It is evaluated as
-    exp(-2b log1p(1/x)) / x times a polynomial in x^-2 for x >= 1, and as
-    b x exp(-2b log1p(x)) times one in x^2 below, so no power exceeds 1 and
-    nothing cancels. The exponent's rounding dominates the error: about
-    2^-53 times 2b log1p(min(x, 1/x)), relative. The test suite checks F
+    terms (b = 1 gives x / (1+x)^2). F(b, t) = P_b(b - 1, 2t) identically.
+    It is evaluated as exp(-2b log1p(1/x)) / x times a polynomial in x^-2
+    for x >= 1, and as b x exp(-2b log1p(x)) times one in x^2 below, so no
+    power exceeds 1 and nothing cancels. The exponent's rounding dominates
+    the error: about 2^-53 times 2b log1p(min(x, 1/x)), relative. The test suite checks F
     against the 50-digit direct overlap sum and audits the paper's expanded
     triple sum against it. The two configurations must share kappa, omega
     and lam.
@@ -226,7 +213,7 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
         raise MismatchedConfig(f"expected neighboring indices, got b={b} and {m}")
     if not 0.0 <= t < math.inf:  # check_time, inline
         raise ValueError(f"t must be finite and non-negative, got {t}")
-    x = 4.0 * (kappa * t)
+    x = 4.0 * (kappa * float(t))
     if x == 0.0:
         return 0.0
     up, down, _, plain = _ratios(b, m)
@@ -358,7 +345,7 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     The moments come from that closed form, not from the certified weights;
     a negative or non-finite t, or a moment that overflows, raises ValueError.
     """
-    return _mean_y(cfg_b, (t,))[0]
+    return _mean_y(cfg_b, (float(t),))[0]
 
 
 def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float]) -> list[YMeanPoint]:

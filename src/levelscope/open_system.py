@@ -23,8 +23,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .diffusive import (_BIG, _SHRINK, _SPAN, DiffusiveConfig, _horner_args, _kernels, _moments,
-                        check_level, check_time, fock_weight)
+from .diffusive import (_BIG, _SHRINK, _SPAN, DiffusiveConfig, _kernels, _moments, check_level,
+                        check_time, fock_weight)
 from .numerics import MAX_TERMS, REL_EPS, Frozen, NonConvergent, check_rel_eps
 
 __all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
@@ -174,10 +174,25 @@ def _delta(b: int, t: float) -> FockDistribution:
 _CHUNK_LEVELS = 1 << 13
 
 
+def _horner_args(kt: float) -> tuple[bool, float, float, float]:
+    """(forward, w, log1p(u), log1p(1/u)) of the weight sums at u = 2kt > 0:
+    forward is u >= 1, where the sums run in w = 1/u^2, and below they run
+    reversed in w = u^2; log1p(u) and log1p(1/u) are -ln zeta and -ln gamma.
+    Where 1/u overflows (u below 2^-1024), log1p(1/u) is taken as -log(u),
+    which it equals to within u, relative. kt is taken as a Python float, so
+    a numpy scalar kappa*t does not warn at the ends of the float range.
+    diffusive._weight runs the same operations inline."""
+    u = 2.0 * float(kt)
+    inv = 1.0 / u
+    forward = u >= 1.0
+    return (forward, 1.0 / (u * u) if forward else u * u, math.log1p(u),
+            math.log1p(inv) if inv < math.inf else -math.log(u))
+
+
 def _populations(b: int, n: np.ndarray, forward: bool, w: np.ndarray, l1: np.ndarray,
                  l2: np.ndarray) -> np.ndarray:
     """P_b(n) at each level of n, with the w, log1p(u) and log1p(1/u) of its
-    row (diffusive._horner_args), every row of one direction.
+    row (_horner_args), every row of one direction.
 
     Per element these are the operations of diffusive._weight, in its order,
     rescaling included, in one loop over p for all elements: a ratio past
@@ -230,7 +245,7 @@ def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
     for t in ts:
         check_time(t)
     b = cfg.b
-    kts = [cfg.kappa * t for t in ts]
+    kts = [cfg.kappa * float(t) for t in ts]
     cuts = [None if kt == 0.0 else _cut(b, kt, rel_eps) for kt in kts]
     # The kept rows end to end in one array, those summed in reverse first.
     kept = sorted(((_horner_args(kt), i, cut[0] + 1)

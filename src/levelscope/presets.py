@@ -50,14 +50,16 @@ def builtin_preset_names() -> tuple[str, ...]:
 def resolve_preset(name_or_path: str) -> str:
     """Return the config text for a bundled preset name or a file path.
 
-    A name ending in .cfg is always a path. FileNotFoundError, naming the
-    preset and listing the bundled ones, when there is no such file or
-    bundled preset; ValueError naming the preset when it exists but is no
-    readable UTF-8 text (a directory, an unreadable file, undecodable bytes).
+    A name ending in .cfg or with a directory part is always a path: only a
+    bare name that is no file is looked up among the bundled presets.
+    FileNotFoundError, naming the preset and listing the bundled ones, when
+    there is no such file or bundled preset; ValueError naming the preset
+    when it exists but is no readable UTF-8 text (a directory, an unreadable
+    file, undecodable bytes).
     """
     path = Path(name_or_path)
     try:
-        if path.suffix != ".cfg" and not path.exists():
+        if path.suffix != ".cfg" and path.name == name_or_path and not path.exists():
             path = resources.files("levelscope.data") / f"{name_or_path}.cfg"
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:

@@ -153,12 +153,6 @@ class Hydrogenoid(ModelParams):
         return 2.0 * math.pi * n**3 / mu_z2_e4
 
 
-# Morse._top: the relative slack on its closed-form root, and the least omega
-# for which omega v (v >= 1/4) is a normal double with a relative rounding.
-_SLACK = 2.0**-48
-_OMEGA_NORMAL = 2.0**-1000
-
-
 class Morse(ModelParams):
     """Morse well U(x) = depth (e^(-2 alpha x) - 2 e^(-alpha x)).
 
@@ -207,34 +201,33 @@ class Morse(ModelParams):
         )
 
     def _top(self) -> int:
-        # Levels are kept while they still climb (d E / d n > 0, i.e.
-        # n + 1/2 < anharmonicity / 2) and stay below dissociation (E(n) < 0):
-        # the top level is the last n of the climbing range whose computed
-        # E(n) is negative, found by walking down from the top of that range.
-        a = self.anharmonicity
-        n_top = math.ceil((a - 1.0) / 2.0) - 1
-        if n_top >= 0 and self._energy(n_top) >= 0.0 and self.omega >= _OMEGA_NORMAL:
-            # E(n_top) is finite, so no square below it overflows, and with
-            # omega v normal (v = n + 1/2) every computed E_n is within
-            # 3.01 * 2^-53 (depth + omega v) of the true one. Below a / 2,
-            # omega v < 2 omega (v - v^2 / a), so each level with
-            # omega (v - v^2 / a) > (1 + S) depth, S = 2^-48, computes
-            # E_n >= 0: all levels above the smaller root v_s of that
-            # quadratic, in the stable form 2 q / (1 + sqrt(1 - 4 q / a))
-            # with q = (1 + S) depth / omega. The walk would pass them all;
-            # it starts just above v_s instead, and walks only the levels
-            # whose sign rounding could decide. S is twice that rounding
-            # band plus the rounding of v_s, and r < 1 - S keeps a rounded r
-            # from hiding a real r >= 1 (no root: every level is bound).
-            q = (1.0 + _SLACK) * (self.depth / self.omega)
-            r = 4.0 * q / a
-            if r < 1.0 - _SLACK:
-                n_top = min(n_top, math.ceil(2.0 * q / (1.0 + math.sqrt(1.0 - r))) + 1)
-        while n_top >= 0 and self._energy(n_top) >= 0.0:
-            n_top -= 1
-        if n_top < 0:
+        # Levels are kept while they still climb (dE/dn > 0) and stay below
+        # dissociation (E(n) < 0). With k = 2n + 1 and depth, omega and a =
+        # anharmonicity the exact ratios of their doubles, level n climbs
+        # iff k < a, and 4 a E(n) < 0 iff omega k^2 - 2 a omega k + 4 a depth
+        # > 0, a parabola that only falls where k < a. So the bound levels
+        # are a prefix of the climbing ones, and a bisection that decides
+        # each level in integers finds the last.
+        pd, qd = self.depth.as_integer_ratio()
+        pw, qw = self.omega.as_integer_ratio()
+        pa, qa = self.anharmonicity.as_integer_ratio()
+        # The parabola times qd qw qa is positive iff c > s k (2 pa - qa k);
+        # their common factor goes, which halves the cost at the ends of the
+        # float range.
+        s, c = pw * qd, 4 * pa * pd * qw
+        g = math.gcd(s, c)
+        s, c = s // g, c // g
+        lo, hi = -1, ((pa - 1) // qa - 1) // 2  # hi: the last n with (2n + 1) qa < pa
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            k = 2 * mid + 1
+            if c > s * k * (2 * pa - qa * k):
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo < 0:
             raise IndexOutOfSpectrum("Morse well too shallow to hold any level")
-        return n_top
+        return lo
 
 
 class Quartic(ModelParams):

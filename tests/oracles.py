@@ -8,15 +8,16 @@ it needs (the A07 audit of `fidelity_overlap`), the 50-digit tails of the
 trace and the first two moments beyond a level cut in closed form, the
 moments of a distribution's stored weights, the level weight as a
 log-space p-sum in double precision (a cross-check by another algorithm,
-with its own ln k!), and the plain forms of the hot paths: <y(b)> composed
-point by point from the moment helpers, and the Morse ceiling search walked
-down one level at a time from the top of the climbing range.
+with its own ln k!), the plain form of a hot path (<y(b)> composed point
+by point from the moment helpers), and the Morse well's energies and its
+last bound level, decided in exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import mpmath as mp
@@ -24,7 +25,6 @@ import numpy as np
 
 from levelscope import diffusive, open_system
 from levelscope.numerics import NonConvergent, ZeroEnergy
-from levelscope.spectra import IndexOutOfSpectrum
 from levelscope.open_system import DiffusiveConfig, check_time
 
 
@@ -259,16 +259,25 @@ def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> diffusive.YMeanPoint:
     )
 
 
-def morse_top_reference(well) -> int:
-    """The top bound level of a Morse well: the walk down, one level at a
-    time, from the last level that still climbs (n + 1/2 < anharmonicity / 2)
-    to the first whose energy is below dissociation."""
-    n_top = math.ceil((well.anharmonicity - 1.0) / 2.0) - 1
-    while n_top >= 0 and well._energy(n_top) >= 0.0:
-        n_top -= 1
-    if n_top < 0:
-        raise IndexOutOfSpectrum("Morse well too shallow to hold any level")
-    return n_top
+def morse_energy_exact(well, n: int) -> Fraction:
+    """E(n) = -depth + omega (v - v^2 / anharmonicity), v = n + 1/2, exactly,
+    in the rationals of the well's doubles."""
+    v, a = Fraction(2 * n + 1, 2), Fraction(well.anharmonicity)
+    return -Fraction(well.depth) + Fraction(well.omega) * (v - v * v / a)
+
+
+def morse_is_bound(well, n: int) -> bool:
+    """Level n still climbs (2n + 1 < anharmonicity) and lies below
+    dissociation (E(n) < 0), both decided exactly."""
+    return 2 * n + 1 < Fraction(well.anharmonicity) and morse_energy_exact(well, n) < 0
+
+
+def morse_top_is_exact(well, top: int | None) -> bool:
+    """top is the well's last bound level (None: the well holds none): top is
+    bound, and top + 1 (level 0 for None) is not. E rises while the levels
+    climb, so the bound levels are a prefix and top is the last of them."""
+    above = 0 if top is None else top + 1
+    return (top is None or morse_is_bound(well, top)) and not morse_is_bound(well, above)
 
 
 def stored_moments(dist: open_system.FockDistribution) -> tuple[float, float, float]:

@@ -789,6 +789,26 @@ def test_missing_preset_names_it_and_the_bundled_ones(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["{tmp}/p/x", "p/x"])
+@pytest.mark.parametrize("command", ["criterion", "scan"])
+def test_preset_path_is_never_a_bundled_name(tmp_path, monkeypatch, capsys, command, name):
+    # Only a bare name is looked up among the bundled presets, so a missing
+    # path does not load the x.cfg beside it, and a bundled name still loads.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "x.cfg").write_text("model = box\nmass = 1\nwidth = 1\n")
+    (tmp_path / "out").mkdir()
+    preset = name.format(tmp=tmp_path)
+    tail = ["--n", "3"] if command == "criterion" else ["--out", "out/s.csv"]
+    assert main([command, "--preset", preset, *tail]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: no preset file {preset!r} and no bundled preset of that "
+                            "name (bundled: h2_morse)\n")
+    assert list((tmp_path / "out").iterdir()) == []
+    assert main([command, "--preset", "h2_morse", *tail]) == 0
+
+
 @pytest.mark.parametrize("kind, reason", [("directory", "Is a directory"),
                                           ("not-utf8", "can't decode byte 0xff"),
                                           ("name-too-long", "File name too long")])

@@ -121,6 +121,18 @@ def test_fidelity_reports_a_bath_mismatch_before_an_index_mismatch(field):
         fidelity_overlap(upper, DiffusiveConfig(b=4, kappa=1.0, omega=1.0, lam=1.0), 0.1)
 
 
+# F(b, t) = P_b(b - 1, 2t): at x = 4 kappa t, F's sum is
+# x^(2b-1) (1+x)^(-2b) S(b, b-1, 1/x^2), fock_weight's at n = b - 1 and u = x.
+# The two share the sum, not its prefactor, so each checks the other. The
+# grid runs both directions; b = 284 and 285 straddle the end of the plain
+# loop, and 300, 400 and 1000 rescale.
+@pytest.mark.parametrize("b", [*range(1, 41), 284, 285, 300, 400, 1000])
+def test_fidelity_is_the_weight_of_the_level_below_at_twice_the_time(b):
+    for kt in log_points(1e-4, 1e3, 71):
+        weight = fock_weight(cfg_for(b), b - 1, 2.0 * kt)
+        assert fidelity_overlap(*pair_for(b), kt) == pytest.approx(weight, rel=1e-12, abs=0.0)
+
+
 def test_fidelity_closed_form_stays_in_bounds():
     value = fidelity_closed_form(cfg_for(3), 1.0)
     assert 0.0 <= value <= 1.0

@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelscope import diffusive, open_system
-from levelscope.diffusive import fidelity_overlap, survival
+from levelscope.diffusive import fidelity_overlap, mean_y_point, survival
 from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
 from levelscope.open_system import DiffusiveConfig, FockDistribution, distribution, fock_weight
 from oracles import stored_moments, tail_moments, weight_oracle, weight_psum
@@ -168,6 +169,42 @@ def test_kappa_t_at_the_ends_of_the_float_range(func):
             weights = distribution(cfg_for(3), kt).weights
             assert np.all(np.isfinite(weights)) and weights[3] == 1.0
             assert weights[2] == value > 0.0
+
+
+# Each takes a numpy scalar time as a Python float before kappa * t: a
+# product that overflows warns nowhere, and np.float64 times keep the bits of
+# float ones.
+AT_TIME = {
+    "survival": survival,
+    "fock_weight": lambda cfg, t: fock_weight(cfg, 2, t),
+    "fidelity_overlap": lambda cfg, t: fidelity_overlap(
+        cfg, DiffusiveConfig(cfg.b - 1, cfg.kappa, cfg.omega, cfg.lam), t),
+    "mean_y_point": mean_y_point,
+    "distribution": distribution,
+}
+
+
+def _bits(value):
+    if isinstance(value, FockDistribution):
+        return value.weights.tobytes(), value.n_cut, value.tail_bound.hex()
+    return repr(value)
+
+
+@pytest.mark.parametrize("func", list(AT_TIME))
+def test_numpy_scalar_time_is_a_float_time(func):
+    call = AT_TIME[func]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call(DiffusiveConfig(3, 1e10, 0.1, 1.0), np.float64(1e300))
+        except ValueError as exc:  # the closed-form <N^2>
+            assert str(exc) == "<N^2> overflows at kappa*t = inf"
+            assert func in ("mean_y_point", "distribution")
+        else:
+            assert value == 0.0
+        cfg = DiffusiveConfig(3, 1.0, 0.1, 1.0)
+        for t in (1e-320, 0.1, 0.3, 7.0):
+            assert _bits(call(cfg, np.float64(t))) == _bits(call(cfg, t))
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from levelscope.spectra import (
     superposition_delta_e,
     threshold_scan,
 )
-from oracles import morse_top_reference
+from oracles import morse_energy_exact, morse_top_is_exact
 
 BOX = Box(mass=1.0, width=1.0)
 HYD = Hydrogenoid()
@@ -467,18 +468,20 @@ def test_morse_levels_climb_then_stop():
         period(model, top + 1)
 
 
-def _top_or_error(top, well):
+def _top_or_none(well):
     try:
-        return top(well)
+        return well._top()
     except IndexOutOfSpectrum as exc:
-        return str(exc)
+        assert str(exc) == "Morse well too shallow to hold any level"
+        return None
 
 
-# The ceiling search starts at the closed-form root of E and walks the rest;
-# the one-level walk from the top of the climbing range is its reference.
-# Wells up to anharmonicity 2e5 keep that walk short; omega is drawn freely,
-# near 4 depth / anharmonicity (where E(n) barely reaches 0 at the top of the
-# range), and within a few ulps of it.
+# Each top is checked against an exact evaluation of E in rationals. Wells up
+# to anharmonicity 2e5, omega drawn freely, near 4 depth / anharmonicity
+# (where E(n) barely reaches 0 at the top of the climbing range), and within
+# a few ulps of it. The exact top can differ from the rounded sign of E:
+# at anharmonicity 10 ** 1e-9 and the fitted omega, E(0) = -1.06e-17 computes
+# as 0.0, so the well holds level 0.
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(
     depth=SCALE,
@@ -497,23 +500,85 @@ def _top_or_error(top, well):
 @example(depth=1.0, anharmonicity=1e5, omega=("free", 1e-320))
 @example(depth=1e-320, anharmonicity=1e5, omega=("free", 1.0))
 @example(depth=1e300, anharmonicity=1e5, omega=("free", 1e-300))
-def test_morse_top_is_the_one_level_walk(depth, anharmonicity, omega):
+@example(depth=1.0, anharmonicity=10.0**1e-9, omega=("fitted", 1.0))
+def test_morse_top_is_the_exact_last_bound_level(depth, anharmonicity, omega):
     kind, value = omega
     omega = value if kind == "free" else 4.0 * depth / anharmonicity * value
     if not 0.0 < omega < math.inf:
         return
     well = Morse(depth, 1.0, anharmonicity, 1.0, 1.0, omega)
-    assert _top_or_error(Morse._top, well) == _top_or_error(morse_top_reference, well)
+    top = _top_or_none(well)
+    assert morse_top_is_exact(well, top)
 
 
-@pytest.mark.parametrize("anharmonicity", [1e7, 1e12, 1e100, 1e200])
+# The whole float range: depth and omega over 1e-300..1e300 and capacities
+# up to 1e300, where the top can lie far past 2^53 and n + 1/2 no longer
+# resolves single levels in floats.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(depth=SCALE, omega=SCALE, anharmonicity=_log_uniform(-1.0, 300.0))
+@example(depth=1e300, omega=1e-300, anharmonicity=1e300)
+def test_morse_top_over_the_float_range(depth, omega, anharmonicity):
+    well = Morse(depth, 1.0, anharmonicity, 1.0, 1.0, omega)
+    assert morse_top_is_exact(well, _top_or_none(well))
+
+
+# Wells whose root in n lies within a few ulps of an integer: depth is the
+# rounded omega (v - v^2 / a) of a level v = n + 1/2, moved by up to four
+# ulps either way, so E of that level is within rounding of 0.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(anharmonicity=_log_uniform(0.5, 12.0), omega=_log_uniform(-30.0, 30.0),
+       where=st.floats(0.0, 1.0), ulps=st.integers(-4, 4))
+def test_morse_top_when_a_level_sits_at_the_root(anharmonicity, omega, where, ulps):
+    v = int(where * (anharmonicity - 1.0) / 2.0) + 0.5
+    depth = omega * (v - v * v / anharmonicity)
+    for _ in range(abs(ulps)):
+        depth = math.nextafter(depth, math.copysign(math.inf, ulps))
+    if depth > 0.0:
+        well = Morse(depth, 1.0, anharmonicity, 1.0, 1.0, omega)
+        assert morse_top_is_exact(well, _top_or_none(well))
+
+
+def _best_seconds(call, repeat=5):
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_morse_top_of_a_deep_well():
+    # Near n = 1e21, n + 1/2 no longer resolves single levels in floats; the
+    # top is decided exactly, with E(top) = -0.530 and E(top + 1) = +0.450.
+    well = Morse(1e21, 1.0, 1e23, 1.0, 1.0, 1.0)
+    top = 1010205144336438036927
+    assert well._top() == top
+    assert morse_top_is_exact(well, top)
+    assert -0.531 < morse_energy_exact(well, top) < -0.529
+    assert 0.449 < morse_energy_exact(well, top + 1) < 0.451
+    assert _best_seconds(well._top) < 1e-3
+
+
+# The widest wells take the most bisection steps, about 1024.
+@pytest.mark.parametrize("depth, anharmonicity, omega", [
+    (1.7976931348623157e308, 1.7976931348623157e308, 5e-324),
+    (5e-324, 1.7976931348623157e308, 1.7976931348623157e308),
+    (1.0, 1.7976931348623157e308, 2.0**-1022),
+])
+def test_morse_top_at_the_ends_of_the_float_range(depth, anharmonicity, omega):
+    well = Morse(depth, 1.0, anharmonicity, 1.0, 1.0, omega)
+    assert morse_top_is_exact(well, _top_or_none(well))
+    assert _best_seconds(lambda: _top_or_none(well), repeat=3) < 1e-2
+
+
+@pytest.mark.parametrize("anharmonicity", [1e7, 1e12, 1e100, 1.3e154, 1e200])
 def test_morse_top_of_a_wide_well(anharmonicity):
-    # Levels pass dissociation at n = 1 of about anharmonicity / 2 climbing
-    # ones; from 1.3e154 up, (n + 1/2)^2 overflows at the top of the range,
-    # E comes out -inf there, and the walk stops at once, as it always did.
+    # Levels pass dissociation at n = 1, E(1) = 1/2 - 9 / (4 anharmonicity),
+    # of about anharmonicity / 2 climbing ones, also where (n + 1/2)^2
+    # overflows at the top of that range.
     well = Morse(1.0, 1.0, anharmonicity, 1.0, 1.0, 1.0)
-    expected = 0 if anharmonicity < 1e154 else math.ceil((anharmonicity - 1.0) / 2.0) - 1
-    assert well._top() == expected
+    assert well._top() == 0
+    assert morse_top_is_exact(well, 0)
 
 
 def test_morse_period_grows_toward_dissociation():
