@@ -36,7 +36,7 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .numerics import NonConvergent, SystemExit2, ZeroEnergy
+from .numerics import NonConvergent, ZeroEnergy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,9 +87,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ZeroEnergy, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

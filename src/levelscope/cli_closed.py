@@ -11,7 +11,7 @@ from __future__ import annotations
 from argparse import ArgumentParser, Namespace
 from pathlib import Path
 
-from .numerics import SystemExit2, fmt
+from .numerics import fmt
 
 # Type checkers read this TYPE_CHECKING as typing's; defining it here keeps
 # typing unloaded.
@@ -20,16 +20,25 @@ if TYPE_CHECKING:
     from .spectra import ModelParams
 
 
+# The model flags: dest -> (flag, type, default, help). Each sets the model
+# field of its dest, and --mass the hydrogenoid's reduced_mass. Declared with
+# no default, so model_from_args tells a flag given from one left out.
+_MODEL_FLAGS = {
+    "mass": ("--mass", float, 1.0, "mass (or reduced mass)"),
+    "width": ("--width", float, 1.0, "box width"),
+    "omega": ("--omega", float, 1.0, None),
+    "lam": ("--lambda", float, 1.0, "quartic nonlinearity"),
+    "charge_number": ("--charge-number", int, 1, None),
+    "charge": ("--charge", float, 1.0, None),
+}
+
+
 def add_arguments(command: str, sub: ArgumentParser) -> None:
     """Declare the flags of command, `criterion` or `scan`, on its subparser."""
     sub.add_argument("--model", choices=("harmonic", "box", "hydrogenoid", "morse", "quartic"))
     sub.add_argument("--preset", help="bundled preset name (e.g. h2_morse) or config file path")
-    sub.add_argument("--mass", type=float, default=1.0, help="mass (or reduced mass)")
-    sub.add_argument("--width", type=float, default=1.0, help="box width")
-    sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--lambda", dest="lam", type=float, default=1.0, help="quartic nonlinearity")
-    sub.add_argument("--charge-number", type=int, default=1)
-    sub.add_argument("--charge", type=float, default=1.0)
+    for dest, (flag, kind, _, help_text) in _MODEL_FLAGS.items():
+        sub.add_argument(flag, dest=dest, type=kind, help=help_text)
     if command == "criterion":
         sub.add_argument("--n", type=int, required=True)
         sub.add_argument("--format", choices=("table", "json"), default="table")
@@ -44,19 +53,30 @@ def add_arguments(command: str, sub: ArgumentParser) -> None:
 
 
 def model_from_args(args: Namespace) -> ModelParams:
+    """The model of --preset, or of --model and its flags. A model flag the
+    model would not read raises ValueError naming it."""
+    given = [flag for dest, (flag, *_) in _MODEL_FLAGS.items() if getattr(args, dest) is not None]
     if args.preset:
+        if args.model or given:
+            raise ValueError(f"{'--model' if args.model else given[0]} does not apply with "
+                             f"--preset, which sets the model and each of its fields")
         from . import presets
 
         return presets.load_model(args.preset)
     if not args.model:
-        raise SystemExit2("one of --model or --preset is required")
+        raise ValueError("one of --model or --preset is required")
     if args.model == "morse":
-        raise SystemExit2("morse runs from a preset file: use --preset h2_morse or a path")
+        raise ValueError("morse runs from a preset file: use --preset h2_morse or a path")
     from . import spectra
 
-    # One flag per field; --mass is also the hydrogenoid's reduced_mass.
     cls = spectra.MODELS[args.model]
-    return cls(*[getattr(args, "mass" if f == "reduced_mass" else f) for f in cls._fields])
+    dests = ["mass" if f == "reduced_mass" else f for f in cls._fields]
+    reads = [_MODEL_FLAGS[dest][0] for dest in dests]
+    if stray := [flag for flag in given if flag not in reads]:
+        raise ValueError(f"{stray[0]} does not apply to --model {args.model}, "
+                         f"which reads {', '.join(reads)}")
+    values = [getattr(args, dest) for dest in dests]
+    return cls(*[_MODEL_FLAGS[d][2] if v is None else v for d, v in zip(dests, values)])
 
 
 def _cmd_criterion(args: Namespace) -> int:
@@ -105,7 +125,7 @@ def _cmd_scan(args: Namespace) -> int:
     top = spectra.max_index(model)
     if n_max is None:
         if top is None:
-            raise SystemExit2("--n-max is required for models without a level ceiling")
+            raise ValueError("--n-max is required for models without a level ceiling")
         n_max = top
     result = spectra.threshold_scan(model, args.n_min, n_max)
     # A CriterionPoint is the tuple of its fields, in the column order below.

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from . import __version__
-from .numerics import FLOAT_FMT, MAX_TERMS, REL_EPS, SystemExit2
+from .numerics import FLOAT_FMT, MAX_TERMS, REL_EPS
 
 # The SOURCE_DATE_EPOCH range whose timestamp is a four-digit-year ISO 8601
 # date: 1970-01-01T00:00:00Z through 9999-12-31T23:59:59Z.
@@ -42,8 +42,8 @@ def build_manifest(args: Namespace, command: str, extra: dict[str, str] | None =
         except ValueError:
             seconds = -1
         if not 0 <= seconds <= _MAX_EPOCH:
-            raise SystemExit2(f"SOURCE_DATE_EPOCH must be an integer count of seconds from "
-                              f"0 to {_MAX_EPOCH} (9999-12-31T23:59:59Z), got {epoch!r}")
+            raise ValueError(f"SOURCE_DATE_EPOCH must be an integer count of seconds from "
+                             f"0 to {_MAX_EPOCH} (9999-12-31T23:59:59Z), got {epoch!r}")
     else:
         seconds = int(time.time())
     return {
@@ -116,11 +116,12 @@ def write_table(
     if fmt == "json":
         import json
 
+        # json encodes a tuple row, a Frozen one included, as a list would be.
         payload = {
             "manifest": manifest,
             "units": unit_note,
             "columns": list(header),
-            "rows": [[v for v in row] for row in rows],
+            "rows": rows,
             "footer": list(footer_comments),
         }
         write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

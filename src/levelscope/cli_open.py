@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from .cli_files import build_manifest, csv_blocks, write_csv, write_table, write_text
-from .numerics import REL_EPS, SystemExit2, check_rel_eps, fmt
+from .numerics import REL_EPS, check_rel_eps, fmt
 
 _CURVE_DEFAULT_B = {"fidelity": (1, 5, 10, 15), "ymean": (2, 5, 10, 15)}
 
@@ -84,7 +84,7 @@ def _kt_grid(args: argparse.Namespace) -> list[float]:
             raise ValueError
         start, stop, points = float(start), float(stop), int(points)
     except ValueError:
-        raise SystemExit2(f"grid must look like log:START:STOP:POINTS, got {spec!r}") from None
+        raise ValueError(f"grid must look like log:START:STOP:POINTS, got {spec!r}") from None
     return log_points(start, stop, points)
 
 
@@ -94,19 +94,20 @@ def _times(kappa: float, grid: Sequence[float]) -> list[float]:
     times = [kt / kappa for kt in grid]
     for kt, t in zip(grid, times):
         if t == math.inf:
-            raise SystemExit2(f"--kappa {kappa} is too small for the grid: "
-                              f"t = kt / kappa overflows at kappa*t = {kt:g}")
+            raise ValueError(f"--kappa {kappa} is too small for the grid: "
+                             f"t = kt / kappa overflows at kappa*t = {kt:g}")
     return times
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     # A chained comparison with inf also rejects NaN.
     if not 0.0 <= args.weight_floor < math.inf:
-        raise SystemExit2(
+        raise ValueError(
             f"--weight-floor must be finite and non-negative, got {args.weight_floor}"
         )
     check_rel_eps(args.eps)
-    from .open_system import DiffusiveConfig, distributions
+    from .diffusive import DiffusiveConfig
+    from .open_system import distributions
 
     cfg = DiffusiveConfig(b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam)
     grid = _kt_grid(args)
@@ -188,9 +189,9 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         command, omega, lam, b_values = args.command, args.omega, args.lam, args.b
     curve, columns, unit_note, title, y_label, hline, extra = _OUTPUTS[command]
     if curve == "fidelity" and min(b_values) < 1:
-        raise SystemExit2("fidelity needs b >= 1 (compares |b> with |b-1>)")
+        raise ValueError("fidelity needs b >= 1 (compares |b> with |b-1>)")
     if curve == "ymean" and min(b_values) < 1:
-        raise SystemExit2("ymean needs b >= 1")
+        raise ValueError("ymean needs b >= 1")
     from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_series, survival
 
     grid = _kt_grid(args)

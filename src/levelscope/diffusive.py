@@ -1,17 +1,19 @@
 """The scalar half of the diffusive open system, in pure Python.
 
-The run configuration, the relaxation kernels, single-level Fock weights
-and the survival P_b(b, t) they give, the neighbour fidelity F(b, t), the
-criterion <y(b)> with the closed-form moments <N>, <H0>, <tau> it is built
-on (fields of its YMeanPoint records), and the log-spaced kappa*t grid
-with the check every plotted curve passes. The weights and F are
-terminating sums of positive terms, both evaluated by one Horner's rule
-in ratio form (_nested, or its plain loop where no rescale can fire).
-None of it needs an array, so every command but `evolve` starts without numpy; open_system, which evaluates the same
-weight sums over arrays of levels, is the one module that imports numpy,
-and it re-exports the names it shares with this one. Everything here is a closed form or a finite sum, so
-the configuration holds only the physics; the level cut of open_system,
-the one truncation, takes its tolerance as an argument.
+This module owns the run configuration, the time and level checks,
+single-level Fock weights and the survival P_b(b, t) they give, the
+neighbour fidelity F(b, t), the criterion <y(b)> with the closed-form
+moments <N>, <H0>, <tau> it is built on (fields of its YMeanPoint records,
+from the one moment loop _mean_y), and the log-spaced kappa*t grid with the
+check every plotted curve passes. The weights and F are terminating sums of
+positive terms, both evaluated by one Horner's rule in ratio form (_nested,
+or its plain loop where no rescale can fire). None of it needs an array, so
+every command but `evolve` starts without numpy. open_system, the one
+module that imports numpy, evaluates the same weight sums over arrays of
+levels and borrows only the checks and the rescale constants from here.
+Everything here is a closed form or a finite sum, so the configuration
+holds only the physics; the level cut of open_system, the one truncation,
+takes its tolerance as an argument.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ class DiffusiveConfig(Frozen):
             raise ValueError(f"omega must be finite and non-negative, got {omega}")
         if not 0.0 <= lam < math.inf:
             raise ValueError(f"lam must be finite and non-negative, got {lam}")
-        return tuple.__new__(cls, (b, kappa, omega, lam))
+        # Stored as Python numbers: where a product overflows, a numpy scalar
+        # would warn and, as an integer, wrap. int() of an int and float() of
+        # a float are the value itself.
+        return tuple.__new__(cls, (int(b), float(kappa), float(omega), float(lam)))
 
 
 def check_time(t: float) -> None:
@@ -72,16 +77,6 @@ def check_level(n: int) -> None:
     """Raise ValueError unless n is a non-negative integer level index."""
     if not is_integer(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-
-
-def _kernels(kt: float) -> tuple[float, float]:
-    """Relaxation kernels (gamma, zeta) = (2kt / (1 + 2kt), 1 / (1 + 2kt)) at
-    kt = kappa*t, so zeta = 1 - gamma; exactly (0, 1) at t = 0.
-
-    These are the paper's kernels at delta = 0, the only case a diagonal
-    Fock mixture needs.
-    """
-    return 2.0 * kt / (1.0 + 2.0 * kt), 1.0 / (1.0 + 2.0 * kt)
 
 
 # The nested sums of _nested are rescaled by e^-_SPAN whenever they pass
@@ -261,30 +256,12 @@ class YMeanPoint(Frozen):
                                    mean_tau_bm1, d_energy, d_tau, y_mean))
 
 
-def _moments(b: int, kappa: float, t: float) -> tuple[float, float]:
-    """(<N>, <N^2>) of the evolved mixture in closed form.
-
-    The level populations have the generating function
-    G(s) = zeta (gamma + (zeta - gamma) s)^b / (1 - gamma s)^(b+1) with
-    gamma = u / (1 + u), zeta = 1 - gamma and u = 2 kappa t, whose first two
-    derivatives at s = 1 give <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u.
-    Exact, so no truncation certificate applies.
-    """
-    check_time(t)
-    # kappa*t first: a kappa near the float ceiling must not overflow 2*kappa.
-    u = 2.0 * (kappa * t)
-    m1 = b + u
-    m2 = b * b + 4.0 * b * u + 2.0 * u * u + u
-    if not math.isfinite(m2):
-        raise ValueError(f"<N^2> overflows at kappa*t = {kappa * t:g}")
-    return m1, m2
-
-
 def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
     """<y(b)> at each time from the closed-form moments of the b and b-1
-    mixtures, the one copy of their arithmetic: per time the checks of
-    check_time and _moments in their order, with their messages, then
-    <H0> = omega <N> + lam <N^2> and the period estimate
+    mixtures, the one copy of their arithmetic: per time check_time's check,
+    <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u at u = 2 kappa t (from the
+    level generating function, as open_system's cut takes them), checked for
+    overflow, then <H0> = omega <N> + lam <N^2> and the period estimate
     <tau> = 2 pi <N> / <H0> of each mixture. Each record is built from its
     field tuple, as YMeanPoint's check-free constructor would build it."""
     b, kappa, omega, lam = cfg_b

@@ -1,8 +1,8 @@
 """Shared numerical primitives: the integer check of index parameters, the
 truncation defaults of the level distributions and the check of their
 tolerance, the domain errors of the open-system observables, Frozen, the
-base of every value type, and what every command of the command line
-shares: its usage error and the fixed format of the floats it prints.
+base of every value type, and the fixed format of every float the command
+line prints.
 
 The module holds no mutable state, so everything here is safe to call
 from any number of threads.
@@ -20,7 +20,6 @@ __all__ = [
     "MismatchedConfig",
     "NonConvergent",
     "REL_EPS",
-    "SystemExit2",
     "ZeroEnergy",
     "check_rel_eps",
     "fmt",
@@ -93,12 +92,6 @@ class MismatchedConfig(ValueError):
 class ZeroEnergy(ArithmeticError):
     """<H0> vanishes (b = 0 at t = 0, or omega = lam = 0), so the
     period estimate 2 pi <N> / <H0> is undefined."""
-
-
-# The command line's own: every command module raises it, and the
-# dispatcher, which no module imports, maps it to exit code 2.
-class SystemExit2(Exception):
-    """Usage-level error: message on stderr, exit code 2."""
 
 
 # The one format of every float the command line prints or writes, so that

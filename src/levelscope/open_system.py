@@ -9,11 +9,13 @@ the terminating sum of diffusive.fock_weight, evaluated element by element
 over flat vectors of levels a fixed number at a time. The level
 populations depend only on the initial index b and on the dimensionless
 time kappa*t; omega and lam ride along in the configuration because energy
-observables need them. The configuration, the kernels and the
-single-level weight fock_weight live in the numpy-free diffusive module
-and are re-exported here. The cut is the one truncation, so distributions
-alone takes a tolerance: its rel_eps argument (default numerics.REL_EPS),
-with at most numerics.MAX_TERMS levels per row.
+observables need them. This module owns the rows and their cut, which
+derives its own kernels and moments; from diffusive, home of the
+configuration and fock_weight, it borrows only the time and level checks
+and the rescale constants that the scalar and array sums must share bit
+for bit, and it re-exports nothing. The cut is the one truncation, so
+distributions alone takes a tolerance: its rel_eps argument (default
+numerics.REL_EPS), with at most numerics.MAX_TERMS levels per row.
 """
 
 from __future__ import annotations
@@ -23,11 +25,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .diffusive import (_BIG, _SHRINK, _SPAN, DiffusiveConfig, _kernels, _moments, check_level,
-                        check_time, fock_weight)
+from .diffusive import _BIG, _SHRINK, _SPAN, check_level, check_time
 from .numerics import MAX_TERMS, REL_EPS, Frozen, NonConvergent, check_rel_eps
 
-__all__ = ["DiffusiveConfig", "FockDistribution", "fock_weight", "distribution", "distributions"]
+# Type checkers read this TYPE_CHECKING as typing's; typing stays unloaded.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .diffusive import DiffusiveConfig
+
+__all__ = ["FockDistribution", "distribution", "distributions"]
 
 
 class FockDistribution(Frozen):
@@ -123,17 +129,21 @@ def _bounds(b: int, g: float, z: float, L: int) -> tuple[float, float, float] | 
 def _cut(b: int, kt: float, eps: float) -> tuple[int, float]:
     """(n_cut, trace tail bound) of row P_b at kappa*t = kt, before any weight.
 
-    n_cut is the smallest L >= b found at which the trace bound is at most
-    eps and each moment bound at most eps * max(m, 1), with m the
-    closed-form moment <N> or <N^2> of diffusive._moments: by doubling,
-    then by bisection that keeps the passing end, so every cut returned is
-    proven. The row then spans n_cut + 1 <= MAX_TERMS levels. Raises
-    ValueError when <N^2> overflows.
+    With u = 2kt, the kernels are gamma = u / (1 + u) and zeta = 1 / (1 + u)
+    (the paper's at delta = 0), and G's derivatives at s = 1 give the exact
+    moments <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u. n_cut is the
+    smallest L >= b found at which the trace bound is at most eps and each
+    moment bound at most eps * max(m, 1): by doubling, then by bisection
+    that keeps the passing end, so every cut returned is proven, with
+    n_cut + 1 <= MAX_TERMS. Raises ValueError when <N^2> overflows (kt past
+    about 4.74e153, or inf).
     """
-    g, z = _kernels(kt)
-    # kt as the rate over unit time: a kappa*t that overflowed to inf is then
-    # reported as an overflowing <N^2>, like any kt past about 4.74e153.
-    m1, m2 = _moments(b, kt, 1.0)
+    u = 2.0 * kt
+    m1 = b + u
+    m2 = b * b + 4.0 * b * u + 2.0 * u * u + u
+    if not math.isfinite(m2):
+        raise ValueError(f"<N^2> overflows at kappa*t = {kt:g}")
+    g, z = u / (1.0 + u), 1.0 / (1.0 + u)
     targets = (eps, eps * max(m1, 1.0), eps * max(m2, 1.0))
 
     def tail(L: int) -> float | None:
@@ -179,10 +189,9 @@ def _horner_args(kt: float) -> tuple[bool, float, float, float]:
     forward is u >= 1, where the sums run in w = 1/u^2, and below they run
     reversed in w = u^2; log1p(u) and log1p(1/u) are -ln zeta and -ln gamma.
     Where 1/u overflows (u below 2^-1024), log1p(1/u) is taken as -log(u),
-    which it equals to within u, relative. kt is taken as a Python float, so
-    a numpy scalar kappa*t does not warn at the ends of the float range.
-    diffusive._weight runs the same operations inline."""
-    u = 2.0 * float(kt)
+    which it equals to within u, relative. diffusive._weight runs the same
+    operations inline."""
+    u = 2.0 * kt
     inv = 1.0 / u
     forward = u >= 1.0
     return (forward, 1.0 / (u * u) if forward else u * u, math.log1p(u),

@@ -9,8 +9,12 @@ trace and the first two moments beyond a level cut in closed form, the
 moments of a distribution's stored weights, the level weight as a
 log-space p-sum in double precision (a cross-check by another algorithm,
 with its own ln k!), the plain form of a hot path (<y(b)> composed point
-by point from the moment helpers), and the Morse well's energies and its
-last bound level, decided in exact rationals.
+by point from the closed-form moments), and the Morse well's energies and
+its last bound level, decided in exact rationals.
+
+No oracle calls the code it checks: the kernels gamma and zeta and the
+moments <N> and <N^2> are written out here, and nothing here reads a
+private name of levelscope.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from typing import Iterable, Iterator
 import mpmath as mp
 import numpy as np
 
-from levelscope import diffusive, open_system
+from levelscope.diffusive import DiffusiveConfig, YMeanPoint, check_time
 from levelscope.numerics import NonConvergent, ZeroEnergy
-from levelscope.open_system import DiffusiveConfig, check_time
+from levelscope.open_system import FockDistribution
 
 
 # ln(k!) for k = 0..20, evaluated from the exact integer factorials.
@@ -211,7 +215,7 @@ def weight_psum(b: int, n: int, kt: float) -> float:
     sum_p exp(ln C(b,p) C(n,p) + (b+n-2p) ln gamma + (2p+1) ln zeta) with
     its ln k! rebuilt as a list on each call. Its rounding grows with the
     exponents, to a few 1e-13 relative for b and n up to a few hundred."""
-    g, z = diffusive._kernels(kt)
+    g, z = 2.0 * kt / (1.0 + 2.0 * kt), 1.0 / (1.0 + 2.0 * kt)
     if g == 0.0:
         return 1.0 if n == b else 0.0
     lg, lz = math.log(g), math.log(z)
@@ -225,16 +229,29 @@ def weight_psum(b: int, n: int, kt: float) -> float:
     return acc
 
 
-def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> diffusive.YMeanPoint:
+def closed_moments(b: int, kt: float) -> tuple[float, float]:
+    """(<N>, <N^2>) = (b + u, b^2 + 4bu + 2u^2 + u) at u = 2 kappa*t, the
+    first two derivatives at s = 1 of the level generating function
+    G(s) = zeta (gamma + (zeta - gamma) s)^b / (1 - gamma s)^(b+1); a <N^2>
+    that overflows raises ValueError."""
+    u = 2.0 * kt
+    m2 = b * b + 4.0 * b * u + 2.0 * u * u + u
+    if not math.isfinite(m2):
+        raise ValueError(f"<N^2> overflows at kappa*t = {kt:g}")
+    return b + u, m2
+
+
+def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     """diffusive.mean_y_point composed step by step, one preparation at a
-    time: the moments of b and of b - 1 from diffusive._moments, then
+    time: the closed-form moments of b and of b - 1, then
     <H0> = omega <N> + lam <N^2> of each, checked for overflow."""
     b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
+    check_time(t)
     kt = kappa * t
-    m1_b, m2_b = diffusive._moments(b, kappa, t)
-    m1_m, m2_m = diffusive._moments(b - 1, kappa, t)
+    m1_b, m2_b = closed_moments(b, kt)
+    m1_m, m2_m = closed_moments(b - 1, kt)
     h0_b, h0_m = omega * m1_b + lam * m2_b, omega * m1_m + lam * m2_m
     for h0 in (h0_b, h0_m):
         if not math.isfinite(h0):
@@ -245,7 +262,7 @@ def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> diffusive.YMeanPoint:
     tau_m = 2.0 * math.pi * m1_m / h0_m
     d_energy = (h0_b - h0_m) / 2.0
     d_tau = (tau_b - tau_m) / 2.0
-    return diffusive.YMeanPoint(
+    return YMeanPoint(
         kt=kt,
         mean_n_b=m1_b,
         mean_n_bm1=m1_m,
@@ -280,7 +297,7 @@ def morse_top_is_exact(well, top: int | None) -> bool:
     return (top is None or morse_is_bound(well, top)) and not morse_is_bound(well, above)
 
 
-def stored_moments(dist: open_system.FockDistribution) -> tuple[float, float, float]:
+def stored_moments(dist: FockDistribution) -> tuple[float, float, float]:
     """(sum P, sum n P, sum n^2 P) over a distribution's stored levels."""
     n = np.arange(dist.weights.shape[0], dtype=float)
     return float(dist.weights.sum()), float(n @ dist.weights), float((n * n) @ dist.weights)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from levelscope import presets
-from levelscope.diffusive import fidelity_overlap, log_points, mean_y_point, survival
-from levelscope.open_system import DiffusiveConfig, distribution, fock_weight
+from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, log_points,
+                                  mean_y_point, survival)
+from levelscope.open_system import distribution
 from levelscope.spectra import (
     RESOLVABLE_THRESHOLD,
     Box,

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from levelscope import cli, presets, spectra
-from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, SystemExit2,
-                            build_parser, main, run)
+from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, build_parser, main,
+                            run)
 from levelscope.cli_closed import model_from_args
 from levelscope.cli_files import csv_rows
 from levelscope.numerics import fmt
@@ -319,9 +319,40 @@ def test_model_flags_build_the_constructor_model(argv, model):
 
 def test_morse_flags_point_to_a_preset():
     args = build_parser().parse_args(["criterion", "--model", "morse", "--n", "2"])
-    with pytest.raises(SystemExit2) as exc:
+    with pytest.raises(ValueError) as exc:
         model_from_args(args)
     assert str(exc.value) == "morse runs from a preset file: use --preset h2_morse or a path"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "box", "--omega", "3", "--charge", "7"],
+         "--omega does not apply to --model box, which reads --mass, --width"),
+        (["--model", "harmonic", "--lambda", "2"],
+         "--lambda does not apply to --model harmonic, which reads --mass, --omega"),
+        (["--model", "hydrogenoid", "--width", "2"],
+         "--width does not apply to --model hydrogenoid, "
+         "which reads --mass, --charge-number, --charge"),
+        (["--model", "quartic", "--mass", "2"],
+         "--mass does not apply to --model quartic, which reads --omega, --lambda"),
+        (["--preset", "h2_morse", "--mass", "50"],
+         "--mass does not apply with --preset, which sets the model and each of its fields"),
+        (["--model", "box", "--preset", "h2_morse"],
+         "--model does not apply with --preset, which sets the model and each of its fields"),
+    ],
+    ids=["box-omega", "harmonic-lambda", "hydrogenoid-width", "quartic-mass", "preset-mass",
+         "preset-model"],
+)
+@pytest.mark.parametrize("command", ["criterion", "scan"])
+def test_stray_model_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, argv, message):
+    # A flag the chosen model would not read is refused by name, never ignored.
+    out = tmp_path / "scan.csv"
+    tail = ["--n", "3"] if command == "criterion" else ["--n-max", "5", "--out", str(out)]
+    assert main([command, *argv, *tail]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_rows_format_each_value_as_fmt():

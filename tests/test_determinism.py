@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from levelscope import cli
-from levelscope.diffusive import fidelity_overlap, log_points, mean_y_series, survival
-from levelscope.open_system import DiffusiveConfig, distribution
+from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, log_points, mean_y_series,
+                                  survival)
+from levelscope.open_system import distribution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

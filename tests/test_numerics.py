@@ -11,9 +11,10 @@ import mpmath as mp
 import pytest
 
 from levelscope import numerics
-from levelscope.diffusive import DiffusiveConfig, YMeanPoint, mean_y_point, mean_y_series
+from levelscope.diffusive import (DiffusiveConfig, YMeanPoint, fock_weight, mean_y_point,
+                                  mean_y_series)
 from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
-from levelscope.open_system import FockDistribution, _kernels, distribution, distributions
+from levelscope.open_system import FockDistribution, distribution, distributions
 from levelscope.spectra import (
     Box,
     CriterionPoint,
@@ -69,28 +70,37 @@ def test_log_factorial_consecutive_difference_is_log_k():
 # kernel
 
 
+# The kernels gamma = 2kt / (1 + 2kt) and zeta = 1 / (1 + 2kt) are the row of
+# the vacuum: P_0(n) = zeta gamma^n.
 def test_kernel_at_t_zero():
-    assert _kernels(0.0) == (0.0, 1.0)
+    # (gamma, zeta) = (0, 1): level 0 holds everything, exactly.
+    cfg = DiffusiveConfig(b=0, kappa=0.7)
+    assert fock_weight(cfg, 0, 0.0) == 1.0 and fock_weight(cfg, 1, 0.0) == 0.0
+    dist = distribution(cfg, 0.0)
+    assert (dist.n_cut, dist.tail_bound, dist.weight(0)) == (0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("kt", [0.01, 0.1, 1.0, 10.0, 100.0])
 def test_kernel_n0_closed_forms(kt):
-    # The weights pass kt = kappa*t; the paper writes the kernel with
-    # (2 kappa) t. Doubling is exact, so both forms round alike.
+    # The weights take kt = kappa*t; the paper writes the kernel with
+    # (2 kappa) t. P_0(0) = zeta, and P_0(n+1) / P_0(n) = gamma.
     kappa = 0.7
     t = kt / kappa
-    gamma, zeta = _kernels(kappa * t)
-    assert gamma == 2.0 * kappa * t / (1.0 + 2.0 * kappa * t)
-    assert zeta == 1.0 / (1.0 + 2.0 * kappa * t)
-    assert gamma == pytest.approx(2 * kt / (1 + 2 * kt), rel=1e-14)
-    assert zeta == pytest.approx(1 / (1 + 2 * kt), rel=1e-14)
+    gamma = 2.0 * kappa * t / (1.0 + 2.0 * kappa * t)
+    zeta = 1.0 / (1.0 + 2.0 * kappa * t)
+    cfg = DiffusiveConfig(b=0, kappa=kappa)
+    weights = [fock_weight(cfg, n, t) for n in range(4)]
+    assert weights[0] == pytest.approx(zeta, rel=1e-14)
+    for low, high in zip(weights, weights[1:]):
+        assert high / low == pytest.approx(gamma, rel=1e-14)
 
 
 @pytest.mark.parametrize("kt", [1e-3, 0.05, 0.5, 5.0, 50.0])
 def test_kernel_n0_normalization_seed(kt):
-    # zeta / (1 - gamma) = 1 for the n = 0 kernels.
-    gamma, zeta = _kernels(kt)
-    assert zeta / (1.0 - gamma) == pytest.approx(1.0, abs=1e-12)
+    # zeta / (1 - gamma) = 1, so the geometric row sums to one: its kept
+    # levels fall short of one by the true tail, at most the proven bound.
+    dist = distribution(DiffusiveConfig(b=0, kappa=1.0), kt)
+    assert abs(1.0 - dist.trace()) <= dist.tail_bound + 1e-13
 
 
 # ---------------------------------------------------------------------------

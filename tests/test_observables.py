@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from levelscope.cli import main
 from levelscope.diffusive import (
+    DiffusiveConfig,
     check_curve,
     fidelity_overlap,
     fock_weight,
@@ -20,7 +21,7 @@ from levelscope.diffusive import (
     survival,
 )
 from levelscope.numerics import MismatchedConfig, ZeroEnergy
-from levelscope.open_system import DiffusiveConfig, distribution
+from levelscope.open_system import distribution
 from oracles import (
     fidelity_closed_form,
     fidelity_direct,

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelscope import diffusive, open_system
-from levelscope.diffusive import fidelity_overlap, mean_y_point, survival
+from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, mean_y_point,
+                                  survival)
 from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
-from levelscope.open_system import DiffusiveConfig, FockDistribution, distribution, fock_weight
+from levelscope.open_system import FockDistribution, distribution
 from oracles import stored_moments, tail_moments, weight_oracle, weight_psum
 
 
@@ -205,6 +206,42 @@ def test_numpy_scalar_time_is_a_float_time(func):
         cfg = DiffusiveConfig(3, 1.0, 0.1, 1.0)
         for t in (1e-320, 0.1, 0.3, 7.0):
             assert _bits(call(cfg, np.float64(t))) == _bits(call(cfg, t))
+
+
+@pytest.mark.parametrize("func", [*AT_TIME, "distributions"])
+def test_numpy_scalar_parameters_are_float_parameters(func):
+    # DiffusiveConfig stores b as a Python int and kappa, omega and lam as
+    # Python floats, so a product that overflows is exact or inf and the call
+    # returns or raises as it does for Python parameters, where a numpy
+    # scalar would warn or wrap.
+    call = AT_TIME.get(func) or (lambda cfg, t: open_system.distributions(cfg, [t])[0])
+    f64 = np.float64
+    cases = [
+        ((3, f64(1e10), 0.1, 1.0), 1e300, "<N^2> overflows at kappa*t = inf"),
+        ((3, 1.0, f64(1e308), 1.0), 1.0, "<H0> overflows at kappa*t = 1"),
+        ((3, 1.0, 0.1, f64(1e308)), 1.0, "<H0> overflows at kappa*t = 1"),
+        ((np.int64(3), f64(0.7), f64(0.1), f64(1.3)), 0.3, None),
+    ]
+
+    def outcome(cfg, t):
+        try:
+            return _bits(call(cfg, t))
+        except ValueError as exc:
+            return str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (b, *params), t, error in cases:
+            cfg = DiffusiveConfig(b, *params)
+            assert [type(v) for v in cfg] == [int, float, float, float]
+            got = outcome(cfg, t)
+            assert got == outcome(DiffusiveConfig(int(b), *map(float, params)), t)
+            if func == "mean_y_point" and error:
+                assert got == error
+        if func == "mean_y_point":
+            # b^2 passes the int64 range, where a numpy integer wraps.
+            big = DiffusiveConfig(np.int64(4_000_000_000), 1.0, 0.1, 1.0)
+            assert outcome(big, 1.0) == outcome(DiffusiveConfig(4_000_000_000, 1.0, 0.1, 1.0), 1.0)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -518,12 +555,12 @@ def test_cut_bounds_the_exact_tails(b, eps):
     # reported tail_bound and at most rel_eps, each moment bound at most
     # rel_eps * max(m, 1), and one level less fails a bound.
     for kt in PROOF_KTS:
-        g, z = open_system._kernels(kt)
+        u = 2.0 * kt
+        g, z = u / (1.0 + u), 1.0 / (1.0 + u)
         n_cut, tail = open_system._cut(b, kt, eps)
         bounds = open_system._bounds(b, g, z, n_cut)
         exact = tail_moments(b, kt, n_cut)
         assert all(e <= bound for e, bound in zip(exact, bounds)), (kt, exact, bounds)
-        u = 2.0 * kt
         m1, m2 = b + u, b * b + 4.0 * b * u + 2.0 * u * u + u
         targets = (eps, eps * max(m1, 1.0), eps * max(m2, 1.0))
         assert tail == bounds[0] and all(bound <= t for bound, t in zip(bounds, targets))
@@ -541,7 +578,8 @@ def test_cut_at_vanishing_kappa_t(b, kt):
     dist = distribution(cfg_for(b), kt)
     assert dist.n_cut == b and 0.0 < dist.tail_bound <= 1e-290
     assert dist.weight(b) == 1.0 and dist.trace() == 1.0
-    bounds = open_system._bounds(b, *open_system._kernels(kt), b)
+    u = 2.0 * kt
+    bounds = open_system._bounds(b, u / (1.0 + u), 1.0 / (1.0 + u), b)
     assert all(e <= bound for e, bound in zip(tail_moments(b, kt, b), bounds))
 
 

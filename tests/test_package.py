@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 import levelscope
-from levelscope import diffusive, numerics, observables, spectra
+from levelscope import diffusive, numerics, observables, open_system, spectra
 from levelscope.cli import EXIT_USAGE, build_parser, main
 from levelscope.svgplot import _escape, line_plot
 
@@ -76,6 +76,7 @@ PUBLIC = {
         "DiffusiveConfig", "MismatchedConfig", "YMeanPoint", "ZeroEnergy", "fidelity_overlap",
         "mean_y_point", "mean_y_series", "survival",
     ],
+    open_system: ["FockDistribution", "distribution", "distributions"],
 }
 
 
@@ -85,6 +86,60 @@ def test_public_surface_is_pinned(module):
     # The <y(b)> record holds the moments; min_index + 1 is the criterion's first level.
     for name in ("mean_n", "mean_h0", "mean_tau", "_energy", "criterion_min_index"):
         assert not hasattr(module, name)
+
+
+def test_each_name_has_one_home():
+    # open_system re-exports nothing of diffusive, whose level-cut helpers
+    # moved into the cut, and the command line's usage error is ValueError.
+    for name in ("fock_weight", "DiffusiveConfig", "_kernels", "_moments"):
+        assert not hasattr(open_system, name)
+    for name in ("_kernels", "_moments"):
+        assert not hasattr(diffusive, name)
+    assert not hasattr(numerics, "SystemExit2")
+
+
+def _runtime_imports_from(path: Path, module: str) -> list[str]:
+    """The names path imports from the sibling module, outside the
+    `if TYPE_CHECKING:` blocks that never run."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hidden = {id(node) for block in ast.walk(tree) if isinstance(block, ast.If)
+              and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+              for node in ast.walk(block)}
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and id(node) not in hidden
+                  and node.level == 1 and node.module == module for alias in node.names)
+
+
+def test_open_system_borrows_only_the_checks_and_rescale_constants():
+    # The rescale constants are the one decision the scalar and array weight
+    # sums must share bit for bit; DiffusiveConfig is an annotation only.
+    assert _runtime_imports_from(SRC / "levelscope" / "open_system.py", "diffusive") == [
+        "_BIG", "_SHRINK", "_SPAN", "check_level", "check_time"]
+
+
+def test_oracles_read_no_private_levelscope_name():
+    # An oracle that called the code it checks would check nothing.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] == "levelscope")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("levelscope"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+                if node.module == "levelscope":  # from levelscope import <module>
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                private.append(ast.unparse(node))
+    assert private == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -16,8 +16,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from levelscope.diffusive import fock_weight, survival
-from levelscope.open_system import DiffusiveConfig, distributions
+from levelscope.diffusive import DiffusiveConfig, fock_weight, survival
+from levelscope.open_system import distributions
 
 BS = [0, 2, 15, 40, 200]
 KTS = [1e-3, 0.1, 0.49, 0.5, 0.51, 10.0, 100.0]
