@@ -3,6 +3,14 @@ diffusive mixture over time, and the curve commands `fidelity`, `ymean`
 and `figures` 1-4 (1: fidelity, 2: survival, 3: <y(b)> at
 omega/lam = 0.10, 4: omega/lam = 10).
 
+Every command takes --kappa, --grid (in kappa*t), --out and --format;
+evolve also --b, --eps and --weight-floor; fidelity --b and --svg; ymean
+--b, --omega, --lambda and --svg; figures its number and --b. Every value
+they write is a function of kappa*t: the populations, P_b and F of b and
+kappa*t alone, <y(b)> also of omega and lam, through <H0>. So only ymean
+reads the oscillator, and the evolve and fidelity manifests list no omega
+or lam.
+
 The dispatcher (levelscope.cli) imports this module only to run one of
 these commands or to build the full parser. numpy loads only in `evolve`,
 which builds weight arrays; the curves are scalar arithmetic.
@@ -12,13 +20,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 from .cli_files import build_manifest, csv_blocks, write_csv, write_table, write_text
 from .numerics import REL_EPS, check_rel_eps, fmt
 
-_CURVE_DEFAULT_B = {"fidelity": (1, 5, 10, 15), "ymean": (2, 5, 10, 15)}
+# The default initial indices of each curve; <y(b)> starts at b = 2.
+_B_SET = (1, 5, 10, 15)
+_DEFAULT_B = {"fidelity": _B_SET, "survival": _B_SET, "ymean": (2, 5, 10, 15)}
 
 
 def add_arguments(command: str, sub: argparse.ArgumentParser) -> None:
@@ -37,24 +48,24 @@ def add_arguments(command: str, sub: argparse.ArgumentParser) -> None:
         sub.add_argument("which", type=int, choices=(1, 2, 3, 4))
         sub.add_argument("--b", type=_parse_b_list, default=None,
                          help="override the default b set")
-        _add_open_flags(sub, omega_lam=False)
+        _add_open_flags(sub)
         sub.add_argument("--out", required=True, help="output directory")
         sub.set_defaults(func=_cmd_curves)
     else:
-        sub.add_argument("--b", type=_parse_b_list, default=_CURVE_DEFAULT_B[command],
+        sub.add_argument("--b", type=_parse_b_list, default=_DEFAULT_B[command],
                          help="comma-separated initial indices")
         _add_open_flags(sub)
+        if command == "ymean":
+            sub.add_argument("--omega", type=float, default=1.0)
+            sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
         sub.add_argument("--out", required=True)
         sub.add_argument("--svg", default=None, help="also write an SVG plot here")
         sub.set_defaults(func=_cmd_curves)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_open_flags(sub: argparse.ArgumentParser, omega_lam: bool = True) -> None:
+def _add_open_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kappa", type=float, default=1.0, help="diffusion rate (times are kappa*t)")
-    if omega_lam:
-        sub.add_argument("--omega", type=float, default=1.0)
-        sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--grid", default=None, metavar="log:START:STOP:POINTS",
                      help="kappa*t grid (default log:1e-3:1e2:200)")
 
@@ -88,14 +99,21 @@ def _kt_grid(args: argparse.Namespace) -> list[float]:
     return log_points(start, stop, points)
 
 
-def _times(kappa: float, grid: Sequence[float]) -> list[float]:
-    """The time t = kt / kappa of each grid point; a kappa so small that one
-    of them overflows exits 2 rather than asking for t = inf."""
+def _times(kappa: float, grid: Sequence[float], subnormal: bool = False) -> list[float]:
+    """The time t = kt / kappa of each grid point. A kappa so small that one
+    of them overflows exits 2 rather than asking for t = inf. So does one so
+    large that one falls below the smallest normal double, unless subnormal
+    is set: kappa * t then gives back only the leading bits of kt, or none
+    at t = 0, and F, P_b and the populations, which grow from kt = 0 as
+    powers of kt, would print wrong digits (F = 0 at b = 1, kt = 1e-16)."""
     times = [kt / kappa for kt in grid]
     for kt, t in zip(grid, times):
         if t == math.inf:
             raise ValueError(f"--kappa {kappa} is too small for the grid: "
                              f"t = kt / kappa overflows at kappa*t = {kt:g}")
+        if t < sys.float_info.min and not subnormal:
+            raise ValueError(f"--kappa {kappa} is too large for the grid: "
+                             f"t = kt / kappa underflows at kappa*t = {kt:g}")
     return times
 
 
@@ -109,7 +127,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     from .diffusive import DiffusiveConfig
     from .open_system import distributions
 
-    cfg = DiffusiveConfig(b=args.b, kappa=args.kappa, omega=args.omega, lam=args.lam)
+    cfg = DiffusiveConfig(b=args.b, kappa=args.kappa)
     grid = _kt_grid(args)
     # Every distribution exists before the file is opened, so a
     # non-convergent cut (exit 3) leaves no partial file.
@@ -140,12 +158,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-# which -> (curve, y label, hline, default b set, omega, lam)
+# which -> (curve, y label, hline, oscillator: (omega, lam) of a <y(b)>
+# figure, () of the others)
 _FIGURES = {
-    1: ("fidelity", "F(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
-    2: ("survival", "P_b(b,t)", None, (1, 5, 10, 15), 0.0, 0.0),
-    3: ("ymean", "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 0.10, 1.0),
-    4: ("ymean", "<y(b)> / hbar", 0.5, (2, 5, 10, 15), 10.0, 1.0),
+    1: ("fidelity", "F(b,t)", None, ()),
+    2: ("survival", "P_b(b,t)", None, ()),
+    3: ("ymean", "<y(b)> / hbar", 0.5, (0.10, 1.0)),
+    4: ("ymean", "<y(b)> / hbar", 0.5, (10.0, 1.0)),
 }
 
 # The curve outputs, keyed by the command as the manifest names it:
@@ -164,10 +183,11 @@ _OUTPUTS = {
             curve, ("b{b}",), f"kt = kappa*t; column per initial index b; values: {y_label}",
             f"figure {which}: {y_label}", y_label, hline,
             # <y(b)> uses exact moments: no truncation certificate applies.
-            {"which": str(which), "omega-over-lam": fmt(omega / lam), "moments": "closed-form"}
-            if curve == "ymean" else {"which": str(which)},
+            {"which": str(which), "omega-over-lam": fmt(oscillator[0] / oscillator[1]),
+             "moments": "closed-form"}
+            if oscillator else {"which": str(which)},
         )
-        for which, (curve, y_label, hline, _, omega, lam) in _FIGURES.items()
+        for which, (curve, y_label, hline, oscillator) in _FIGURES.items()
     },
 }
 
@@ -183,10 +203,11 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     """
     if args.command == "figures":
         command = f"figures {args.which}"
-        _, _, _, default_b, omega, lam = _FIGURES[args.which]
-        b_values = default_b if args.b is None else args.b
+        curve, _, _, oscillator = _FIGURES[args.which]
+        b_values = _DEFAULT_B[curve] if args.b is None else args.b
     else:
-        command, omega, lam, b_values = args.command, args.omega, args.lam, args.b
+        command, b_values = args.command, args.b
+        oscillator = (args.omega, args.lam) if command == "ymean" else ()
     curve, columns, unit_note, title, y_label, hline, extra = _OUTPUTS[command]
     if curve == "fidelity" and min(b_values) < 1:
         raise ValueError("fidelity needs b >= 1 (compares |b> with |b-1>)")
@@ -195,12 +216,17 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_series, survival
 
     grid = _kt_grid(args)
-    cfgs = [DiffusiveConfig(b=b, kappa=args.kappa, omega=omega, lam=lam) for b in b_values]
-    times = _times(args.kappa, grid)
+    # F and P_b are functions of b and kappa*t alone: only <y(b)> reads the
+    # oscillator, through <H0>.
+    cfgs = [DiffusiveConfig(b, args.kappa, *oscillator) for b in b_values]
+    # <y(b)> takes a subnormal t: its moments start at b >= 1, so the
+    # round-off moves at most its last printed digit, except at b = 1 near
+    # kt = 0 and where lam = 0 leaves <y(b)> at rounding level.
+    times = _times(args.kappa, grid, subnormal=curve == "ymean")
     curves = []
     for cfg in cfgs:
         if curve == "fidelity":
-            lower = DiffusiveConfig(b=cfg.b - 1, kappa=cfg.kappa, omega=omega, lam=lam)
+            lower = DiffusiveConfig(b=cfg.b - 1, kappa=cfg.kappa)
             points = [(fidelity_overlap(cfg, lower, t),) for t in times]
         elif curve == "survival":
             points = [(survival(cfg, t),) for t in times]

@@ -419,10 +419,7 @@ def superposition_delta_e(model: ModelParams, spec: SuperpositionSpec) -> float:
     n = spec.n
     if n < min_index(model) + 1:
         raise IndexOutOfSpectrum(f"n={n} has no lower neighbor in {type(model).__name__}")
-    _check_index(model, n)
-    e_hi = _checked("E_n", n, _raw(model._energy, "E_n", n))
-    e_lo = _checked("E_n", n - 1, _raw(model._energy, "E_n", n - 1))
-    return abs(spec.a) * abs(spec.b) * (e_hi - e_lo)
+    return abs(spec.a) * abs(spec.b) * (energy(model, n) - energy(model, n - 1))
 
 
 def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:

@@ -284,10 +284,15 @@ def test_scan_manifest_names_the_model_it_built(tmp_path, argv, parameters):
         assert manifest["parameters"] == dict(sorted(parameters.items()))
 
 
-def _model_action(command: str) -> argparse.Action:
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The subparser of each command, as build_parser() declares them."""
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in commands.choices[command]._actions if a.dest == "model")
+    return commands.choices
+
+
+def _model_action(command: str) -> argparse.Action:
+    return next(a for a in _command_parsers()[command]._actions if a.dest == "model")
 
 
 @pytest.mark.parametrize("command", ["criterion", "scan"])
@@ -340,19 +345,97 @@ def test_morse_flags_point_to_a_preset():
          "--mass does not apply with --preset, which sets the model and each of its fields"),
         (["--model", "box", "--preset", "h2_morse"],
          "--model does not apply with --preset, which sets the model and each of its fields"),
+        ([], "one of --model or --preset is required"),
     ],
     ids=["box-omega", "harmonic-lambda", "hydrogenoid-width", "quartic-mass", "preset-mass",
-         "preset-model"],
+         "preset-model", "no-model"],
 )
 @pytest.mark.parametrize("command", ["criterion", "scan"])
 def test_stray_model_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, argv, message):
-    # A flag the chosen model would not read is refused by name, never ignored.
+    # A flag the chosen model would not read is refused by name, never
+    # ignored; with no model at all, the flags that choose one are named.
     out = tmp_path / "scan.csv"
     tail = ["--n", "3"] if command == "criterion" else ["--n-max", "5", "--out", str(out)]
     assert main([command, *argv, *tail]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# Every flag a command declares reaches its output: two valid values of it
+# give a different stdout or a different written file once the manifest,
+# which only records the flags, is stripped. Two flags are exempt: --out,
+# a destination, and --kappa, since every open-system value is a function
+# of kappa*t and the grid is given in kappa*t.
+_FLAG_EXEMPT = {"--out", "--kappa"}
+# command -> the argv each flag's two values are appended to
+_FLAG_BASE = {
+    "criterion": ["criterion", "--n", "3"],
+    "scan": ["scan", "--n-max", "6", "--out", "out"],
+    "evolve": ["evolve", "--b", "2", *GRID3, "--out", "out"],
+    "fidelity": ["fidelity", "--b", "1,2", *GRID3, "--out", "out"],
+    "ymean": ["ymean", "--b", "2", *GRID3, "--out", "out"],
+    "figures": ["figures", "3", *GRID3, "--out", "out"],
+}
+# flag -> two valid values; a flag with choices takes its first two, unless listed
+_FLAG_VALUES = {
+    "--model": ("box", "hydrogenoid"),
+    "--preset": ("h2_morse", "../box.cfg"),
+    "--mass": ("1", "2"),
+    "--width": ("1", "2"),
+    "--omega": ("0.5", "2"),
+    "--lambda": ("0.5", "2"),
+    "--charge-number": ("1", "2"),
+    "--charge": ("1", "2"),
+    "--n": ("3", "4"),
+    "--n-min": ("2", "3"),
+    "--n-max": ("6", "7"),
+    "--b": ("2", "3"),
+    "--grid": ("log:1e-3:1:3", "log:1e-3:1:4"),
+    "--eps": ("1e-12", "1e-2"),
+    "--weight-floor": ("0", "1e-3"),
+    "--svg": ("a.svg", "b.svg"),
+}
+# closed-system model flag -> a model that reads it
+_FLAG_MODEL = {"--mass": "box", "--width": "box", "--omega": "quartic", "--lambda": "quartic",
+               "--charge-number": "hydrogenoid", "--charge": "hydrogenoid"}
+_DECLARED_FLAGS = [(command, action) for command, sub in _command_parsers().items()
+                   for action in sub._actions
+                   if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def _without_manifest(data: bytes) -> bytes:
+    """A written file without the manifest of a JSON or CSV data file."""
+    if data.startswith(b"{"):
+        payload = json.loads(data)
+        del payload["manifest"]
+        return json.dumps(payload).encode()
+    manifest = (b"# levelscope ", b"# generated:", b"# parameters:", b"# tolerances:")
+    return b"\n".join(line for line in data.splitlines() if not line.startswith(manifest))
+
+
+@pytest.mark.parametrize(
+    "command, action",
+    [(c, a) for c, a in _DECLARED_FLAGS if a.option_strings[0] not in _FLAG_EXEMPT],
+    ids=lambda v: v if isinstance(v, str) else v.option_strings[0][2:],
+)
+def test_every_flag_reaches_the_output(tmp_path, monkeypatch, capsys, command, action):
+    flag = action.option_strings[0]
+    values = _FLAG_VALUES[flag] if flag in _FLAG_VALUES else tuple(action.choices)[:2]
+    base = list(_FLAG_BASE[command])
+    if command in ("criterion", "scan") and flag not in ("--model", "--preset"):
+        base += ["--model", _FLAG_MODEL.get(flag, "box")]
+    (tmp_path / "box.cfg").write_text("model = box\nmass = 1\nwidth = 1\n")
+    outputs = []
+    for k, value in enumerate(values):
+        run_dir = tmp_path / f"run{k}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main([*base, flag, value]) == EXIT_OK
+        files = {str(p.relative_to(run_dir)): _without_manifest(p.read_bytes())
+                 for p in sorted(run_dir.rglob("*")) if p.is_file()}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] != outputs[1], f"{command} {flag} {values[0]} and {values[1]}"
 
 
 def test_csv_rows_format_each_value_as_fmt():
@@ -499,6 +582,26 @@ def test_only_evolve_takes_eps(tmp_path, capsys, argv):
     assert exc.value.code == EXIT_USAGE
     captured = capsys.readouterr()
     assert "unrecognized arguments: --eps" in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
+# F, P_b and the Fock populations are functions of b and kappa*t alone: only
+# <y(b)> reads the oscillator, so only ymean takes --omega and --lambda.
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evolve", "--b", "2", "--omega", "2", "--out", "e.csv"], "--omega"),
+        (["fidelity", "--lambda", "3", "--out", "f.csv"], "--lambda"),
+        (["figures", "1", "--omega", "2", "--out", "figs"], "--omega"),
+    ],
+    ids=["evolve", "fidelity", "figures"],
+)
+def test_only_ymean_takes_the_oscillator(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:-1], str(tmp_path / argv[-1]), "--grid", "log:1e-3:1:3"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
     assert captured.out == "" and not any(tmp_path.iterdir())
 
 
@@ -741,17 +844,23 @@ def test_kappa_too_small_for_the_grid_exits_2(tmp_path, capsys, argv, message):
     "argv, message",
     [
         (["evolve", "--b", "2", "--kappa", "inf"], "kappa must be finite"),
-        (["fidelity", "--omega", "nan"], "omega must be finite"),
-        (["fidelity", "--lambda", "inf"], "lam must be finite"),
+        (["ymean", "--omega", "nan"], "omega must be finite"),
+        (["ymean", "--lambda", "inf"], "lam must be finite"),
         # kt / kappa overflows: the message names --kappa, not t = inf
         (["figures", "2", "--kappa", "1e-320"], "--kappa 1e-320 is too small for the grid"),
+        # kt / kappa falls below the normal doubles: kappa * t no longer
+        # gives back kt (at kappa*t = 1e-16 it gives 0, and F = 0, not 4e-16)
+        (["fidelity", "--b", "1,5", "--kappa", "1.7e308"],
+         "--kappa 1.7e+308 is too large for the grid: "
+         "t = kt / kappa underflows at kappa*t = 0.001"),
     ],
-    ids=["kappa-inf", "omega-nan", "lambda-inf", "time-inf"],
+    ids=["kappa-inf", "omega-nan", "lambda-inf", "time-inf", "time-underflow"],
 )
 def test_non_finite_bath_parameters_exit_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_integer_b_exits_2(tmp_path, capsys):
@@ -772,6 +881,22 @@ def test_repeated_b_index_exits_2(tmp_path, capsys, argv):
         main(argv + ["--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
     assert exc.value.code == EXIT_USAGE
     assert "repeats an index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fidelity", "--b", "1,x"], "expected comma-separated integers, got '1,x'"),
+        (["ymean", "--b=-1"], "b list must be non-negative integers, got '-1'"),
+    ],
+    ids=["not-an-integer", "negative"],
+)
+def test_b_list_of_no_level_indices_exits_2(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument --b: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_preset_with_fractional_charge_number_exits_2(tmp_path, capsys):

@@ -76,16 +76,16 @@ OPEN_DIGESTS = {
         "figure4.svg": "c5d7fc25b1ffaebc81b8ee3dcbf7caf8316f0d1845d4363fd2e66f3c71374df6",
     },
     ("fidelity", "csv"): {
-        "fidelity.csv": "3753a97d19821fe29edab78f86272ce28c721dc6f10bdc51a998c6ed6a1becde",
+        "fidelity.csv": "85ebcb16a1c829907ad4763f8d8fcd135a4279331ff0d07b19e0625476717461",
     },
     ("fidelity", "json"): {
-        "fidelity.json": "1b39164bf4823fa1f16b5a2181b3348f8bd2049c18a7abe8c5eafced62249162",
+        "fidelity.json": "6588118b0d9ae73ec951d94e566f3447bb29471a4bae460ea8f5c47b13164531",
     },
     ("evolve", "csv"): {
-        "evolve.csv": "c28a31ab64902dab51c010aedd19f4e0e2f4a8afd5afc09571873a14aed57b3d",
+        "evolve.csv": "2ec61c1a11a2ec32d9e87ea4b646a8d98c5b9a74920176f5d22c51b48e46c0de",
     },
     ("evolve", "json"): {
-        "evolve.json": "58754c32ca41c20561eb6902945fb90f39a1e2dfd21c506bc47de28708393478",
+        "evolve.json": "12ad9a13e25182cd7a106cc70372143884429e1881c5a54b7985be03475cb5ac",
     },
     ("ymean", "csv"): {
         "ymean.csv": "6044fea08c2a8fc780807660144205d5c13e064f96b0d0a6476259756645920d",
@@ -94,11 +94,11 @@ OPEN_DIGESTS = {
         "ymean.json": "40722264cac5d0cfb36cef6cbb8878b2d0cc0a4629e406ceff9b904242e708d0",
     },
     ("fidelity-svg", "csv"): {
-        "fidelity-svg.csv": "3753a97d19821fe29edab78f86272ce28c721dc6f10bdc51a998c6ed6a1becde",
+        "fidelity-svg.csv": "85ebcb16a1c829907ad4763f8d8fcd135a4279331ff0d07b19e0625476717461",
         "fidelity-svg.svg": "9a63feffb60282c56009dfcd3f2249ced1dc2feec5aba3518ac26a10fb1c6b7c",
     },
     ("fidelity-svg", "json"): {
-        "fidelity-svg.json": "1b39164bf4823fa1f16b5a2181b3348f8bd2049c18a7abe8c5eafced62249162",
+        "fidelity-svg.json": "6588118b0d9ae73ec951d94e566f3447bb29471a4bae460ea8f5c47b13164531",
         "fidelity-svg.svg": "9a63feffb60282c56009dfcd3f2249ced1dc2feec5aba3518ac26a10fb1c6b7c",
     },
     ("ymean-svg", "csv"): {

@@ -76,6 +76,11 @@ def test_weight_rejects_non_integer_level(n):
             call()
 
 
+def test_weight_past_the_cut_is_zero():
+    dist = distribution(cfg_for(2), 0.5)
+    assert dist.weight(dist.n_cut + 1) == dist.weight(10**30) == 0.0
+
+
 def test_weight_accepts_numpy_integer_level():
     cfg = cfg_for(2)
     dist = distribution(cfg, 0.5)

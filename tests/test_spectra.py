@@ -429,6 +429,28 @@ def test_harmonic_dpdq_examples():
     assert harmonic_dpdq(model, 3, 1e8, 1e8) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: superposition_delta_e(BOX, SuperpositionSpec(0.6, 0.8, 1)), IndexOutOfSpectrum,
+         "n=1 has no lower neighbor in Box"),
+        (lambda: superposition_delta_e(Quartic(omega=1.0, lam=1.0), SuperpositionSpec(0.6, 0.8, 0)),
+         IndexOutOfSpectrum, "n=0 has no lower neighbor in Quartic"),
+        (lambda: harmonic_dpdq(BOX, 2, 0.0, 0.0), TypeError,
+         "harmonic_dpdq applies to the Harmonic model only"),
+        (lambda: quartic_limits(BOX, 3), TypeError,
+         "quartic_limits applies to the Quartic model only"),
+        (lambda: quartic_limits(Quartic(omega=1.0, lam=1.0), 1), IndexOutOfSpectrum,
+         "limits need n >= 2, got 1"),
+    ],
+    ids=["spread-box-n1", "spread-quartic-n0", "dpdq-box", "limits-box", "limits-n1"],
+)
+def test_level_helpers_refuse_what_they_cannot_answer(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_quartic_asymptotes(n):
     weak = Quartic(omega=1.0, lam=1e-6)
@@ -685,6 +707,19 @@ def test_preset_errors(tmp_path):
     bad.write_text("model = box\nmass = 1.0\nMass = 5.0\nwidth = 1.0\n")
     with pytest.raises(ValueError, match="line 3: duplicate key 'Mass'"):
         presets.load_model(str(bad))
+    for text, message in [
+        ("model = box\nmass 1.0\nwidth = 1.0\n", "line 2: expected 'key = value', got 'mass 1.0'"),
+        ("model = box\n= 1.0\n", "line 2: empty key or value in '= 1.0'"),
+        ("model = box\nmass =  # unset\n", "line 2: empty key or value in 'mass =  # unset'"),
+        ("model = rotor\n", "unknown model 'rotor' (expected one of "
+                            "['box', 'harmonic', 'hydrogenoid', 'morse', 'quartic'])"),
+        ("model = box\nmass = nan\nwidth = 1.0\n", "parameter 'mass' is not finite: 'nan'"),
+        ("model = box\nmass = 1.0\nwidth = -inf\n", "parameter 'width' is not finite: '-inf'"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            presets.load_model(str(bad))
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("value", ["2", "2.0", "1.5"])
