@@ -9,7 +9,9 @@ evolve also --b, --eps and --weight-floor; fidelity --b and --svg; ymean
 they write is a function of kappa*t: the populations, P_b and F of b and
 kappa*t alone, <y(b)> also of omega and lam, through <H0>. So only ymean
 reads the oscillator, and the evolve and fidelity manifests list no omega
-or lam.
+or lam. Each command turns a grid point into the time t = kt / kappa, and
+every one of them exits 2 where some t overflows or falls below the
+smallest normal double, since kappa * t no longer gives back kt there.
 
 The dispatcher (levelscope.cli) imports this module only to run one of
 these commands or to build the full parser. numpy loads only in `evolve`,
@@ -21,15 +23,52 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable
 from pathlib import Path
 
 from .cli_files import build_manifest, csv_blocks, write_csv, write_table, write_text
 from .numerics import REL_EPS, check_rel_eps, fmt
 
-# The default initial indices of each curve; <y(b)> starts at b = 2.
-_B_SET = (1, 5, 10, 15)
-_DEFAULT_B = {"fidelity": _B_SET, "survival": _B_SET, "ymean": (2, 5, 10, 15)}
+# Type checkers read this TYPE_CHECKING as typing's; defining it here keeps
+# typing unloaded.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .diffusive import DiffusiveConfig
+
+
+# The curve commands, keyed by the command as the manifest names it:
+# command -> (curve, default b set, oscillator, columns of one b, unit note,
+# plot title, y label, hline, manifest extras). F and P_b are functions of
+# b and kappa*t alone, so their oscillator is (); a <y(b)> figure fixes
+# (omega, lam), and None reads them from --omega and --lambda. <y(b)>
+# starts at b = 2 by default. Per grid point a curve is a tuple of data
+# columns whose first entry is plotted; a file keeps as many of them as its
+# columns name.
+_OUTPUTS = {
+    "fidelity": ("fidelity", (1, 5, 10, 15), (), ("F_b{b}",),
+                 "kt = kappa*t; F(b,t) = Tr[rho(t,b) rho(t,b-1)]", "F over kappa*t", "F", None, {}),
+    "ymean": ("ymean", (2, 5, 10, 15), None, ("y_mean_b{b}", "d_energy_b{b}", "d_tau_b{b}"),
+              "kt = kappa*t; y_mean = |d_energy * d_tau| in units of hbar "
+              "(threshold 1/2); d_energy, d_tau keep their signs",
+              "<y(b)> over kappa*t", "<y(b)> / hbar", 0.5, {"moments": "closed-form"}),
+    **{
+        f"figures {which}": (
+            curve, b_set, oscillator, ("b{b}",),
+            f"kt = kappa*t; column per initial index b; values: {y_label}",
+            f"figure {which}: {y_label}", y_label, hline,
+            # <y(b)> uses exact moments: no truncation certificate applies.
+            {"which": str(which), "omega-over-lam": fmt(oscillator[0] / oscillator[1]),
+             "moments": "closed-form"}
+            if oscillator else {"which": str(which)},
+        )
+        for which, curve, b_set, oscillator, y_label, hline in (
+            (1, "fidelity", (1, 5, 10, 15), (), "F(b,t)", None),
+            (2, "survival", (1, 5, 10, 15), (), "P_b(b,t)", None),
+            (3, "ymean", (2, 5, 10, 15), (0.10, 1.0), "<y(b)> / hbar", 0.5),
+            (4, "ymean", (2, 5, 10, 15), (10.0, 1.0), "<y(b)> / hbar", 0.5),
+        )
+    },
+}
 
 
 def add_arguments(command: str, sub: argparse.ArgumentParser) -> None:
@@ -52,7 +91,7 @@ def add_arguments(command: str, sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--out", required=True, help="output directory")
         sub.set_defaults(func=_cmd_curves)
     else:
-        sub.add_argument("--b", type=_parse_b_list, default=_DEFAULT_B[command],
+        sub.add_argument("--b", type=_parse_b_list, default=_OUTPUTS[command][1],
                          help="comma-separated initial indices")
         _add_open_flags(sub)
         if command == "ymean":
@@ -82,13 +121,21 @@ def _parse_b_list(spec: str) -> tuple[int, ...]:
     return values
 
 
-def _kt_grid(args: argparse.Namespace) -> list[float]:
-    """The --grid kappa*t values, or the default figure grid."""
+def _grid_times(args: argparse.Namespace, cfgs: Iterable[DiffusiveConfig]
+                ) -> tuple[list[float], list[DiffusiveConfig], list[float]]:
+    """The --grid kappa*t values, the configurations cfgs and the time
+    t = kt / kappa of each grid point, formed in that order: a lazy cfgs
+    is checked after the grid spec and before any t, so --kappa inf is
+    named as such, not as too large for the grid.
+
+    A kappa for which some t overflows, or falls below the smallest normal
+    double, exits 2: there kappa * t gives back only the leading bits of
+    kt, or none, and the values, all functions of kappa*t, would print
+    wrong digits (F = 0 at b = 1, kt = 1e-16; <y(1)> off in its eighth
+    digit at kt = 1e-9)."""
     from .diffusive import log_points
 
-    spec = args.grid
-    if not spec:
-        return log_points()
+    spec = args.grid or "log:1e-3:1e2:200"
     try:
         kind, start, stop, points = spec.split(":")
         if kind != "log":
@@ -96,25 +143,18 @@ def _kt_grid(args: argparse.Namespace) -> list[float]:
         start, stop, points = float(start), float(stop), int(points)
     except ValueError:
         raise ValueError(f"grid must look like log:START:STOP:POINTS, got {spec!r}") from None
-    return log_points(start, stop, points)
-
-
-def _times(kappa: float, grid: Sequence[float], subnormal: bool = False) -> list[float]:
-    """The time t = kt / kappa of each grid point. A kappa so small that one
-    of them overflows exits 2 rather than asking for t = inf. So does one so
-    large that one falls below the smallest normal double, unless subnormal
-    is set: kappa * t then gives back only the leading bits of kt, or none
-    at t = 0, and F, P_b and the populations, which grow from kt = 0 as
-    powers of kt, would print wrong digits (F = 0 at b = 1, kt = 1e-16)."""
+    grid = log_points(start, stop, points)
+    cfgs = list(cfgs)
+    kappa = cfgs[0].kappa
     times = [kt / kappa for kt in grid]
     for kt, t in zip(grid, times):
         if t == math.inf:
             raise ValueError(f"--kappa {kappa} is too small for the grid: "
                              f"t = kt / kappa overflows at kappa*t = {kt:g}")
-        if t < sys.float_info.min and not subnormal:
+        if t < sys.float_info.min:
             raise ValueError(f"--kappa {kappa} is too large for the grid: "
                              f"t = kt / kappa underflows at kappa*t = {kt:g}")
-    return times
+    return grid, cfgs, times
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -127,11 +167,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     from .diffusive import DiffusiveConfig
     from .open_system import distributions
 
-    cfg = DiffusiveConfig(b=args.b, kappa=args.kappa)
-    grid = _kt_grid(args)
+    grid, (cfg,), times = _grid_times(args, [DiffusiveConfig(b=args.b, kappa=args.kappa)])
     # Every distribution exists before the file is opened, so a
     # non-convergent cut (exit 3) leaves no partial file.
-    dists = distributions(cfg, _times(cfg.kappa, grid), args.eps)
+    dists = distributions(cfg, times, args.eps)
     counts = []
 
     def blocks():
@@ -158,40 +197,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-# which -> (curve, y label, hline, oscillator: (omega, lam) of a <y(b)>
-# figure, () of the others)
-_FIGURES = {
-    1: ("fidelity", "F(b,t)", None, ()),
-    2: ("survival", "P_b(b,t)", None, ()),
-    3: ("ymean", "<y(b)> / hbar", 0.5, (0.10, 1.0)),
-    4: ("ymean", "<y(b)> / hbar", 0.5, (10.0, 1.0)),
-}
-
-# The curve outputs, keyed by the command as the manifest names it:
-# command -> (curve, columns of one b, unit note, plot title, y label, hline,
-# manifest extras). Per grid point a curve is a tuple of data columns whose
-# first entry is plotted; a file keeps as many of them as its columns name.
-_OUTPUTS = {
-    "fidelity": ("fidelity", ("F_b{b}",), "kt = kappa*t; F(b,t) = Tr[rho(t,b) rho(t,b-1)]",
-                 "F over kappa*t", "F", None, {}),
-    "ymean": ("ymean", ("y_mean_b{b}", "d_energy_b{b}", "d_tau_b{b}"),
-              "kt = kappa*t; y_mean = |d_energy * d_tau| in units of hbar "
-              "(threshold 1/2); d_energy, d_tau keep their signs",
-              "<y(b)> over kappa*t", "<y(b)> / hbar", 0.5, {"moments": "closed-form"}),
-    **{
-        f"figures {which}": (
-            curve, ("b{b}",), f"kt = kappa*t; column per initial index b; values: {y_label}",
-            f"figure {which}: {y_label}", y_label, hline,
-            # <y(b)> uses exact moments: no truncation certificate applies.
-            {"which": str(which), "omega-over-lam": fmt(oscillator[0] / oscillator[1]),
-             "moments": "closed-form"}
-            if oscillator else {"which": str(which)},
-        )
-        for which, (curve, y_label, hline, oscillator) in _FIGURES.items()
-    },
-}
-
-
 def _cmd_curves(args: argparse.Namespace) -> int:
     """fidelity, ymean and figures 1-4: per initial index b one curve along
     the kappa*t grid, written as one data file and plotted as one SVG, as
@@ -201,28 +206,19 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     plotted curve passes diffusive.check_curve (strictly increasing grid,
     finite values) before anything is written.
     """
-    if args.command == "figures":
-        command = f"figures {args.which}"
-        curve, _, _, oscillator = _FIGURES[args.which]
-        b_values = _DEFAULT_B[curve] if args.b is None else args.b
-    else:
-        command, b_values = args.command, args.b
-        oscillator = (args.omega, args.lam) if command == "ymean" else ()
-    curve, columns, unit_note, title, y_label, hline, extra = _OUTPUTS[command]
-    if curve == "fidelity" and min(b_values) < 1:
-        raise ValueError("fidelity needs b >= 1 (compares |b> with |b-1>)")
-    if curve == "ymean" and min(b_values) < 1:
-        raise ValueError("ymean needs b >= 1")
+    command = f"figures {args.which}" if args.command == "figures" else args.command
+    curve, b_set, oscillator, columns, unit_note, title, y_label, hline, extra = _OUTPUTS[command]
+    b_values = args.b or b_set
+    if curve != "survival" and min(b_values) < 1:
+        raise ValueError("fidelity needs b >= 1 (compares |b> with |b-1>)"
+                         if curve == "fidelity" else "ymean needs b >= 1")
+    if oscillator is None:
+        oscillator = (args.omega, args.lam)
     from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_series, survival
 
-    grid = _kt_grid(args)
-    # F and P_b are functions of b and kappa*t alone: only <y(b)> reads the
-    # oscillator, through <H0>.
-    cfgs = [DiffusiveConfig(b, args.kappa, *oscillator) for b in b_values]
-    # <y(b)> takes a subnormal t: its moments start at b >= 1, so the
-    # round-off moves at most its last printed digit, except at b = 1 near
-    # kt = 0 and where lam = 0 leaves <y(b)> at rounding level.
-    times = _times(args.kappa, grid, subnormal=curve == "ymean")
+    # A generator: _grid_times builds the configurations after the grid.
+    grid, cfgs, times = _grid_times(
+        args, (DiffusiveConfig(b, args.kappa, *oscillator) for b in b_values))
     curves = []
     for cfg in cfgs:
         if curve == "fidelity":

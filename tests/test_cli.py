@@ -1,18 +1,23 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelscope import cli, presets, spectra
 from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, build_parser, main,
@@ -644,15 +649,33 @@ def test_evolve_weight_floor_outside_its_domain_exits_2(tmp_path, capsys, floor)
     assert not out.exists()
 
 
+F_NEEDS_B_1 = "fidelity needs b >= 1 (compares |b> with |b-1>)"
+
+
 @pytest.mark.parametrize(
-    "which, message", [("1", "fidelity needs b >= 1"), ("3", "ymean needs b >= 1")]
+    "argv, message",
+    [
+        (["fidelity"], F_NEEDS_B_1),
+        (["ymean"], "ymean needs b >= 1"),
+        (["figures", "1"], F_NEEDS_B_1),
+        (["figures", "2"], None),
+        (["figures", "3"], "ymean needs b >= 1"),
+        (["figures", "4"], "ymean needs b >= 1"),
+    ],
+    ids=["fidelity", "ymean", "figures-1", "figures-2", "figures-3", "figures-4"],
 )
-def test_figures_b_0_names_the_curve_that_needs_b_1(tmp_path, capsys, which, message):
-    out_dir = tmp_path / "f"
-    code = main(["figures", which, "--b", "0,5", "--grid", "log:1e-3:1:3", "--out", str(out_dir)])
-    assert code == EXIT_USAGE
-    assert message in capsys.readouterr().err
-    assert not out_dir.exists()
+def test_b_0_names_the_curve_that_needs_b_1(tmp_path, capsys, argv, message):
+    # F and <y(b)> compare |b> with |b-1>; P_b(0, t) is a curve of its own.
+    out = tmp_path / "f"
+    code = main([*argv, "--b", "0,5", "--grid", "log:1e-3:1:3", "--out", str(out)])
+    if message is None:
+        assert code == 0
+        _, header, rows = read_csv(out / "figure2.csv")
+        assert header == ["kt", "b0", "b5"] and len(rows) == 3
+    else:
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_figures_families(tmp_path):
@@ -849,18 +872,68 @@ def test_kappa_too_small_for_the_grid_exits_2(tmp_path, capsys, argv, message):
         # kt / kappa overflows: the message names --kappa, not t = inf
         (["figures", "2", "--kappa", "1e-320"], "--kappa 1e-320 is too small for the grid"),
         # kt / kappa falls below the normal doubles: kappa * t no longer
-        # gives back kt (at kappa*t = 1e-16 it gives 0, and F = 0, not 4e-16)
+        # gives back kt (at kappa*t = 1e-16 it gives 0, and F = 0, not 4e-16;
+        # <y(1)> moves in its eighth digit at kappa*t = 1e-9)
         (["fidelity", "--b", "1,5", "--kappa", "1.7e308"],
          "--kappa 1.7e+308 is too large for the grid: "
          "t = kt / kappa underflows at kappa*t = 0.001"),
+        (["ymean", "--b", "1,2", "--kappa", "1.7e308"],
+         "--kappa 1.7e+308 is too large for the grid: "
+         "t = kt / kappa underflows at kappa*t = 0.001"),
+        (["figures", "3", "--kappa", "1.7e308"],
+         "--kappa 1.7e+308 is too large for the grid: "
+         "t = kt / kappa underflows at kappa*t = 0.001"),
+        # The configurations are checked before any t = kt / kappa is
+        # formed: at kappa = inf every t is 0, which would otherwise read as
+        # a kappa too large for the grid.
+        (["fidelity", "--kappa", "inf"], "kappa must be finite and positive"),
+        (["fidelity", "--kappa", "nan"], "kappa must be finite and positive"),
+        (["ymean", "--kappa", "inf"], "kappa must be finite and positive"),
+        (["ymean", "--kappa", "nan"], "kappa must be finite and positive"),
+        (["figures", "1", "--kappa", "inf"], "kappa must be finite and positive"),
+        (["figures", "1", "--kappa", "nan"], "kappa must be finite and positive"),
     ],
-    ids=["kappa-inf", "omega-nan", "lambda-inf", "time-inf", "time-underflow"],
+    ids=["kappa-inf", "omega-nan", "lambda-inf", "time-inf", "time-underflow",
+         "ymean-time-underflow", "figures-time-underflow", "fidelity-kappa-inf",
+         "fidelity-kappa-nan", "ymean-kappa-inf", "ymean-kappa-nan", "figures-1-kappa-inf",
+         "figures-1-kappa-nan"],
 )
 def test_non_finite_bath_parameters_exit_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+OPEN_COMMANDS = [["evolve", "--b", "2"], ["fidelity"], ["ymean"],
+                 ["figures", "1"], ["figures", "2"], ["figures", "3"], ["figures", "4"]]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(command=st.sampled_from(OPEN_COMMANDS),
+       kappa=st.sampled_from(["5e-324", "1e-310", "1e-300", "0.5", "1", "1e300", "1.7e308"]),
+       start=st.sampled_from(["1e-16", "1e-3"]))
+def test_open_commands_at_any_kappa_write_finite_values_or_exit_2(command, kappa, start):
+    # Every t = kt / kappa either stays a normal double, and every written
+    # value is finite, or some t leaves them, and the command exits 2
+    # naming kappa before it writes anything.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "x")
+        svg = ["--svg", f"{out}.svg"] if command[0] in ("fidelity", "ymean") else []
+        argv = [*command, *svg, "--kappa", kappa, "--grid", f"log:{start}:1:3", "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = [path for path in Path(tmp).rglob("*") if path.is_file()]
+        if code == EXIT_OK:
+            assert written
+            for path in written:
+                text = path.read_text().lower()
+                assert "nan" not in text and "inf" not in text, path.name
+        else:
+            assert code == EXIT_USAGE
+            assert "kappa" in err.getvalue()
+            assert list(Path(tmp).iterdir()) == []
 
 
 def test_non_integer_b_exits_2(tmp_path, capsys):

@@ -339,9 +339,10 @@ def test_ymean_series_and_point_raise_alike(b, kappa, omega, lam, kt, error):
 
 
 def test_ymean_takes_a_kappa_near_the_float_ceiling(tmp_path):
-    # 2 kappa overflows at kappa = 1e308; u = 2 (kappa t) does not.
+    # 2 kappa overflows at kappa = 1e308; u = 2 (kappa t) does not. The grid
+    # keeps every t = kt / kappa (about 1e-305) a normal double.
     out = tmp_path / "y.csv"
-    argv = ["ymean", "--b", "2", "--kappa", "1e308", "--grid", "log:1e-3:1:3", "--out", str(out)]
+    argv = ["ymean", "--b", "2", "--kappa", "1e308", "--grid", "log:1e3:1e4:3", "--out", str(out)]
     assert main(argv) == 0
     lines = out.read_text().splitlines()
     rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
