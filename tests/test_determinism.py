@@ -10,6 +10,7 @@ value for value.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from levelscope import cli
-from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, log_points, mean_y_series,
-                                  survival)
+from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, log_points,
+                                  mean_y_point, mean_y_series, survival)
 from levelscope.open_system import distribution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -323,3 +324,47 @@ def test_library_curve_digests(family):
 def test_rescaling_path_curve_digests(family, b):
     digest = hashlib.sha256(repr(_curve(family, b)).encode()).hexdigest()
     assert digest == RESCALE_DIGESTS[family, b]
+
+
+# The scalar kernels at the edges of their domain, pinned bit for bit at
+# kappa = 1, so that t is kappa*t: b where the plain loop ends and the
+# rescaling begins, and kappa*t from 0 through the subnormals to the float
+# maximum, with u = 2 kappa t = 1 (where the weights turn their sums round)
+# and x = 4 kappa t = 1 (F's) each between its neighbouring doubles. A
+# raised exception is pinned by its type and message. fock_weight is taken
+# at n = b - 1, b and b + 1; <y(b)> at omega/lam = 0.1.
+EDGE_B = (0, 1, 2, 40, 284, 285, 300)
+EDGE_KT = (0.0, 5e-324, sys.float_info.min, 1e-300,
+           *(math.nextafter(kt, side) for kt in (0.25, 0.5) for side in (0.0, kt, 1.0)),
+           1e150, 4.7e153, 1e300, sys.float_info.max)
+EDGE_DIGESTS = {
+    "survival": "5098682615b9f8762f56cf5813b8c97887fdce3176128753e57bc89d023dbc87",
+    "fock_weight": "75f00cf16e035a90c3250f6dd13f07f40c57fe5dd441ee70c6819aed513f0cf0",
+    "fidelity": "a4e45b6324e89250e84e31afc4e2002e961c49d2d167e5963aa1ca511f920c32",
+    "ymean": "83a9449a21d48d76a5cdb5b4e9908cda7e8561eec8ed3fb10cc8dcb6fc65cb76",
+}
+
+
+def _edge_calls(family: str, b: int, kt: float) -> list:
+    cfg = DiffusiveConfig(b, 1.0, 0.1 * CURVE_LAM, CURVE_LAM)
+    if family == "survival":
+        return [lambda: survival(cfg, kt)]
+    if family == "fock_weight":
+        return [lambda n=n: fock_weight(cfg, n, kt) for n in (b - 1, b, b + 1)]
+    if family == "fidelity":
+        return [lambda: fidelity_overlap(cfg, DiffusiveConfig(b - 1, *cfg[1:]), kt)]
+    return [lambda: tuple(mean_y_point(cfg, kt))]
+
+
+def _edge_outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # part of the pinned output
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("family", list(EDGE_DIGESTS))
+def test_edge_of_domain_digests(family):
+    outcomes = [_edge_outcome(call) for b in EDGE_B for kt in EDGE_KT
+                for call in _edge_calls(family, b, kt)]
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == EDGE_DIGESTS[family]
