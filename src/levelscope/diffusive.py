@@ -43,8 +43,9 @@ __all__ = [
 class DiffusiveConfig(Frozen):
     """Open-system run parameters.
 
-    b: initial Fock index; kappa: diffusion rate; omega, lam: oscillator
-    frequency and nonlinear strength (hbar = 1 units).
+    b: initial Fock index, at most 2**53, so that b and b - 1 are distinct
+    doubles; kappa: diffusion rate; omega, lam: oscillator frequency and
+    nonlinear strength (hbar = 1 units).
     """
 
     __slots__ = ()
@@ -54,6 +55,8 @@ class DiffusiveConfig(Frozen):
                 lam: float = 0.0) -> DiffusiveConfig:
         if not is_integer(b) or b < 0:
             raise ValueError(f"b must be a non-negative integer, got {b!r}")
+        if b > 2**53:
+            raise ValueError(f"b must be at most 2**53, got {b}")
         # Chained comparisons with inf also reject NaN.
         if not 0.0 < kappa < math.inf:
             raise ValueError(f"kappa must be finite and positive, got {kappa}")
@@ -92,7 +95,7 @@ _SHRINK = math.exp(-_SPAN)
 _PLAIN = 1e170
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _ratios(b: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...], float, bool]:
     """Successive coefficient ratios of S = sum_p c_p w^p, c_p = C(b,p) C(n,p),
     innermost first: c_{p+1}/c_p for p = m-1 .. 0, and the same for the
@@ -120,7 +123,10 @@ def _nested(ratios: tuple[float, ...], w: float, log_scale: float) -> tuple[floa
 
 
 def _weight(b: int, n: int, kt: float) -> float:
-    """P_b(n) at kappa*t = kt, for a level n and a time already checked."""
+    """P_b(n) at kappa*t = kt, for a level n and a time already checked.
+    survival's n == b below u = 1 skips lead = ln C(b, b) = 0.0 and the
+    log1p(1/u) of integer weight b + n - 2m = 0: x = (2b+1) log1p(u) is
+    positive at u > 0, so 0.0 - x - 0.0 is -x, the same double."""
     if kt == 0.0:
         return 1.0 if n == b else 0.0
     up, down, lead, plain = _ratios(b, n)
@@ -130,6 +136,8 @@ def _weight(b: int, n: int, kt: float) -> float:
     l1 = math.log1p(u)
     if u >= 1.0:
         ratios, w, a = up, 1.0 / (u * u), -l1 - (b + n) * math.log1p(1.0 / u)
+    elif n == b:
+        ratios, w, a = down, u * u, -(2 * b + 1) * l1
     else:
         inv, m = 1.0 / u, min(b, n)
         l2 = math.log1p(inv) if inv < math.inf else -math.log(u)
@@ -263,14 +271,16 @@ def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
     level generating function, as open_system's cut takes them), checked for
     overflow, then <H0> = omega <N> + lam <N^2> and the period estimate
     <tau> = 2 pi <N> / <H0> of each mixture. Each record is built from its
-    field tuple, as YMeanPoint's check-free constructor would build it."""
+    field tuple, as YMeanPoint's check-free constructor would build it.
+    Hoisting moves no bit: int + float converts the int as float() does,
+    and 2.0 * pi * m1 evaluates (2.0 * pi) * m1. The moments are sums of
+    terms >= 0 at a u that is never NaN, so x < inf checks finiteness."""
     b, kappa, omega, lam = cfg_b
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
     m = b - 1
-    bb, b4, mm, m4 = b * b, 4.0 * b, m * m, 4.0 * m
-    # 2.0 * pi * m1 evaluates (2.0 * pi) * m1, so hoisting the product moves no bit.
-    isfinite, inf, two_pi = math.isfinite, math.inf, 2.0 * math.pi
+    bf, bb, b4, mf, mm, m4 = float(b), float(b * b), 4.0 * b, float(m), float(m * m), 4.0 * m
+    inf, two_pi = math.inf, 2.0 * math.pi
     new, points = tuple.__new__, []
     append = points.append
     for t in times:
@@ -278,16 +288,17 @@ def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
             raise ValueError(f"t must be finite and non-negative, got {t}")
         kt = kappa * t
         u = 2.0 * kt
-        m1_b = b + u
-        m2_b = bb + b4 * u + 2.0 * u * u + u
-        if not isfinite(m2_b):
+        uu2 = 2.0 * u * u
+        m1_b = bf + u
+        m2_b = bb + b4 * u + uu2 + u
+        if not m2_b < inf:
             raise ValueError(f"<N^2> overflows at kappa*t = {kt:g}")
         # Each b - 1 moment rounds to at most its b counterpart, so the
         # finiteness checks of the b moments cover both.
-        m1_m = m + u
-        m2_m = mm + m4 * u + 2.0 * u * u + u
+        m1_m = mf + u
+        m2_m = mm + m4 * u + uu2 + u
         h0_b = omega * m1_b + lam * m2_b
-        if not isfinite(h0_b):
+        if not h0_b < inf:
             raise ValueError(f"<H0> overflows at kappa*t = {kt:g}")
         h0_m = omega * m1_m + lam * m2_m
         if h0_b == 0.0 or h0_m == 0.0:

@@ -678,6 +678,19 @@ def test_b_0_names_the_curve_that_needs_b_1(tmp_path, capsys, argv, message):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("b", [2**53 + 1, 10**200], ids=["2**53+1", "10**200"])
+@pytest.mark.parametrize("argv", [["evolve"], ["fidelity"], ["ymean"], ["figures", "1"],
+                                  ["figures", "2"], ["figures", "3"], ["figures", "4"]],
+                         ids=" ".join)
+def test_b_beyond_2_to_the_53_exits_2(tmp_path, capsys, argv, b):
+    # b and b - 1 round to the same double past 2**53 (<y(b)> read 0 there),
+    # and the tables of the weight and fidelity sums would hold b entries.
+    code = main([*argv, "--b", str(b), "--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert f"b must be at most 2**53, got {b}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figures_families(tmp_path):
     for which, columns in ((1, ["kt", "b1", "b5"]), (2, ["kt", "b1", "b5"])):
         out_dir = tmp_path / f"f{which}"

@@ -101,7 +101,7 @@ def test_weight_matches_per_call_log_factorial_reference(kt):
             assert abs(got - want) <= 1e-12 * want + 1e-300, (b, n)
 
 
-# The coefficient ratios are cached per (b, n), 64 entries; draws over far
+# The coefficient ratios are cached per (b, n), 128 entries; draws over far
 # more (b, n) pairs than that, in random order, hit, miss and evict, and
 # every weight keeps the bits of ratios built afresh.
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -111,6 +111,23 @@ def test_weight_is_bitwise_the_uncached_chain(b, n, kt):
     cached = fock_weight(cfg, n, kt).hex(), survival(cfg, kt).hex()
     diffusive._ratios.cache_clear()
     assert (fock_weight(cfg, n, kt).hex(), survival(cfg, kt).hex()) == cached
+
+
+# One pass of F and P_b curves for b = 1..40, the CLI order the open_sweep
+# benchmark keeps, reads 80 keys of the ratio cache: (b, b - 1) and (b, b).
+# A cache too small for them misses on every curve of every pass.
+def test_ratio_cache_holds_a_pass_of_curves():
+    def one_pass():
+        for b in range(1, 41):
+            cfg, lower = cfg_for(b), cfg_for(b - 1)
+            for kt in (1e-3, 0.3, 20.0):
+                fidelity_overlap(cfg, lower, kt)
+                survival(cfg, kt)
+
+    one_pass()
+    misses = diffusive._ratios.cache_info().misses
+    one_pass()
+    assert diffusive._ratios.cache_info().misses == misses
 
 
 # Where the cached verdict of _ratios is "plain", fock_weight, survival and
@@ -387,6 +404,18 @@ def test_config_rejects_non_integer_b_and_non_finite_rates(kw):
     args = {"b": 2, "kappa": 1.0, **kw}
     with pytest.raises(ValueError, match=next(iter(kw))):
         DiffusiveConfig(**args)
+
+
+# Past 2**53, b and b - 1 round to the same double, and the ratio tables
+# would hold b entries.
+@pytest.mark.parametrize("b", [2**53 + 1, np.int64(2**53 + 1), 10**200],
+                         ids=["2**53+1", "int64", "10**200"])
+def test_config_rejects_b_beyond_2_to_the_53(b):
+    with pytest.raises(ValueError, match=rf"b must be at most 2\*\*53, got {int(b)}$"):
+        DiffusiveConfig(b=b, kappa=1.0)
+    assert DiffusiveConfig(b=2**53, kappa=1.0).b == 2**53
+    with pytest.raises(ValueError, match=r"^b must be a non-negative integer, got -1$"):
+        DiffusiveConfig(b=-1, kappa=1.0)
 
 
 def test_config_accepts_numpy_integer_b():
