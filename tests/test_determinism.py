@@ -21,7 +21,7 @@ import pytest
 from levelscope import cli
 from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, log_points,
                                   mean_y_point, mean_y_series, survival)
-from levelscope.open_system import distribution
+from levelscope.open_system import distribution, distributions
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -368,3 +368,35 @@ def test_edge_of_domain_digests(family):
     outcomes = [_edge_outcome(call) for b in EDGE_B for kt in EDGE_KT
                 for call in _edge_calls(family, b, kt)]
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == EDGE_DIGESTS[family]
+
+
+# Large b, pinned bit for bit at kappa = 1 on grids that span the turn of the
+# weight sums at u = 2 kappa t = 1: every row of distributions (weights,
+# n_cut and tail bound), whose rows below kappa*t = 1/2 read ln C(M, m) for
+# each level up to the cut, and F and P_b at b = 10**5, where the sums run
+# with _nested's rescaling.
+LARGE_B_DIGESTS = {
+    ("distributions", 300): "d53836cd115e915ab565aece7c9fd85601632b07086b281dae4b857fb2dc1ac5",
+    ("distributions", 1000): "b7c72e2a37a8beb9546b99f1eae12639a85e8b33f2b7c02f8867d40a0f325985",
+    ("fidelity", 10**5): "e8a7c6b51a51355a3a1ae9c07450768d7018cebe65e1a8e60591da05a9524bc5",
+    ("survival", 10**5): "9e565027cf5d13800551c8568b7806dabcda845fbe7575a9f36081d9b478f7ad",
+}
+
+
+def _large_b_digest(family: str, b: int) -> str:
+    cfg, digest = DiffusiveConfig(b, 1.0), hashlib.sha256()
+    if family == "distributions":
+        for dist in distributions(cfg, log_points(1e-2, 1e1, 20)):
+            digest.update(repr((dist.t, dist.n_cut, dist.tail_bound)).encode())
+            digest.update(dist.weights.tobytes())
+    elif family == "fidelity":
+        lower = DiffusiveConfig(b - 1, 1.0)
+        digest.update(repr([fidelity_overlap(cfg, lower, kt) for kt in (0.1, 1.0)]).encode())
+    else:
+        digest.update(repr([survival(cfg, kt) for kt in (0.1, 1.0)]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family, b", list(LARGE_B_DIGESTS))
+def test_large_b_digests(family, b):
+    assert _large_b_digest(family, b) == LARGE_B_DIGESTS[family, b]
