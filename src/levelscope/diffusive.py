@@ -88,11 +88,15 @@ def check_level(n: int) -> None:
 # sum of S(b, n, w) in ratio form is at most S(b, n, 1) = C(b+n, m)
 # (Chu-Vandermonde). Below _PLAIN, 5000 times under _BIG, a gap the rounding
 # of its 4m positive-term operations cannot bridge, no rescale can fire, and
-# the sum runs as a plain loop with the same bits.
+# the sum runs as a plain loop with the same bits. From m = _PLAIN_M on,
+# C(b+n, m) >= C(2m, m) >= C(570, 285) > _PLAIN > C(568, 284), so no sum
+# there runs plain, and the exact C(b+n, m), up to 0.3 (b+n) digits long,
+# is formed only below it.
 _SPAN = 400.0
 _BIG = math.exp(_SPAN)
 _SHRINK = math.exp(-_SPAN)
 _PLAIN = 1e170
+_PLAIN_M = 285
 
 
 @lru_cache(maxsize=128)
@@ -101,11 +105,13 @@ def _ratios(b: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...], float
     innermost first: c_{p+1}/c_p for p = m-1 .. 0, and the same for the
     reversed coefficients d_q = c_{m-q}, with m = min(b, n). Each is a
     quotient of two integer products, rounded once. Then ln d_0 = ln C(M, m),
-    M = max(b, n), and whether S runs plain: C(b+n, m) < _PLAIN."""
+    M = max(b, n), and whether S runs plain: C(b+n, m) < _PLAIN, never
+    from m = _PLAIN_M on."""
     m, d = min(b, n), abs(b - n)
     up = tuple((b - p) * (n - p) / ((p + 1) * (p + 1)) for p in range(m - 1, -1, -1))
     down = tuple((m - q) * (m - q) / ((q + 1) * (d + q + 1)) for q in range(m - 1, -1, -1))
-    return up, down, math.log(math.comb(m + d, m)), math.comb(b + n, m) < _PLAIN
+    plain = m < _PLAIN_M and math.comb(b + n, m) < _PLAIN
+    return up, down, math.log(math.comb(m + d, m)), plain
 
 
 def _nested(ratios: tuple[float, ...], w: float, log_scale: float) -> tuple[float, float]:
@@ -201,9 +207,9 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     for x >= 1, and as b x exp(-2b log1p(x)) times one in x^2 below, so no
     power exceeds 1 and nothing cancels. The exponent's rounding dominates
     the error: about 2^-53 times 2b log1p(min(x, 1/x)), relative. The test suite checks F
-    against the 50-digit direct overlap sum and audits the paper's expanded
-    triple sum against it. The two configurations must share kappa, omega
-    and lam.
+    against the overlap sum of the benchmark harness's mpmath weights and
+    the 50-digit terminating sum, and audits the paper's expanded triple sum
+    against it. The two configurations must share kappa, omega and lam.
     """
     b, kappa, omega, lam = cfg_b
     m, kappa_m, omega_m, lam_m = cfg_bm1
@@ -264,9 +270,10 @@ class YMeanPoint(Frozen):
                                    mean_tau_bm1, d_energy, d_tau, y_mean))
 
 
-def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
-    """<y(b)> at each time from the closed-form moments of the b and b-1
-    mixtures, the one copy of their arithmetic: per time check_time's check,
+def _mean_y(cfg_b: DiffusiveConfig, values: list[float], per: float) -> list[YMeanPoint]:
+    """<y(b)> at each time t = value / per from the closed-form moments of
+    the b and b-1 mixtures, the one copy of their arithmetic: per time
+    check_time's check, then that the values strictly increase, then
     <N> = b + u and <N^2> = b^2 + 4bu + 2u^2 + u at u = 2 kappa t (from the
     level generating function, as open_system's cut takes them), checked for
     overflow, then <H0> = omega <N> + lam <N^2> and the period estimate
@@ -274,18 +281,23 @@ def _mean_y(cfg_b: DiffusiveConfig, times: Sequence[float]) -> list[YMeanPoint]:
     field tuple, as YMeanPoint's check-free constructor would build it.
     Hoisting moves no bit: int + float converts the int as float() does,
     and 2.0 * pi * m1 evaluates (2.0 * pi) * m1. The moments are sums of
-    terms >= 0 at a u that is never NaN, so x < inf checks finiteness."""
+    terms >= 0 at a u that is never NaN, so x < inf checks finiteness.
+    mean_y_point passes per = 1.0, and t / 1.0 is t exactly."""
     b, kappa, omega, lam = cfg_b
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
     m = b - 1
     bf, bb, b4, mf, mm, m4 = float(b), float(b * b), 4.0 * b, float(m), float(m * m), 4.0 * m
     inf, two_pi = math.inf, 2.0 * math.pi
-    new, points = tuple.__new__, []
+    new, points, prev = tuple.__new__, [], -inf
     append = points.append
-    for t in times:
+    for value in values:
+        t = value / per
         if not 0.0 <= t < inf:
             raise ValueError(f"t must be finite and non-negative, got {t}")
+        if not prev < value:
+            raise ValueError("kt_grid must be strictly increasing")
+        prev = value
         kt = kappa * t
         u = 2.0 * kt
         uu2 = 2.0 * u * u
@@ -333,25 +345,30 @@ def mean_y_point(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     The moments come from that closed form, not from the certified weights;
     a negative or non-finite t, or a moment that overflows, raises ValueError.
     """
-    return _mean_y(cfg_b, (float(t),))[0]
+    return _mean_y(cfg_b, [float(t)], 1.0)[0]
 
 
 def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float]) -> list[YMeanPoint]:
     """<y(b)> along a strictly increasing kappa*t grid, at t = kt / kappa
-    per entry: bitwise the mean_y_point of each, in one loop. Any 1-d
-    sequence of numbers will do, a numpy array included."""
+    per entry: bitwise the mean_y_point of each, in one loop, which also
+    checks the order. Any 1-d sequence of numbers will do, a numpy array
+    included. A refusal names the grid's own fault first: an entry that is
+    no number, then one that is not finite, then the order, and only then
+    b or a time."""
     try:
         grid = list(map(float, kt_grid))
     except TypeError:  # not iterable, or an entry that is itself a sequence
         grid = []
     if not grid:
         raise ValueError("kt_grid must be a non-empty 1-d sequence")
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("kt_grid must be finite")
-    if not all(map(operator.lt, grid, grid[1:])):
-        raise ValueError("kt_grid must be strictly increasing")
-    kappa = cfg_b.kappa
-    return _mean_y(cfg_b, [kt / kappa for kt in grid])
+    try:
+        return _mean_y(cfg_b, grid, cfg_b.kappa)
+    except (ValueError, ZeroEnergy):
+        if not all(map(math.isfinite, grid)):
+            raise ValueError("kt_grid must be finite") from None
+        if not all(map(operator.lt, grid, grid[1:])):
+            raise ValueError("kt_grid must be strictly increasing") from None
+        raise
 
 
 def log_points(start: float = 1e-3, stop: float = 1e2, points: int = 200) -> list[float]:

@@ -198,10 +198,22 @@ def _horner_args(kt: float) -> tuple[bool, float, float, float]:
             math.log1p(inv) if inv < math.inf else -math.log(u))
 
 
+def _leads(b: int, count: int) -> np.ndarray:
+    """ln C(max(b, j), min(b, j)) for j < count, the lead of the reversed
+    sums, from the exact integers of Pascal's rule one level to the next:
+    the integers of math.comb, so math.log gives the same bits."""
+    leads, c = [], 1
+    for j in range(count):
+        leads.append(math.log(c))
+        c = c * (b - j) // (j + 1) if j < b else c * (j + 1) // (j + 1 - b)
+    return np.array(leads)
+
+
 def _populations(b: int, n: np.ndarray, forward: bool, w: np.ndarray, l1: np.ndarray,
-                 l2: np.ndarray) -> np.ndarray:
+                 l2: np.ndarray, leads: np.ndarray) -> np.ndarray:
     """P_b(n) at each level of n, with the w, log1p(u) and log1p(1/u) of its
-    row (_horner_args), every row of one direction.
+    row (_horner_args), every row of one direction; the reversed rows read
+    ln C(M, m) from leads (_leads).
 
     Per element these are the operations of diffusive._weight, in its order,
     rescaling included, in one loop over p for all elements: a ratio past
@@ -213,7 +225,6 @@ def _populations(b: int, n: np.ndarray, forward: bool, w: np.ndarray, l1: np.nda
         scale = -l1 - (b + n) * l2
     else:
         d = np.abs(n - b)
-        leads = np.array([math.log(math.comb(max(b, j), min(b, j))) for j in range(n.max() + 1)])
         scale = leads[n] - (2 * m + 1) * l1 - (b + n - 2 * m) * l2
     acc, one = np.ones(n.shape), np.ones(n.shape)
     for p in range(m.max() - 1, -1, -1):
@@ -265,6 +276,7 @@ def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
     starts = ends - lengths
     store = np.empty(sum(lengths))
     split = sum(length for args, _, length in kept if not args[0])
+    leads = _leads(b, max((length for args, _, length in kept if not args[0]), default=0))
     w, l1, l2 = (np.array([args[k] for args, _, _ in kept]) for k in (1, 2, 3))
     for forward, lo, hi in ((False, 0, split), (True, split, store.shape[0])):
         for start in range(lo, hi, _CHUNK_LEVELS):
@@ -272,7 +284,7 @@ def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
             flat = np.arange(start, stop)
             row = np.searchsorted(ends, flat, side="right")
             store[start:stop] = _populations(b, flat - starts[row], forward, w[row], l1[row],
-                                             l2[row])
+                                             l2[row], leads)
     store.setflags(write=False)
     views = {i: store[s:e] for (_, i, _), s, e in zip(kept, starts.tolist(), ends.tolist())}
     return [

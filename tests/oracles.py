@@ -1,27 +1,34 @@
 """Reference implementations the tests compare levelscope against.
 
-None of this runs in production: the 50-digit direct weight sum, two
-50-digit forms of F(b, t) (the direct overlap sum over levels and the
-terminating sum over i that `fidelity_overlap` evaluates in floats), the
+The benchmark harness's oracles (levelbench/oracles.py: closed-form y(n),
+the moments <N> and <N^2>, <y(b)> from them, the mpmath weights of the
+generating function and the overlap F(b, t) built on them, and the checks
+of each CLI output) are the tests' too: `harness` loads them by path, as
+`harness_oracles`. The references here are those the harness lacks, and
+none runs in production: the 50-digit direct weight sum, the 50-digit
+terminating sum over i that `fidelity_overlap` evaluates in floats, the
 paper's expanded triple sum for F(b, t) with the certified series summation
 it needs (the A07 audit of `fidelity_overlap`), the 50-digit tails of the
 trace and the first two moments beyond a level cut in closed form, the
 moments of a distribution's stored weights, the level weight as a
 log-space p-sum in double precision (a cross-check by another algorithm,
 with its own ln k!), the plain form of a hot path (<y(b)> composed point
-by point from the closed-form moments), and the Morse well's energies and
+by point from the harness's moments), and the Morse well's energies and
 its last bound level, decided in exact rationals.
 
-No oracle calls the code it checks: the kernels gamma and zeta and the
-moments <N> and <N^2> are written out here, and nothing here reads a
-private name of levelscope.
+No oracle calls the code it checks: the kernels gamma and zeta are written
+out here, and nothing here reads a private name of levelscope.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
+from types import ModuleType
 from typing import Iterable, Iterator
 
 import mpmath as mp
@@ -30,6 +37,20 @@ import numpy as np
 from levelscope.diffusive import DiffusiveConfig, YMeanPoint, check_time
 from levelscope.numerics import NonConvergent, ZeroEnergy
 from levelscope.open_system import FockDistribution
+
+
+def harness(name: str) -> ModuleType:
+    """levelbench/NAME.py, a module of the benchmark harness, loaded by path
+    under the name levelbench_NAME, which cannot clash with this module."""
+    path = Path(__file__).resolve().parents[1] / "levelbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"levelbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+harness_oracles = harness("oracles")
 
 
 # ln(k!) for k = 0..20, evaluated from the exact integer factorials.
@@ -71,37 +92,6 @@ def weight_oracle(b: int, n: int, kt) -> float:
             )
             total += coeff * gamma ** (b + l - p) * zeta ** (2 * p + 1)
         return float(total)
-
-
-def fidelity_direct(b: int, kt: float) -> float:
-    """F(b, kt) = sum_n P_b(n) P_{b-1}(n) at 50 digits, straight from the
-    level weights.
-
-    P_b(n) = z g^(b+n) sum_p C(b,p) C(n,p) (z/g)^(2p) with C(n, p) kept
-    exact by Pascal's rule from one n to the next. The sum stops past the
-    peak once a term falls below 1e-55 of the total. The number of levels
-    grows like kappa*t, so this suits kappa*t up to about 10.
-    """
-    with mp.workdps(60):
-        kt = mp.mpf(kt)
-        g = 2 * kt / (1 + 2 * kt)
-        z = 1 / (1 + 2 * kt)
-        rho = (z / g) ** 2
-        upper = [math.comb(b, p) * rho**p for p in range(b + 1)]
-        lower = [math.comb(b - 1, p) * rho**p for p in range(b)]
-        binom = [1] + [0] * b  # C(n, p) for p = 0..b, at n = 0
-        scale, gn = z * z * g ** (2 * b - 1), mp.mpf(1)
-        total, prev, n = mp.mpf(0), mp.mpf(0), 0
-        while True:
-            term = scale * gn * gn * mp.fsum(c * k for c, k in zip(upper, binom)) * mp.fsum(
-                c * k for c, k in zip(lower, binom)
-            )
-            total += term
-            if n > b and term < prev and term < mp.mpf(10) ** -55 * total:
-                return float(total)
-            prev, n, gn = term, n + 1, gn * g
-            for p in range(min(n, b), 0, -1):
-                binom[p] += binom[p - 1]
 
 
 def fidelity_terminating(b: int, kt: float) -> float:
@@ -229,29 +219,19 @@ def weight_psum(b: int, n: int, kt: float) -> float:
     return acc
 
 
-def closed_moments(b: int, kt: float) -> tuple[float, float]:
-    """(<N>, <N^2>) = (b + u, b^2 + 4bu + 2u^2 + u) at u = 2 kappa*t, the
-    first two derivatives at s = 1 of the level generating function
-    G(s) = zeta (gamma + (zeta - gamma) s)^b / (1 - gamma s)^(b+1); a <N^2>
-    that overflows raises ValueError."""
-    u = 2.0 * kt
-    m2 = b * b + 4.0 * b * u + 2.0 * u * u + u
-    if not math.isfinite(m2):
-        raise ValueError(f"<N^2> overflows at kappa*t = {kt:g}")
-    return b + u, m2
-
-
 def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
     """diffusive.mean_y_point composed step by step, one preparation at a
-    time: the closed-form moments of b and of b - 1, then
-    <H0> = omega <N> + lam <N^2> of each, checked for overflow."""
+    time: the harness's closed-form moments of b and of b - 1, checked for
+    overflow, then <H0> = omega <N> + lam <N^2> of each, checked again."""
     b, kappa, omega, lam = cfg_b.b, cfg_b.kappa, cfg_b.omega, cfg_b.lam
     if b < 1:
         raise ValueError("mean_y_point needs b >= 1")
     check_time(t)
     kt = kappa * t
-    m1_b, m2_b = closed_moments(b, kt)
-    m1_m, m2_m = closed_moments(b - 1, kt)
+    m1_b, m2_b = harness_oracles.moments(b, kt)
+    if not math.isfinite(m2_b):
+        raise ValueError(f"<N^2> overflows at kappa*t = {kt:g}")
+    m1_m, m2_m = harness_oracles.moments(b - 1, kt)
     h0_b, h0_m = omega * m1_b + lam * m2_b, omega * m1_m + lam * m2_m
     for h0 in (h0_b, h0_m):
         if not math.isfinite(h0):

@@ -27,7 +27,7 @@ from levelscope.spectra import (
     quartic_limits,
     threshold_scan,
 )
-from oracles import fidelity_closed_form, weight_oracle
+from oracles import fidelity_closed_form, harness_oracles, weight_oracle
 
 mp.mp.dps = 50
 
@@ -35,10 +35,6 @@ mp.mp.dps = 50
 def report(tag: str, ok: bool, detail: str) -> bool:
     print(f"[{tag}] {'PASS' if ok else 'FAIL'} {detail}")
     return ok
-
-
-def hydrogenoid_closed_y(n: int) -> float:
-    return math.pi * (2 * n - 1) * (3 * n * n - 3 * n + 1) / (4.0 * n * n * (n - 1) ** 2)
 
 
 def morse_scale(model: Morse):
@@ -143,7 +139,7 @@ def test_a02_hydrogenoid_threshold():
     worst = 0.0
     for n in range(2, 101):
         got = criterion_point(Hydrogenoid(), n).y
-        want = hydrogenoid_closed_y(n)
+        want = harness_oracles.closed_y("hydrogenoid", n)
         worst = max(worst, abs(got - want) / want)
     crossing_reported = result.first_unresolvable == 10
     note_emitted = "n=9" in result.note and "n=10" in result.note

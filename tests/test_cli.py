@@ -2,16 +2,19 @@
 
 import argparse
 import contextlib
+import functools
 import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +28,11 @@ from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, bu
 from levelscope.cli_closed import model_from_args
 from levelscope.cli_files import csv_rows
 from levelscope.numerics import fmt
-from oracles import fidelity_terminating
+from oracles import fidelity_terminating, harness, harness_oracles
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def read_csv(path):
-    comments, header, rows = [], None, []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return comments, header, rows
+WORKLOADS = harness("workloads")
+read_table = harness_oracles.read_table
 
 
 def test_criterion_box_table(capsys):
@@ -59,14 +52,6 @@ def test_criterion_box_json(capsys):
 def test_criterion_harmonic_is_period_blind(capsys):
     assert main(["criterion", "--model", "harmonic", "--n", "7"]) == EXIT_USAGE
     assert "period-blind" in capsys.readouterr().out
-
-
-def test_criterion_quartic_flags(capsys):
-    code = main(["criterion", "--model", "quartic", "--omega", "1", "--lambda", "1", "--n", "2"])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    expected = math.pi * 1 * (1 + (2 * 2 - 1)) / ((1 + 2 * 1) * (1 + 2 * 2))
-    assert f"{expected:.6g}"[:6] in out
 
 
 @pytest.mark.parametrize(
@@ -148,7 +133,7 @@ def test_scan_has_no_eps(tmp_path, capsys):
 def test_scan_manifest_keeps_the_default_tolerances(tmp_path):
     out = tmp_path / "box.csv"
     assert main(["scan", "--model", "box", "--n-max", "6", "--out", str(out)]) == EXIT_OK
-    comments, _, _ = read_csv(out)
+    _, _, comments = read_table(out)
     assert "# tolerances: rel_eps=1e-10 max_terms=1000000" in comments
 
 
@@ -156,7 +141,7 @@ def test_scan_box_footer(tmp_path, capsys):
     out = tmp_path / "box.csv"
     code = main(["scan", "--model", "box", "--n-min", "2", "--n-max", "20", "--out", str(out)])
     assert code == EXIT_OK
-    comments, header, rows = read_csv(out)
+    header, rows, comments = read_table(out)
     assert header == ["n", "energy", "tau", "d_energy", "d_tau", "y_over_hbar", "resolvable"]
     assert len(rows) == 19
     assert any("first_unresolvable = 4" in c for c in comments)
@@ -168,20 +153,9 @@ def test_scan_hydrogenoid_footer_notes_crossing(tmp_path):
         ["scan", "--model", "hydrogenoid", "--n-min", "2", "--n-max", "20", "--out", str(out)]
     )
     assert code == EXIT_OK
-    comments, _, _ = read_csv(out)
+    _, _, comments = read_table(out)
     assert any("first_unresolvable = 10" in c for c in comments)
     assert any("n=9" in c for c in comments)
-
-
-def test_scan_morse_preset_uses_level_ceiling(tmp_path):
-    out = tmp_path / "h2.csv"
-    code = main(["scan", "--preset", "h2_morse", "--n-min", "1", "--out", str(out)])
-    assert code == EXIT_OK
-    _, _, rows = read_csv(out)
-    assert len(rows) == 16  # n = 1 .. 16
-    flags = [row[-1] for row in rows]
-    assert flags[:14] == ["false"] * 14  # low levels all below the bound
-    assert flags[14:] == ["true", "true"]  # top-of-well levels cross it
 
 
 def test_scan_is_byte_deterministic(tmp_path, monkeypatch):
@@ -211,7 +185,7 @@ def test_scan_json_mirror(tmp_path):
 def header_manifest(path):
     """The `#` manifest lines of a CSV data file, parsed into the shape of
     the JSON `manifest` object."""
-    comments, _, _ = read_csv(path)
+    _, _, comments = read_table(path)
     title, generated, parameters, tolerances = comments[:4]
     command, version = title.removeprefix("# levelscope ").rsplit(" v", 1)
     tol = dict(kv.split("=") for kv in tolerances.removeprefix("# tolerances: ").split())
@@ -460,7 +434,7 @@ def test_evolve_trace_column(tmp_path):
         ["evolve", "--b", "2", "--grid", "log:1e-3:1:5", "--out", str(out)]
     )
     assert code == EXIT_OK
-    _, header, rows = read_csv(out)
+    header, rows, _ = read_table(out)
     assert header == ["kt", "n", "weight", "trace", "n_cut", "tail_bound"]
     traces = {row[0]: float(row[3]) for row in rows}
     assert len(traces) == 5
@@ -482,52 +456,6 @@ def test_evolve_csv_rows_are_the_json_rows_formatted_row_by_row(tmp_path, floor)
     assert (len(rows) > 0) == (floor != "2")
 
 
-def test_fidelity_series_with_svg(tmp_path):
-    out = tmp_path / "fid.csv"
-    svg = tmp_path / "fid.svg"
-    code = main(
-        ["fidelity", "--b", "1,5", "--grid", "log:1e-3:10:9",
-         "--out", str(out), "--svg", str(svg)]
-    )
-    assert code == EXIT_OK
-    _, header, rows = read_csv(out)
-    assert header == ["kt", "F_b1", "F_b5"]
-    first = [float(v) for v in rows[0]]
-    # orthogonal start; the early-time overlap grows with b
-    assert first[1] < 1e-2 and first[2] < 5e-2
-    for row in rows:
-        assert 0.0 <= float(row[1]) <= 1.0
-    ET.fromstring(svg.read_text())  # well-formed XML
-
-
-def test_ymean_series(tmp_path):
-    out = tmp_path / "y.csv"
-    code = main(
-        ["ymean", "--b", "2", "--omega", "0.1", "--lambda", "1.0",
-         "--grid", "log:1e-3:1:7", "--out", str(out)]
-    )
-    assert code == EXIT_OK
-    _, header, rows = read_csv(out)
-    assert header == ["kt", "y_mean_b2", "d_energy_b2", "d_tau_b2"]
-    values = [float(row[1]) for row in rows]
-    assert values[0] == pytest.approx(2.0891, rel=1e-3)
-    assert values[-1] < values[0]
-    # the signed columns expose the direction of each factor
-    assert float(rows[0][2]) > 0.0 > float(rows[0][3])
-
-
-def ymean_closed(b, kt, omega, lam):
-    """(y_mean, d_energy, d_tau) from <N> = b + u, <N^2> = b^2 + 4bu + 2u^2 + u."""
-    u = 2.0 * kt
-
-    def energy(k):
-        return omega * (k + u) + lam * (k * k + 4.0 * k * u + 2.0 * u * u + u)
-
-    d_energy = (omega + lam * (2 * b - 1 + 4.0 * u)) / 2.0
-    d_tau = -math.pi * lam * (b * (b - 1) + 2.0 * u * (b + u - 1.0)) / (energy(b) * energy(b - 1))
-    return abs(d_energy * d_tau), d_energy, d_tau
-
-
 def test_ymean_reaches_late_times(tmp_path):
     # At kappa*t = 1e5 a certified level cut would pass max_terms; the
     # closed-form moments need no cut.
@@ -537,14 +465,14 @@ def test_ymean_reaches_late_times(tmp_path):
          "log:1e-3:1e5:5", "--out", str(out)]
     )
     assert code == EXIT_OK
-    comments, header, rows = read_csv(out)
+    header, rows, comments = read_table(out)
     assert any("moments=closed-form" in c for c in comments)
     assert len(rows) == 5
     for row in rows:
         kt = float(row[0])
         for j, b in enumerate((2, 40)):
             got = [float(v) for v in row[1 + 3 * j: 4 + 3 * j]]
-            for g, want in zip(got, ymean_closed(b, kt, 0.1, 1.0)):
+            for g, want in zip(got, harness_oracles.ymean_closed(b, kt, 0.1, 1.0)):
                 assert g == pytest.approx(want, rel=1e-9)
 
 
@@ -614,7 +542,7 @@ def test_only_ymean_takes_the_oscillator(tmp_path, capsys, argv, flag):
 def test_open_system_manifest_keeps_the_default_tolerances(tmp_path, argv):
     assert main([*argv[:-1], str(tmp_path / argv[-1]), "--grid", "log:1e-3:1:3"]) == EXIT_OK
     data = next(tmp_path.glob("*.csv"))
-    comments, _, _ = read_csv(data)
+    _, _, comments = read_table(data)
     assert "# tolerances: rel_eps=1e-10 max_terms=1000000" in comments
 
 
@@ -635,7 +563,7 @@ def test_eps_at_the_floor_is_certified(tmp_path):
         ["evolve", "--b", "2", "--eps", "1e-12", "--grid", "log:1e-3:10:4", "--out", str(out)]
     )
     assert code == EXIT_OK
-    _, _, rows = read_csv(out)
+    _, rows, _ = read_table(out)
     assert rows and all(float(row[5]) <= 1e-12 for row in rows)
 
 
@@ -670,7 +598,7 @@ def test_b_0_names_the_curve_that_needs_b_1(tmp_path, capsys, argv, message):
     code = main([*argv, "--b", "0,5", "--grid", "log:1e-3:1:3", "--out", str(out)])
     if message is None:
         assert code == 0
-        _, header, rows = read_csv(out / "figure2.csv")
+        header, rows, _ = read_table(out / "figure2.csv")
         assert header == ["kt", "b0", "b5"] and len(rows) == 3
     else:
         assert code == EXIT_USAGE
@@ -699,7 +627,7 @@ def test_figures_families(tmp_path):
              "--out", str(out_dir)]
         )
         assert code == EXIT_OK
-        comments, header, rows = read_csv(out_dir / f"figure{which}.csv")
+        header, rows, comments = read_table(out_dir / f"figure{which}.csv")
         assert header == columns
         ET.fromstring((out_dir / f"figure{which}.svg").read_text())
         if which == 1:
@@ -715,8 +643,8 @@ def test_figures_match_the_curve_commands(tmp_path):
     grid = ["--grid", "log:1e-3:1e2:9"]
     assert main(["figures", "1", "--b", "1,5", *grid, "--out", str(tmp_path / "f1")]) == EXIT_OK
     assert main(["fidelity", "--b", "1,5", *grid, "--out", str(tmp_path / "fid.csv")]) == EXIT_OK
-    _, _, figure_rows = read_csv(tmp_path / "f1" / "figure1.csv")
-    _, _, fidelity_rows = read_csv(tmp_path / "fid.csv")
+    _, figure_rows, _ = read_table(tmp_path / "f1" / "figure1.csv")
+    _, fidelity_rows, _ = read_table(tmp_path / "fid.csv")
     assert figure_rows == fidelity_rows
 
     assert main(["figures", "3", *grid, "--out", str(tmp_path / "f3")]) == EXIT_OK
@@ -724,8 +652,8 @@ def test_figures_match_the_curve_commands(tmp_path):
         ["ymean", "--omega", "0.1", "--lambda", "1", *grid, "--out", str(tmp_path / "y.csv")]
     )
     assert code == EXIT_OK
-    _, figure_header, figure_rows = read_csv(tmp_path / "f3" / "figure3.csv")
-    _, header, ymean_rows = read_csv(tmp_path / "y.csv")
+    figure_header, figure_rows, _ = read_table(tmp_path / "f3" / "figure3.csv")
+    header, ymean_rows, _ = read_table(tmp_path / "y.csv")
     columns = [0] + [header.index(f"y_mean_{name}") for name in figure_header[1:]]
     assert [[row[j] for j in columns] for row in ymean_rows] == figure_rows
 
@@ -751,20 +679,12 @@ def test_figures_ymean_defaults(tmp_path):
     out_dir = tmp_path / "f3"
     code = main(["figures", "3", "--grid", "log:1e-3:1:5", "--out", str(out_dir)])
     assert code == EXIT_OK
-    comments, header, rows = read_csv(out_dir / "figure3.csv")
+    header, rows, comments = read_table(out_dir / "figure3.csv")
     assert header == ["kt", "b2", "b5", "b10", "b15"]
     assert any("omega-over-lam = 0.1" in c.replace("=", " = ") for c in comments)
     assert any("moments=closed-form" in c for c in comments)
     # the angle brackets of the y-axis label must be XML-escaped
     ET.fromstring((out_dir / "figure3.svg").read_text())
-
-
-def test_figures_4_uses_large_ratio(tmp_path):
-    out_dir = tmp_path / "f4"
-    code = main(["figures", "4", "--b", "2", "--grid", "log:1e-3:1:3", "--out", str(out_dir)])
-    assert code == EXIT_OK
-    _, _, rows = read_csv(out_dir / "figure4.csv")
-    assert float(rows[0][1]) == pytest.approx(0.1544, rel=1e-2)
 
 
 def test_bad_grid_exits_2(tmp_path, capsys):
@@ -1127,22 +1047,87 @@ def test_evolve_past_the_second_moment_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _load_workloads():
-    """levelbench/workloads.py, the benchmark's argv generator (standard
-    library only), under a name that cannot clash with tests/oracles.py."""
-    import importlib.util
-
-    path = Path(__file__).resolve().parents[1] / "levelbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("levelbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+# The benchmark's CLI workloads, seeds 1-3: every operation of each plan runs
+# through main() in a directory of its own, and the harness's own oracles
+# (levelbench/oracles.py check_cli) judge its exit code, stdout and every
+# file it writes, as they judge the benchmark's timed runs.
+PLANS = {(workload, seed): WORKLOADS.plan(workload, seed)
+         for workload in ("closed_cli", "paper_cli") for seed in (1, 2, 3)}
+PLAN_ARGV = sorted({op.argv for plan in PLANS.values() for op in plan})
 
 
-_WORKLOADS = _load_workloads()
-PLAN_ARGV = sorted({op.argv for workload in ("closed_cli", "paper_cli") for seed in (1, 2, 3)
-                    for op in _WORKLOADS.plan(workload, seed)})
+@pytest.fixture(scope="module")
+def plan_outputs(tmp_path_factory):
+    """(op, exit code, stdout, directory) of each operation of a plan, run once."""
+    @functools.cache
+    def outputs(workload, seed):
+        workdir, runs = tmp_path_factory.mktemp(f"{workload}-{seed}"), []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(workdir)
+            for op in PLANS[workload, seed]:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(list(op.argv))
+                runs.append((op, code, out.getvalue(), workdir))
+        return runs
+
+    return outputs
+
+
+def _oracle_errors(op, code, stdout, workdir):
+    checker = harness_oracles.Checker()
+    harness_oracles.check_cli(checker, op, code, stdout, str(workdir))
+    return checker.errors
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["closed_cli", "paper_cli"])
+def test_benchmark_plans_pass_the_harness_oracles(plan_outputs, workload, seed):
+    runs = plan_outputs(workload, seed)
+    assert [error for run in runs for error in _oracle_errors(*run)] == []
+
+
+def _one_digit_off(text):
+    """The decimal text with its sixth significant digit moved by one, down
+    from a 9 and up from any other digit, so that no carry spreads."""
+    value = Decimal(text)
+    unit = Decimal(1).scaleb(value.adjusted() - 5).copy_sign(value)
+    return str(value - unit if int(value / unit) % 10 == 9 else value + unit)
+
+
+# Per check kind, the first operation of the seed-1 plans that it judges (the
+# harmonic criterion prints no value), and the data column that gets one
+# digit changed in its first row: the first value column, unless named here.
+# The first row of F is one of the points the harness compares with mpmath.
+CHANGED_COLUMN = {"scan": "y_over_hbar", "evolve": "weight"}
+
+
+@pytest.mark.parametrize("kind", ["criterion", "scan", "fidelity", "survival", "ymean_y",
+                                  "ymean", "evolve"])
+def test_harness_oracles_catch_one_changed_digit(plan_outputs, kind):
+    op, code, stdout, workdir = next(
+        run for run in plan_outputs("closed_cli", 1) + plan_outputs("paper_cli", 1)
+        if run[0].check == kind and run[0].params.get("model") != "harmonic")
+    assert _oracle_errors(op, code, stdout, workdir) == []
+    if kind == "criterion":
+        changed = re.sub(r"(y / hbar\s*: )(\S+)", lambda m: m[1] + _one_digit_off(m[2]), stdout)
+        assert changed != stdout and _oracle_errors(op, code, changed, workdir)
+        return
+    path = workdir / op.outputs[0]
+    text = path.read_text(encoding="utf-8")
+    header, rows, _ = read_table(path)
+    fields = list(rows[0])
+    column = header.index(CHANGED_COLUMN.get(kind, header[1]))
+    fields[column] = _one_digit_off(fields[column])
+    line = "\n" + ",".join(rows[0]) + "\n"
+    assert text.count(line) == 1
+    try:
+        path.write_text(text.replace(line, "\n" + ",".join(fields) + "\n"), encoding="utf-8")
+        assert _oracle_errors(op, code, stdout, workdir)
+    finally:
+        path.write_text(text, encoding="utf-8")
+
+
 EDGE_ARGV = [
     [], ["--help"], ["-h"], ["--version"], ["bogus"], ["--bogus"], ["crit"], ["--", "scan"],
     ["criterion", "--model", "box", "--n", "4", "extra"], ["scan", "--n-max", "x"],

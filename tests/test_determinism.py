@@ -14,11 +14,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from levelscope import cli
+from levelscope import cli, diffusive
 from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, log_points,
                                   mean_y_point, mean_y_series, survival)
 from levelscope.open_system import distribution, distributions
@@ -400,3 +401,14 @@ def _large_b_digest(family: str, b: int) -> str:
 @pytest.mark.parametrize("family, b", list(LARGE_B_DIGESTS))
 def test_large_b_digests(family, b):
     assert _large_b_digest(family, b) == LARGE_B_DIGESTS[family, b]
+
+
+# The exact C(2b, b) at b = 10**5 has 60,000 digits and takes about 0.5 s to
+# form; the two points, their ratios included, take a few tens of ms, so the
+# bound fails if deciding that the sum is not plain forms it again.
+@pytest.mark.parametrize("family", ["fidelity", "survival"])
+def test_large_b_points_form_no_huge_binomial(family):
+    diffusive._ratios.cache_clear()
+    start = time.perf_counter()
+    _large_b_digest(family, 10**5)
+    assert time.perf_counter() - start < 0.25

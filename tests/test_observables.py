@@ -24,8 +24,8 @@ from levelscope.numerics import MismatchedConfig, ZeroEnergy
 from levelscope.open_system import distribution
 from oracles import (
     fidelity_closed_form,
-    fidelity_direct,
     fidelity_terminating,
+    harness_oracles,
     mean_y_reference,
     stored_moments,
 )
@@ -151,10 +151,11 @@ def _rel_err(b: int, kt: float, want: float) -> float:
 
 @pytest.mark.parametrize("b", [1, 2, 5, 15, 40, 100])
 def test_fidelity_matches_the_direct_overlap_sum(b):
-    # The direct sum needs about 100 kappa*t levels more than b; b = 100
-    # stops at kappa*t = 2 to keep it quick.
+    # The harness's sum over levels of the mpmath convolution weights needs
+    # about 100 kappa*t levels more than b; b = 100 stops at kappa*t = 2 to
+    # keep it quick.
     kts = [1e-3, 0.03, *EDGE, 0.3, 2.0] + ([10.0] if b < 100 else [])
-    worst = max(_rel_err(b, kt, fidelity_direct(b, kt)) for kt in kts)
+    worst = max(_rel_err(b, kt, harness_oracles.fidelity_mp(b, kt)) for kt in kts)
     assert worst <= 3e-14
 
 

@@ -17,7 +17,7 @@ from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight
                                   survival)
 from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
 from levelscope.open_system import FockDistribution, distribution
-from oracles import stored_moments, tail_moments, weight_oracle, weight_psum
+from oracles import harness_oracles, stored_moments, tail_moments, weight_oracle, weight_psum
 
 
 def cfg_for(b: int, **kw) -> DiffusiveConfig:
@@ -158,6 +158,15 @@ def test_plain_verdict_never_skips_a_rescale(first_b):
             _assert_never_rescales(b, n, (1.0, 0.5, 1e-3, 0.0))
     # b = n: plain through b = 284, where C(2b, b) passes 1e170.
     assert diffusive._ratios(284, 284)[3] and not diffusive._ratios(285, 285)[3]
+
+
+# From m = min(b, n) = 285 on, _ratios decides "not plain" without forming
+# C(b+n, m); on both sides of that the verdict is the exact comparison's.
+def test_plain_verdict_is_the_exact_comparison():
+    for m in range(280, 291):
+        for n in (m, m + 1, 3 * m + 7):
+            exact = math.comb(m + n, m) < diffusive._PLAIN
+            assert diffusive._ratios(m, n)[3] == diffusive._ratios(n, m)[3] == exact, (m, n)
 
 
 # Draws on both sides of the boundary: about half of them are plain.
@@ -595,7 +604,7 @@ def test_cut_bounds_the_exact_tails(b, eps):
         bounds = open_system._bounds(b, g, z, n_cut)
         exact = tail_moments(b, kt, n_cut)
         assert all(e <= bound for e, bound in zip(exact, bounds)), (kt, exact, bounds)
-        m1, m2 = b + u, b * b + 4.0 * b * u + 2.0 * u * u + u
+        m1, m2 = harness_oracles.moments(b, kt)
         targets = (eps, eps * max(m1, 1.0), eps * max(m2, 1.0))
         assert tail == bounds[0] and all(bound <= t for bound, t in zip(bounds, targets))
         assert n_cut >= b

@@ -30,28 +30,12 @@ from levelscope.spectra import (
     superposition_delta_e,
     threshold_scan,
 )
-from oracles import morse_energy_exact, morse_top_is_exact
+from oracles import harness_oracles, morse_energy_exact, morse_top_is_exact
+
+closed_y = harness_oracles.closed_y
 
 BOX = Box(mass=1.0, width=1.0)
 HYD = Hydrogenoid()
-
-
-# Closed forms used as independent oracles for the generic difference path.
-def box_y(n: int) -> float:
-    return math.pi * (2 * n - 1) / (4.0 * (n - 1) * n)
-
-
-def hydrogenoid_y(n: int) -> float:
-    return math.pi * (2 * n - 1) * (3 * n * n - 3 * n + 1) / (4.0 * n * n * (n - 1) ** 2)
-
-
-def quartic_y(omega: float, lam: float, n: int) -> float:
-    return (
-        math.pi
-        * lam
-        * (omega + lam * (2 * n - 1))
-        / ((omega + 2 * lam * (n - 1)) * (omega + 2 * lam * n))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +128,10 @@ def test_criterion_requires_lower_neighbor():
 
 @pytest.mark.parametrize("n", range(2, 101))
 def test_generic_differences_match_closed_forms(n):
-    assert criterion_point(BOX, n).y == pytest.approx(box_y(n), rel=1e-10)
-    assert criterion_point(HYD, n).y == pytest.approx(hydrogenoid_y(n), rel=1e-10)
+    assert criterion_point(BOX, n).y == pytest.approx(closed_y("box", n), rel=1e-10)
+    assert criterion_point(HYD, n).y == pytest.approx(closed_y("hydrogenoid", n), rel=1e-10)
     q = Quartic(omega=0.7, lam=1.3)
-    assert criterion_point(q, n).y == pytest.approx(quartic_y(0.7, 1.3, n), rel=1e-10)
+    assert criterion_point(q, n).y == pytest.approx(closed_y("quartic", n, 0.7, 1.3), rel=1e-10)
 
 
 def test_criterion_point_invariants():
@@ -461,7 +445,7 @@ def test_quartic_asymptotes(n):
     _, high_nl = quartic_limits(strong, n)
     assert criterion_point(strong, n).y == pytest.approx(high_nl, rel=1e-4)
     # The strong-coupling asymptote is the Box closed form, identically.
-    assert high_nl == box_y(n)
+    assert high_nl == closed_y("box", n)
 
 
 # ---------------------------------------------------------------------------
