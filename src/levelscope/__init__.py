@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .numerics import MismatchedConfig, NonConvergent, ZeroEnergy
+from .numerics import MismatchedConfig, ZeroEnergy
 
 # Every other name loads its submodule on first use (PEP 562), so that
 # `import levelscope` loads only numerics: the closed-system half (spectra,
@@ -44,4 +44,4 @@ def __dir__() -> list[str]:
 
 
 # The eagerly imported numerics names, then every lazy one.
-__all__ = ["__version__", "MismatchedConfig", "NonConvergent", "ZeroEnergy", *_LAZY]
+__all__ = ["__version__", "MismatchedConfig", "ZeroEnergy", *_LAZY]

@@ -22,10 +22,10 @@ mirror of the same records via --format json); figure commands also emit a
 minimal SVG. Identical flags produce byte-identical data files: floats use a
 fixed format and the manifest timestamp honors SOURCE_DATE_EPOCH.
 
-Exit codes: 0 success, 2 bad arguments, out-of-domain request, an
-unreadable --preset or a SOURCE_DATE_EPOCH outside 0..253402300799,
-3 numerical non-convergence, 4 I/O failure (an output file, or stdout, that
-cannot be written).
+Exit codes: 0 success, 2 bad arguments, out-of-domain request (an evolve
+row whose proven level cut passes 1,000,000 levels included), an
+unreadable --preset or a SOURCE_DATE_EPOCH outside 0..253402300799, 4 I/O
+failure (an output file, or stdout, that cannot be written).
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .numerics import NonConvergent, ZeroEnergy
+from .numerics import ZeroEnergy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_NONCONVERGENT = 3
 EXIT_IO = 4
 
 # command -> (help text, module under levelscope that declares its flags
@@ -90,9 +89,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ZeroEnergy, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonConvergent as exc:
-        print(f"error: non-convergent series: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

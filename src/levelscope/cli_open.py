@@ -9,9 +9,10 @@ evolve also --b, --eps and --weight-floor; fidelity --b and --svg; ymean
 they write is a function of kappa*t: the populations, P_b and F of b and
 kappa*t alone, <y(b)> also of omega and lam, through <H0>. So only ymean
 reads the oscillator, and the evolve and fidelity manifests list no omega
-or lam. Each command turns a grid point into the time t = kt / kappa, and
-every one of them exits 2 where some t overflows or falls below the
-smallest normal double, since kappa * t no longer gives back kt there.
+or lam. Each value is computed at the kappa*t it is printed with, through
+configurations at kappa = 1, where the time t is kappa*t itself: --kappa,
+checked to be finite and positive, names the bath in the manifest, and no
+grid is refused because of it.
 
 The dispatcher (levelscope.cli) imports this module only to run one of
 these commands or to build the full parser. numpy loads only in `evolve`,
@@ -22,18 +23,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import sys
-from collections.abc import Iterable
 from pathlib import Path
 
 from .cli_files import build_manifest, csv_blocks, write_csv, write_table, write_text
 from .numerics import REL_EPS, check_rel_eps, fmt
-
-# Type checkers read this TYPE_CHECKING as typing's; defining it here keeps
-# typing unloaded.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .diffusive import DiffusiveConfig
 
 
 # The curve commands, keyed by the command as the manifest names it:
@@ -121,18 +114,9 @@ def _parse_b_list(spec: str) -> tuple[int, ...]:
     return values
 
 
-def _grid_times(args: argparse.Namespace, cfgs: Iterable[DiffusiveConfig]
-                ) -> tuple[list[float], list[DiffusiveConfig], list[float]]:
-    """The --grid kappa*t values, the configurations cfgs and the time
-    t = kt / kappa of each grid point, formed in that order: a lazy cfgs
-    is checked after the grid spec and before any t, so --kappa inf is
-    named as such, not as too large for the grid.
-
-    A kappa for which some t overflows, or falls below the smallest normal
-    double, exits 2: there kappa * t gives back only the leading bits of
-    kt, or none, and the values, all functions of kappa*t, would print
-    wrong digits (F = 0 at b = 1, kt = 1e-16; <y(1)> off in its eighth
-    digit at kt = 1e-9)."""
+def _grid(args: argparse.Namespace) -> list[float]:
+    """The --grid kappa*t values, then the check of --kappa, which only the
+    manifest reads: a bad grid spec is named first."""
     from .diffusive import log_points
 
     spec = args.grid or "log:1e-3:1e2:200"
@@ -144,17 +128,11 @@ def _grid_times(args: argparse.Namespace, cfgs: Iterable[DiffusiveConfig]
     except ValueError:
         raise ValueError(f"grid must look like log:START:STOP:POINTS, got {spec!r}") from None
     grid = log_points(start, stop, points)
-    cfgs = list(cfgs)
-    kappa = cfgs[0].kappa
-    times = [kt / kappa for kt in grid]
-    for kt, t in zip(grid, times):
-        if t == math.inf:
-            raise ValueError(f"--kappa {kappa} is too small for the grid: "
-                             f"t = kt / kappa overflows at kappa*t = {kt:g}")
-        if t < sys.float_info.min:
-            raise ValueError(f"--kappa {kappa} is too large for the grid: "
-                             f"t = kt / kappa underflows at kappa*t = {kt:g}")
-    return grid, cfgs, times
+    # DiffusiveConfig's check and message; a chained comparison with inf
+    # also rejects NaN.
+    if not 0.0 < args.kappa < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {args.kappa}")
+    return grid
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -167,10 +145,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     from .diffusive import DiffusiveConfig
     from .open_system import distributions
 
-    grid, (cfg,), times = _grid_times(args, [DiffusiveConfig(b=args.b, kappa=args.kappa)])
-    # Every distribution exists before the file is opened, so a
-    # non-convergent cut (exit 3) leaves no partial file.
-    dists = distributions(cfg, times, args.eps)
+    cfg = DiffusiveConfig(b=args.b, kappa=1.0)
+    grid = _grid(args)
+    # Every distribution exists before the file is opened, so a row whose
+    # cut passes the level cap (exit 2) leaves no partial file.
+    dists = distributions(cfg, grid, args.eps)
     counts = []
 
     def blocks():
@@ -216,19 +195,18 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         oscillator = (args.omega, args.lam)
     from .diffusive import DiffusiveConfig, check_curve, fidelity_overlap, mean_y_series, survival
 
-    # A generator: _grid_times builds the configurations after the grid.
-    grid, cfgs, times = _grid_times(
-        args, (DiffusiveConfig(b, args.kappa, *oscillator) for b in b_values))
+    grid = _grid(args)
+    # At kappa = 1 the time t is kappa*t: each value is taken at its kt.
+    cfgs = [DiffusiveConfig(b, 1.0, *oscillator) for b in b_values]
     curves = []
     for cfg in cfgs:
         if curve == "fidelity":
-            lower = DiffusiveConfig(b=cfg.b - 1, kappa=cfg.kappa)
-            points = [(fidelity_overlap(cfg, lower, t),) for t in times]
+            lower = DiffusiveConfig(b=cfg.b - 1, kappa=1.0)
+            points = [(fidelity_overlap(cfg, lower, kt),) for kt in grid]
         elif curve == "survival":
-            points = [(survival(cfg, t),) for t in times]
+            points = [(survival(cfg, kt),) for kt in grid]
         else:
-            # signed ingredients ride along so the sign of d_tau stays visible;
-            # the series takes t = kt / kappa, the same times as above
+            # signed ingredients ride along so the sign of d_tau stays visible
             points = [(p.y_mean, p.d_energy, p.d_tau) for p in mean_y_series(cfg, grid)]
         check_curve(grid, [p[0] for p in points])
         curves.append(points)

@@ -18,7 +18,6 @@ __all__ = [
     "MAX_TERMS",
     "MIN_REL_EPS",
     "MismatchedConfig",
-    "NonConvergent",
     "REL_EPS",
     "ZeroEnergy",
     "check_rel_eps",
@@ -73,14 +72,6 @@ class Frozen(tuple):
 
     def __reduce__(self) -> tuple:
         return self.__class__, tuple(self)
-
-
-class NonConvergent(ArithmeticError):
-    """A series hit its term cap before the certified stopping rule fired.
-
-    Raised instead of returning a partial sum, so a bad parameter regime
-    surfaces as an error rather than as silently wrong numbers.
-    """
 
 
 # The diffusive observables raise these two; they live here so that the

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .diffusive import _BIG, _SHRINK, _SPAN, check_level, check_time
-from .numerics import MAX_TERMS, REL_EPS, Frozen, NonConvergent, check_rel_eps
+from .numerics import MAX_TERMS, REL_EPS, Frozen, check_rel_eps
 
 # Type checkers read this TYPE_CHECKING as typing's; typing stays unloaded.
 TYPE_CHECKING = False
@@ -136,7 +136,8 @@ def _cut(b: int, kt: float, eps: float) -> tuple[int, float]:
     moment bound at most eps * max(m, 1): by doubling, then by bisection
     that keeps the passing end, so every cut returned is proven, with
     n_cut + 1 <= MAX_TERMS. Raises ValueError when <N^2> overflows (kt past
-    about 4.74e153, or inf).
+    about 4.74e153, or inf), and when no cut within MAX_TERMS levels passes:
+    a size cap on the row, not a sum that fails to converge.
     """
     u = 2.0 * kt
     m1 = b + u
@@ -156,9 +157,8 @@ def _cut(b: int, kt: float, eps: float) -> tuple[int, float]:
     lo, hi = b - 1, b  # lo is below every cut
     while hi > cap or (bound := tail(hi)) is None:
         if hi >= cap:
-            raise NonConvergent(
-                f"level cut for b={b}, kappa*t={kt} exceeded max_terms={MAX_TERMS}"
-            )
+            raise ValueError(f"no level cut within max_terms={MAX_TERMS} levels proves "
+                             f"the tail for b={b} at kappa*t = {kt:g}")
         lo, hi = hi, min(hi + 2 * (hi - lo), cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -255,10 +255,11 @@ def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
     of the first two moments beyond it at most rel_eps times the moment (or
     rel_eps, below 1), so downstream energy averages inherit the bound.
     rel_eps must lie in [MIN_REL_EPS, 1) (numerics.check_rel_eps), else
-    ValueError. Raises NonConvergent, before any weight is computed, when no
-    cut within MAX_TERMS levels passes at some time. The weights are those
-    of fock_weight on levels 0 .. n_cut, bit for bit, so a row's bits do not
-    depend on the other times in ts. They are read-only; nothing is shared
+    ValueError. Raises ValueError too, before any weight is computed, when
+    <N^2> overflows or no cut within MAX_TERMS levels passes at some time:
+    MAX_TERMS caps the size of a row. The weights are those of fock_weight
+    on levels 0 .. n_cut, bit for bit, so a row's bits do not depend on the
+    other times in ts. They are read-only; nothing is shared
     between calls, so they do not depend on earlier ones.
     """
     check_rel_eps(rel_eps)

@@ -35,7 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from levelscope.diffusive import DiffusiveConfig, YMeanPoint, check_time
-from levelscope.numerics import NonConvergent, ZeroEnergy
+from levelscope.numerics import ZeroEnergy
 from levelscope.open_system import FockDistribution
 
 
@@ -109,6 +109,10 @@ def fidelity_terminating(b: int, kt: float) -> float:
         return float(total * x ** (2 * b - 1) / (1 + x) ** (2 * b))
 
 
+class TermCapReached(ArithmeticError):
+    """sum_adaptive reached max_terms before its stopping rule fired."""
+
+
 @dataclass(frozen=True)
 class SeriesSum:
     """Partial sum with its certificate."""
@@ -133,14 +137,14 @@ def sum_adaptive(
 
     A stream that simply runs out of terms is returned with tail_bound 0
     (a finite sum is its own limit). Hitting max_terms first raises
-    NonConvergent.
+    TermCapReached.
     """
     total = 0.0
     prev_mag: float | None = None
     count = 0
     for term in terms:
         if count >= max_terms:
-            raise NonConvergent(
+            raise TermCapReached(
                 f"series did not satisfy its stopping rule within {max_terms} terms"
             )
         total = total + term

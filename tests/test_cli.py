@@ -5,6 +5,7 @@ import contextlib
 import functools
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -23,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelscope import cli, presets, spectra
-from levelscope.cli import (EXIT_IO, EXIT_NONCONVERGENT, EXIT_OK, EXIT_USAGE, build_parser, main,
-                            run)
+from levelscope.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main, run
 from levelscope.cli_closed import model_from_args
 from levelscope.cli_files import csv_rows
+from levelscope.diffusive import log_points
 from levelscope.numerics import fmt
 from oracles import fidelity_terminating, harness, harness_oracles
 
@@ -344,8 +345,8 @@ def test_stray_model_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, 
 # Every flag a command declares reaches its output: two valid values of it
 # give a different stdout or a different written file once the manifest,
 # which only records the flags, is stripped. Two flags are exempt: --out,
-# a destination, and --kappa, since every open-system value is a function
-# of kappa*t and the grid is given in kappa*t.
+# a destination, and --kappa, which names the bath in the manifest alone:
+# every open-system value is computed at the kappa*t it is printed with.
 _FLAG_EXEMPT = {"--out", "--kappa"}
 # command -> the argv each flag's two values are appended to
 _FLAG_BASE = {
@@ -780,45 +781,13 @@ def test_bad_grid_names_what_is_wrong(tmp_path, capsys, spec, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["fidelity", "--b", "1", "--kappa", "1e-310"],
-         "--kappa 1e-310 is too small for the grid: t = kt / kappa overflows at kappa*t = 0.018"),
-        (["evolve", "--b", "2", "--kappa", "1e-320", "--grid", "log:1e-3:1:3"],
-         "--kappa 1e-320 is too small for the grid: t = kt / kappa overflows at kappa*t = 0.001"),
-    ],
-    ids=["fidelity", "evolve"],
-)
-def test_kappa_too_small_for_the_grid_exits_2(tmp_path, capsys, argv, message):
-    out = tmp_path / "x.csv"
-    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert message in err
-    assert "t must be finite" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
         (["evolve", "--b", "2", "--kappa", "inf"], "kappa must be finite"),
         (["ymean", "--omega", "nan"], "omega must be finite"),
         (["ymean", "--lambda", "inf"], "lam must be finite"),
-        # kt / kappa overflows: the message names --kappa, not t = inf
-        (["figures", "2", "--kappa", "1e-320"], "--kappa 1e-320 is too small for the grid"),
-        # kt / kappa falls below the normal doubles: kappa * t no longer
-        # gives back kt (at kappa*t = 1e-16 it gives 0, and F = 0, not 4e-16;
-        # <y(1)> moves in its eighth digit at kappa*t = 1e-9)
-        (["fidelity", "--b", "1,5", "--kappa", "1.7e308"],
-         "--kappa 1.7e+308 is too large for the grid: "
-         "t = kt / kappa underflows at kappa*t = 0.001"),
-        (["ymean", "--b", "1,2", "--kappa", "1.7e308"],
-         "--kappa 1.7e+308 is too large for the grid: "
-         "t = kt / kappa underflows at kappa*t = 0.001"),
-        (["figures", "3", "--kappa", "1.7e308"],
-         "--kappa 1.7e+308 is too large for the grid: "
-         "t = kt / kappa underflows at kappa*t = 0.001"),
-        # The configurations are checked before any t = kt / kappa is
-        # formed: at kappa = inf every t is 0, which would otherwise read as
-        # a kappa too large for the grid.
+        # --kappa is checked once, after the grid spec, with the message of
+        # DiffusiveConfig; every configuration a command builds is at kappa = 1.
+        (["evolve", "--b", "2", "--kappa", "0"], "kappa must be finite and positive, got 0.0"),
+        (["fidelity", "--kappa", "-1"], "kappa must be finite and positive, got -1.0"),
         (["fidelity", "--kappa", "inf"], "kappa must be finite and positive"),
         (["fidelity", "--kappa", "nan"], "kappa must be finite and positive"),
         (["ymean", "--kappa", "inf"], "kappa must be finite and positive"),
@@ -826,10 +795,9 @@ def test_kappa_too_small_for_the_grid_exits_2(tmp_path, capsys, argv, message):
         (["figures", "1", "--kappa", "inf"], "kappa must be finite and positive"),
         (["figures", "1", "--kappa", "nan"], "kappa must be finite and positive"),
     ],
-    ids=["kappa-inf", "omega-nan", "lambda-inf", "time-inf", "time-underflow",
-         "ymean-time-underflow", "figures-time-underflow", "fidelity-kappa-inf",
-         "fidelity-kappa-nan", "ymean-kappa-inf", "ymean-kappa-nan", "figures-1-kappa-inf",
-         "figures-1-kappa-nan"],
+    ids=["kappa-inf", "omega-nan", "lambda-inf", "evolve-kappa-0", "fidelity-kappa-negative",
+         "fidelity-kappa-inf", "fidelity-kappa-nan", "ymean-kappa-inf", "ymean-kappa-nan",
+         "figures-1-kappa-inf", "figures-1-kappa-nan"],
 )
 def test_non_finite_bath_parameters_exit_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--grid", "log:1e-3:1:3", "--out", str(tmp_path / "x")])
@@ -842,31 +810,44 @@ OPEN_COMMANDS = [["evolve", "--b", "2"], ["fidelity"], ["ymean"],
                  ["figures", "1"], ["figures", "2"], ["figures", "3"], ["figures", "4"]]
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(command=st.sampled_from(OPEN_COMMANDS),
-       kappa=st.sampled_from(["5e-324", "1e-310", "1e-300", "0.5", "1", "1e300", "1.7e308"]),
-       start=st.sampled_from(["1e-16", "1e-3"]))
-def test_open_commands_at_any_kappa_write_finite_values_or_exit_2(command, kappa, start):
-    # Every t = kt / kappa either stays a normal double, and every written
-    # value is finite, or some t leaves them, and the command exits 2
-    # naming kappa before it writes anything.
+def _open_run(command, kappa, start):
+    """(exit code, stdout, {name: text}) of an open command at --kappa kappa,
+    each written file without its generated line and with the kappa of its
+    manifest blanked."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "x")
         svg = ["--svg", f"{out}.svg"] if command[0] in ("fidelity", "ymean") else []
         argv = [*command, *svg, "--kappa", kappa, "--grid", f"log:{start}:1:3", "--out", str(out)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-        written = [path for path in Path(tmp).rglob("*") if path.is_file()]
-        if code == EXIT_OK:
-            assert written
-            for path in written:
-                text = path.read_text().lower()
-                assert "nan" not in text and "inf" not in text, path.name
-        else:
-            assert code == EXIT_USAGE
-            assert "kappa" in err.getvalue()
-            assert list(Path(tmp).iterdir()) == []
+        files = {}
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file():
+                lines = [line for line in path.read_text().splitlines()
+                         if not line.startswith("# generated:")]
+                files[path.name] = [re.sub(r" kappa=\S+", " kappa=", line)
+                                    if line.startswith("# parameters:") else line
+                                    for line in lines]
+        return code, stdout.getvalue().replace(tmp, "TMP"), files
+
+
+@functools.cache
+def _open_run_at_kappa_1(command, start):
+    return _open_run(list(command), "1", start)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(command=st.sampled_from(OPEN_COMMANDS),
+       kappa=st.floats(min_value=5e-324, max_value=1.7e308),
+       start=st.sampled_from(["1e-16", "1e-3"]))
+def test_open_commands_at_any_kappa_write_the_rows_of_kappa_1(command, kappa, start):
+    # Every value is computed at the kappa*t it is printed with, so at any
+    # valid kappa every open command writes the files of kappa = 1, but for
+    # the kappa its manifest names.
+    code, stdout, files = _open_run(command, repr(kappa), start)
+    assert code == EXIT_OK
+    assert (code, stdout, files) == _open_run_at_kappa_1(tuple(command), start)
 
 
 def test_non_integer_b_exits_2(tmp_path, capsys):
@@ -1027,13 +1008,17 @@ def test_evolve_reaches_kappa_t_1e4(tmp_path, capsys):
         assert int(n_cut) < 1_000_000
 
 
-def test_nonconvergent_exits_3(tmp_path, capsys):
-    # kappa*t = 1e6 needs a level cut far beyond any sane cap. Every cut
-    # comes before the file is opened, so no partial file is left.
+@pytest.mark.parametrize("grid, kt", [("log:1e6:1e7:2", "1e+06"), ("log:1e4:1e5:2", "100000")],
+                         ids=["mean-past-the-cap", "cut-past-the-cap"])
+def test_evolve_past_the_level_cap_exits_2(tmp_path, capsys, grid, kt):
+    # At kappa*t = 1e6 the mean level b + 2 kappa*t is past MAX_TERMS levels;
+    # at 1e5 the mean is below it but the proven cut is not. The cap is a
+    # refusal: every cut comes before the file is opened, so none is left.
     out = tmp_path / "x.csv"
-    code = main(["evolve", "--b", "0", "--grid", "log:1e6:1e7:2", "--out", str(out)])
-    assert code == EXIT_NONCONVERGENT
-    assert "non-convergent" in capsys.readouterr().err
+    code = main(["evolve", "--b", "0", "--grid", grid, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: no level cut within max_terms=1000000 levels "
+                                       f"proves the tail for b=0 at kappa*t = {kt}\n")
     assert not out.exists()
 
 
@@ -1080,11 +1065,25 @@ def _oracle_errors(op, code, stdout, workdir):
     return checker.errors
 
 
+def _evolve_grid_errors(op, workdir):
+    """An evolve CSV must hold one block per point of its --grid, in order,
+    each block's kt the fmt of that log_points value: the harness checks the
+    blocks it finds, not that none is missing."""
+    if op.check != "evolve":
+        return []
+    _, start, stop, points = op.argv[op.argv.index("--grid") + 1].split(":")
+    want = [fmt(kt) for kt in log_points(float(start), float(stop), int(points))]
+    _, rows, _ = read_table(workdir / op.outputs[0])
+    got = [kt for kt, _ in itertools.groupby(row[0] for row in rows)]
+    return [] if got == want else [f"evolve blocks at kt {got}, grid {want}"]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", ["closed_cli", "paper_cli"])
 def test_benchmark_plans_pass_the_harness_oracles(plan_outputs, workload, seed):
     runs = plan_outputs(workload, seed)
     assert [error for run in runs for error in _oracle_errors(*run)] == []
+    assert [error for op, _, _, workdir in runs for error in _evolve_grid_errors(op, workdir)] == []
 
 
 def _one_digit_off(text):
@@ -1124,6 +1123,26 @@ def test_harness_oracles_catch_one_changed_digit(plan_outputs, kind):
     try:
         path.write_text(text.replace(line, "\n" + ",".join(fields) + "\n"), encoding="utf-8")
         assert _oracle_errors(op, code, stdout, workdir)
+    finally:
+        path.write_text(text, encoding="utf-8")
+
+
+def test_plan_check_catches_a_deleted_evolve_block(plan_outputs):
+    # The harness alone passes an evolve CSV with a block gone; the grid
+    # check does not.
+    op, code, stdout, workdir = next(
+        run for run in plan_outputs("paper_cli", 1) if run[0].check == "evolve")
+    assert _evolve_grid_errors(op, workdir) == []
+    path = workdir / op.outputs[0]
+    _, rows, _ = read_table(path)
+    kts = [kt for kt, _ in itertools.groupby(row[0] for row in rows)]
+    gone = kts[len(kts) // 2] + ","
+    text = path.read_text(encoding="utf-8")
+    try:
+        path.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith(gone)), encoding="utf-8")
+        assert _evolve_grid_errors(op, workdir)
+        assert _oracle_errors(op, code, stdout, workdir) == []
     finally:
         path.write_text(text, encoding="utf-8")
 
@@ -1237,8 +1256,7 @@ def _spawn(argv, stdout=subprocess.PIPE, **kwargs):
     (["criterion", "--model", "box", "--n", "1"], EXIT_USAGE),
     (["criterion", "--model", "box"], EXIT_USAGE),
     (["criterion", "--model", "harmonic", "--n", "3"], EXIT_USAGE),
-    (["evolve", "--b", "2", "--grid", "log:1e-3:1e5:3", "--out", "{out}/e.csv"],
-     EXIT_NONCONVERGENT),
+    (["evolve", "--b", "2", "--grid", "log:1e-3:1e5:3", "--out", "{out}/e.csv"], EXIT_USAGE),
     (["scan", "--model", "box", "--n-max", "5", "--out", "{out}/missing/s.csv"], EXIT_IO),
 ])
 def test_process_exit_code_and_streams_are_mains(tmp_path, capsys, argv, code):

@@ -13,7 +13,7 @@ import pytest
 from levelscope import numerics
 from levelscope.diffusive import (DiffusiveConfig, YMeanPoint, fock_weight, mean_y_point,
                                   mean_y_series)
-from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
+from levelscope.numerics import MIN_REL_EPS, REL_EPS
 from levelscope.open_system import FockDistribution, distribution, distributions
 from levelscope.spectra import (
     Box,
@@ -27,7 +27,7 @@ from levelscope.spectra import (
     criterion_point,
     threshold_scan,
 )
-from oracles import log_factorial, sum_adaptive
+from oracles import TermCapReached, log_factorial, sum_adaptive
 
 mp.mp.dps = 50
 
@@ -134,7 +134,7 @@ def test_sum_adaptive_certificate_covers_longer_summation():
 
 
 def test_sum_adaptive_nonconvergent_hits_term_cap():
-    with pytest.raises(NonConvergent):
+    with pytest.raises(TermCapReached):
         sum_adaptive((1.0 for _ in range(10**9)), max_terms=100)
 
 

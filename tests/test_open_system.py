@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from levelscope import diffusive, open_system
 from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, mean_y_point,
                                   survival)
-from levelscope.numerics import MIN_REL_EPS, REL_EPS, NonConvergent
+from levelscope.numerics import MIN_REL_EPS, REL_EPS
 from levelscope.open_system import FockDistribution, distribution
 from oracles import harness_oracles, stored_moments, tail_moments, weight_oracle, weight_psum
 
@@ -355,16 +355,19 @@ def test_distribution_tail_certificate_consistency():
     assert dist.trace() + dist.tail_bound >= 1.0 - 1e-8
 
 
-@pytest.mark.parametrize("kt, error", [(4.74e153, NonConvergent), (4.75e153, ValueError),
-                                       (math.inf, ValueError)])
-def test_cut_past_the_second_moment_range_is_a_domain_error(kt, error):
+@pytest.mark.parametrize("kt, message", [
+    pytest.param(4.74e153, "no level cut within max_terms=1000000 levels proves the tail for "
+                 "b=2 at kappa*t = 4.74e+153", id="4.74e+153-ValueError"),
+    pytest.param(4.75e153, "<N^2> overflows at kappa*t = 4.75e+153", id="4.75e+153-ValueError"),
+    pytest.param(math.inf, "<N^2> overflows at kappa*t = inf", id="inf-ValueError"),
+])
+def test_cut_past_the_second_moment_range_is_a_domain_error(kt, message):
     # <N^2> = b^2 + 4bu + 2u^2 + u (u = 2 kappa*t) overflows once 8 (kappa*t)^2
     # passes the float ceiling, at kappa*t = 4.74e153; below that the cut runs
-    # into max_terms instead.
-    with pytest.raises(error) as exc:
+    # into max_terms instead, a refusal of the same kind.
+    with pytest.raises(ValueError) as exc:
         open_system._cut(2, kt, REL_EPS)
-    if error is ValueError:
-        assert str(exc.value) == f"<N^2> overflows at kappa*t = {kt:g}"
+    assert str(exc.value) == message
 
 
 def test_distributions_compare_and_hash_by_value():
@@ -528,15 +531,17 @@ def test_weights_are_the_prefix_of_a_longer_row(b, kt):
 
 
 def test_distribution_fails_fast_past_max_terms(monkeypatch):
-    # At kappa*t = 1e5 the proven cut passes max_terms: NonConvergent comes
+    # At kappa*t = 1e5 the proven cut passes max_terms: the ValueError comes
     # from the cut, before any weight is summed, also when it is the last
     # point of a grid whose other cuts pass.
     sums = []
     monkeypatch.setattr(open_system, "_populations", lambda *args: sums.append(args))
     for b in (0, 15):
-        with pytest.raises(NonConvergent, match="exceeded max_terms=1000000"):
+        message = (f"no level cut within max_terms=1000000 levels proves the tail for b={b} "
+                   f"at kappa\\*t = 100000$")
+        with pytest.raises(ValueError, match=message):
             distribution(cfg_for(b), 1e5)
-        with pytest.raises(NonConvergent, match="exceeded max_terms=1000000"):
+        with pytest.raises(ValueError, match=message):
             open_system.distributions(cfg_for(b), [1e-3, 0.5, 100.0, 1e5])
     assert sums == []
 

@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 import levelscope
-from levelscope import diffusive, numerics, observables, open_system, spectra
+from levelscope import cli, diffusive, numerics, observables, open_system, spectra
 from levelscope.cli import EXIT_USAGE, build_parser, main
 from levelscope.svgplot import _escape, line_plot
 
@@ -54,7 +54,7 @@ PUBLIC = {
     levelscope: [
         "Box", "CriterionPoint", "DegeneratePeriod", "DiffusiveConfig", "FockDistribution",
         "Harmonic", "Hydrogenoid", "IndexOutOfSpectrum", "MismatchedConfig", "ModelParams",
-        "Morse", "NonConvergent", "NotNormalized", "Quartic", "ScanResult", "SuperpositionSpec",
+        "Morse", "NotNormalized", "Quartic", "ScanResult", "SuperpositionSpec",
         "YMeanPoint", "ZeroEnergy", "__version__", "builtin_preset_names", "criterion_point",
         "distribution", "energy", "fidelity_overlap", "fock_weight", "harmonic_dpdq",
         "load_model", "log_points", "max_index", "mean_y_point", "mean_y_series", "min_index",
@@ -90,12 +90,15 @@ def test_public_surface_is_pinned(module):
 
 def test_each_name_has_one_home():
     # open_system re-exports nothing of diffusive, whose level-cut helpers
-    # moved into the cut, and the command line's usage error is ValueError.
+    # moved into the cut, and the command line's usage error is ValueError,
+    # as is a row whose level cut passes MAX_TERMS: exit codes are 0, 2 and 4.
     for name in ("fock_weight", "DiffusiveConfig", "_kernels", "_moments"):
         assert not hasattr(open_system, name)
     for name in ("_kernels", "_moments"):
         assert not hasattr(diffusive, name)
     assert not hasattr(numerics, "SystemExit2")
+    assert not hasattr(numerics, "NonConvergent") and not hasattr(levelscope, "NonConvergent")
+    assert not hasattr(cli, "EXIT_NONCONVERGENT")
 
 
 def _runtime_imports_from(path: Path, module: str) -> list[str]:
