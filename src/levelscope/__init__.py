@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .numerics import MismatchedConfig, ZeroEnergy
-
-# Every other name loads its submodule on first use (PEP 562), so that
-# `import levelscope` loads only numerics: the closed-system half (spectra,
+# Every name loads its submodule on first use (PEP 562), so that
+# `import levelscope` loads no submodule: the closed-system half (spectra,
 # presets) and the scalar open-system half (diffusive) are pure Python, and
 # only open_system, whole level distributions as arrays, needs numpy.
 _LAZY = {
@@ -25,7 +23,7 @@ _LAZY = {
     **dict.fromkeys(("builtin_preset_names", "load_model"), "presets"),
     **dict.fromkeys(("DiffusiveConfig", "YMeanPoint", "fidelity_overlap", "fock_weight",
                      "log_points", "mean_y_point", "mean_y_series", "survival"), "diffusive"),
-    **dict.fromkeys(("FockDistribution", "distribution"), "open_system"),
+    **dict.fromkeys(("FockDistribution", "distributions"), "open_system"),
 }
 
 
@@ -43,5 +41,4 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
 
-# The eagerly imported numerics names, then every lazy one.
-__all__ = ["__version__", "MismatchedConfig", "ZeroEnergy", *_LAZY]
+__all__ = ["__version__", *_LAZY]

@@ -36,7 +36,6 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .numerics import ZeroEnergy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,7 +85,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ZeroEnergy, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -23,7 +23,7 @@ import operator
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .numerics import Frozen, MismatchedConfig, ZeroEnergy, is_integer
+from .numerics import Frozen, is_integer
 
 __all__ = [
     "DiffusiveConfig",
@@ -88,15 +88,12 @@ def check_level(n: int) -> None:
 # sum of S(b, n, w) in ratio form is at most S(b, n, 1) = C(b+n, m)
 # (Chu-Vandermonde). Below _PLAIN, 5000 times under _BIG, a gap the rounding
 # of its 4m positive-term operations cannot bridge, no rescale can fire, and
-# the sum runs as a plain loop with the same bits. From m = _PLAIN_M on,
-# C(b+n, m) >= C(2m, m) >= C(570, 285) > _PLAIN > C(568, 284), so no sum
-# there runs plain, and the exact C(b+n, m), up to 0.3 (b+n) digits long,
-# is formed only below it.
+# the sum runs as a plain loop with the same bits. That holds wherever
+# b + n < 565: C(b+n, m) <= 2^(b+n) <= 2^564 < 6.1e169 < _PLAIN.
 _SPAN = 400.0
 _BIG = math.exp(_SPAN)
 _SHRINK = math.exp(-_SPAN)
 _PLAIN = 1e170
-_PLAIN_M = 285
 
 
 @lru_cache(maxsize=128)
@@ -105,13 +102,11 @@ def _ratios(b: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...], float
     innermost first: c_{p+1}/c_p for p = m-1 .. 0, and the same for the
     reversed coefficients d_q = c_{m-q}, with m = min(b, n). Each is a
     quotient of two integer products, rounded once. Then ln d_0 = ln C(M, m),
-    M = max(b, n), and whether S runs plain: C(b+n, m) < _PLAIN, never
-    from m = _PLAIN_M on."""
+    M = max(b, n), and whether S runs plain: b + n < 565."""
     m, d = min(b, n), abs(b - n)
     up = tuple((b - p) * (n - p) / ((p + 1) * (p + 1)) for p in range(m - 1, -1, -1))
     down = tuple((m - q) * (m - q) / ((q + 1) * (d + q + 1)) for q in range(m - 1, -1, -1))
-    plain = m < _PLAIN_M and math.comb(b + n, m) < _PLAIN
-    return up, down, math.log(math.comb(m + d, m)), plain
+    return up, down, math.log(math.comb(m + d, m)), b + n < 565
 
 
 def _nested(ratios: tuple[float, ...], w: float, log_scale: float) -> tuple[float, float]:
@@ -214,12 +209,12 @@ def fidelity_overlap(cfg_b: DiffusiveConfig, cfg_bm1: DiffusiveConfig, t: float)
     b, kappa, omega, lam = cfg_b
     m, kappa_m, omega_m, lam_m = cfg_bm1
     if not (kappa == kappa_m and omega == omega_m and lam == lam_m):
-        raise MismatchedConfig(
+        raise ValueError(
             "fidelity compares preparations under the same bath and oscillator: "
             f"(kappa, omega, lam) differ: {cfg_b} vs {cfg_bm1}"
         )
     if m != b - 1:
-        raise MismatchedConfig(f"expected neighboring indices, got b={b} and {m}")
+        raise ValueError(f"expected neighboring indices, got b={b} and {m}")
     if not 0.0 <= t < math.inf:  # check_time, inline
         raise ValueError(f"t must be finite and non-negative, got {t}")
     x = 4.0 * (kappa * float(t))
@@ -314,7 +309,7 @@ def _mean_y(cfg_b: DiffusiveConfig, values: list[float], per: float) -> list[YMe
             raise ValueError(f"<H0> overflows at kappa*t = {kt:g}")
         h0_m = omega * m1_m + lam * m2_m
         if h0_b == 0.0 or h0_m == 0.0:
-            raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
+            raise ValueError(f"<H0> = 0 at kappa*t = {kt:g}; cannot form the period estimate")
         tau_b = two_pi * m1_b / h0_b
         tau_m = two_pi * m1_m / h0_m
         d_energy = (h0_b - h0_m) / 2.0
@@ -363,7 +358,7 @@ def mean_y_series(cfg_b: DiffusiveConfig, kt_grid: Sequence[float]) -> list[YMea
         raise ValueError("kt_grid must be a non-empty 1-d sequence")
     try:
         return _mean_y(cfg_b, grid, cfg_b.kappa)
-    except (ValueError, ZeroEnergy):
+    except ValueError:
         if not all(map(math.isfinite, grid)):
             raise ValueError("kt_grid must be finite") from None
         if not all(map(operator.lt, grid, grid[1:])):

@@ -1,8 +1,7 @@
 """Shared numerical primitives: the integer check of index parameters, the
 truncation defaults of the level distributions and the check of their
-tolerance, the domain errors of the open-system observables, Frozen, the
-base of every value type, and the fixed format of every float the command
-line prints.
+tolerance, Frozen, the base of every value type, and the fixed format of
+every float the command line prints.
 
 The module holds no mutable state, so everything here is safe to call
 from any number of threads.
@@ -17,9 +16,7 @@ __all__ = [
     "Frozen",
     "MAX_TERMS",
     "MIN_REL_EPS",
-    "MismatchedConfig",
     "REL_EPS",
-    "ZeroEnergy",
     "check_rel_eps",
     "fmt",
     "is_integer",
@@ -72,17 +69,6 @@ class Frozen(tuple):
 
     def __reduce__(self) -> tuple:
         return self.__class__, tuple(self)
-
-
-# The diffusive observables raise these two; they live here so that the
-# command line can name them without importing any open-system module.
-class MismatchedConfig(ValueError):
-    """Two configurations that must share kappa, omega, lam do not."""
-
-
-class ZeroEnergy(ArithmeticError):
-    """<H0> vanishes (b = 0 at t = 0, or omega = lam = 0), so the
-    period estimate 2 pi <N> / <H0> is undefined."""
 
 
 # The one format of every float the command line prints or writes, so that

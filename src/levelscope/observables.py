@@ -22,13 +22,10 @@ from .diffusive import (
     mean_y_series,
     survival,
 )
-from .numerics import MismatchedConfig, ZeroEnergy
 
 __all__ = [
     "DiffusiveConfig",
-    "MismatchedConfig",
     "YMeanPoint",
-    "ZeroEnergy",
     "fidelity_overlap",
     "mean_y_point",
     "mean_y_series",

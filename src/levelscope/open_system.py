@@ -1,9 +1,8 @@
 """Diffusive relaxation of an initial Fock state of the quartic oscillator.
 
 The evolved state stays diagonal in the Fock basis; this module computes its
-weights P_b(n, t) as whole rows (distributions, and distribution for one
-time), the one open-system computation that needs arrays; only `evolve`
-runs it. The truncation in n is a saddle-point bound on the generating
+weights P_b(n, t) as whole rows (distributions), the one open-system
+computation that needs arrays; only `evolve` runs it. The truncation in n is a saddle-point bound on the generating
 function, computed for every time before any weight; each weight is then
 the terminating sum of diffusive.fock_weight, evaluated element by element
 over flat vectors of levels a fixed number at a time. The level
@@ -33,7 +32,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .diffusive import DiffusiveConfig
 
-__all__ = ["FockDistribution", "distribution", "distributions"]
+__all__ = ["FockDistribution", "distributions"]
 
 
 class FockDistribution(Frozen):
@@ -294,7 +293,3 @@ def distributions(cfg: DiffusiveConfig, ts: Sequence[float],
         for i, (t, cut) in enumerate(zip(ts, cuts))
     ]
 
-
-def distribution(cfg: DiffusiveConfig, t: float, rel_eps: float = REL_EPS) -> FockDistribution:
-    """All level populations at time t: distributions(cfg, [t], rel_eps)[0]."""
-    return distributions(cfg, [t], rel_eps)[0]

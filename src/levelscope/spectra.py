@@ -53,8 +53,9 @@ class IndexOutOfSpectrum(ValueError):
 
 
 class DegeneratePeriod(ValueError):
-    """The classical period does not depend on energy (harmonic oscillator),
-    so period differences carry no level information: y(n) = 0 identically.
+    """The classical period does not depend on energy (the harmonic
+    oscillator, and the quartic at lam = 0), so period differences carry no
+    level information: y(n) = 0 identically.
     """
 
 
@@ -232,7 +233,7 @@ class Morse(ModelParams):
 
 class Quartic(ModelParams):
     """Kerr-type oscillator: E(n) = omega n + lam n^2 (hbar = 1); period
-    2 pi / (omega + 2 lam n)."""
+    2 pi / (omega + 2 lam n), period-blind at lam = 0."""
 
     __slots__ = ()
     _fields = ("omega", "lam")
@@ -363,27 +364,14 @@ def period(model: ModelParams, n: int) -> float:
 
 
 def criterion_point(model: ModelParams, n: int) -> CriterionPoint:
-    """Evaluate the resolvability criterion at level n from raw differences.
+    """Evaluate the resolvability criterion at level n from raw differences:
+    the one row of threshold_scan(model, n, n), with the scan's checks.
 
-    Raises DegeneratePeriod for the harmonic oscillator, whose period-based
+    Raises DegeneratePeriod for a period-blind model, whose period-based
     criterion is identically zero and therefore says nothing about the
     spectrum (a different verdict than merely y < 1/2).
     """
-    _reject_harmonic(model)
-    lo = min_index(model) + 1
-    if n < lo:
-        raise IndexOutOfSpectrum(f"criterion needs a lower neighbor: n must be >= {lo}")
-    _check_index(model, n)
-    return _point(n, _raw(model._energy, "E_n", n), _raw(model._energy, "E_n", n - 1),
-                  _raw(model._period, "tau_n", n), _raw(model._period, "tau_n", n - 1))
-
-
-def _reject_harmonic(model: ModelParams) -> None:
-    if isinstance(model, Harmonic):
-        raise DegeneratePeriod(
-            "harmonic period is energy independent: dTau = 0 for every n, "
-            "the period cannot probe this spectrum"
-        )
+    return threshold_scan(model, n, n).points[0]
 
 
 def _point(n: int, e_hi: float, e_lo: float, t_hi: float, t_lo: float) -> CriterionPoint:
@@ -426,21 +414,27 @@ def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
     """Criterion rows for n_min..n_max plus the first level with y < 1/2.
 
     No monotonicity is assumed: the note lists every crossing of the
-    threshold within the scanned range, in both directions.
+    threshold within the scanned range, in both directions. A period-blind
+    model (the harmonic oscillator, or the quartic at lam = 0) raises
+    DegeneratePeriod before the range is checked.
     """
+    # The harmonic period, and the quartic's at lam = 0, is 2 pi / omega at
+    # every level, so the verdict is the model's before any level is checked.
+    if isinstance(model, Harmonic) or (isinstance(model, Quartic) and model.lam == 0.0):
+        raise DegeneratePeriod(
+            f"{type(model).__name__.lower()} period is energy independent: dTau = 0 for "
+            "every n, the period cannot probe this spectrum"
+        )
     if n_min > n_max:
         raise ValueError(f"empty scan range [{n_min}, {n_max}]")
-    lo = min_index(model) + 1
-    if n_min < lo:
-        raise IndexOutOfSpectrum(f"scan must start at n >= {lo} for {type(model).__name__}")
-    _reject_harmonic(model)
+    if n_min <= min_index(model):
+        raise IndexOutOfSpectrum(f"n={n_min} has no lower neighbor in {type(model).__name__}")
     # The range is checked once, against the first level past the top, the
     # one a level-by-level scan would stop at.
     top = max_index(model)
     if top is not None and n_max > top:
         _check_index(model, max(n_min, top + 1))
-    # Each level's E and tau once, for n_min-1..n_max; the points are
-    # criterion_point's bit for bit.
+    # Each level's E and tau once, for n_min-1..n_max, lowest first.
     levels = range(n_min - 1, n_max + 1)
     energy_of, period_of = model._energy, model._period
     e = [_raw(energy_of, "E_n", n) for n in levels]

@@ -35,7 +35,6 @@ import mpmath as mp
 import numpy as np
 
 from levelscope.diffusive import DiffusiveConfig, YMeanPoint, check_time
-from levelscope.numerics import ZeroEnergy
 from levelscope.open_system import FockDistribution
 
 
@@ -241,7 +240,7 @@ def mean_y_reference(cfg_b: DiffusiveConfig, t: float) -> YMeanPoint:
         if not math.isfinite(h0):
             raise ValueError(f"<H0> overflows at kappa*t = {kt:g}")
     if h0_b == 0.0 or h0_m == 0.0:
-        raise ZeroEnergy(f"<H0> = 0 at t={t}; cannot form the period estimate")
+        raise ValueError(f"<H0> = 0 at kappa*t = {kt:g}; cannot form the period estimate")
     tau_b = 2.0 * math.pi * m1_b / h0_b
     tau_m = 2.0 * math.pi * m1_m / h0_m
     d_energy = (h0_b - h0_m) / 2.0

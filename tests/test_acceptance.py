@@ -15,7 +15,7 @@ import pytest
 from levelscope import presets
 from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, log_points,
                                   mean_y_point, survival)
-from levelscope.open_system import distribution
+from levelscope.open_system import distributions
 from levelscope.spectra import (
     RESOLVABLE_THRESHOLD,
     Box,
@@ -223,7 +223,7 @@ def test_a05_trace_normalization():
     for b in (0, 1, 2, 5, 10, 15):
         cfg = DiffusiveConfig(b=b, kappa=1.0)
         for kt in grid:
-            worst = max(worst, abs(distribution(cfg, kt).trace() - 1.0))
+            worst = max(worst, abs(distributions(cfg, [kt])[0].trace() - 1.0))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 10.0
     assert report(

@@ -55,6 +55,21 @@ def test_criterion_harmonic_is_period_blind(capsys):
     assert "period-blind" in capsys.readouterr().out
 
 
+def test_quartic_without_its_quartic_term_is_period_blind(tmp_path, capsys):
+    # At lam = 0 the period is 2 pi / omega at every level, as for the
+    # harmonic oscillator, whatever the level asked for.
+    model = ["--model", "quartic", "--omega", "1", "--lambda", "0"]
+    assert main(["criterion", *model, "--n", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ("n=3: verdict: period-blind (quartic period is energy independent: "
+                            "dTau = 0 for every n, the period cannot probe this spectrum)\n")
+    assert captured.err == ""
+    out = tmp_path / "q.csv"
+    assert main(["scan", *model, "--n-max", "5", "--out", str(out)]) == EXIT_USAGE
+    assert "error: quartic period is energy independent" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -74,13 +89,13 @@ def test_criterion_non_finite_model_exits_2(capsys, argv, message):
     "argv, message",
     [
         (["criterion", "--model", "box", "--mass", "1e-300", "--width", "1e-300", "--n", "3"],
-         "E_n is not finite at n=3"),
+         "E_n is not finite at n=2"),
         (["scan", "--model", "box", "--mass", "1e300", "--width", "1e300",
           "--n-min", "2", "--n-max", "5"], "E_n is not finite at n=1"),
         (["criterion", "--model", "hydrogenoid", "--mass", "1e300", "--charge", "1e300",
-          "--n", "3"], "E_n is not finite at n=3"),
+          "--n", "3"], "E_n is not finite at n=2"),
         (["criterion", "--model", "hydrogenoid", "--mass", "1e-300", "--charge", "1e-300",
-          "--n", "3"], "tau_n is not finite at n=3"),
+          "--n", "3"], "tau_n is not finite at n=2"),
         (["criterion", "--model", "quartic", "--omega", "1e308", "--lambda", "1e308",
           "--n", "5"], "E_n is not finite at n=5"),
         (["scan", "--model", "quartic", "--omega", "1e308", "--lambda", "5e307",
@@ -95,6 +110,8 @@ def test_criterion_non_finite_model_exits_2(capsys, argv, message):
 def test_closed_model_overflow_exits_2(tmp_path, capsys, argv, message):
     # Finite parameters whose levels or periods leave double range: a
     # message naming the level and the quantity, no traceback, no NaN row.
+    # A level formula that raises is named at the lowest level it reaches,
+    # n - 1 for a criterion.
     out = tmp_path / "scan.csv"
     if argv[0] == "scan":
         argv = [*argv, "--out", str(out)]
@@ -106,9 +123,14 @@ def test_closed_model_overflow_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_criterion_out_of_spectrum_exits_2(capsys):
-    assert main(["criterion", "--model", "box", "--n", "1"]) == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+def test_criterion_out_of_spectrum_exits_2(tmp_path, capsys):
+    # criterion and scan name a first level without its lower neighbor alike.
+    out = tmp_path / "s.csv"
+    for argv in (["criterion", "--model", "box", "--n", "1"],
+                 ["scan", "--model", "box", "--n-min", "1", "--n-max", "5", "--out", str(out)]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: n=1 has no lower neighbor in Box\n"
+    assert not out.exists()
 
 
 # Closed forms sum no series, so the closed-system commands take no --eps

@@ -14,7 +14,7 @@ from levelscope import numerics
 from levelscope.diffusive import (DiffusiveConfig, YMeanPoint, fock_weight, mean_y_point,
                                   mean_y_series)
 from levelscope.numerics import MIN_REL_EPS, REL_EPS
-from levelscope.open_system import FockDistribution, distribution, distributions
+from levelscope.open_system import FockDistribution, distributions
 from levelscope.spectra import (
     Box,
     CriterionPoint,
@@ -76,7 +76,7 @@ def test_kernel_at_t_zero():
     # (gamma, zeta) = (0, 1): level 0 holds everything, exactly.
     cfg = DiffusiveConfig(b=0, kappa=0.7)
     assert fock_weight(cfg, 0, 0.0) == 1.0 and fock_weight(cfg, 1, 0.0) == 0.0
-    dist = distribution(cfg, 0.0)
+    dist = distributions(cfg, [0.0])[0]
     assert (dist.n_cut, dist.tail_bound, dist.weight(0)) == (0, 0.0, 1.0)
 
 
@@ -99,7 +99,7 @@ def test_kernel_n0_closed_forms(kt):
 def test_kernel_n0_normalization_seed(kt):
     # zeta / (1 - gamma) = 1, so the geometric row sums to one: its kept
     # levels fall short of one by the true tail, at most the proven bound.
-    dist = distribution(DiffusiveConfig(b=0, kappa=1.0), kt)
+    dist = distributions(DiffusiveConfig(b=0, kappa=1.0), [kt])[0]
     assert abs(1.0 - dist.trace()) <= dist.tail_bound + 1e-13
 
 
@@ -168,8 +168,8 @@ def test_series_tolerance_validation():
         with pytest.raises(ValueError, match=message):
             distributions(CUT_CFG, [0.1, math.nan], rel_eps=eps)
         with pytest.raises(ValueError, match=message):
-            distribution(CUT_CFG, 0.1, eps)
-    assert distribution(CUT_CFG, 0.1) == distribution(CUT_CFG, 0.1, REL_EPS)
+            distributions(CUT_CFG, [0.1], eps)[0]
+    assert distributions(CUT_CFG, [0.1])[0] == distributions(CUT_CFG, [0.1], REL_EPS)[0]
 
 
 @pytest.mark.parametrize("eps", [1e-13, 1e-300, 1.0, math.inf])
@@ -179,14 +179,14 @@ def test_series_tolerance_rejects_eps_outside_the_certifiable_range(eps):
     with pytest.raises(ValueError, match=message):
         distributions(CUT_CFG, [0.1], rel_eps=eps)
     with pytest.raises(ValueError, match=message):
-        distribution(CUT_CFG, 0.1, eps)
+        distributions(CUT_CFG, [0.1], eps)[0]
 
 
 def test_series_tolerance_floor_is_legal():
     assert MIN_REL_EPS == 1e-12
-    dist = distribution(CUT_CFG, 0.1, MIN_REL_EPS)
+    dist = distributions(CUT_CFG, [0.1], MIN_REL_EPS)[0]
     assert dist.tail_bound <= MIN_REL_EPS
-    assert dist.n_cut > distribution(CUT_CFG, 0.1).n_cut
+    assert dist.n_cut > distributions(CUT_CFG, [0.1])[0].n_cut
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from levelscope import diffusive, open_system
 from levelscope.diffusive import (DiffusiveConfig, fidelity_overlap, fock_weight, mean_y_point,
                                   survival)
 from levelscope.numerics import MIN_REL_EPS, REL_EPS
-from levelscope.open_system import FockDistribution, distribution
+from levelscope.open_system import FockDistribution, distributions
 from oracles import harness_oracles, stored_moments, tail_moments, weight_oracle, weight_psum
 
 
@@ -70,20 +70,20 @@ def test_weight_rejects_bad_arguments():
 @pytest.mark.parametrize("n", [True, 2.0, 2.5, math.nan, "2", None])
 def test_weight_rejects_non_integer_level(n):
     # True would read as level 1; the floats and the rest are no level.
-    dist = distribution(cfg_for(2), 0.5)
+    dist = distributions(cfg_for(2), [0.5])[0]
     for call in (lambda: fock_weight(cfg_for(2), n, 0.5), lambda: dist.weight(n)):
         with pytest.raises(ValueError, match="n must be a non-negative integer"):
             call()
 
 
 def test_weight_past_the_cut_is_zero():
-    dist = distribution(cfg_for(2), 0.5)
+    dist = distributions(cfg_for(2), [0.5])[0]
     assert dist.weight(dist.n_cut + 1) == dist.weight(10**30) == 0.0
 
 
 def test_weight_accepts_numpy_integer_level():
     cfg = cfg_for(2)
-    dist = distribution(cfg, 0.5)
+    dist = distributions(cfg, [0.5])[0]
     assert fock_weight(cfg, np.int64(3), 0.5) == fock_weight(cfg, 3, 0.5)
     assert dist.weight(np.int32(3)) == dist.weight(3)
 
@@ -156,22 +156,25 @@ def test_plain_verdict_never_skips_a_rescale(first_b):
     for b in range(first_b, 321, 4):
         for n in range(b, 321):
             _assert_never_rescales(b, n, (1.0, 0.5, 1e-3, 0.0))
-    # b = n: plain through b = 284, where C(2b, b) passes 1e170.
-    assert diffusive._ratios(284, 284)[3] and not diffusive._ratios(285, 285)[3]
+    # Plain through b + n = 564, in either argument order.
+    for b, n in ((282, 282), (100, 464), (0, 564)):
+        assert diffusive._ratios(b, n)[3] and diffusive._ratios(n, b)[3]
+        assert not diffusive._ratios(b, n + 1)[3] and not diffusive._ratios(n + 1, b)[3]
 
 
-# From m = min(b, n) = 285 on, _ratios decides "not plain" without forming
-# C(b+n, m); on both sides of that the verdict is the exact comparison's.
+# The verdict is b + n < 565, decided without forming C(b+n, m); where it is
+# plain, C(b+n, m) <= 2^(b+n) < _PLAIN.
 def test_plain_verdict_is_the_exact_comparison():
     for m in range(280, 291):
         for n in (m, m + 1, 3 * m + 7):
-            exact = math.comb(m + n, m) < diffusive._PLAIN
-            assert diffusive._ratios(m, n)[3] == diffusive._ratios(n, m)[3] == exact, (m, n)
+            plain = diffusive._ratios(m, n)[3]
+            assert plain == diffusive._ratios(n, m)[3] == (m + n < 565), (m, n)
+            assert not plain or math.comb(m + n, m) < diffusive._PLAIN, (m, n)
 
 
-# Draws on both sides of the boundary: about half of them are plain.
+# Draws with b + n on both sides of 565: about half of them are plain.
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(b=st.integers(280, 300), n=st.integers(0, 2000) | st.integers(240, 320),
+@given(b=st.integers(250, 315), n=st.integers(250, 315),
        w=st.sampled_from([1.0, 0.5, 1e-3, 0.0]) | st.floats(0.0, 1.0))
 def test_plain_verdict_near_its_boundary(b, n, w):
     assert diffusive._ratios(n, b) == diffusive._ratios(b, n)
@@ -198,7 +201,7 @@ def test_kappa_t_at_the_ends_of_the_float_range(func):
         if func == "survival":
             assert value == 1.0
         if func == "fock_weight":
-            weights = distribution(cfg_for(3), kt).weights
+            weights = distributions(cfg_for(3), [kt])[0].weights
             assert np.all(np.isfinite(weights)) and weights[3] == 1.0
             assert weights[2] == value > 0.0
 
@@ -212,7 +215,7 @@ AT_TIME = {
     "fidelity_overlap": lambda cfg, t: fidelity_overlap(
         cfg, DiffusiveConfig(cfg.b - 1, cfg.kappa, cfg.omega, cfg.lam), t),
     "mean_y_point": mean_y_point,
-    "distribution": distribution,
+    "distribution": lambda cfg, t: distributions(cfg, [t])[0],
 }
 
 
@@ -245,7 +248,7 @@ def test_numpy_scalar_parameters_are_float_parameters(func):
     # Python floats, so a product that overflows is exact or inf and the call
     # returns or raises as it does for Python parameters, where a numpy
     # scalar would warn or wrap.
-    call = AT_TIME.get(func) or (lambda cfg, t: open_system.distributions(cfg, [t])[0])
+    call = AT_TIME.get(func) or (lambda cfg, t: open_system.distributions(cfg, [t, t])[1])
     f64 = np.float64
     cases = [
         ((3, f64(1e10), 0.1, 1.0), 1e300, "<N^2> overflows at kappa*t = inf"),
@@ -281,7 +284,7 @@ def test_weight_path_rejects_non_finite_time(t):
     for call in (
         lambda: fock_weight(cfg, 2, t),
         lambda: survival(cfg, t),
-        lambda: distribution(cfg, t),
+        lambda: distributions(cfg, [t])[0],
         lambda: fidelity_overlap(cfg, cfg_for(1), t),
     ):
         with pytest.raises(ValueError, match="t must be finite"):
@@ -293,7 +296,7 @@ def test_weight_path_rejects_non_finite_time(t):
 
 
 def test_distribution_at_t_zero_is_delta():
-    dist = distribution(cfg_for(7), 0.0)
+    dist = distributions(cfg_for(7), [0.0])[0]
     assert dist.n_cut == 7
     assert dist.tail_bound == 0.0
     assert dist.weight(7) == 1.0
@@ -303,7 +306,7 @@ def test_distribution_at_t_zero_is_delta():
 @pytest.mark.parametrize("b", [0, 1, 2, 5, 10, 15])
 @pytest.mark.parametrize("kt", [1e-3, 0.1, 1.0, 10.0, 100.0])
 def test_distribution_trace_is_one(b, kt):
-    dist = distribution(cfg_for(b), kt)
+    dist = distributions(cfg_for(b), [kt])[0]
     assert abs(dist.trace() - 1.0) <= 1e-8
     assert dist.trace() + dist.tail_bound >= 1.0 - 1e-8
     assert np.all(dist.weights >= 0.0)
@@ -312,14 +315,14 @@ def test_distribution_trace_is_one(b, kt):
 
 def test_distribution_matches_single_weights():
     cfg = cfg_for(3)
-    dist = distribution(cfg, 0.7)
+    dist = distributions(cfg, [0.7])[0]
     for n in (0, 1, 3, 10, dist.n_cut):
         assert dist.weight(n) == pytest.approx(fock_weight(cfg, n, 0.7), rel=1e-12, abs=1e-300)
 
 
 def test_vacuum_distribution_closed_form():
     kt = 1.0
-    dist = distribution(cfg_for(0), kt)
+    dist = distributions(cfg_for(0), [kt])[0]
     gamma = 2 * kt / (1 + 2 * kt)
     n = np.arange(dist.n_cut + 1)
     np.testing.assert_allclose(dist.weights, gamma**n * (1 - gamma), rtol=1e-12)
@@ -327,7 +330,7 @@ def test_vacuum_distribution_closed_form():
 
 def test_early_time_survival_is_high():
     # b = 15 at kt = 1e-3 keeps more than 90% of its initial weight.
-    dist = distribution(cfg_for(15), 1e-3)
+    dist = distributions(cfg_for(15), [1e-3])[0]
     assert dist.weight(15) >= 0.9
 
 
@@ -341,7 +344,7 @@ def test_mean_is_nondecreasing_in_time():
         cfg = cfg_for(b)
         means = []
         for kt in np.logspace(-3, 2, 21):
-            dist = distribution(cfg, kt)
+            dist = distributions(cfg, [kt])[0]
             means.append(stored_moments(dist)[1])
         assert all(b2 >= a - 1e-12 for a, b2 in zip(means, means[1:]))
         # diffusive heating: the mean level grows like b + 2 kt
@@ -350,7 +353,7 @@ def test_mean_is_nondecreasing_in_time():
 
 def test_distribution_tail_certificate_consistency():
     # Stored weights plus the certified tail account for the full trace.
-    dist = distribution(cfg_for(5), 30.0)
+    dist = distributions(cfg_for(5), [30.0])[0]
     assert dist.trace() <= 1.0 + 1e-8
     assert dist.trace() + dist.tail_bound >= 1.0 - 1e-8
 
@@ -372,7 +375,7 @@ def test_cut_past_the_second_moment_range_is_a_domain_error(kt, message):
 
 def test_distributions_compare_and_hash_by_value():
     cfg = cfg_for(3)
-    dist, again = distribution(cfg, 0.1), distribution(cfg, 0.1)
+    dist, again = distributions(cfg, [0.1])[0], distributions(cfg, [0.1])[0]
     assert dist.weights is not again.weights
     assert dist == again and not dist != again
     assert hash(dist) == hash(again) and len({dist, again}) == 1
@@ -381,7 +384,7 @@ def test_distributions_compare_and_hash_by_value():
     fields = dict(t=dist.t, n_cut=dist.n_cut, tail_bound=dist.tail_bound)
     assert FockDistribution(weights=dist.weights * 0.5, **fields) != dist
     assert FockDistribution(weights=dist.weights[:-1], **fields) != dist
-    assert distribution(cfg, 0.2) != dist
+    assert distributions(cfg, [0.2])[0] != dist
 
 
 def test_config_validation():
@@ -394,7 +397,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DiffusiveConfig(b=0, kappa=1.0, lam=-0.1)
     with pytest.raises(ValueError):
-        distribution(cfg_for(0), -1.0)
+        distributions(cfg_for(0), [-1.0])[0]
 
 
 @pytest.mark.parametrize(
@@ -431,7 +434,7 @@ def test_config_rejects_b_beyond_2_to_the_53(b):
 
 
 def test_config_accepts_numpy_integer_b():
-    assert distribution(DiffusiveConfig(b=np.int64(3), kappa=1.0), 0.5).n_cut >= 3
+    assert distributions(DiffusiveConfig(b=np.int64(3), kappa=1.0), [0.5])[0].n_cut >= 3
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -439,7 +442,7 @@ def test_config_accepts_numpy_integer_b():
 def test_trace_fidelity_and_survival_property(b, log_kt):
     kt = 10.0 ** log_kt
     cfg = cfg_for(b)
-    dist = distribution(cfg, kt)
+    dist = distributions(cfg, [kt])[0]
     assert abs(dist.trace() + dist.tail_bound - 1.0) <= REL_EPS
     assert survival(cfg, kt) <= 1.0
     if b >= 1:
@@ -449,7 +452,7 @@ def test_trace_fidelity_and_survival_property(b, log_kt):
 
 
 def test_weights_are_read_only():
-    dist = distribution(cfg_for(2), 1.0)
+    dist = distributions(cfg_for(2), [1.0])[0]
     with pytest.raises(ValueError):
         dist.weights[0] = 0.5
 
@@ -471,7 +474,7 @@ def _oracle_levels(weights: np.ndarray, count: int = 40) -> list[int]:
 def test_distribution_weights_match_high_precision_oracle(b, kt):
     # kt = 0.49 and 0.51 sit on either side of kt = 1/2, where the sum
     # switches from the reversed coefficients to the forward ones.
-    weights = distribution(cfg_for(b), kt).weights
+    weights = distributions(cfg_for(b), [kt])[0].weights
     for n in _oracle_levels(weights):
         want = weight_oracle(b, n, kt)
         assert abs(weights[n] - want) <= 1e-10 * want, (n, weights[n], want)
@@ -481,7 +484,7 @@ def test_distribution_weights_match_high_precision_oracle(b, kt):
 def test_distribution_weights_for_large_b(b, kt):
     # 600 and 800 Horner steps, with rescaling (S passes e^400 here): the
     # rounding each step adds must not pile up.
-    weights = distribution(cfg_for(b), kt).weights
+    weights = distributions(cfg_for(b), [kt])[0].weights
     assert np.all(np.isfinite(weights))
     assert abs(weights.sum() - 1.0) <= 1e-8
     for n in _oracle_levels(weights, count=8):
@@ -508,13 +511,13 @@ def test_distribution_does_not_depend_on_cache_history(b, kt):
     # Nothing is kept between calls, so earlier calls in four orders, b = 120
     # among them, must not change a later one.
     def state():
-        dists = distribution(cfg_for(b), kt), distribution(cfg_for(b - 1), kt)
+        dists = distributions(cfg_for(b), [kt])[0], distributions(cfg_for(b - 1), [kt])[0]
         return [(d.weights.tobytes(), d.n_cut, d.tail_bound) for d in dists]
 
     cold = state()
     for order in (range(b), [b // 3], range(b + 12, b, -1), [0, 120]):
         for other in order:
-            distribution(cfg_for(other), kt)
+            distributions(cfg_for(other), [kt])[0]
         assert state() == cold
 
 
@@ -523,9 +526,9 @@ def test_distribution_does_not_depend_on_cache_history(b, kt):
 def test_weights_are_the_prefix_of_a_longer_row(b, kt):
     # The cut sets how many levels a row keeps, never a weight: each kept
     # weight is bitwise that of the longer row a tighter tolerance keeps.
-    dist = distribution(cfg_for(b), kt)
+    dist = distributions(cfg_for(b), [kt])[0]
     assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, REL_EPS)
-    longer = distribution(cfg_for(b), kt, MIN_REL_EPS)
+    longer = distributions(cfg_for(b), [kt], MIN_REL_EPS)[0]
     assert longer.n_cut >= dist.n_cut
     assert dist.weights.tobytes() == longer.weights[: dist.n_cut + 1].tobytes()
 
@@ -540,7 +543,7 @@ def test_distribution_fails_fast_past_max_terms(monkeypatch):
         message = (f"no level cut within max_terms=1000000 levels proves the tail for b={b} "
                    f"at kappa\\*t = 100000$")
         with pytest.raises(ValueError, match=message):
-            distribution(cfg_for(b), 1e5)
+            distributions(cfg_for(b), [1e5])[0]
         with pytest.raises(ValueError, match=message):
             open_system.distributions(cfg_for(b), [1e-3, 0.5, 100.0, 1e5])
     assert sums == []
@@ -568,7 +571,7 @@ def test_distributions_match_the_reference_climb(b, grid):
             assert dist.weights.tolist() == [0.0] * b + [1.0]
             continue
         assert (dist.n_cut, dist.tail_bound) == open_system._cut(b, kt, REL_EPS)
-        assert dist.weights.tobytes() == distribution(cfg_for(b), kt).weights.tobytes(), kt
+        assert dist.weights.tobytes() == distributions(cfg_for(b), [kt])[0].weights.tobytes(), kt
         for n in _oracle_levels(dist.weights):
             assert dist.weights[n] == fock_weight(cfg_for(b), n, kt), (kt, n)
 
@@ -587,7 +590,7 @@ CUTS = {
 
 def test_cut_is_the_proven_saddle_point_cut():
     for b, cuts in CUTS.items():
-        assert [distribution(cfg_for(b), kt).n_cut for kt in CUT_KTS] == cuts, b
+        assert [distributions(cfg_for(b), [kt])[0].n_cut for kt in CUT_KTS] == cuts, b
 
 
 # kappa*t = 1e-6 .. 1e3, two points per decade, plus both sides of
@@ -623,7 +626,7 @@ def test_cut_bounds_the_exact_tails(b, eps):
 def test_cut_at_vanishing_kappa_t(b, kt):
     # gamma is subnormal or nearly so: the saddle point passes 1e300 and is
     # capped there, and level b alone is kept.
-    dist = distribution(cfg_for(b), kt)
+    dist = distributions(cfg_for(b), [kt])[0]
     assert dist.n_cut == b and 0.0 < dist.tail_bound <= 1e-290
     assert dist.weight(b) == 1.0 and dist.trace() == 1.0
     u = 2.0 * kt
@@ -637,7 +640,7 @@ def test_concurrent_sweeps_match_serial_ones():
 
     def sweep(order):
         return [
-            (b, kt, distribution(cfg_for(b), kt).weights.tobytes())
+            (b, kt, distributions(cfg_for(b), [kt])[0].weights.tobytes())
             for _ in range(3) for b in order for kt in kts
         ]
 

@@ -53,12 +53,12 @@ def test_every_exported_name_resolves():
 PUBLIC = {
     levelscope: [
         "Box", "CriterionPoint", "DegeneratePeriod", "DiffusiveConfig", "FockDistribution",
-        "Harmonic", "Hydrogenoid", "IndexOutOfSpectrum", "MismatchedConfig", "ModelParams",
-        "Morse", "NotNormalized", "Quartic", "ScanResult", "SuperpositionSpec",
-        "YMeanPoint", "ZeroEnergy", "__version__", "builtin_preset_names", "criterion_point",
-        "distribution", "energy", "fidelity_overlap", "fock_weight", "harmonic_dpdq",
-        "load_model", "log_points", "max_index", "mean_y_point", "mean_y_series", "min_index",
-        "period", "quartic_limits", "superposition_delta_e", "survival", "threshold_scan",
+        "Harmonic", "Hydrogenoid", "IndexOutOfSpectrum", "ModelParams", "Morse",
+        "NotNormalized", "Quartic", "ScanResult", "SuperpositionSpec", "YMeanPoint",
+        "__version__", "builtin_preset_names", "criterion_point", "distributions", "energy",
+        "fidelity_overlap", "fock_weight", "harmonic_dpdq", "load_model", "log_points",
+        "max_index", "mean_y_point", "mean_y_series", "min_index", "period", "quartic_limits",
+        "superposition_delta_e", "survival", "threshold_scan",
     ],
     diffusive: [
         "DiffusiveConfig", "YMeanPoint", "check_curve", "check_level", "check_time",
@@ -73,10 +73,10 @@ PUBLIC = {
         "superposition_delta_e", "threshold_scan",
     ],
     observables: [
-        "DiffusiveConfig", "MismatchedConfig", "YMeanPoint", "ZeroEnergy", "fidelity_overlap",
-        "mean_y_point", "mean_y_series", "survival",
+        "DiffusiveConfig", "YMeanPoint", "fidelity_overlap", "mean_y_point", "mean_y_series",
+        "survival",
     ],
-    open_system: ["FockDistribution", "distribution", "distributions"],
+    open_system: ["FockDistribution", "distributions"],
 }
 
 
@@ -91,13 +91,20 @@ def test_public_surface_is_pinned(module):
 def test_each_name_has_one_home():
     # open_system re-exports nothing of diffusive, whose level-cut helpers
     # moved into the cut, and the command line's usage error is ValueError,
-    # as is a row whose level cut passes MAX_TERMS: exit codes are 0, 2 and 4.
-    for name in ("fock_weight", "DiffusiveConfig", "_kernels", "_moments"):
+    # as is a row whose level cut passes MAX_TERMS, a fidelity pair that is
+    # not one and a <y(b)> without <H0>: exit codes are 0, 2 and 4. One time
+    # is distributions(cfg, [t])[0], a criterion the one-row scan, and the
+    # plain Horner loop is chosen by b + n alone.
+    for name in ("fock_weight", "DiffusiveConfig", "_kernels", "_moments", "distribution"):
         assert not hasattr(open_system, name)
-    for name in ("_kernels", "_moments"):
+    for name in ("_kernels", "_moments", "_PLAIN_M"):
         assert not hasattr(diffusive, name)
-    assert not hasattr(numerics, "SystemExit2")
-    assert not hasattr(numerics, "NonConvergent") and not hasattr(levelscope, "NonConvergent")
+    for name in ("SystemExit2", "NonConvergent", "MismatchedConfig", "ZeroEnergy"):
+        assert not hasattr(numerics, name)
+    for module in (levelscope, observables):
+        for name in ("NonConvergent", "MismatchedConfig", "ZeroEnergy", "distribution"):
+            assert not hasattr(module, name)
+    assert not hasattr(spectra, "_reject_harmonic")
     assert not hasattr(cli, "EXIT_NONCONVERGENT")
 
 
@@ -360,7 +367,7 @@ def test_no_module_imports_the_cli():
     for source in ("from . import cli", "from .cli import main", "import levelscope.cli",
                    "from levelscope import cli"):
         assert _imports_cli(source)
-    assert not _imports_cli("from . import __version__\nfrom .numerics import ZeroEnergy")
+    assert not _imports_cli("from . import __version__\nfrom .numerics import fmt")
     modules = sorted((SRC / "levelscope").glob("*.py"))
     assert [p.name for p in modules if _imports_cli(p.read_text(encoding="utf-8"))] == []
 
@@ -380,7 +387,7 @@ def test_import_loads_only_the_closed_system_modules():
     # modules in the rest.
     code = ("import sys, levelscope, levelscope.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('levelscope.')))")
-    assert _fresh(code) == str(["levelscope.cli", "levelscope.numerics"])
+    assert _fresh(code) == str(["levelscope.cli"])
 
 
 @pytest.mark.parametrize(
@@ -509,22 +516,23 @@ def test_ladder_commands_load_numpy(tmp_path, argv):
     assert _loaded_after(statement, cwd=tmp_path)["numpy"] is True
 
 
-BASE = ["levelscope", "levelscope.cli", "levelscope.numerics"]
-CURVES = [*BASE, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diffusive"]
+BASE = ["levelscope", "levelscope.cli"]
+COMMAND = [*BASE, "levelscope.numerics"]
+CURVES = [*COMMAND, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diffusive"]
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         (["criterion", "--model", "box", "--n", "4"],
-         [*BASE, "levelscope.cli_closed", "levelscope.spectra"]),
+         [*COMMAND, "levelscope.cli_closed", "levelscope.spectra"]),
         (["criterion", "--preset", "h2_morse", "--n", "3", "--format", "json"],
-         [*BASE, "levelscope.cli_closed", "levelscope.data", "levelscope.presets",
+         [*COMMAND, "levelscope.cli_closed", "levelscope.data", "levelscope.presets",
           "levelscope.spectra"]),
         (["scan", "--model", "box", "--n-max", "6", "--out", "b.csv"],
-         [*BASE, "levelscope.cli_closed", "levelscope.cli_files", "levelscope.spectra"]),
+         [*COMMAND, "levelscope.cli_closed", "levelscope.cli_files", "levelscope.spectra"]),
         (["evolve", "--b", "3", *GRID, "--out", "e.csv"],
-         [*BASE, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diffusive",
+         [*COMMAND, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diffusive",
           "levelscope.open_system"]),
         (["fidelity", *GRID, "--out", "f.csv", "--svg", "f.svg"], [*CURVES, "levelscope.svgplot"]),
         (["ymean", *GRID, "--out", "y.json", "--format", "json"], CURVES),
@@ -538,8 +546,8 @@ CURVES = [*BASE, "levelscope.cli_files", "levelscope.cli_open", "levelscope.diff
 def test_each_command_loads_only_its_own_modules(tmp_path, argv, loaded):
     # main() imports the module of the command it runs and no other; the
     # file writers load only where a file is written, and --help and
-    # --version load no command. No command needs numbers, which numpy
-    # alone (evolve) loads.
+    # --version load no command and no library module. No command needs
+    # numbers, which numpy alone (evolve) loads.
     statement = (f"import sys\nfrom levelscope.cli import main\ntry:\n    code = main({argv!r})\n"
                  "except SystemExit as exc:\n    code = exc.code\nassert code == 0\n"
                  "print(sorted(m for m in sys.modules if m.startswith('levelscope')),\n"
@@ -556,13 +564,13 @@ def test_exported_names_are_the_submodule_objects():
         "print(sorted(set(levelscope.__all__) - set(dir(levelscope))))\n"
         "print([n for n in levelscope.__all__ if n != '__version__' and not any(\n"
         "    getattr(importlib.import_module(f'levelscope.{m}'), n, None) is getattr(levelscope, n)\n"
-        "    for m in ('numerics', 'spectra', 'presets', 'diffusive', 'open_system'))])"
+        "    for m in ('spectra', 'presets', 'diffusive', 'open_system'))])"
     )
     assert _fresh(code).splitlines() == ["[]", "[]"]
 
 
 def test_lazy_names_are_bound_once():
-    for name in ("DiffusiveConfig", "fidelity_overlap", "mean_y_series", "distribution"):
+    for name in ("DiffusiveConfig", "fidelity_overlap", "mean_y_series", "distributions"):
         value = getattr(levelscope, name)
         assert vars(levelscope)[name] is value
     assert levelscope.fidelity_overlap is observables.fidelity_overlap is diffusive.fidelity_overlap
@@ -579,11 +587,6 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         levelscope.no_such_name  # noqa: B018
     assert getattr(levelscope, "BACKEND", None) is None
-
-
-def test_moved_errors_are_one_class():
-    assert observables.ZeroEnergy is numerics.ZeroEnergy is levelscope.ZeroEnergy
-    assert observables.MismatchedConfig is numerics.MismatchedConfig
 
 
 def test_zero_energy_in_an_open_system_command_exits_2(tmp_path, capsys):

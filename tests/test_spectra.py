@@ -268,9 +268,17 @@ WELL = Morse(depth=1.0, alpha=1.0, anharmonicity=10.0, mass=1.0, r0=1.0, omega=0
     ids=["box", "hydrogenoid", "quartic", "quartic-lam-0", "h2", "h2-top", "morse"],
 )
 def test_scan_points_are_the_criterion_points(model, n_min, n_max):
-    # The scan evaluates each level once; repr tells every float bit apart.
-    points = threshold_scan(model, n_min, n_max).points
-    assert repr(points) == repr(tuple(criterion_point(model, n) for n in range(n_min, n_max + 1)))
+    def rows():
+        return tuple(criterion_point(model, n) for n in range(n_min, n_max + 1))
+
+    if isinstance(model, Quartic) and model.lam == 0.0:
+        # Without its quartic term the oscillator is harmonic: period-blind.
+        for call in (rows, lambda: threshold_scan(model, n_min, n_max)):
+            with pytest.raises(DegeneratePeriod, match="^quartic period is energy independent"):
+                call()
+    else:
+        # The scan evaluates each level once; repr tells every float bit apart.
+        assert repr(threshold_scan(model, n_min, n_max).points) == repr(rows())
 
 
 def _log_uniform(lo: float, hi: float):
@@ -343,10 +351,11 @@ SHALLOW = Morse(depth=1.0, alpha=1.0, anharmonicity=1.0, mass=1.0, r0=1.0, omega
         (Harmonic(mass=1.0, omega=1.0), 1, 4, DegeneratePeriod,
          "harmonic period is energy independent: dTau = 0 for every n, "
          "the period cannot probe this spectrum"),
-        (Harmonic(mass=1.0, omega=1.0), 0, 4, IndexOutOfSpectrum,
-         "scan must start at n >= 1 for Harmonic"),
+        (Harmonic(mass=1.0, omega=1.0), 0, 4, DegeneratePeriod,
+         "harmonic period is energy independent: dTau = 0 for every n, "
+         "the period cannot probe this spectrum"),
         (BOX, 5, 4, ValueError, "empty scan range [5, 4]"),
-        (BOX, 1, 10, IndexOutOfSpectrum, "scan must start at n >= 2 for Box"),
+        (BOX, 1, 10, IndexOutOfSpectrum, "n=1 has no lower neighbor in Box"),
     ],
     ids=["past-top", "all-past-top", "shallow", "harmonic", "harmonic-low", "empty", "low"],
 )
@@ -361,8 +370,9 @@ def test_scan_errors_are_the_level_by_level_errors(model, n_min, n_max, error, m
     [
         (Quartic(omega=1e308, lam=1e308), 5, "E_n", 5),  # E comes out inf
         (Quartic(omega=1e-300, lam=1e300), 1, "y", 1),  # finite dE * dTau overflows
-        (Box(mass=1e300, width=1e300), 3, "E_n", 3),  # width**2 raises OverflowError
-        (Hydrogenoid(reduced_mass=1e-300, charge=1e-300), 3, "tau_n", 3),  # divides by 0
+        # A formula that raises does so at n - 1 first, which is named.
+        (Box(mass=1e300, width=1e300), 3, "E_n", 2),  # width**2 raises OverflowError
+        (Hydrogenoid(reduced_mass=1e-300, charge=1e-300), 3, "tau_n", 2),  # divides by 0
     ],
     ids=["quartic-energy", "quartic-y", "box-overflow", "hydrogenoid-zero-division"],
 )
@@ -372,10 +382,10 @@ def test_non_finite_criterion_names_the_quantity_and_level(model, n, name, level
     with pytest.raises(ValueError) as exc:
         criterion_point(model, n)
     assert str(exc.value) == message
-    if isinstance(model, Quartic):  # the scan meets the same quantity first
-        with pytest.raises(ValueError) as exc:
-            threshold_scan(model, n, n + 3)
-        assert str(exc.value) == message
+    # The scan meets the same quantity first.
+    with pytest.raises(ValueError) as exc:
+        threshold_scan(model, n, n + 3)
+    assert str(exc.value) == message
 
 
 QUARTIC_OVERFLOW = Quartic(omega=1e308, lam=1e308)
