@@ -589,6 +589,21 @@ def test_unknown_name_raises_attribute_error():
     assert getattr(levelscope, "BACKEND", None) is None
 
 
+def test_moved_errors_are_one_class():
+    # The zero-energy and mismatched-config refusals are ValueError, the one
+    # class every home of mean_y_point and fidelity_overlap raises.
+    zero = observables.DiffusiveConfig(b=1, kappa=1.0, omega=0.0, lam=0.0)
+    upper = observables.DiffusiveConfig(b=2, kappa=1.0, omega=1.0, lam=1.0)
+    other = observables.DiffusiveConfig(b=1, kappa=2.0, omega=1.0, lam=1.0)
+    for module in (levelscope, observables, diffusive):
+        with pytest.raises(ValueError, match=r"^<H0> = 0 at kappa\*t = 0\.5; "):
+            module.mean_y_point(zero, 0.5)
+        with pytest.raises(ValueError, match=r"\(kappa, omega, lam\) differ: "):
+            module.fidelity_overlap(upper, other, 0.1)
+        for name in ("MismatchedConfig", "ZeroEnergy"):
+            assert not hasattr(module, name)
+
+
 def test_zero_energy_in_an_open_system_command_exits_2(tmp_path, capsys):
     # omega = lam = 0 makes <H0> vanish, so <y(b)> has no period estimate.
     argv = ["ymean", "--b", "2", "--omega", "0", "--lambda", "0",
