@@ -22,10 +22,10 @@ mirror of the same records via --format json); figure commands also emit a
 minimal SVG. Identical flags produce byte-identical data files: floats use a
 fixed format and the manifest timestamp honors SOURCE_DATE_EPOCH.
 
-Exit codes: 0 success, 2 bad arguments, out-of-domain request (an evolve
-row whose proven level cut passes 1,000,000 levels included), an
-unreadable --preset or a SOURCE_DATE_EPOCH outside 0..253402300799, 4 I/O
-failure (an output file, or stdout, that cannot be written).
+Exit codes: 0 success; 2 any ValueError: bad arguments, out-of-domain
+request (an evolve row whose level cut passes 1,000,000 levels included), a
+missing or unreadable --preset, a SOURCE_DATE_EPOCH outside 0..253402300799;
+4 any OSError: an output file or directory, or stdout, that cannot be written.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -121,13 +121,7 @@ def _cmd_scan(args: Namespace) -> int:
     from .cli_files import build_manifest, write_table
 
     model = model_from_args(args)
-    n_max = args.n_max
-    top = spectra.max_index(model)
-    if n_max is None:
-        if top is None:
-            raise ValueError("--n-max is required for models without a level ceiling")
-        n_max = top
-    result = spectra.threshold_scan(model, args.n_min, n_max)
+    result = spectra.threshold_scan(model, args.n_min, args.n_max)
     # A CriterionPoint is the tuple of its fields, in the column order below.
     rows = result.points
     footer = [
@@ -137,7 +131,7 @@ def _cmd_scan(args: Namespace) -> int:
     # The model as built, one entry per field, whether flags or a preset gave it.
     params = {f.replace("_", "-"): str(getattr(model, f)) for f in model._fields}
     params["model"] = type(model).__name__.lower()
-    params["resolved-n-max"] = str(n_max)
+    params["resolved-n-max"] = str(rows[-1].n)
     manifest = build_manifest(args, "scan", params, ("preset", "n_min", "n_max"))
     write_table(
         Path(args.out),

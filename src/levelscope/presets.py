@@ -52,10 +52,10 @@ def resolve_preset(name_or_path: str) -> str:
 
     A name ending in .cfg or with a directory part is always a path: only a
     bare name that is no file is looked up among the bundled presets.
-    FileNotFoundError, naming the preset and listing the bundled ones, when
-    there is no such file or bundled preset; ValueError naming the preset
-    when it exists but is no readable UTF-8 text (a directory, an unreadable
-    file, undecodable bytes).
+    Every refusal is a ValueError naming the preset: one that also lists
+    the bundled presets when there is no such file or bundled preset, and
+    one that gives the reason when the preset exists but is no readable
+    UTF-8 text (a directory, an unreadable file, undecodable bytes).
     """
     path = Path(name_or_path)
     try:
@@ -63,7 +63,7 @@ def resolve_preset(name_or_path: str) -> str:
             path = resources.files("levelscope.data") / f"{name_or_path}.cfg"
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise FileNotFoundError(
+        raise ValueError(
             f"no preset file {name_or_path!r} and no bundled preset of that name "
             f"(bundled: {', '.join(builtin_preset_names())})"
         ) from None

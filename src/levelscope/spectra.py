@@ -410,13 +410,15 @@ def superposition_delta_e(model: ModelParams, spec: SuperpositionSpec) -> float:
     return abs(spec.a) * abs(spec.b) * (energy(model, n) - energy(model, n - 1))
 
 
-def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
+def threshold_scan(model: ModelParams, n_min: int, n_max: int | None = None) -> ScanResult:
     """Criterion rows for n_min..n_max plus the first level with y < 1/2.
 
     No monotonicity is assumed: the note lists every crossing of the
-    threshold within the scanned range, in both directions. A period-blind
-    model (the harmonic oscillator, or the quartic at lam = 0) raises
-    DegeneratePeriod before the range is checked.
+    threshold within the scanned range, in both directions. n_max=None is
+    the top of the well. Refused in this order: a period-blind model (the
+    harmonic oscillator, or the quartic at lam = 0), n_max=None without a
+    top, a range past the top (naming its first level past it), an empty
+    range, an n_min with no lower neighbor.
     """
     # The harmonic period, and the quartic's at lam = 0, is 2 pi / omega at
     # every level, so the verdict is the model's before any level is checked.
@@ -425,15 +427,19 @@ def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
             f"{type(model).__name__.lower()} period is energy independent: dTau = 0 for "
             "every n, the period cannot probe this spectrum"
         )
+    top = max_index(model)
+    if n_max is None:
+        if top is None:
+            raise ValueError(f"n_max is required: {type(model).__name__} has no level ceiling")
+        n_max = top
+    # The range is checked once, against the first level past the top, the
+    # one a level-by-level scan would stop at.
+    if top is not None and max(n_min, n_max) > top:
+        _check_index(model, max(n_min, top + 1))
     if n_min > n_max:
         raise ValueError(f"empty scan range [{n_min}, {n_max}]")
     if n_min <= min_index(model):
         raise IndexOutOfSpectrum(f"n={n_min} has no lower neighbor in {type(model).__name__}")
-    # The range is checked once, against the first level past the top, the
-    # one a level-by-level scan would stop at.
-    top = max_index(model)
-    if top is not None and n_max > top:
-        _check_index(model, max(n_min, top + 1))
     # Each level's E and tau once, for n_min-1..n_max, lowest first.
     levels = range(n_min - 1, n_max + 1)
     energy_of, period_of = model._energy, model._period
@@ -445,11 +451,10 @@ def threshold_scan(model: ModelParams, n_min: int, n_max: int) -> ScanResult:
     if first is None:
         notes.append(f"every scanned level up to n={n_max} is resolvable (y >= 1/2)")
     else:
-        at = next(p for p in points if p.n == first)
-        notes.append(f"first unresolvable level: n={first} (y={at.y:.6g})")
+        i = first - n_min  # points[i] is the row of level first
+        notes.append(f"first unresolvable level: n={first} (y={points[i].y:.6g})")
         if first > n_min:
-            below = next(p for p in points if p.n == first - 1)
-            notes.append(f"n={first - 1} is still resolvable (y={below.y:.6g})")
+            notes.append(f"n={first - 1} is still resolvable (y={points[i - 1].y:.6g})")
     flips = [
         f"n={q.n}: y {'rises above' if q.resolvable else 'falls below'} 1/2 (y={q.y:.6g})"
         for p, q in zip(points, points[1:])

@@ -1002,7 +1002,47 @@ def test_unreadable_preset_exits_2_naming_it(tmp_path, capsys, command, kind, re
 def test_scan_without_ceiling_needs_n_max(tmp_path, capsys):
     code = main(["scan", "--model", "box", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE
-    assert "n-max" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: n_max is required: Box has no level ceiling\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model, name", [
+    (["--model", "harmonic"], "harmonic"),
+    (["--model", "quartic", "--lambda", "0"], "quartic"),
+], ids=["harmonic", "quartic-lambda-0"])
+def test_period_blind_scan_without_n_max_is_refused_as_such(tmp_path, capsys, model, name):
+    # Not for the --n-max that no value of could help.
+    code = main(["scan", *model, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {name} period is energy independent: dTau = 0 "
+                                   "for every n, the period cannot probe this spectrum\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_past_the_top_of_the_well_names_the_level(tmp_path, capsys):
+    # --n-max left out resolves to the top of the well, n = 16, and the
+    # range is refused by its first level past the top, not as empty.
+    code = main(["scan", "--preset", "h2_morse", "--n-min", "17",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: n=17 lies past the top of the Morse well (last bound level n=16)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figures_directory_that_cannot_be_made_exits_4(tmp_path, monkeypatch, capsys):
+    # Every OSError is an I/O failure, a FileNotFoundError from mkdir too.
+    def refuse(self, *args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "figs"
+    assert main(["figures", "1", "--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: I/O failure: [Errno 2] No such file or directory: "
+                            f"{str(out)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_exits_4(tmp_path):

@@ -356,13 +356,35 @@ SHALLOW = Morse(depth=1.0, alpha=1.0, anharmonicity=1.0, mass=1.0, r0=1.0, omega
          "the period cannot probe this spectrum"),
         (BOX, 5, 4, ValueError, "empty scan range [5, 4]"),
         (BOX, 1, 10, IndexOutOfSpectrum, "n=1 has no lower neighbor in Box"),
+        # n_max=None is the top of the well, resolved after the period-blind
+        # verdict; the range is then refused by its first level past the top
+        # before it is found empty or without a lower neighbor.
+        (H2, 17, None, IndexOutOfSpectrum,
+         "n=17 lies past the top of the Morse well (last bound level n=16)"),
+        (H2, 17, 16, IndexOutOfSpectrum,
+         "n=17 lies past the top of the Morse well (last bound level n=16)"),
+        (H2, 0, 40, IndexOutOfSpectrum,
+         "n=17 lies past the top of the Morse well (last bound level n=16)"),
+        (SHALLOW, 1, None, IndexOutOfSpectrum, "Morse well too shallow to hold any level"),
+        (SHALLOW, 0, 3, IndexOutOfSpectrum, "Morse well too shallow to hold any level"),
+        (BOX, 1, None, ValueError, "n_max is required: Box has no level ceiling"),
+        (Quartic(omega=1.0, lam=0.0), 2, None, DegeneratePeriod,
+         "quartic period is energy independent: dTau = 0 for every n, "
+         "the period cannot probe this spectrum"),
     ],
-    ids=["past-top", "all-past-top", "shallow", "harmonic", "harmonic-low", "empty", "low"],
+    ids=["past-top", "all-past-top", "shallow", "harmonic", "harmonic-low", "empty", "low",
+         "resolved-past-top", "empty-past-top", "low-past-top", "resolved-shallow", "low-shallow",
+         "no-ceiling", "quartic-lam-0-no-ceiling"],
 )
 def test_scan_errors_are_the_level_by_level_errors(model, n_min, n_max, error, message):
     with pytest.raises(error) as exc:
         threshold_scan(model, n_min, n_max)
     assert str(exc.value) == message
+
+
+def test_scan_without_n_max_runs_to_the_top_of_the_well():
+    assert threshold_scan(H2, 1) == threshold_scan(H2, 1, 16)
+    assert threshold_scan(H2, 16).points[-1].n == max_index(H2) == 16
 
 
 @pytest.mark.parametrize(
@@ -679,7 +701,7 @@ def test_preset_natural_units_pass_through(tmp_path):
 
 
 def test_preset_errors(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ValueError, match="'no_such_preset' and no bundled preset"):
         presets.load_model("no_such_preset")
     bad = tmp_path / "bad.cfg"
     bad.write_text("model = box\nmass = 1.0\n")
